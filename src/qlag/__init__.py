@@ -8,6 +8,7 @@ from .errors import (  # noqa: F401
     ChartFailure,
     ChartUnavailable,
     ConfigInvalid,
+    CrossCheckFailed,
     DimensionMismatch,
     DimensionUnsupported,
     MeshTooCoarse,

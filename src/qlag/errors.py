@@ -65,6 +65,10 @@ class NonFreeWitness(QlagError):
     """Two orbit points coincide; the group action test failed."""
 
 
+class CrossCheckFailed(QlagError):
+    """Two independent evaluations of the same quantity disagree."""
+
+
 class ConfigInvalid(QlagError):
     """Instance configuration failed validation.
 

@@ -22,11 +22,16 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ChartUnavailable, DimensionUnsupported, MeshTooCoarse
+from .errors import (
+    ChartUnavailable,
+    CrossCheckFailed,
+    DimensionUnsupported,
+    MeshTooCoarse,
+)
 from .lattice import ExponentMatrix, sum_vector
 from .numdiff import mean_curvature_flat
 from .quadric import QuadricSystem, newton_project, sample_points
@@ -41,8 +46,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def torus_phases(system: QuadricSystem, y: Sequence[float]) -> np.ndarray:
-    """exp(i*pi*(e_i, y)) for every exponent row."""
-    angles = np.pi * (system.matrix @ np.asarray(y, dtype=float))
+    """exp(i*pi*(e_i, y)) for every exponent row; (N, n) for a (N, m) batch."""
+    y = np.asarray(y, dtype=float)
+    # one matrix-vector product per sample, the same BLAS call a single
+    # point makes, so batch rows and single calls agree bit for bit
+    angles = np.pi * (system.matrix @ y[..., None])[..., 0]
     return np.exp(1j * angles)
 
 
@@ -55,30 +63,37 @@ def torus_tangents(system: QuadricSystem, u, y) -> np.ndarray:
     """Rows Y_j = d/dy_j of the immersion: (pi*i*E[i,j]*u_i*phase_i)_i."""
     phases = torus_phases(system, y)
     u = np.asarray(u, dtype=float)
-    return np.pi * 1j * (system.matrix.T * (u * phases)[None, :])
+    return np.pi * 1j * (system.matrix.T * (u * phases)[..., None, :])
 
 
 def variety_tangents(system: QuadricSystem, u, y) -> np.ndarray:
     """Rows X_s: the orthonormal tangent frame of M twisted by the phases."""
     phases = torus_phases(system, y)
-    return system.tangent_basis(u).astype(complex) * phases[None, :]
+    return system.tangent_basis(u).astype(complex) * phases[..., None, :]
+
+
+def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_l a[..., i, l] * b[..., j, l] for every row pair (i, j).
+
+    Summed along the contiguous last axis, never through BLAS, so a batch
+    row gets the same bits as the single-point call on it.
+    """
+    return (a[..., :, None, :] * b[..., None, :, :]).sum(-1)
 
 
 def torus_metric(system: QuadricSystem, u) -> np.ndarray:
     """Closed form of the torus metric block: pi^2 * E^T diag(u^2) E."""
     u = np.asarray(u, dtype=float)
-    E = system.matrix
-    return np.pi * np.pi * (E.T * (u * u)[None, :]) @ E
-
-
-def symplectic_product(xi: np.ndarray, eta: np.ndarray) -> float:
-    """omega(xi, eta) = -Im<xi, eta>."""
-    return float(-np.imag(np.sum(xi * np.conjugate(eta))))
+    Et = system.matrix.T
+    return np.pi * np.pi * _pairings(Et * (u * u)[..., None, :], Et)
 
 
 @dataclass(frozen=True)
 class FrameBundle:
-    """Tangent frame at an immersion point with its Gram blocks."""
+    """Tangent frame at an immersion point with its Gram blocks.
+
+    From a (N, n) batch every field gains a leading sample axis.
+    """
 
     variety: np.ndarray  # (k, n) complex rows X_s
     torus: np.ndarray  # (m, n) complex rows Y_j
@@ -87,35 +102,43 @@ class FrameBundle:
     cross: np.ndarray  # (m, k) complex Hermitian products <Y_j, X_s>
 
     def all_rows(self) -> np.ndarray:
-        return np.vstack([self.variety, self.torus]) if len(self.variety) else self.torus
+        return np.concatenate([self.variety, self.torus], axis=-2)
 
-    def cross_defect(self) -> float:
-        """Largest |<Y_j, X_s>|: zero in exact arithmetic for points on M."""
-        return float(np.max(np.abs(self.cross))) if self.cross.size else 0.0
+    def cross_defect(self):
+        """Largest |<Y_j, X_s>|: zero in exact arithmetic for points on M;
+        one value per sample for a batched bundle."""
+        return np.max(np.abs(self.cross), axis=(-2, -1), initial=0.0)
 
 
 def frame_at(system: QuadricSystem, u, y) -> FrameBundle:
     """Tangent frame and metric blocks; the numeric torus Gram is checked
-    against its closed form on every call."""
+    against its closed form on every call.
+
+    u and y may be (N, n) and (N, m) batches; row i of every field equals
+    the single-point call on (u[i], y[i]) bit for bit.
+    """
     X = variety_tangents(system, u, y)
     Y = torus_tangents(system, u, y)
-    gx = np.real(X @ np.conjugate(X).T) if len(X) else np.zeros((0, 0))
-    gy = np.real(Y @ np.conjugate(Y).T)
-    closed = torus_metric(system, u)
-    if not np.allclose(gy, closed, rtol=1e-10, atol=1e-10):
-        raise AssertionError("torus metric Gram disagrees with closed form")
-    cross = Y @ np.conjugate(X).T if len(X) else np.zeros((system.codim, 0), complex)
-    return FrameBundle(X, Y, gx, gy, cross)
+    gx = np.real(_pairings(X, np.conjugate(X)))
+    gy = np.real(_pairings(Y, np.conjugate(Y)))
+    agrees = np.isclose(gy, torus_metric(system, u), rtol=1e-10, atol=1e-10)
+    off = np.nonzero(~agrees.all(axis=(-2, -1)).reshape(-1))[0]
+    if len(off):
+        where = "" if gy.ndim == 2 else f" at sample {off[0]}"
+        raise CrossCheckFailed(f"torus metric Gram disagrees with closed form{where}")
+    return FrameBundle(X, Y, gx, gy, _pairings(Y, np.conjugate(X)))
 
 
-def frame_symplectic_defect(rows: np.ndarray) -> float:
-    """max |omega(V_a, V_b)| over all pairs of frame rows."""
-    gram = rows @ np.conjugate(rows).T
-    return float(np.max(np.abs(np.imag(gram))))
+def frame_symplectic_defect(rows: np.ndarray):
+    """max |omega(V_a, V_b)| over all pairs of frame rows; (N,) for a
+    (N, r, n) batch of frames."""
+    gram = _pairings(rows, np.conjugate(rows))
+    return np.max(np.abs(np.imag(gram)), axis=(-2, -1), initial=0.0)
 
 
-def lagrangian_defect(system: QuadricSystem, u, y) -> float:
-    """Largest symplectic pairing among tangent frame vectors."""
+def lagrangian_defect(system: QuadricSystem, u, y):
+    """Largest symplectic pairing among tangent frame vectors; one value
+    per sample for (N, n) and (N, m) batches."""
     return frame_symplectic_defect(frame_at(system, u, y).all_rows())
 
 
@@ -297,24 +320,20 @@ class ChartMesh:
     def dim(self) -> int:
         return len(self.shape)
 
-    def angle_values(self) -> np.ndarray:
-        """beta on the nodes, linear in the torus axes (universal cover)."""
-        grids = np.meshgrid(
+    def node_grids(self) -> list[np.ndarray]:
+        """Normalized chart coordinates of every node, one array per axis."""
+        return np.meshgrid(
             *[np.arange(nn) * h for nn, h in zip(self.shape, self.spacings)],
             indexing="ij",
         )
+
+    def angle_values(self) -> np.ndarray:
+        """beta on the nodes, linear in the torus axes (universal cover)."""
+        grids = self.node_grids()
         out = np.zeros(self.shape)
         for a in range(self.dim):
             out += self.angle_gradient[a] * grids[a]
         return out
-
-    def scalar(self, fn: Callable[..., np.ndarray]) -> np.ndarray:
-        """Evaluate fn on the node coordinates (normalized units)."""
-        grids = np.meshgrid(
-            *[np.arange(nn) * h for nn, h in zip(self.shape, self.spacings)],
-            indexing="ij",
-        )
-        return np.asarray(fn(*grids), dtype=float)
 
     def raw_torus_grids(self, box: np.ndarray) -> list[np.ndarray]:
         """Unnormalized torus coordinates y on the nodes.
@@ -322,12 +341,8 @@ class ChartMesh:
         The mesh stores torus axes scaled into [0,1); multiplying back
         through the period box recovers the y each node represents.
         """
-        grids = np.meshgrid(
-            *[np.arange(nn) * h for nn, h in zip(self.shape, self.spacings)],
-            indexing="ij",
-        )
         m = len(box)
-        coords = grids[self.dim - m:]
+        coords = self.node_grids()[self.dim - m:]
         return [
             sum(box[i][j] * coords[i] for i in range(m)) for j in range(m)
         ]
@@ -600,10 +615,7 @@ def hamiltonian_variation(
             f"variation quadrature needs n=2 or a torus system (n<=4), got n={total_dim}"
         )
     mesh = chart_mesh(system, resolution)
-    grids = np.meshgrid(
-        *[np.arange(nn) * h for nn, h in zip(mesh.shape, mesh.spacings)],
-        indexing="ij",
-    )
+    grids = mesh.node_grids()
     # periodic trapezoid sum: sample on the half-open grid. Torus axes of
     # the mesh are half-open already; nothing to trim.
     ginv = np.linalg.inv(mesh.metric)

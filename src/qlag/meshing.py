@@ -11,7 +11,6 @@ coordinates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -233,6 +232,8 @@ def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 
     header = ["t", "y"] + [
         "p11", "p22", "p33", "re_p12", "im_p12", "re_p13", "im_p13", "re_p23", "im_p23"
     ]
+    import csv  # only the CSV writer needs it; analyze and OBJ export skip the import
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

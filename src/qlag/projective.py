@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ApexPoint, ChartFailure, ChartUnavailable
-from .immersion import frame_at, lagrangian_angle, phi
+from .immersion import _pairings, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
 from .quadric import QuadricSystem, newton_project, require_cone, with_unit_sphere
 
@@ -88,43 +88,59 @@ def horizontal_component(p: Sequence[complex], xi: Sequence[complex]) -> np.ndar
     return xi - rdot(xi, p) * p - rdot(xi, ip) * ip
 
 
+def _scalar(value: np.ndarray, kind=float):
+    """A Python scalar for a 0-d result, the array itself for a batch."""
+    return kind(value) if np.ndim(value) == 0 else value
+
+
 def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    """Fubini-Study Hermitian product of chart vectors a, b at chart point w."""
-    w2 = 1.0 + float(np.real(np.sum(w * np.conjugate(w))))
-    term = w2 * np.sum(a * np.conjugate(b))
-    term -= np.sum(a * np.conjugate(w)) * np.sum(np.conjugate(b) * w)
-    return complex(term / (w2 * w2))
+    """Fubini-Study Hermitian product of chart vectors a, b at chart point w.
+
+    Broadcasts over leading axes; vectors run along the last one.
+    """
+    w2 = 1.0 + np.real(np.sum(w * np.conjugate(w), axis=-1))
+    term = w2 * np.sum(a * np.conjugate(b), axis=-1)
+    term -= np.sum(a * np.conjugate(w), axis=-1) * np.sum(np.conjugate(b) * w, axis=-1)
+    return _scalar(term / (w2 * w2), complex)
 
 
 def fs_metric(w, a, b) -> float:
-    return float(np.real(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
+    return _scalar(np.real(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
 
 
 def fs_symplectic(w, a, b) -> float:
-    return float(-np.imag(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
+    return _scalar(-np.imag(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
 
 
 def affine_chart_index(z: Sequence[complex]) -> int:
-    """Largest-modulus coordinate: the best-conditioned affine chart."""
-    return int(np.argmax(np.abs(np.asarray(z))))
+    """Largest-modulus coordinate: the best-conditioned affine chart (one
+    per row of a batch)."""
+    return _scalar(np.argmax(np.abs(np.asarray(z)), axis=-1), int)
+
+
+def _in_chart(z: np.ndarray, chart) -> tuple[np.ndarray, np.ndarray]:
+    """(z_c, z without coordinate c) for a chart index c per row of z (or
+    one index for all rows)."""
+    chart = np.broadcast_to(np.asarray(chart)[..., None], z.shape[:-1] + (1,))
+    lead = np.take_along_axis(z, chart, axis=-1)
+    keep = np.arange(z.shape[-1]) != chart
+    return lead, z[keep].reshape(z.shape[:-1] + (z.shape[-1] - 1,))
 
 
 def to_affine_chart(z: Sequence[complex], chart: int) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if abs(z[chart]) <= PHASE_FLOOR:
+    lead, rest = _in_chart(np.asarray(z, dtype=complex), chart)
+    if np.any(np.abs(lead) <= PHASE_FLOOR):
         raise ChartFailure(f"coordinate {chart} vanishes; chart unusable")
-    w = z / z[chart]
-    return np.delete(w, chart)
+    return rest / lead
 
 
 def pushforward_to_chart(p: Sequence[complex], xi: Sequence[complex], chart: int) -> np.ndarray:
     """Differential of the chart map z -> (z_i / z_c)_{i != c} applied to xi."""
-    p = np.asarray(p, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-    if abs(p[chart]) <= PHASE_FLOOR:
+    lead, p_rest = _in_chart(np.asarray(p, dtype=complex), chart)
+    if np.any(np.abs(lead) <= PHASE_FLOOR):
         raise ChartFailure(f"coordinate {chart} vanishes; chart unusable")
-    eta = (xi * p[chart] - p * xi[chart]) / (p[chart] * p[chart])
-    return np.delete(eta, chart)
+    xi_lead, xi_rest = _in_chart(np.asarray(xi, dtype=complex), chart)
+    return (xi_rest * lead - p_rest * xi_lead) / (lead * lead)
 
 
 def submersion_isometry_defect(p: Sequence[complex], frame: Sequence[Sequence[complex]]) -> float:
@@ -135,71 +151,82 @@ def submersion_isometry_defect(p: Sequence[complex], frame: Sequence[Sequence[co
     the Fubini-Study chart.
     """
     p = np.asarray(p, dtype=complex)
-    rows = [np.asarray(v, dtype=complex) for v in frame]
-    if not rows:
+    rows = np.asarray(frame, dtype=complex).reshape(-1, len(p))
+    if not len(rows):
         return 0.0
     chart = affine_chart_index(p)
     w = to_affine_chart(p, chart)
-    pushed = [pushforward_to_chart(p, v, chart) for v in rows]
-    worst = 0.0
-    for a in range(len(rows)):
-        for b in range(len(rows)):
-            up_metric = float(np.real(np.sum(rows[a] * np.conjugate(rows[b]))))
-            up_omega = float(-np.imag(np.sum(rows[a] * np.conjugate(rows[b]))))
-            dn_metric = fs_metric(w, pushed[a], pushed[b])
-            dn_omega = fs_symplectic(w, pushed[a], pushed[b])
-            worst = max(worst, abs(up_metric - dn_metric), abs(up_omega - dn_omega))
-    return worst
+    pushed = pushforward_to_chart(p, rows, chart)
+    up = _pairings(rows, np.conjugate(rows))
+    down = fs_hermitian(w, pushed[:, None, :], pushed[None, :, :])
+    return float(max(
+        np.max(np.abs(np.real(up) - np.real(down))),
+        np.max(np.abs(np.imag(down) - np.imag(up))),
+    ))
 
 
-def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, list[np.ndarray]]:
+def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndarray]:
     """(sphere point, n-1 orthonormal tangent vectors of the link).
 
     The immersed cone's tangent space contains the radial direction; the
     link tangent space is its orthogonal complement inside the frame span,
-    automatically horizontal because the cone is Lagrangian.
+    automatically horizontal because the cone is Lagrangian.  For (N, n)
+    and (N, m) batches the result is ((N, n), (N, n-1, n)); each sample
+    skips the frame row the radial projection collapses.
     """
     require_cone(system)
     u = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
+    U, Y = np.atleast_2d(u), np.atleast_2d(np.asarray(y, dtype=float))
+    norm = np.linalg.norm(U, axis=-1)
+    if np.any(norm == 0.0):
         raise ApexPoint("no link frame at the apex")
-    un = u / norm
-    p = phi(system, un, y)
-    rows = frame_at(system, un, y).all_rows()
-    radial = p / np.linalg.norm(p)
+    un = U / norm[:, None]
+    p = phi(system, un, Y)
+    rows = frame_at(system, un, Y).all_rows()
+    radial = p / np.linalg.norm(p, axis=-1)[:, None]
 
-    def rdot(a, b):
-        return float(np.real(np.sum(a * np.conjugate(b))))
-
-    out: list[np.ndarray] = []
-    for r in rows:
-        v = r - rdot(r, radial) * radial
-        for q in out:
-            v = v - rdot(v, q) * q
-        nv = np.linalg.norm(v)
-        if nv > 1e-10:
-            out.append(v / nv)
-    if len(out) != system.n - 1:
+    N, n = p.shape
+    out = np.zeros((N, n - 1, n), dtype=complex)
+    found = np.zeros(N, dtype=int)
+    for r in np.moveaxis(rows, 1, 0):
+        # Gram-Schmidt in the real inner product Re<a, b>
+        v = r - np.real(np.sum(r * np.conjugate(radial), axis=-1))[:, None] * radial
+        for q in np.moveaxis(out, 1, 0):
+            v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
+        nv = np.linalg.norm(v, axis=-1)
+        keep = nv > 1e-10
+        put = np.nonzero(keep & (found < n - 1))[0]
+        out[put, found[put]] = v[put] / nv[put, None]
+        found += keep
+    bad = np.nonzero(found != n - 1)[0]
+    if len(bad):
+        where = "" if u.ndim == 1 else f" at sample {bad[0]}"
         raise ChartFailure(
-            f"link frame has rank {len(out)}, expected {system.n - 1}"
+            f"link frame has rank {found[bad[0]]}, expected {n - 1}{where}"
         )
-    return p, out
+    return (p[0], out[0]) if u.ndim == 1 else (p, out)
 
 
-def projective_lagrangian_defect(system: QuadricSystem, samples) -> float:
+def projective_lagrangian_defect(system: QuadricSystem, U, Y=None) -> float:
     """Largest Fubini-Study symplectic pairing among pushed-forward link
-    frames over the given (u, y) samples."""
-    worst = 0.0
-    for u, y in samples:
-        p, frame = link_tangent_frame(system, u, y)
-        chart = affine_chart_index(p)
-        w = to_affine_chart(p, chart)
-        pushed = [pushforward_to_chart(p, v, chart) for v in frame]
-        for a in range(len(pushed)):
-            for b in range(a + 1, len(pushed)):
-                worst = max(worst, abs(fs_symplectic(w, pushed[a], pushed[b])))
-    return worst
+    frames over matched (N, n) and (N, m) sample arrays U, Y.
+
+    Called without Y, U is an iterable of (u, y) pairs.
+    """
+    if Y is None:
+        pairs = list(U)
+        if not pairs:
+            return 0.0
+        U, Y = map(np.array, zip(*pairs))
+    if not len(U):
+        return 0.0
+    p, frame = link_tangent_frame(system, np.atleast_2d(U), np.atleast_2d(Y))
+    chart = affine_chart_index(p)
+    w = to_affine_chart(p, chart)
+    pushed = pushforward_to_chart(p[:, None, :], frame, chart[:, None])
+    omega = fs_symplectic(w[:, None, None, :], pushed[:, :, None, :], pushed[:, None, :, :])
+    upper = np.triu_indices(p.shape[-1] - 1, 1)
+    return float(np.max(np.abs(omega[:, upper[0], upper[1]]), initial=0.0))
 
 
 def projective_angle(system: QuadricSystem, u, y) -> float:

@@ -55,6 +55,9 @@ class QuadricSystem:
             raise ValueError(
                 f"{len(self.constants)} constants for {exponents.codim} equations"
             )
+        matrix = np.array(exponents.rows, dtype=float).reshape(self.n, self.codim)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def n(self) -> int:
@@ -70,8 +73,8 @@ class QuadricSystem:
 
     @property
     def matrix(self) -> np.ndarray:
-        """E as an (n, codim) float array."""
-        return np.array(self.exponents.rows, dtype=float).reshape(self.n, self.codim)
+        """E as a read-only (n, codim) float array, built once."""
+        return self._matrix
 
     def is_cone(self) -> bool:
         return all(c == 0.0 for c in self.constants)
@@ -82,23 +85,32 @@ class QuadricSystem:
         return (u * u) @ self.matrix - np.asarray(self.constants)
 
     def normals(self, u: Sequence[float]) -> np.ndarray:
-        """The codim half-gradient rows n_j = (E[1,j] u_1, ..., E[n,j] u_n)."""
+        """The codim half-gradient rows n_j = (E[1,j] u_1, ..., E[n,j] u_n).
+
+        A (N, n) batch of points gives (N, codim, n).
+        """
         u = np.asarray(u, dtype=float)
-        return (self.matrix * u[:, None]).T
+        return self.matrix.T * u[..., None, :]
 
     def jacobian(self, u: Sequence[float]) -> np.ndarray:
         """Jacobian of the residual: twice the normal frame."""
         return 2.0 * self.normals(u)
 
-    def smoothness_rank(self, u: Sequence[float]) -> int:
-        """Numerical rank of the normal frame; smooth iff it equals codim."""
+    def smoothness_rank(self, u: Sequence[float]):
+        """Numerical rank of the normal frame; smooth iff it equals codim.
+
+        An int for one point, an int array for a (N, n) batch (one stacked
+        SVD).
+        """
         nf = self.normals(u)
         if not nf.size:
-            return 0
-        s = np.linalg.svd(nf, compute_uv=False)
-        return int(np.sum(s > self.tolerances.rank * max(1.0, s[0])))
+            rank = np.zeros(nf.shape[:-2], dtype=int)
+        else:
+            s = np.linalg.svd(nf, compute_uv=False)
+            rank = np.sum(s > self.tolerances.rank * np.maximum(1.0, s[..., :1]), axis=-1)
+        return int(rank) if rank.ndim == 0 else rank
 
-    def is_smooth_point(self, u: Sequence[float]) -> bool:
+    def is_smooth_point(self, u: Sequence[float]):
         return self.smoothness_rank(u) == self.codim
 
     def tangent_basis(self, u: Sequence[float]) -> np.ndarray:
@@ -106,40 +118,53 @@ class QuadricSystem:
 
         Gram-Schmidt over the standard basis seeds e_1, e_2, ... in order,
         so the result depends only on u (no randomness, no SVD sign
-        ambiguity).
+        ambiguity).  Each point drops the seeds whose residual norm is at
+        most 1e-8.  A (N, n) batch gives (N, k, n); row i equals the
+        single-point call on u[i] bit for bit.
         """
-        if not self.is_smooth_point(u):
-            raise SingularPoint(f"normal frame rank < {self.codim} at {u}")
-        if self.k == 0:
-            return np.zeros((0, self.n))
-        nf = self.normals(np.asarray(u, dtype=float))
-        frame = _orthonormalize(nf)
-        tangents = []
-        for seed in np.eye(self.n):
-            v = seed - frame.T @ (frame @ seed)
-            if tangents:
-                t = np.array(tangents)
-                v = v - t.T @ (t @ v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                tangents.append(v / norm)
-            if len(tangents) == self.k:
+        u = np.asarray(u, dtype=float)
+        U = np.atleast_2d(u)
+        singular = np.nonzero(~self.is_smooth_point(U))[0]
+        if len(singular):
+            where = u if u.ndim == 1 else f"sample {singular[0]} ({U[singular[0]]})"
+            raise SingularPoint(f"normal frame rank < {self.codim} at {where}")
+        N, n, k = len(U), self.n, self.k
+        tangents = np.zeros((N, k, n))
+        filled = np.zeros(N, dtype=int)
+        frame = _orthonormalize(self.normals(U))
+        for seed, e in enumerate(np.eye(n)):
+            open_rows = filled < k
+            if not open_rows.any():
                 break
-        if len(tangents) != self.k:
-            raise SingularPoint("could not complete tangent basis")
-        return np.array(tangents)
+            # project the seed off the normal frame, then off the tangents
+            # found so far (unfilled slots are zero rows and add exact zeros)
+            v = e - (frame[:, :, seed, None] * frame).sum(1)
+            v = v - ((tangents * v[:, None, :]).sum(-1)[:, :, None] * tangents).sum(1)
+            norm = np.sqrt((v * v).sum(-1))
+            take = np.nonzero(open_rows & (norm > 1e-8))[0]
+            tangents[take, filled[take]] = v[take] / norm[take, None]
+            filled[take] += 1
+        short = np.nonzero(filled < k)[0]
+        if len(short):
+            where = "" if u.ndim == 1 else f" at sample {short[0]}"
+            raise SingularPoint(f"could not complete tangent basis{where}")
+        return tangents[0] if u.ndim == 1 else tangents
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for r in rows:
-        v = r.astype(float)
-        for q in out:
-            v = v - np.dot(q, v) * q
-        norm = np.linalg.norm(v)
-        if norm > 1e-13:
-            out.append(v / norm)
-    return np.array(out) if out else np.zeros((0, rows.shape[1]))
+    """Modified Gram-Schmidt over the rows of each (r, n) slice of a batch.
+
+    Callers pass frames of full numerical rank, whose residual norms stay
+    above the smallest singular value, so no row degenerates.
+    """
+    out = np.zeros_like(rows)
+    for a in range(rows.shape[1]):
+        v = rows[:, a, :]
+        for b in range(a):
+            q = out[:, b, :]
+            v = v - (q * v).sum(-1)[:, None] * q
+        out[:, a, :] = v / np.sqrt((v * v).sum(-1))[:, None]
+    return out
 
 
 def newton_project(
@@ -257,37 +282,40 @@ def sample_points(
         return np.zeros((0, system.n))
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
-    attempts = 0
+    have = attempts = 0
     rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
     cap = max(2000, 400 * count)
     batch = max(64, 2 * count)
-    while len(accepted) < count:
+    while have < count:
         if attempts >= cap:
             # a dominant "unbounded" count suggests M escapes the radius cap
             raise SamplingExhausted(
-                f"accepted {len(accepted)}/{count} after {attempts} draws "
+                f"accepted {have}/{count} after {attempts} draws "
                 f"(rejections: {rejected})"
             )
         guesses = rng.normal(0.0, scale, size=(batch, system.n))
         attempts += batch
         points, ok = newton_project_batch(system, guesses)
-        for p, good in zip(points, ok):
-            if not good:
-                rejected["diverged"] += 1
-                continue
-            if np.min(np.abs(p)) <= floor:
-                rejected["near_axis"] += 1
-                continue
-            if np.linalg.norm(p) > tol.r_max:
-                rejected["unbounded"] += 1
-                continue
-            if not system.is_smooth_point(p):
-                rejected["singular"] += 1
-                continue
-            accepted.append(p)
-            if len(accepted) == count:
-                break
-    return np.array(accepted)
+        # verdict per draw: the index in `rejected` of its first failed test,
+        # -1 when accepted; diverged draws may be non-finite, so the later
+        # tests see converged draws only, and the rank test only the draws
+        # that passed the others
+        good = points[ok]
+        code = np.where(np.min(np.abs(good), axis=1) <= floor, 1, -1)
+        code[(code < 0) & (np.linalg.norm(good, axis=1) > tol.r_max)] = 2
+        rest = np.nonzero(code < 0)[0]
+        if len(rest):
+            code[rest[~system.is_smooth_point(good[rest])]] = 3
+        verdict = np.zeros(len(points), dtype=int)
+        verdict[ok] = code
+        take = np.nonzero(verdict < 0)[0][: count - have]
+        # draws after the one that fills the quota are never examined
+        seen = take[-1] + 1 if have + len(take) == count else len(points)
+        for index, reason in enumerate(rejected):
+            rejected[reason] += int(np.count_nonzero(verdict[:seen] == index))
+        accepted.append(points[take])
+        have += len(take)
+    return np.concatenate(accepted)
 
 
 def sample_stratum_points(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFreeWitness
+from .errors import CrossCheckFailed, NonFreeWitness
 from .immersion import phi, sample_torus_angles
 from .lattice import pairing_parity
 from .quadric import QuadricSystem, sample_points, sample_stratum_points
@@ -44,7 +44,7 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
     for i in range(len(pts)):
         zi = phi(system, *pts[i])
         if np.max(np.abs(zi - base_image)) > 1e-12 * (1.0 + np.max(np.abs(base_image))):
-            raise AssertionError("orbit point leaves the immersion image")
+            raise CrossCheckFailed(f"orbit point {i} leaves the immersion image")
         for j in range(i + 1, len(pts)):
             du = np.max(np.abs(pts[i][0] - pts[j][0]))
             dy = torus_distance(system.exponents, pts[i][1] - pts[j][1])
