@@ -339,9 +339,7 @@ def _quotient_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     def orbits():
         U, Y = sample_immersion(system, min(config.samples, 500), seed=config.seed + 4)
-        size = orbit_distinctness(
-            system, zip(U, Y), tol=config.verify_tolerance("orbit")
-        )
+        size = orbit_distinctness(system, (U, Y), tol=config.verify_tolerance("orbit"))
         return {
             "orbit_size": int(size),
             "count": int(len(U)),

@@ -31,51 +31,100 @@ def apply_gamma(system: QuadricSystem, gamma, u, y) -> tuple[np.ndarray, np.ndar
     return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + gamma_float(gamma)
 
 
+def _action_table(system: QuadricSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Signs (|G|, n) and translations (|G|, m) of every group element, in
+    group order: |G| exact parity evaluations, made once per call."""
+    group = gamma_group(system.exponents)
+    signs = np.array([gamma_signs(system.exponents, g) for g in group])
+    shifts = np.array([gamma_float(g) for g in group])
+    return signs, shifts
+
+
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
     """All |G| translates of (u, y), verified pairwise distinct.
+
+    (u, y) is one point, (n,) and (m,), or a batch, (N, n) and (N, m).  One
+    point gives |G| pairs (u, y); a batch gives |G| pairs of (N, n) and
+    (N, m) arrays, row s of each being the translate of sample s.
 
     Distinctness uses the torus metric on the y part, so points that only
     differ by a full period are correctly treated as equal.  Raises
     NonFreeWitness if two translates coincide (a bug or an invalid group),
-    and checks that the whole orbit has one immersion image.
+    and CrossCheckFailed if a translate leaves the immersion image.  The
+    error names what a loop over the samples would meet first: its
+    earliest failing sample and, within it, image i before the pairs
+    (i, j > i), which come before image i + 1.
     """
-    pts = [apply_gamma(system, g, u, y) for g in gamma_group(system.exponents)]
-    base_image = phi(system, u, y)
-    for i in range(len(pts)):
-        zi = phi(system, *pts[i])
-        if np.max(np.abs(zi - base_image)) > 1e-12 * (1.0 + np.max(np.abs(base_image))):
+    U, Y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    single = U.ndim == 1
+    U, Y = np.atleast_2d(U), np.atleast_2d(Y)
+    signs, shifts = _action_table(system)
+    size = len(signs)
+    TU = signs[:, None] * U  # (|G|, N, n)
+    TY = Y + shifts[:, None]  # (|G|, N, m)
+    images = phi(system, np.concatenate([U[None], TU]), np.concatenate([Y[None], TY]))
+    base, images = images[0], images[1:]
+    leaves = np.max(np.abs(images - base), axis=-1) > 1e-12 * (
+        1.0 + np.max(np.abs(base), axis=-1)
+    )
+    # events of the per-sample loop in its order: image i is i * stride,
+    # pair (i, j) is i * stride + j + 1
+    stride = size + 1
+    never = size * stride
+    order = np.arange(size)
+    first = np.where(leaves, order[:, None] * stride, never).min(axis=0)
+    for i in range(size - 1):
+        du = np.max(np.abs(TU[i] - TU[i + 1:]), axis=-1)
+        dy = torus_distance(system.exponents, TY[i] - TY[i + 1:])
+        events = i * stride + order[i + 1:, None] + 1
+        hits = np.where(np.maximum(du, dy) <= tol, events, never)
+        first = np.minimum(first, hits.min(axis=0))
+    failed = np.flatnonzero(first < never)
+    if len(failed):
+        i, j = divmod(int(first[failed[0]]), stride)
+        if j == 0:
             raise CrossCheckFailed(f"orbit point {i} leaves the immersion image")
-        for j in range(i + 1, len(pts)):
-            du = np.max(np.abs(pts[i][0] - pts[j][0]))
-            dy = torus_distance(system.exponents, pts[i][1] - pts[j][1])
-            if max(du, dy) <= tol:
-                raise NonFreeWitness(
-                    f"orbit points {i} and {j} coincide within {tol}"
-                )
-    return pts
+        raise NonFreeWitness(f"orbit points {i} and {j - 1} coincide within {tol}")
+    if single:
+        return list(zip(TU[:, 0], TY[:, 0]))
+    return list(zip(TU, TY))
 
 
 def orbit_distinctness(system: QuadricSystem, samples, tol: float = 1e-9) -> int:
-    """Run the orbit check over (u, y) samples; returns the orbit size."""
+    """Run the orbit check over samples; returns the orbit size.
+
+    samples is a (U, Y) tuple of (N, n) and (N, m) arrays or an iterable of
+    (u, y) pairs; either way one batched orbit call checks them all.
+    """
     size = len(gamma_group(system.exponents))
-    for u, y in samples:
-        pts = orbit(system, u, y, tol=tol)
-        if len(pts) != size:
-            raise NonFreeWitness(f"orbit size {len(pts)} != {size}")
+    if isinstance(samples, tuple) and len(samples) == 2 and all(
+        isinstance(a, np.ndarray) for a in samples
+    ):
+        U, Y = samples
+    else:
+        pairs = list(samples)
+        if not pairs:
+            return size
+        U, Y = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    pts = orbit(system, U, Y, tol=tol)
+    if len(pts) != size:
+        raise NonFreeWitness(f"orbit size {len(pts)} != {size}")
     return size
+
+
+def _same_orbit(exponents, table, p, q, tol: float) -> bool:
+    """Whether q is within tol of some translate of p under the action table."""
+    signs, shifts = table
+    up, yp = np.asarray(p[0], float), np.asarray(p[1], float)
+    uq, yq = np.asarray(q[0], float), np.asarray(q[1], float)
+    du = np.max(np.abs(signs * up - uq), axis=-1)
+    dy = torus_distance(exponents, yp + shifts - yq)
+    return bool(np.any((du <= tol) & (dy <= tol)))
 
 
 def in_same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> bool:
     """Whether parameter points p = (u, y) and q are group translates."""
-    up, yp = np.asarray(p[0], float), np.asarray(p[1], float)
-    uq, yq = np.asarray(q[0], float), np.asarray(q[1], float)
-    for gamma in gamma_group(system.exponents):
-        gu, gy = apply_gamma(system, gamma, up, yp)
-        if np.max(np.abs(gu - uq)) <= tol and torus_distance(
-            system.exponents, gy - yq
-        ) <= tol:
-            return True
-    return False
+    return _same_orbit(system.exponents, _action_table(system), p, q, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +207,8 @@ def scan_self_intersections(
     (some |u_j| < sqrt(tol)).
     """
     orbit_tol = np.sqrt(tol) if orbit_tol is None else orbit_tol
-    images = np.array([phi(system, u, y) for u, y in zip(U, Y)])
+    table = _action_table(system)
+    images = phi(system, U, Y)
     flat = np.column_stack([images.real, images.imag])
     hash_dims = min(3, flat.shape[1])
     cells: dict[tuple[int, ...], list[int]] = {}
@@ -183,7 +233,7 @@ def scan_self_intersections(
                 if dist >= tol:
                     continue
                 seen.add((i, j))
-                if in_same_orbit(system, (U[i], Y[i]), (U[j], Y[j]), tol=orbit_tol):
+                if _same_orbit(system.exponents, table, (U[i], Y[i]), (U[j], Y[j]), orbit_tol):
                     continue
                 min_u = float(min(np.min(np.abs(U[i])), np.min(np.abs(U[j]))))
                 pairs.append(CollisionPair(i, j, dist, min_u))

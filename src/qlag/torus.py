@@ -9,6 +9,7 @@ coset action.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,8 @@ def torus_box(exponents: ExponentMatrix) -> np.ndarray:
 
 
 def torus_coordinates(exponents: ExponentMatrix, y: Sequence[float]) -> np.ndarray:
-    """Coordinates of y in the period box basis (integer iff y is a period).
+    """Coordinates of y, or of every row of a (..., m) batch, in the period
+    box basis (integer iff y is a period).
 
     With B the primal basis rows, the coordinate of y along the i-th box
     vector is (y, b_i)/2, so membership in 2L* is an exact half-integer
@@ -51,14 +53,54 @@ def torus_coordinates(exponents: ExponentMatrix, y: Sequence[float]) -> np.ndarr
     """
     basis, _, _ = lattice_data(exponents)
     B = basis.as_float_array()
-    return 0.5 * (B @ np.asarray(y, dtype=float))
+    return 0.5 * (np.asarray(y, dtype=float) @ B.T)
 
 
-def torus_distance(exponents: ExponentMatrix, dy: Sequence[float]) -> float:
-    """Euclidean distance from dy to the nearest torus period."""
+@lru_cache(maxsize=None)
+def _period_candidates(exponents: ExponentMatrix) -> np.ndarray:
+    """Periods p = k @ box that can lie nearer than 0 to a point v = f @ box
+    with f in the cube [-1/2, 1/2]^m; the zero period comes first.
+
+    Every other period is dropped for one of two reasons, so the nearest
+    period to any such v is among the rows returned:
+      * |k_i| > r_i for some i, where R = max |v| over the cube and r_i is
+        the least integer with (r_i + 1/2) / |column i of box^-1| >= R:
+        coordinate i of v - p is then at least r_i + 1/2 in size, which
+        puts p at distance at least R >= |v| from v;
+      * sum_j |(b_j, p)| <= |p|^2 over the box rows b_j: then
+        (v, p) <= |p|^2 / 2 on the whole cube, so |v - p| >= |v|.
+    Rectangular boxes keep the zero period alone.
+    """
+    box = torus_box(exponents)
+    m = box.shape[0]
+    corners = np.array(list(product((-0.5, 0.5), repeat=m))) @ box
+    reach = np.max(np.linalg.norm(corners, axis=1))
+    radii = np.ceil(reach * np.linalg.norm(np.linalg.inv(box), axis=0) - 0.5)
+    ks = product(*(range(-r, r + 1) for r in np.maximum(radii, 0).astype(int)))
+    periods = np.array(list(ks), dtype=float) @ box
+    useful = np.abs(periods @ box.T).sum(axis=1) > (periods**2).sum(axis=1)
+    candidates = np.vstack([np.zeros((1, m)), periods[useful]])
+    candidates.setflags(write=False)  # shared by every caller
+    return candidates
+
+
+def torus_distance(exponents: ExponentMatrix, dy: Sequence[float]) -> float | np.ndarray:
+    """Euclidean distance from dy to the nearest torus period.
+
+    One vector gives a float; a (..., m) batch gives one distance per
+    vector.  Rounding the box coordinates finds the nearest period only on
+    rectangular boxes; the candidates of _period_candidates around the
+    rounded one make the distance exact on skewed boxes too.
+    """
+    dy = np.asarray(dy, dtype=float)
     c = torus_coordinates(exponents, dy)
-    frac = c - np.round(c)
-    return float(np.linalg.norm(frac @ torus_box(exponents)))
+    v = (c - np.round(c)) @ torus_box(exponents)
+    dist2 = None
+    for period in _period_candidates(exponents):
+        d2 = ((v - period) ** 2).sum(axis=-1)
+        dist2 = d2 if dist2 is None else np.minimum(dist2, d2)
+    dist = np.sqrt(dist2)
+    return float(dist) if dy.ndim == 1 else dist
 
 
 def torus_reduce(exponents: ExponentMatrix, y: Sequence[float]) -> np.ndarray:

@@ -1,0 +1,244 @@
+"""The batched group action: one sign/translation table per call, orbits and
+distinctness over (|G|, N) arrays, and the nearest-period torus distance."""
+
+import itertools
+from fractions import Fraction as F
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import qlag.quotient
+from qlag.catalog import (
+    clifford_cone,
+    ellipse,
+    ellipsoid_cone,
+    klein_bottle_cone,
+    product_torus,
+    sphere_cone,
+)
+from qlag.errors import CrossCheckFailed, NonFreeWitness
+from qlag.immersion import phi, sample_immersion
+from qlag.lattice import GammaGroup, LatticeBasis
+from qlag.quotient import (
+    apply_gamma,
+    in_same_orbit,
+    orbit,
+    orbit_distinctness,
+    scan_samples,
+    scan_self_intersections,
+)
+from qlag.torus import gamma_group, torus_box, torus_distance
+
+ORBIT_SYSTEMS = [ellipse, lambda: sphere_cone(3), lambda: clifford_cone(5)]
+
+
+# -- nearest-period distance ------------------------------------------------------
+
+
+def _brute_force_distance(exponents, dy, reach=8):
+    box = torus_box(exponents)
+    m = box.shape[0]
+    ks = np.array(list(itertools.product(range(-reach, reach + 1), repeat=m)), float)
+    return np.sqrt((((dy[:, None, :] - ks @ box) ** 2).sum(-1))).min(axis=1)
+
+
+@pytest.mark.parametrize("system", [sphere_cone(3), ellipsoid_cone()])
+def test_torus_distance_matches_brute_force_on_skewed_box(system):
+    box = torus_box(system.exponents)
+    assert np.count_nonzero(box - np.diag(np.diag(box)))  # skewed
+    dy = np.random.default_rng(11).uniform(-3.0, 3.0, size=(2000, 2))
+    exact = _brute_force_distance(system.exponents, dy)
+    single = np.array([torus_distance(system.exponents, d) for d in dy])
+    np.testing.assert_allclose(single, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "system", [ellipse(), sphere_cone(3), clifford_cone(3), klein_bottle_cone()]
+)
+def test_torus_distance_batches_over_leading_axes(system):
+    m = torus_box(system.exponents).shape[0]
+    dy = np.random.default_rng(3).uniform(-3.0, 3.0, size=(4, 5, m))
+    batched = torus_distance(system.exponents, dy)
+    assert batched.shape == (4, 5)
+    single = [[torus_distance(system.exponents, d) for d in row] for row in dy]
+    assert np.array_equal(batched, np.array(single))
+    assert isinstance(torus_distance(system.exponents, dy[0, 0]), float)
+
+
+def test_torus_distance_on_rectangular_boxes_is_the_rounding_distance():
+    for system in (ellipse(), clifford_cone(5), product_torus([1.0, 2.0])):
+        box = torus_box(system.exponents)
+        dy = np.random.default_rng(5).uniform(-3.0, 3.0, size=(500, box.shape[0]))
+        exact = _brute_force_distance(system.exponents, dy, reach=3)
+        np.testing.assert_allclose(torus_distance(system.exponents, dy), exact, atol=1e-12)
+
+
+# -- batched orbits ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS)
+def test_batched_orbit_rows_equal_single_calls(make):
+    system = make()
+    U, Y = sample_immersion(system, 30, seed=9)
+    batch = orbit(system, U, Y)
+    assert len(batch) == len(gamma_group(system.exponents))
+    for s, (u, y) in enumerate(zip(U, Y)):
+        single = orbit(system, u, y)
+        assert len(single) == len(batch)
+        for (bu, by), (su, sy) in zip(batch, single):
+            assert bu.shape == (len(U), system.n)
+            assert np.array_equal(bu[s], su) and np.array_equal(by[s], sy)
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS)
+def test_single_orbit_equals_apply_gamma(make):
+    system = make()
+    U, Y = sample_immersion(system, 3, seed=4)
+    for u, y in zip(U, Y):
+        pts = orbit(system, u, y)
+        for gamma, (gu, gy) in zip(gamma_group(system.exponents), pts):
+            au, ay = apply_gamma(system, gamma, u, y)
+            assert np.array_equal(gu, au) and np.array_equal(gy, ay)
+
+
+def test_orbit_distinctness_accepts_arrays_and_pairs():
+    system = ellipsoid_cone()
+    U, Y = sample_immersion(system, 40, seed=2)
+    assert orbit_distinctness(system, (U, Y)) == 4
+    assert orbit_distinctness(system, zip(U, Y)) == 4
+    assert orbit_distinctness(system, list(zip(U, Y))) == 4
+    assert orbit_distinctness(system, []) == 4
+
+
+def _per_sample_error(system, U, Y, tol=1e-9):
+    """The error of the per-sample loop: one orbit call per sample."""
+    for u, y in zip(U, Y):
+        try:
+            orbit(system, u, y, tol=tol)
+        except (NonFreeWitness, CrossCheckFailed) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_duplicate_representative_names_the_first_sample_and_pair():
+    system = ellipse()
+    U, Y = sample_immersion(system, 20, seed=1)
+    fake = GammaGroup(((F(1),), (F(0),), (F(1),)), LatticeBasis([[1]]))
+    with mock.patch("qlag.quotient.gamma_group", return_value=fake):
+        expected = _per_sample_error(system, U, Y)
+        assert expected == (NonFreeWitness, "orbit points 0 and 2 coincide within 1e-09")
+        with pytest.raises(NonFreeWitness) as exc:
+            orbit_distinctness(system, (U, Y))
+    assert str(exc.value) == expected[1]
+
+
+def test_negated_sign_table_raises_the_per_sample_message():
+    system = sphere_cone(3)
+    U, Y = sample_immersion(system, 20, seed=1)
+    exact = qlag.quotient.gamma_signs
+    with mock.patch(
+        "qlag.quotient.gamma_signs", lambda exponents, gamma: -exact(exponents, gamma)
+    ):
+        expected = _per_sample_error(system, U, Y)
+        assert expected == (CrossCheckFailed, "orbit point 0 leaves the immersion image")
+        with pytest.raises(CrossCheckFailed) as exc:
+            orbit_distinctness(system, (U, Y))
+    assert str(exc.value) == expected[1]
+
+
+def test_errors_follow_the_order_of_the_per_sample_loop():
+    system = ellipse()
+    U, Y = sample_immersion(system, 6, seed=6)
+    exact = qlag.quotient.gamma_signs
+    duplicate = GammaGroup(((F(0),), (F(1),), (F(1),)), LatticeBasis([[1]]))
+    # u = 0 keeps every image, so sample 0 fails only at pair (1, 2), while
+    # every later sample fails earlier in its own loop, at image 0
+    U0, Y0 = np.vstack([np.zeros((1, 2)), U]), np.vstack([Y[:1], Y])
+    with mock.patch("qlag.quotient.gamma_group", return_value=duplicate), mock.patch(
+        "qlag.quotient.gamma_signs", lambda exponents, gamma: -exact(exponents, gamma)
+    ):
+        for batch, message in [
+            ((U0, Y0), "orbit points 1 and 2 coincide within 1e-09"),
+            ((U0[1:], Y0[1:]), "orbit point 0 leaves the immersion image"),
+        ]:
+            expected = _per_sample_error(system, *batch)
+            assert expected[1] == message
+            with pytest.raises(expected[0]) as exc:
+                orbit_distinctness(system, batch)
+            assert str(exc.value) == message
+
+    # within one sample, pair (0, 1) comes before image 2
+    tail = GammaGroup(((F(0),), (F(0),), (F(1),)), LatticeBasis([[1]]))
+
+    def flip_last(exponents, gamma):
+        return -exact(exponents, gamma) if gamma == (F(1),) else exact(exponents, gamma)
+
+    with mock.patch("qlag.quotient.gamma_group", return_value=tail), mock.patch(
+        "qlag.quotient.gamma_signs", flip_last
+    ):
+        message = "orbit points 0 and 1 coincide within 1e-09"
+        assert _per_sample_error(system, U, Y) == (NonFreeWitness, message)
+        with pytest.raises(NonFreeWitness) as exc:
+            orbit_distinctness(system, (U, Y))
+        assert str(exc.value) == message
+
+
+def test_orbit_distinctness_makes_no_per_sample_calls():
+    system = clifford_cone(5)
+    counts = {}
+    for n in (10, 50):
+        U, Y = sample_immersion(system, n, seed=3)
+        seen = {"gamma_signs": 0, "phi": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with mock.patch(
+            "qlag.quotient.gamma_signs", counted("gamma_signs", qlag.quotient.gamma_signs)
+        ), mock.patch("qlag.quotient.phi", counted("phi", qlag.quotient.phi)):
+            assert orbit_distinctness(system, (U, Y)) == 16
+        counts[n] = seen
+    assert counts[10] == counts[50]
+    assert counts[10]["gamma_signs"] == 16
+
+
+# -- collision scan -----------------------------------------------------------------
+
+
+def _in_same_orbit_loop(system, p, q, tol):
+    """The reference: one translate at a time."""
+    for gamma in gamma_group(system.exponents):
+        gu, gy = apply_gamma(system, gamma, *p)
+        if np.max(np.abs(gu - q[0])) <= tol and torus_distance(system.exponents, gy - q[1]) <= tol:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS)
+def test_in_same_orbit_matches_the_per_translate_loop(make):
+    system = make()
+    rng = np.random.default_rng(8)
+    U, Y = sample_immersion(system, 12, seed=8)
+    decisions = []
+    for (u, y), gamma in zip(zip(U, Y), rng.choice(len(gamma_group(system.exponents)), 12)):
+        gu, gy = apply_gamma(system, gamma_group(system.exponents).representatives[gamma], u, y)
+        period = torus_box(system.exponents)[0]
+        for q in [(gu, gy + period), (gu, gy + 0.5 * period), (gu + 3e-6, gy - 2e-6)]:
+            got = in_same_orbit(system, (u, y), q)
+            assert got == _in_same_orbit_loop(system, (u, y), q, 1e-5)
+            decisions.append(got)
+    assert any(decisions) and not all(decisions)
+
+
+def test_scan_images_equal_the_per_sample_immersion():
+    system = ellipse()
+    U, Y = scan_samples(system, 300, seed=3)
+    images = phi(system, U, Y)
+    single = np.array([phi(system, u, y) for u, y in zip(U, Y)])
+    assert np.array_equal(images, single)
+    report = scan_self_intersections(system, U, Y)
+    assert len(report) > 0
