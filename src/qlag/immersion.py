@@ -305,8 +305,10 @@ class ChartMesh:
     """Uniform grid over normalized chart coordinates xi in [0,1)^D.
 
     metric[node + (a,b)] is the pulled-back immersion metric in xi units;
-    angle_gradient is d(beta)/d(xi) (constant; beta is linear); periodic
-    marks axes where the chart closes up.
+    it only needs to broadcast against shape + (D, D), so chart_mesh keeps
+    one copy on torus charts and one per curve node on conic and link
+    charts.  angle_gradient is d(beta)/d(xi) (constant; beta is linear);
+    periodic marks axes where the chart closes up.
     """
 
     shape: tuple[int, ...]
@@ -321,10 +323,13 @@ class ChartMesh:
         return len(self.shape)
 
     def node_grids(self) -> list[np.ndarray]:
-        """Normalized chart coordinates of every node, one array per axis."""
+        """Normalized chart coordinates of the nodes, one sparse array per
+        axis (length shape[a] along axis a, 1 elsewhere); they broadcast
+        to shape."""
         return np.meshgrid(
             *[np.arange(nn) * h for nn, h in zip(self.shape, self.spacings)],
             indexing="ij",
+            sparse=True,
         )
 
     def angle_values(self) -> np.ndarray:
@@ -343,9 +348,8 @@ class ChartMesh:
         """
         m = len(box)
         coords = self.node_grids()[self.dim - m:]
-        return [
-            sum(box[i][j] * coords[i] for i in range(m)) for j in range(m)
-        ]
+        ys = [sum(box[i][j] * coords[i] for i in range(m)) for j in range(m)]
+        return [np.broadcast_to(y, self.shape).copy() for y in ys]
 
 
 def _conic_parametrization(system: QuadricSystem):
@@ -452,8 +456,9 @@ def chart_mesh(
         raise MeshTooCoarse(f"resolution {shape} is below the 8-node minimum")
     spacings = tuple(1.0 / s for s in shape)
 
-    # metric on nodes: curve block from the parametrization, torus block
-    # from the closed form pulled back through the period box
+    # metric stored on the axes it varies on, broadcast over the rest:
+    # curve block from the parametrization, torus block from the closed
+    # form pulled back through the period box
     if curve_axes:
         t = np.arange(shape[0]) * spacings[0]
         u_nodes = point(t)  # (Nt, n)
@@ -463,17 +468,16 @@ def chart_mesh(
         usq = u_nodes * u_nodes  # (Nt, n)
         gy_nodes = np.pi**2 * np.einsum("ia,ti,ib->tab", E, usq, E)
         gy_nodes = box @ gy_nodes @ box.T  # pull back to unit torus coords
-        metric = np.zeros(shape + (dim, dim))
         mx = np.zeros(shape[:1] + (dim, dim))
         mx[:, 0, 0] = gx
         mx[:, 1:, 1:] = gy_nodes
-        metric[...] = mx.reshape(shape[:1] + (1,) * (dim - 1) + (dim, dim))
+        metric = mx.reshape(shape[:1] + (1,) * (dim - 1) + (dim, dim))
         grad = np.concatenate([[0.0], np.pi * (box @ e)])
     else:
         u0 = newton_project(system, np.ones(system.n))
         gy = torus_metric(system, u0)
         gy = box @ gy @ box.T
-        metric = np.broadcast_to(gy, shape + (dim, dim)).copy()
+        metric = gy.reshape((1,) * dim + (dim, dim))
         grad = np.pi * (box @ e)
 
     periodic = (True,) * curve_axes + (False,) * m
@@ -620,14 +624,13 @@ def hamiltonian_variation(
     # the mesh are half-open already; nothing to trim.
     ginv = np.linalg.inv(mesh.metric)
     sqrtg = np.sqrt(np.linalg.det(mesh.metric))
+    df = [f.gradient(b, *grids) for b in range(mesh.dim)]
     integrand = np.zeros(mesh.shape)
     for a in range(mesh.dim):
         if mesh.angle_gradient[a] == 0.0:
             continue
         for b in range(mesh.dim):
-            integrand += (
-                ginv[..., a, b] * mesh.angle_gradient[a] * f.gradient(b, *grids)
-            )
+            integrand += ginv[..., a, b] * mesh.angle_gradient[a] * df[b]
     return float(abs(np.sum(integrand * sqrtg) * mesh.volume))
 
 

@@ -67,6 +67,11 @@ VERIFY_TOLERANCES = {
 # the Gram pairings, so peak memory stays flat in the sample count.
 FRAME_BLOCK = 256
 
+# Chart-mesh node budgets of the harmonicity and variation checks: charts of
+# dimension <= 3 get 64 and 32 nodes per axis, larger ones fewer.
+HARMONIC_NODE_BUDGET = 64 ** 3
+VARIATION_NODE_BUDGET = 32 ** 3
+
 
 @dataclass(frozen=True)
 class InstanceConfig:
@@ -203,6 +208,14 @@ def _lattice_section(system: QuadricSystem) -> dict:
     }
 
 
+def _budget_resolution(cap: int, budget: int, dim: int) -> int:
+    """Largest r <= cap with r**dim <= budget, in integers."""
+    r = cap
+    while r ** dim > budget:
+        r -= 1
+    return r
+
+
 def _frame_checks(system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> tuple:
     """(Lagrangian defect per sample, worst cross block, worst metric block),
     all read off one batched frame bundle per block of FRAME_BLOCK samples."""
@@ -264,7 +277,10 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         _guard(section, "minimal_curvature", minimal_curvature)
 
     def harmonicity():
-        mesh = chart_mesh(system, 64)
+        # a cn chart has one axis per coordinate: n torus axes when k = 0,
+        # curve plus torus axis on a plane conic
+        resolution = _budget_resolution(64, HARMONIC_NODE_BUDGET, system.n)
+        mesh = chart_mesh(system, resolution)
         value = laplace_beltrami_defect(mesh, mesh.angle_values())
         return _entry(
             value, config.verify_tolerance("harmonic"), int(np.prod(mesh.shape))
@@ -275,10 +291,11 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     def variation():
         mesh = chart_mesh(system, 8)  # probe chart availability cheaply
         dim = mesh.dim
+        resolution = _budget_resolution(32, VARIATION_NODE_BUDGET, dim)
         worst = 0.0
         for i in range(3):
             f = random_trig_polynomial(dim, seed=config.seed + i)
-            worst = max(worst, hamiltonian_variation(system, f, resolution=32))
+            worst = max(worst, hamiltonian_variation(system, f, resolution=resolution))
         return _entry(worst, config.verify_tolerance("variation"), 3)
 
     _guard(section, "hamiltonian_variation", variation)

@@ -186,6 +186,9 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     radial = p / np.linalg.norm(p, axis=-1)[:, None]
 
     N, n = p.shape
+    # Newton meets the cone to an absolute residual at u; normalizing to the
+    # sphere scales it, and what the collapsed row keeps of it, by 1/|u|^2
+    cut = 1e-10 * np.maximum(1.0, 1.0 / (norm * norm))
     out = np.zeros((N, n - 1, n), dtype=complex)
     found = np.zeros(N, dtype=int)
     for r in np.moveaxis(rows, 1, 0):
@@ -194,7 +197,7 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
         for q in np.moveaxis(out, 1, 0):
             v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
         nv = np.linalg.norm(v, axis=-1)
-        keep = nv > 1e-10
+        keep = nv > cut
         put = np.nonzero(keep & (found < n - 1))[0]
         out[put, found[put]] = v[put] / nv[put, None]
         found += keep

@@ -1,0 +1,152 @@
+"""Chart meshes store per-axis data and broadcast it: the metric lives on the
+axes it varies on and the node grids are sparse.  Every value computed on
+such a mesh equals the one computed on fully materialized per-node arrays,
+bit for bit."""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import qlag.immersion as immersion
+from qlag.catalog import ellipse, klein_bottle_cone, product_torus
+from qlag.immersion import (
+    ChartMesh,
+    TrigPolynomial,
+    chart_mesh,
+    hamiltonian_variation,
+    laplace_beltrami_defect,
+    random_trig_polynomial,
+)
+from qlag.pipeline import InstanceConfig, _budget_resolution, run_analyze
+from qlag.torus import torus_box
+
+
+@dataclass(frozen=True)
+class _DenseGridMesh(ChartMesh):
+    """A mesh whose node grids are full shape arrays."""
+
+    def node_grids(self):
+        return [np.broadcast_to(g, self.shape).copy() for g in super().node_grids()]
+
+
+def _dense(mesh: ChartMesh) -> ChartMesh:
+    """Copy of mesh with one metric per node and full-shape node grids."""
+    dim = mesh.dim
+    metric = np.broadcast_to(mesh.metric, mesh.shape + (dim, dim)).copy()
+    return _DenseGridMesh(mesh.shape, mesh.spacings, mesh.periodic, metric,
+                          mesh.angle_gradient, mesh.volume)
+
+
+CHARTS = {
+    "ellipse": (ellipse, False),
+    "product_torus([1,2,3])": (lambda: product_torus([1, 2, 3]), False),
+    "klein_bottle_cone link": (klein_bottle_cone, True),
+}
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+def test_laplace_beltrami_equals_dense_mesh(name):
+    make, on_link = CHARTS[name]
+    system = make()
+    resolution = 32 if system.n == 3 and not on_link else 64
+    mesh = chart_mesh(system, resolution, on_link=on_link)
+    dense = _dense(mesh)
+    values = mesh.angle_values()
+    assert values.shape == mesh.shape
+    assert np.array_equal(values, dense.angle_values())
+    assert laplace_beltrami_defect(mesh, values) == laplace_beltrami_defect(dense, values)
+    # a non-harmonic field exercises every metric entry, not only the angle
+    s = sum(np.cos(2 * np.pi * (a + 1) * g) for a, g in enumerate(mesh.node_grids()))
+    assert laplace_beltrami_defect(mesh, s) == laplace_beltrami_defect(dense, s)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "product_torus([1,2,3])"])
+def test_variation_equals_dense_mesh(name, monkeypatch):
+    system = CHARTS[name][0]()
+    polys = [random_trig_polynomial(system.n, seed=s) for s in range(3)]
+    broadcast = [hamiltonian_variation(system, f, resolution=16) for f in polys]
+
+    real_chart_mesh = immersion.chart_mesh
+
+    def dense_chart_mesh(*args, **kwargs):
+        return _dense(real_chart_mesh(*args, **kwargs))
+
+    monkeypatch.setattr(immersion, "chart_mesh", dense_chart_mesh)
+    dense = [hamiltonian_variation(system, f, resolution=16) for f in polys]
+    assert broadcast == dense
+
+
+@pytest.mark.parametrize(
+    "system", [ellipse(), product_torus([1, 2])], ids=["ellipse", "torus2"]
+)
+def test_raw_torus_grids_have_mesh_shape(system):
+    mesh = chart_mesh(system, 16)
+    box = torus_box(system.exponents)
+    raw = mesh.raw_torus_grids(box)
+    assert len(raw) == system.codim
+    assert all(y.shape == mesh.shape for y in raw)
+    assert np.array_equal(raw, _dense(mesh).raw_torus_grids(box))
+
+
+def test_node_grids_are_sparse():
+    mesh = chart_mesh(product_torus([1, 2, 3]), 16)
+    shapes = [g.shape for g in mesh.node_grids()]
+    assert shapes == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
+
+
+# -- regression guards: no dense per-node tensors, one gradient per axis ----------
+
+
+def test_torus_metric_is_one_matrix():
+    mesh = chart_mesh(product_torus([1, 2, 3]), 64)
+    assert mesh.metric.size <= mesh.dim ** 2
+
+
+@pytest.mark.parametrize(
+    "system,on_link",
+    [(ellipse(), False), (klein_bottle_cone(), True)],
+    ids=["conic", "link"],
+)
+def test_curve_chart_metric_is_per_curve_node(system, on_link):
+    mesh = chart_mesh(system, 64, on_link=on_link)
+    assert mesh.metric.size <= mesh.shape[0] * mesh.dim ** 2
+
+
+def test_variation_takes_one_gradient_per_axis(monkeypatch):
+    calls = []
+    real_gradient = TrigPolynomial.gradient
+
+    def counted(self, axis, *grids):
+        calls.append(axis)
+        return real_gradient(self, axis, *grids)
+
+    monkeypatch.setattr(TrigPolynomial, "gradient", counted)
+    hamiltonian_variation(product_torus([1, 2, 3]), random_trig_polynomial(3, seed=0), 16)
+    assert sorted(calls) == [0, 1, 2]
+
+
+# -- node budget of the pipeline's chart checks -------------------------------------
+
+
+def test_budget_resolution():
+    assert [_budget_resolution(64, 64 ** 3, d) for d in (1, 2, 3, 4)] == [64, 64, 64, 22]
+    assert [_budget_resolution(32, 32 ** 3, d) for d in (1, 2, 3, 4)] == [32, 32, 32, 13]
+
+
+def test_product_torus_4_reports_harmonicity_and_variation():
+    system = product_torus([1, 2, 3, 4])
+    config = InstanceConfig.from_dict({
+        "n": system.n,
+        "k": system.k,
+        "rows": [list(r) for r in system.exponents.rows],
+        "constants": list(system.constants),
+        "samples": 40,
+        "curvature_samples": 4,
+        "sweeps": {"cn": True},
+    })
+    cn = run_analyze(config)["cn"]
+    assert cn["angle_harmonicity"]["pass"] is True
+    assert cn["angle_harmonicity"]["count"] == 22 ** 4
+    assert cn["hamiltonian_variation"]["pass"] is True
+

@@ -238,3 +238,39 @@ def test_projective_curvature_nonzero_for_unmatched_weights():
     U, Y = sample_immersion(cone, 15, seed=18, u_floor=0.1)
     values = [projective_mean_curvature(cone, u, y)[1] for u, y in zip(U, Y)]
     assert min(values) > 1e-2
+
+
+# -- link frame rank cut ---------------------------------------------------------
+
+
+def test_link_frame_near_apex_keeps_rank():
+    # samples 29 and 288 sit at |u| ~ 0.09: normalizing to the sphere scales
+    # the Newton residual by 1/|u|^2, and the collapsed frame row keeps ~1e-10
+    cone = clifford_cone(3)
+    U, Y = sample_immersion(cone, 300, seed=5, u_floor=0.05)
+    for i in (29, 288):
+        assert np.linalg.norm(U[i]) < 0.1
+        p, frame = link_tangent_frame(cone, U[i], Y[i])
+        assert frame.shape == (2, 3)
+        assert projective_lagrangian_defect(cone, U[i:i + 1], Y[i:i + 1]) <= 1e-8
+    assert projective_lagrangian_defect(cone, U, Y) <= 1e-8
+
+
+def test_link_frame_truly_rank_deficient_raises(monkeypatch):
+    import qlag.projective as projective
+    from qlag.errors import ChartFailure
+
+    real_frame_at = projective.frame_at
+
+    def duplicated_torus_rows(system, u, y):
+        fb = real_frame_at(system, u, y)
+        torus = np.repeat(fb.torus[..., :1, :], fb.torus.shape[-2], axis=-2)
+        return type(fb)(fb.variety, torus, fb.metric_x, fb.metric_y, fb.cross)
+
+    monkeypatch.setattr(projective, "frame_at", duplicated_torus_rows)
+    cone = clifford_cone(3)
+    U, Y = sample_immersion(cone, 300, seed=5, u_floor=0.05)
+    with pytest.raises(ChartFailure, match="rank 1, expected 2"):
+        link_tangent_frame(cone, U[29], Y[29])
+    with pytest.raises(ChartFailure, match="rank 1, expected 2 at sample 0"):
+        link_tangent_frame(cone, U, Y)
