@@ -81,7 +81,10 @@ def _load_config(args) -> InstanceConfig:
         raw["seed"] = args.seed
     if args.samples is not None:
         raw["samples"] = args.samples
-    tolerances = dict(raw.get("tolerances", {}))
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigInvalid(["tolerances: must be an object"])
+    tolerances = dict(tolerances)
     for flag in TOL_FLAGS:
         value = getattr(args, f"tol_{flag.replace('-', '_')}", None)
         if value is not None:

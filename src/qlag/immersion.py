@@ -206,8 +206,9 @@ class ImmersionChart:
 
     The variety factor is parametrized by Gauss-Newton projection along a
     tangent basis frozen at the center, so the map is smooth in the chart
-    variables; output stacks real and imaginary parts for the
-    finite-difference machinery.
+    variables.  A (P, k + m) batch of chart points is projected in one
+    call; output stacks real and imaginary parts for the finite-difference
+    machinery.
     """
 
     def __init__(self, system: QuadricSystem, u0, y0):
@@ -220,18 +221,14 @@ class ImmersionChart:
     def dim(self) -> int:
         return self.system.k + self.system.codim
 
-    def variety_point(self, x: np.ndarray) -> np.ndarray:
-        if not self.system.k:
-            return self.u0
-        guess = self.u0 + np.asarray(x, dtype=float) @ self.tangent
-        return newton_project(self.system, guess, polish=True)
-
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         k = self.system.k
-        u = self.variety_point(xi[:k])
-        z = phi(self.system, u, self.y0 + xi[k:])
-        return np.concatenate([z.real, z.imag])
+        u = self.u0
+        if k:
+            u = newton_project(self.system, u + xi[..., :k] @ self.tangent, polish=True)
+        z = phi(self.system, u, self.y0 + xi[..., k:])
+        return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def mean_curvature_fd(system: QuadricSystem, u, y, step: float | None = None) -> np.ndarray:

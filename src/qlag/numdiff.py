@@ -16,42 +16,33 @@ import numpy as np
 
 from .errors import ChartFailure
 
-ChartMap = Callable[[np.ndarray], np.ndarray]
+ChartMap = Callable[[np.ndarray], np.ndarray]  # (P, dim) -> (P, D)
 
 
 def chart_derivatives(chart: ChartMap, xi0: np.ndarray, step: float):
-    """First and second central differences of chart at xi0.
+    """Centre value, first and second central differences of chart at xi0.
 
-    Returns (first, second) with first[a] = dF/dxi_a and
+    The chart maps a (P, dim) batch of points to (P, D) values and sees
+    the whole stencil in one call: the centre, xi0 +- step e_a, and the
+    four points xi0 +- step e_a +- step e_b of each pair a < b.  Returns
+    (f0, first, second) with first[a] = dF/dxi_a and
     second[a][b] = d2F/dxi_a dxi_b (symmetric).
     """
     xi0 = np.asarray(xi0, dtype=float)
     dim = len(xi0)
-    f0 = np.asarray(chart(xi0), dtype=float)
-
-    def at(offsets):
-        xi = xi0.copy()
-        for a, s in offsets:
-            xi[a] += s * step
-        return np.asarray(chart(xi), dtype=float)
-
-    plus = [at([(a, +1)]) for a in range(dim)]
-    minus = [at([(a, -1)]) for a in range(dim)]
-    first = [(plus[a] - minus[a]) / (2.0 * step) for a in range(dim)]
-    second = [[None] * dim for _ in range(dim)]
-    for a in range(dim):
-        second[a][a] = (plus[a] - 2.0 * f0 + minus[a]) / (step * step)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            mixed = (
-                at([(a, +1), (b, +1)])
-                - at([(a, +1), (b, -1)])
-                - at([(a, -1), (b, +1)])
-                + at([(a, -1), (b, -1)])
-            ) / (4.0 * step * step)
-            second[a][b] = mixed
-            second[b][a] = mixed
-    return np.array(first), np.array(second)
+    eye = np.eye(dim)
+    a, b = np.triu_indices(dim, 1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    mixed = signs[:, :1, None] * eye[a] + signs[:, 1:, None] * eye[b]  # (4, pairs, dim)
+    offsets = np.concatenate([np.zeros((1, dim)), eye, -eye, mixed.reshape(-1, dim)])
+    values = np.asarray(chart(xi0 + step * offsets), dtype=float)
+    f0, plus, minus = values[0], values[1:dim + 1], values[dim + 1:2 * dim + 1]
+    first = (plus - minus) / (2.0 * step)
+    second = np.empty((dim, dim) + f0.shape)
+    second[range(dim), range(dim)] = (plus - 2.0 * f0 + minus) / (step * step)
+    pp, pm, mp, mm = values[2 * dim + 1:].reshape((4, len(a)) + f0.shape)
+    second[a, b] = second[b, a] = (pp - pm - mp + mm) / (4.0 * step * step)
+    return f0, first, second
 
 
 def mean_curvature_flat(chart: ChartMap, xi0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -60,7 +51,7 @@ def mean_curvature_flat(chart: ChartMap, xi0: np.ndarray, step: float = 1e-5) ->
     H = sum_ab G^{ab} (d2F/da db)^perp with G the induced metric and perp
     the Euclidean projection off the tangent span.
     """
-    first, second = chart_derivatives(chart, xi0, step)
+    _, first, second = chart_derivatives(chart, xi0, step)
     dim = len(first)
     G = first @ first.T
     try:
@@ -112,9 +103,8 @@ def mean_curvature_riemannian(chart: ChartMap, xi0: np.ndarray,
     second derivative is d2F + Gamma(F) dF dF, projected off the tangent
     span with respect to the ambient metric.  Returns (H, norm_of_H).
     """
-    first, second = chart_derivatives(chart, xi0, step)
+    x0, first, second = chart_derivatives(chart, xi0, step)
     dim, amb = first.shape
-    x0 = np.asarray(chart(xi0), dtype=float)
     g = np.asarray(metric(x0), dtype=float)
     gamma = christoffel_symbols(metric, x0, metric_step)
     G = first @ g @ first.T

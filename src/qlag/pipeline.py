@@ -63,6 +63,9 @@ VERIFY_TOLERANCES = {
     "scan": 1e-8,
 }
 
+# Tolerances keys that tune the numerics rather than judge a check.
+NUMERIC_TOLERANCES = ("residual", "rank", "u_floor", "r_max", "fd_step", "max_iter")
+
 # Samples per batched frame pass: bounds the (block, r, r, n) temporaries of
 # the Gram pairings, so peak memory stays flat in the sample count.
 FRAME_BLOCK = 256
@@ -71,6 +74,16 @@ FRAME_BLOCK = 256
 # dimension <= 3 get 64 and 32 nodes per axis, larger ones fewer.
 HARMONIC_NODE_BUDGET = 64 ** 3
 VARIATION_NODE_BUDGET = 32 ** 3
+
+
+def _is_count(x, low: int) -> bool:
+    """An integer (not a bool) of at least ``low``."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _is_real(x) -> bool:
+    """A finite number (not a bool)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and bool(np.isfinite(x))
 
 
 @dataclass(frozen=True)
@@ -97,9 +110,9 @@ class InstanceConfig:
         k = raw.get("k")
         rows = raw.get("rows")
         constants = raw.get("constants", raw.get("d"))
-        if not isinstance(n, int) or n < 1:
+        if not _is_count(n, 1):
             errors.append("n: must be a positive integer")
-        if not isinstance(k, int) or k < 0:
+        if not _is_count(k, 0):
             errors.append("k: must be a nonnegative integer")
         if rows is None:
             errors.append("rows: missing exponent matrix")
@@ -108,38 +121,68 @@ class InstanceConfig:
         if errors:
             raise ConfigInvalid(errors)
         codim = n - k
-        if codim < 1 or codim > n:
+        if codim < 1:
             errors.append(f"k: n-k must be between 1 and n, got {codim}")
-        if len(rows) != n:
+        if not isinstance(rows, (list, tuple)):
+            errors.append("rows: must be a list of integer rows")
+        elif len(rows) != n:
             errors.append(f"rows: expected {n} rows, got {len(rows)}")
         else:
             for i, row in enumerate(rows):
-                if len(row) != codim:
-                    errors.append(f"rows[{i}]: expected length {codim}, got {len(row)}")
-                elif any(int(x) != x for x in row):
+                if not isinstance(row, (list, tuple)) or len(row) != codim:
+                    errors.append(f"rows[{i}]: expected a list of length {codim}, got {row!r}")
+                elif not all(_is_real(x) and int(x) == x for x in row):
                     errors.append(f"rows[{i}]: entries must be integers")
-        if len(constants) != codim:
-            errors.append(
-                f"constants: expected {codim} values, got {len(constants)}"
-            )
+        if not isinstance(constants, (list, tuple)) or len(constants) != codim:
+            errors.append(f"constants: expected a list of {codim} values, got {constants!r}")
+        elif not all(_is_real(c) for c in constants):
+            errors.append("constants: entries must be finite numbers")
+        for key, low in (("samples", 1), ("seed", 0), ("curvature_samples", 1)):
+            if key in raw and not _is_count(raw[key], low):
+                errors.append(f"{key}: must be an integer >= {low}")
+        tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            errors.append("tolerances: must be an object")
+            tolerances = {}
+        for key, value in tolerances.items():
+            if key not in VERIFY_TOLERANCES and key not in NUMERIC_TOLERANCES:
+                errors.append(f"tolerances.{key}: unknown tolerance")
+            elif key == "max_iter" and not _is_count(value, 1):
+                errors.append("tolerances.max_iter: must be a positive integer")
+            elif not (_is_real(value) and value >= 0):
+                errors.append(f"tolerances.{key}: must be a finite number >= 0")
+        sweeps = raw.get("sweeps", {"cn": True, "quotient": True})
+        if not isinstance(sweeps, (dict, list, tuple)):
+            errors.append("sweeps: must be an object or a list")
+            sweeps = ()
+        if isinstance(sweeps, dict):
+            order = [s for s in ("cn", "cpn", "quotient") if sweeps.get(s)]
+        else:
+            order = [s for s in ("cn", "cpn", "quotient") if s in sweeps]
+        mesh = raw.get("mesh", {})
+        if not isinstance(mesh, dict):
+            errors.append("mesh: must be an object")
+            mesh = {}
+        resolution = mesh.get("resolution", (128, 64))
+        if not isinstance(resolution, (list, tuple)) or len(resolution) != 2 or not all(
+            _is_count(r, 1) for r in resolution
+        ):
+            errors.append("mesh.resolution: need two positive integers")
+        target = mesh.get("target", "cn")
+        if target not in ("cn", "cpn"):
+            errors.append(f'mesh.target: must be "cn" or "cpn", got {target!r}')
+        projection = mesh.get("projection")
+        if projection is not None and not (
+            isinstance(projection, list)
+            and all(isinstance(r, list) and all(_is_real(x) for x in r) for r in projection)
+        ):
+            errors.append("mesh.projection: must be a list of rows of numbers")
         if errors:
             raise ConfigInvalid(errors)
         try:
             ExponentMatrix(rows)
         except RankDeficient as exc:
             raise ConfigInvalid([f"rows: {exc}"]) from None
-        sweeps = raw.get("sweeps", {"cn": True, "quotient": True})
-        if isinstance(sweeps, dict):
-            order = [s for s in ("cn", "cpn", "quotient") if sweeps.get(s)]
-        else:
-            order = [s for s in ("cn", "cpn", "quotient") if s in sweeps]
-        mesh = raw.get("mesh", {})
-        resolution = tuple(mesh.get("resolution", (128, 64)))
-        if len(resolution) != 2 or any(
-            not isinstance(r, int) or r < 1 for r in resolution
-        ):
-            raise ConfigInvalid(["mesh.resolution: need two positive integers"])
-        projection = mesh.get("projection")
         if projection is not None:
             projection = tuple(tuple(float(x) for x in r) for r in projection)
         return cls(
@@ -147,14 +190,14 @@ class InstanceConfig:
             k=k,
             rows=tuple(tuple(int(x) for x in r) for r in rows),
             constants=tuple(float(c) for c in constants),
-            samples=int(raw.get("samples", 200)),
-            seed=int(raw.get("seed", 0)),
-            curvature_samples=int(raw.get("curvature_samples", 20)),
+            samples=raw.get("samples", 200),
+            seed=raw.get("seed", 0),
+            curvature_samples=raw.get("curvature_samples", 20),
             sweeps=tuple(order),
-            tolerances=dict(raw.get("tolerances", {})),
-            mesh_resolution=resolution,
+            tolerances=dict(tolerances),
+            mesh_resolution=tuple(resolution),
             mesh_projection=projection,
-            mesh_target=mesh.get("target", "cn"),
+            mesh_target=target,
         )
 
     def system(self) -> QuadricSystem:
@@ -162,7 +205,7 @@ class InstanceConfig:
         overrides = {
             key: float(val)
             for key, val in self.tolerances.items()
-            if key in ("residual", "rank", "u_floor", "r_max", "fd_step")
+            if key in NUMERIC_TOLERANCES and key != "max_iter"
         }
         if "max_iter" in self.tolerances:
             overrides["max_iter"] = int(self.tolerances["max_iter"])
@@ -336,7 +379,7 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     def fiber_angle():
         worst = max(
-            projective_angle_fiber_defect(system, u, y) for u, y in zip(Uc, Yc)
+            projective_angle_fiber_defect(system, y) for y in Yc
         )
         return _entry(worst, config.verify_tolerance("fiber_angle"), nsub)
 

@@ -232,15 +232,14 @@ def projective_lagrangian_defect(system: QuadricSystem, U, Y=None) -> float:
     return float(np.max(np.abs(omega[:, upper[0], upper[1]]), initial=0.0))
 
 
-def projective_angle(system: QuadricSystem, u, y) -> float:
-    """Lagrangian angle of the projected immersion at the image of (u, y).
+def projective_angle(system: QuadricSystem, y) -> float:
+    """Lagrangian angle of the projected immersion at torus angles y.
 
-    The angle downstairs equals the ambient angle at the spherical lift, so
-    this is the plain angle evaluation guarded by the cone requirement; the
-    point u only fixes which sheet the value is read on.
+    The angle downstairs equals the ambient angle at the spherical lift,
+    which depends on y only, so this is the plain angle evaluation guarded
+    by the cone requirement.
     """
     require_cone(system)
-    del u
     return lagrangian_angle(system, y).value
 
 
@@ -266,7 +265,7 @@ def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
     return np.array(shifts)
 
 
-def projective_angle_fiber_defect(system: QuadricSystem, u, y) -> float:
+def projective_angle_fiber_defect(system: QuadricSystem, y) -> float:
     """Largest change of the projected angle along fiber shifts, mod 2*pi.
 
     Zero whenever the exponent rows sum to zero (constant angle); in
@@ -274,10 +273,10 @@ def projective_angle_fiber_defect(system: QuadricSystem, u, y) -> float:
     well defined.
     """
     y = np.asarray(y, dtype=float)
-    base = projective_angle(system, u, y)
+    base = projective_angle(system, y)
     worst = 0.0
     for delta in fiber_phase_shifts(system):
-        shifted = projective_angle(system, u, y + delta)
+        shifted = projective_angle(system, y + delta)
         diff = (shifted - base) % (2.0 * np.pi)
         worst = max(worst, min(diff, 2.0 * np.pi - diff))
     return worst
@@ -286,9 +285,9 @@ def projective_angle_fiber_defect(system: QuadricSystem, u, y) -> float:
 class ProjectiveChart:
     """Chart of the projected link around a base point, for the oracle.
 
-    Parameters are (link coordinates, torus angles); the map normalizes the
-    Newton-projected link point, applies the immersion phases, and lands in
-    a fixed affine chart as stacked real coordinates.
+    Parameters are (link coordinates, torus angles), one (P, dim) batch per
+    call; the map Newton-projects the link points, applies the immersion
+    phases, and lands in a fixed affine chart as stacked real coordinates.
     """
 
     def __init__(self, system: QuadricSystem, u0, y0):
@@ -309,14 +308,11 @@ class ProjectiveChart:
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         kk = self.link.k
+        u = self.u0
         if kk:
-            guess = self.u0 + xi[:kk] @ self.tangent
-            u = newton_project(self.link, guess, polish=True)
-        else:
-            u = self.u0
-        z = phi(self.system, u, self.y0 + xi[kk:])
-        w = to_affine_chart(z, self.chart)
-        return np.concatenate([w.real, w.imag])
+            u = newton_project(self.link, u + xi[..., :kk] @ self.tangent, polish=True)
+        w = to_affine_chart(phi(self.system, u, self.y0 + xi[..., kk:]), self.chart)
+        return np.concatenate([w.real, w.imag], axis=-1)
 
 
 def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:

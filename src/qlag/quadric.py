@@ -167,98 +167,84 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def newton_project(
-    system: QuadricSystem,
-    guess: Sequence[float],
-    tol: float | None = None,
-    max_iter: int | None = None,
-    polish: bool = False,
-) -> np.ndarray:
-    """Gauss-Newton least-norm projection of ``guess`` onto the variety.
-
-    Exact points are returned unchanged.  ``polish`` keeps iterating to
-    stagnation after meeting the tolerance, for callers that feed the
-    result into finite differences.
-    """
-    tol = system.tolerances.residual if tol is None else tol
-    max_iter = system.tolerances.max_iter if max_iter is None else max_iter
-    u = np.asarray(guess, dtype=float).copy()
-    r = system.residual(u)
-    if np.max(np.abs(r)) <= tol and not polish:
-        return u
-    best_u, best_r = u.copy(), np.max(np.abs(r))
-    stale = 0
-    for _ in range(max_iter):
-        J = system.jacobian(u)
-        JJt = J @ J.T
-        try:
-            step = J.T @ np.linalg.solve(JJt, r)
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(f"rank-deficient Jacobian near {u}") from None
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian(f"non-finite Newton step near {u}")
-        u = u - step
-        r = system.residual(u)
-        rmax = np.max(np.abs(r))
-        if rmax < best_r:
-            best_u, best_r, stale = u.copy(), rmax, 0
-        else:
-            stale += 1
-            if stale >= 3:
-                break  # stagnated at numerical floor
-        if rmax <= tol and not polish:
-            return u
-    if best_r <= tol:
-        return best_u
-    raise NoConvergence(
-        f"residual {best_r:.3e} > {tol:.3e} after {max_iter} iterations"
-    )
+# gauss_newton row status
+CONVERGED, NO_CONVERGENCE, SINGULAR = 0, 1, 2
 
 
-def newton_project_batch(
-    system: QuadricSystem, guesses: np.ndarray, tol: float | None = None,
-    max_iter: int | None = None,
+def gauss_newton(
+    system: QuadricSystem, guesses: np.ndarray, polish: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Gauss-Newton over a (N, n) batch of guesses.
+    """Gauss-Newton least-norm projection of a (N, n) batch onto the variety.
 
-    Returns (points, converged_mask); non-converged or singular rows are
-    flagged rather than raised, so rejection samplers can discard them.
+    Each step is the least-norm solution of J du = r, so a coordinate at
+    exactly 0 stays 0 (its Jacobian column is zero).  A row stops once it
+    meets the residual tolerance, unchanged if it starts there.  A
+    ``polish`` row that has met it goes on until 3 steps in a row fail to
+    lower its residual, for callers that feed the result into finite
+    differences.  Returns (best iterate per row, status per row): CONVERGED,
+    NO_CONVERGENCE, or SINGULAR (rank-deficient Jacobian, non-finite step).
     """
-    tol = system.tolerances.residual if tol is None else tol
-    max_iter = system.tolerances.max_iter if max_iter is None else max_iter
-    E = system.matrix
-    d = np.asarray(system.constants)
+    tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
+    patience = 3 if polish else 0
     u = np.array(guesses, dtype=float)
+    best_u = u.copy()
+    best = np.full(len(u), np.inf)
+    stale = np.zeros(len(u), dtype=int)
+    singular = np.zeros(len(u), dtype=bool)
     active = np.ones(len(u), dtype=bool)
-    for _ in range(max_iter):
-        r = (u * u) @ E - d
-        done = np.max(np.abs(r), axis=1) <= tol
-        active &= ~done
-        if not active.any():
+    for it in range(max_iter + 1):
+        r = system.residual(u)
+        rmax = np.max(np.abs(r), axis=1)
+        better = rmax < best
+        np.copyto(best_u, u, where=better[:, None])
+        np.copyto(best, rmax, where=better)
+        stale = np.where(better, 0, stale + 1)
+        active &= ~singular & ((best > tol) | (stale < patience))
+        if it == max_iter or not active.any():
             break
         idx = np.nonzero(active)[0]
-        J = 2.0 * (E[None, :, :] * u[idx, :, None]).transpose(0, 2, 1)
+        J = system.jacobian(u[idx])
         JJt = J @ J.transpose(0, 2, 1)
         rhs = r[idx][:, :, None]
         try:
             steps = np.linalg.solve(JJt, rhs)
         except np.linalg.LinAlgError:
-            # fall back row by row, zero-stepping (and deactivating) singular rows
+            # fall back row by row, zero-stepping (and flagging) singular rows
             steps = np.zeros_like(rhs)
             for b, i in enumerate(idx):
                 try:
                     steps[b] = np.linalg.solve(JJt[b], rhs[b])
                 except np.linalg.LinAlgError:
-                    active[i] = False
+                    singular[i] = True
         delta = (J.transpose(0, 2, 1) @ steps)[:, :, 0]
         bad = ~np.all(np.isfinite(delta), axis=1)
-        if bad.any():
-            active[idx[bad]] = False
-            delta[bad] = 0.0
+        singular[idx[bad]] = True
+        delta[bad] = 0.0
         u[idx] -= delta
-    r = (u * u) @ E - d
-    converged = np.max(np.abs(r), axis=1) <= tol
-    return u, converged
+    status = np.where(singular, SINGULAR, NO_CONVERGENCE)
+    status[best <= tol] = CONVERGED
+    return best_u, status
+
+
+def newton_project(
+    system: QuadricSystem, guess: Sequence[float], polish: bool = False
+) -> np.ndarray:
+    """gauss_newton on one point or a (N, n) batch, raising on the first
+    failed row: SingularJacobian or NoConvergence."""
+    guess = np.asarray(guess, dtype=float)
+    points, status = gauss_newton(system, np.atleast_2d(guess), polish)
+    failed = np.nonzero(status != CONVERGED)[0]
+    if len(failed):
+        i = failed[0]
+        where = guess if guess.ndim == 1 else f"row {i} ({guess[i]})"
+        if status[i] == SINGULAR:
+            raise SingularJacobian(f"rank-deficient Jacobian or non-finite step from {where}")
+        raise NoConvergence(
+            f"residual {np.max(np.abs(system.residual(points[i]))):.3e} > "
+            f"{system.tolerances.residual:.3e} after {system.tolerances.max_iter} "
+            f"iterations from {where}"
+        )
+    return points.reshape(guess.shape)
 
 
 def sample_points(
@@ -295,7 +281,8 @@ def sample_points(
             )
         guesses = rng.normal(0.0, scale, size=(batch, system.n))
         attempts += batch
-        points, ok = newton_project_batch(system, guesses)
+        points, status = gauss_newton(system, guesses)
+        ok = status == CONVERGED
         # verdict per draw: the index in `rejected` of its first failed test,
         # -1 when accepted; diverged draws may be non-finite, so the later
         # tests see converged draws only, and the rank test only the draws
@@ -327,38 +314,26 @@ def sample_stratum_points(
     """Points of M with u[zero_index] = 0 exactly (may be empty).
 
     Used by the self-intersection scanner, which must probe the strata
-    where identifications can occur.  Returns up to ``count`` points; an
+    where identifications can occur.  Guesses start on the stratum, which
+    Gauss-Newton never leaves.  Returns up to ``count`` points; an
     infeasible stratum yields an empty array instead of raising.
     """
     rng = np.random.default_rng(seed)
-    others = [i for i in range(system.n) if i != zero_index]
-    accepted: list[np.ndarray] = []
-    attempts = 0
+    others = np.arange(system.n) != zero_index
+    accepted = [np.zeros((0, system.n))]
+    have = attempts = 0
     cap = max(500, 100 * count)
-    while len(accepted) < count and attempts < cap:
-        attempts += 1
-        guess = np.zeros(system.n)
-        guess[others] = rng.normal(0.0, 1.0, size=len(others))
-        u = guess
-        converged = False
-        for _ in range(system.tolerances.max_iter):
-            r = system.residual(u)
-            if np.max(np.abs(r)) <= system.tolerances.residual:
-                converged = True
-                break
-            J = system.jacobian(u)[:, others]
-            try:
-                step = J.T @ np.linalg.solve(J @ J.T, r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            u = u.copy()
-            u[others] -= step
-        if converged and np.linalg.norm(u) <= system.tolerances.r_max:
-            u[zero_index] = 0.0
-            accepted.append(u)
-    return np.array(accepted) if accepted else np.zeros((0, system.n))
+    while have < count and attempts < cap:
+        size = min(max(64, 2 * count), cap - attempts)
+        guesses = np.zeros((size, system.n))
+        guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
+        attempts += size
+        points, status = gauss_newton(system, guesses)
+        good = points[status == CONVERGED]
+        take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]
+        accepted.append(take)
+        have += len(take)
+    return np.concatenate(accepted)
 
 
 def require_cone(system: QuadricSystem) -> None:

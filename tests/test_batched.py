@@ -16,7 +16,7 @@ from qlag.catalog import (
 from qlag.errors import SamplingExhausted, SingularPoint
 from qlag.immersion import frame_at, lagrangian_defect, sample_immersion, torus_metric
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
-from qlag.quadric import QuadricSystem, newton_project_batch, sample_points
+from qlag.quadric import CONVERGED, QuadricSystem, gauss_newton, sample_points
 
 SYSTEMS = {
     "ellipse": ellipse,
@@ -98,7 +98,7 @@ def test_batch_rank_and_smoothness_shapes():
 
 
 def _reference_sample(system, count, seed=0, u_floor=None):
-    """The per-point accept loop over newton_project_batch output."""
+    """The per-point accept loop over gauss_newton output."""
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
     rng = np.random.default_rng(seed)
@@ -115,8 +115,8 @@ def _reference_sample(system, count, seed=0, u_floor=None):
             )
         guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
         attempts += batch
-        points, ok = newton_project_batch(system, guesses)
-        for p, good in zip(points, ok):
+        points, status = gauss_newton(system, guesses)
+        for p, good in zip(points, status == CONVERGED):
             if not good:
                 rejected["diverged"] += 1
                 continue
@@ -159,3 +159,38 @@ def test_sampler_exhaustion_reports_same_rejections():
     with pytest.raises(SamplingExhausted) as got:
         sample_points(empty, 2, seed=0)
     assert str(got.value) == str(expected.value)
+
+
+# -- one Gauss-Newton call per finite-difference stencil ------------------------------
+
+
+def _count_newton(monkeypatch, module):
+    calls = []
+    original = module.newton_project
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "newton_project", counted)
+    return calls
+
+
+def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
+    import qlag.immersion
+    import qlag.projective
+    from qlag.immersion import mean_curvature_fd
+    from qlag.projective import projective_mean_curvature
+
+    system = sphere_cone(5)  # dim 5 chart: a 1 + 10 + 40 point stencil
+    calls = _count_newton(monkeypatch, qlag.immersion)
+    U, Y = sample_immersion(system, 1, seed=4, u_floor=0.1)
+    mean_curvature_fd(system, U[0], Y[0])
+    assert calls == [(51, 5)]
+
+    cone = klein_bottle_cone()  # dim 2 chart: the centre, then 1 + 4 + 4 points
+    calls = _count_newton(monkeypatch, qlag.projective)
+    U, Y = sample_immersion(cone, 1, seed=4, u_floor=0.1)
+    projective_mean_curvature(cone, U[0], Y[0])
+    assert len(calls) <= 2
+    assert calls == [(3,), (9, 3)]

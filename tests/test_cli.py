@@ -95,6 +95,32 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"rows": 5}, "rows"),
+        ({"rows": [["a"], [2]]}, "rows[0]"),
+        ({"constants": ["x"]}, "constants"),
+        ({"constants": [float("nan")]}, "constants"),
+        ({"samples": 0}, "samples"),
+        ({"samples": -3}, "samples"),
+        ({"seed": -1}, "seed"),
+        ({"tolerances": {"lagrangain": 1e-10}}, "tolerances.lagrangain"),
+        ({"tolerances": [1e-10]}, "tolerances"),
+        ({"mesh": {"target": "xyz"}}, "mesh.target"),
+        ({"mesh": {"resolution": 5}}, "mesh.resolution"),
+        ({"sweeps": 5}, "sweeps"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
+)
+def test_invalid_field_is_config_error(tmp_path, capsys, patch, field):
+    cfg = _write(tmp_path, dict(ELLIPSE, **patch))
+    assert main(["analyze", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err
+    assert captured.out == ""
+
+
 def test_rank_deficient_rows_named(tmp_path, capsys):
     bad = {"n": 3, "k": 1, "rows": [[1, 1], [2, 2], [3, 3]], "constants": [1.0, 0.0]}
     cfg = _write(tmp_path, bad)

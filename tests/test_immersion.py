@@ -226,7 +226,7 @@ def test_oracle_zero_on_balanced_cone():
 def test_oracle_vanishes_on_flat_plane():
     # synthetic chart of the totally geodesic R^3 in C^3
     def chart(xi):
-        return np.concatenate([xi, np.zeros(3)])
+        return np.concatenate([xi, np.zeros_like(xi)], axis=-1)
 
     H = mean_curvature_flat(chart, np.zeros(3), 1e-5)
     assert np.linalg.norm(H) <= 1e-9

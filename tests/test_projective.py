@@ -188,7 +188,7 @@ def test_link_frames_are_horizontal():
 
 def test_projective_angle_constant_for_balanced_cone():
     cone = klein_bottle_cone()
-    values = {projective_angle(cone, None, [y]) for y in (0.0, 0.3, 1.7)}
+    values = {projective_angle(cone, [y]) for y in (0.0, 0.3, 1.7)}
     assert len(values) == 1
 
 
@@ -196,24 +196,24 @@ def test_projective_angle_matches_ambient_angle():
     from qlag import lagrangian_angle
 
     cone = weighted_cone([1, 1, 3])
-    U, Y = sample_immersion(cone, 20, seed=15)
-    for u, y in zip(U, Y):
-        assert projective_angle(cone, u, y) == lagrangian_angle(cone, y).value
+    _, Y = sample_immersion(cone, 20, seed=15)
+    for y in Y:
+        assert projective_angle(cone, y) == lagrangian_angle(cone, y).value
 
 
 def test_projective_angle_guard():
     with pytest.raises(NotACone):
-        projective_angle(ellipse(), [1.0, 0.0], [0.0])
+        projective_angle(ellipse(), [0.0])
 
 
 def test_fiber_shifts_and_invariance():
     # the two-coordinate equal-modulus cone has an all-odd representative
     cone2 = clifford_cone(2)
     assert len(fiber_phase_shifts(cone2)) == 1
-    assert projective_angle_fiber_defect(cone2, None, [0.37]) <= 1e-12
+    assert projective_angle_fiber_defect(cone2, [0.37]) <= 1e-12
     # balanced cone: no all-odd representative, constant angle anyway
     cone = klein_bottle_cone()
-    assert projective_angle_fiber_defect(cone, None, [0.37]) <= 1e-12
+    assert projective_angle_fiber_defect(cone, [0.37]) <= 1e-12
 
 
 # -- projective curvature oracle ------------------------------------------------------

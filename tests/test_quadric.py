@@ -15,8 +15,15 @@ from qlag import (
     sample_points,
     with_unit_sphere,
 )
-from qlag.catalog import ellipse, ellipsoid, klein_bottle_cone, sphere_cone
-from qlag.quadric import newton_project_batch, require_cone, sample_stratum_points
+from qlag.catalog import ellipse, ellipsoid, klein_bottle_cone, sphere_cone, weighted_cone
+from qlag.quadric import (
+    CONVERGED,
+    NO_CONVERGENCE,
+    SINGULAR,
+    gauss_newton,
+    require_cone,
+    sample_stratum_points,
+)
 
 
 def test_residual_on_solution():
@@ -116,11 +123,88 @@ def test_newton_batch_matches_scalar():
     sys3 = sphere_cone(3)
     rng = np.random.default_rng(3)
     guesses = rng.normal(size=(32, 3))
-    pts, ok = newton_project_batch(sys3, guesses)
+    pts, status = gauss_newton(sys3, guesses)
+    ok = status == CONVERGED
     assert ok.sum() > 20
     for guess, p, good in zip(guesses, pts, ok):
         if good:
             assert np.max(np.abs(sys3.residual(p))) <= 1e-12
+
+
+def test_gauss_newton_statuses_and_raising_front_door():
+    # on the hyperbola u1^2 - u2^2 = 1: an exact point, the zero guess, a
+    # guess on the stratum u1 = 0, where the variety is empty, and a guess
+    # whose step is not finite
+    hyperbola = QuadricSystem([[1], [-1]], [1.0])
+    guesses = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.5], [np.nan, 1.0]])
+    points, status = gauss_newton(hyperbola, guesses)
+    assert status.tolist() == [CONVERGED, SINGULAR, NO_CONVERGENCE, SINGULAR]
+    assert np.array_equal(points[0], guesses[0])
+    assert np.array_equal(newton_project(hyperbola, guesses[0]), guesses[0])
+    with pytest.raises(SingularJacobian):
+        newton_project(hyperbola, guesses[1])
+    with pytest.raises(NoConvergence):
+        newton_project(hyperbola, guesses[2])
+    with pytest.raises(SingularJacobian, match="row 1"):
+        newton_project(hyperbola, guesses)
+
+
+def test_gauss_newton_keeps_zero_coordinate():
+    # a zero coordinate has a zero Jacobian column, so least-norm steps
+    # never move it, polished or not
+    system = sphere_cone(5)  # codim 2
+    guesses = np.random.default_rng(1).normal(size=(50, 5))
+    guesses[:, 0] = 0.0
+    for polish in (False, True):
+        points, status = gauss_newton(system, guesses, polish=polish)
+        assert np.all(status == CONVERGED)
+        assert np.all(points[:, 0] == 0.0) and not np.any(np.signbit(points[:, 0]))
+        assert np.max(np.abs(system.residual(points))) <= 1e-12
+
+
+def _reference_stratum(system, zero_index, count, seed=0):
+    """The per-draw loop sample_stratum_points ran before the batched
+    Gauss-Newton: Newton on the other coordinates, one draw at a time."""
+    rng = np.random.default_rng(seed)
+    others = [i for i in range(system.n) if i != zero_index]
+    accepted = []
+    attempts = 0
+    cap = max(500, 100 * count)
+    while len(accepted) < count and attempts < cap:
+        attempts += 1
+        u = np.zeros(system.n)
+        u[others] = rng.normal(0.0, 1.0, size=len(others))
+        converged = False
+        for _ in range(system.tolerances.max_iter):
+            r = system.residual(u)
+            if np.max(np.abs(r)) <= system.tolerances.residual:
+                converged = True
+                break
+            J = system.jacobian(u)[:, others]
+            try:
+                step = J.T @ np.linalg.solve(J @ J.T, r)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            u = u.copy()
+            u[others] -= step
+        if converged and np.linalg.norm(u) <= system.tolerances.r_max:
+            accepted.append(u)
+    return np.array(accepted).reshape(-1, system.n)
+
+
+@pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
+                         ids=["sphere_cone(5)", "weighted_cone([1,1,1,3])"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stratum_sampler_matches_per_draw_loop(make, seed):
+    system = make()
+    for j in range(system.n):
+        expected = _reference_stratum(system, j, 8, seed=seed + j)
+        got = sample_stratum_points(system, j, 8, seed=seed + j)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15
+        assert np.all(got[:, j] == 0.0)
 
 
 def test_sampling_deterministic_and_feasible():
