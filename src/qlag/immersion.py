@@ -149,13 +149,19 @@ def lagrangian_defect(system: QuadricSystem, u, y):
 
 @dataclass(frozen=True)
 class LagrangianAngle:
-    """Angle value (mod 2*pi) and its constant gradient in the y chart."""
+    """Angle value (mod 2*pi) and its constant gradient in the y chart; the
+    value has the batch shape of a (..., m) array of torus angles."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray  # d(beta)/dy_j = pi * e_j, e the row-sum vector
 
     def is_constant(self) -> bool:
         return bool(np.all(self.gradient == 0.0))
+
+
+def _scalar(value: np.ndarray, kind=float):
+    """A Python scalar for a 0-d result, the array itself for a batch."""
+    return kind(value) if np.ndim(value) == 0 else value
 
 
 def lagrangian_angle(system: QuadricSystem, y) -> LagrangianAngle:
@@ -165,8 +171,8 @@ def lagrangian_angle(system: QuadricSystem, y) -> LagrangianAngle:
     slope enters the mean curvature, the constant is an orientation choice.
     """
     e = np.array(sum_vector(system.exponents), dtype=float)
-    value = float(np.pi * (e @ np.asarray(y, dtype=float)) + system.codim * np.pi / 2.0)
-    return LagrangianAngle(value % TWO_PI, np.pi * e)
+    value = np.pi * (np.asarray(y, dtype=float) @ e) + system.codim * np.pi / 2.0
+    return LagrangianAngle(_scalar(value % TWO_PI), np.pi * e)
 
 
 def measured_lagrangian_angle(system: QuadricSystem, u, y) -> float:
@@ -189,33 +195,34 @@ def measured_lagrangian_angle(system: QuadricSystem, u, y) -> float:
 
 
 def mean_curvature(system: QuadricSystem, u, y) -> np.ndarray:
-    """Closed-form mean curvature J psi_*(grad beta).
+    """Closed-form mean curvature J psi_*(grad beta), (N, n) for (N, n) and
+    (N, m) batches.
 
     grad beta lives purely in the torus block; multiplication by i realizes
     the complex structure.  Vanishes identically when the exponent rows sum
     to zero.
     """
     e = np.array(sum_vector(system.exponents), dtype=float)
-    gy = torus_metric(system, u)
-    coeff = np.linalg.solve(gy, np.pi * e)
-    return 1j * (coeff @ torus_tangents(system, u, y))
+    coeff = np.linalg.solve(torus_metric(system, u), np.pi * e)
+    return 1j * (coeff[..., None, :] @ torus_tangents(system, u, y))[..., 0, :]
 
 
 class ImmersionChart:
-    """Local chart R^k x R^m -> R^{2n} around a point of the immersed image.
+    """Local charts R^k x R^m -> R^{2n} around points of the immersed image.
 
     The variety factor is parametrized by Gauss-Newton projection along a
-    tangent basis frozen at the center, so the map is smooth in the chart
-    variables.  A (P, k + m) batch of chart points is projected in one
-    call; output stacks real and imaginary parts for the finite-difference
-    machinery.
+    tangent basis frozen at the centre, so the map is smooth in the chart
+    variables.  Centres are one point, which takes (..., dim) chart points,
+    or (N, n), (N, m) batches, which take (N, S, dim) points; all variety
+    points are projected in one call.  Output stacks real and imaginary
+    parts for the finite-difference machinery.
     """
 
     def __init__(self, system: QuadricSystem, u0, y0):
         self.system = system
         self.u0 = np.asarray(u0, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
-        self.tangent = system.tangent_basis(self.u0) if system.k else np.zeros((0, system.n))
+        self.tangent = system.tangent_basis(self.u0) if system.k else None
 
     @property
     def dim(self) -> int:
@@ -223,23 +230,26 @@ class ImmersionChart:
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        k = self.system.k
-        u = self.u0
+        k, n = self.system.k, self.system.n
+        stencil = (slice(None), None) if self.u0.ndim == 2 else ()  # N centres: an S axis
+        u = self.u0[stencil]
         if k:
-            u = newton_project(self.system, u + xi[..., :k] @ self.tangent, polish=True)
-        z = phi(self.system, u, self.y0 + xi[..., k:])
+            u = u + xi[..., :k] @ self.tangent
+            u = newton_project(self.system, u.reshape(-1, n), polish=True).reshape(u.shape)
+        z = phi(self.system, u, self.y0[stencil] + xi[..., k:])
         return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def mean_curvature_fd(system: QuadricSystem, u, y, step: float | None = None) -> np.ndarray:
     """Independent mean-curvature oracle: unnormalized trace of the second
-    fundamental form, everything by central finite differences in a local
-    chart.  Shares no formulas with mean_curvature."""
+    fundamental form, everything by central finite differences in local
+    charts.  Shares no formulas with mean_curvature.  (N, n) and (N, m)
+    batches give (N, n), with every stencil in one chart call."""
     step = system.tolerances.fd_step if step is None else step
     chart = ImmersionChart(system, u, y)
-    H = mean_curvature_flat(chart, np.zeros(chart.dim), step)
+    H = mean_curvature_flat(chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), step)
     n = system.n
-    return H[:n] + 1j * H[n:]
+    return H[..., :n] + 1j * H[..., n:]
 
 
 # ---------------------------------------------------------------------------

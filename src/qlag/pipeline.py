@@ -298,23 +298,20 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     nsub = min(config.curvature_samples, len(U))
     Uc, Yc = sample_immersion(system, nsub, seed=config.seed + 1, u_floor=0.1)
 
+    h_fd = functools.cache(functools.partial(mean_curvature_fd, system, Uc, Yc))
+
     def curvature_match():
-        worst = 0.0
-        for u, y in zip(Uc, Yc):
-            h_closed = mean_curvature(system, u, y)
-            h_fd = mean_curvature_fd(system, u, y)
-            rel = np.linalg.norm(h_closed - h_fd) / (1.0 + np.linalg.norm(h_closed))
-            worst = max(worst, float(rel))
-        return _entry(worst, config.verify_tolerance("curvature_match"), nsub)
+        h_closed = mean_curvature(system, Uc, Yc)
+        rel = np.linalg.norm(h_closed - h_fd(), axis=-1) / (
+            1.0 + np.linalg.norm(h_closed, axis=-1)
+        )
+        return _entry(np.max(rel), config.verify_tolerance("curvature_match"), nsub)
 
     _guard(section, "curvature_match", curvature_match)
 
     if all(c == 0 for c in e):
         def minimal_curvature():
-            worst = max(
-                float(np.linalg.norm(mean_curvature_fd(system, u, y)))
-                for u, y in zip(Uc, Yc)
-            )
+            worst = np.max(np.linalg.norm(h_fd(), axis=-1))
             return _entry(worst, config.verify_tolerance("minimal_curvature"), nsub)
 
         _guard(section, "minimal_curvature", minimal_curvature)
@@ -370,17 +367,13 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     if all(c == 0 for c in e):
         def minimal_curvature():
-            worst = max(
-                projective_mean_curvature(system, u, y)[1] for u, y in zip(Uc, Yc)
-            )
+            worst = np.max(projective_mean_curvature(system, Uc, Yc)[1])
             return _entry(worst, config.verify_tolerance("projective_curvature"), nsub)
 
         _guard(section, "projective_minimal_curvature", minimal_curvature)
 
     def fiber_angle():
-        worst = max(
-            projective_angle_fiber_defect(system, y) for y in Yc
-        )
+        worst = np.max(projective_angle_fiber_defect(system, Yc))
         return _entry(worst, config.verify_tolerance("fiber_angle"), nsub)
 
     _guard(section, "angle_fiber_invariance", fiber_angle)

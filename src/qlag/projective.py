@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ApexPoint, ChartFailure, ChartUnavailable
-from .immersion import _pairings, frame_at, lagrangian_angle, phi
+from .immersion import TWO_PI, _pairings, _scalar, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
 from .quadric import QuadricSystem, newton_project, require_cone, with_unit_sphere
 
@@ -88,11 +88,6 @@ def horizontal_component(p: Sequence[complex], xi: Sequence[complex]) -> np.ndar
     return xi - rdot(xi, p) * p - rdot(xi, ip) * ip
 
 
-def _scalar(value: np.ndarray, kind=float):
-    """A Python scalar for a 0-d result, the array itself for a batch."""
-    return kind(value) if np.ndim(value) == 0 else value
-
-
 def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
     """Fubini-Study Hermitian product of chart vectors a, b at chart point w.
 
@@ -102,10 +97,6 @@ def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
     term = w2 * np.sum(a * np.conjugate(b), axis=-1)
     term -= np.sum(a * np.conjugate(w), axis=-1) * np.sum(np.conjugate(b) * w, axis=-1)
     return _scalar(term / (w2 * w2), complex)
-
-
-def fs_metric(w, a, b) -> float:
-    return _scalar(np.real(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
 
 
 def fs_symplectic(w, a, b) -> float:
@@ -232,8 +223,9 @@ def projective_lagrangian_defect(system: QuadricSystem, U, Y=None) -> float:
     return float(np.max(np.abs(omega[:, upper[0], upper[1]]), initial=0.0))
 
 
-def projective_angle(system: QuadricSystem, y) -> float:
-    """Lagrangian angle of the projected immersion at torus angles y.
+def projective_angle(system: QuadricSystem, y):
+    """Lagrangian angle of the projected immersion at torus angles y (one
+    per row of a (N, m) batch).
 
     The angle downstairs equals the ambient angle at the spherical lift,
     which depends on y only, so this is the plain angle evaluation guarded
@@ -265,8 +257,9 @@ def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
     return np.array(shifts)
 
 
-def projective_angle_fiber_defect(system: QuadricSystem, y) -> float:
-    """Largest change of the projected angle along fiber shifts, mod 2*pi.
+def projective_angle_fiber_defect(system: QuadricSystem, y):
+    """Largest change of the projected angle along fiber shifts, mod 2*pi;
+    one value per row of a (N, m) batch of torus angles.
 
     Zero whenever the exponent rows sum to zero (constant angle); in
     general the angle is multivalued along fibers and only its gradient is
@@ -274,20 +267,20 @@ def projective_angle_fiber_defect(system: QuadricSystem, y) -> float:
     """
     y = np.asarray(y, dtype=float)
     base = projective_angle(system, y)
-    worst = 0.0
-    for delta in fiber_phase_shifts(system):
-        shifted = projective_angle(system, y + delta)
-        diff = (shifted - base) % (2.0 * np.pi)
-        worst = max(worst, min(diff, 2.0 * np.pi - diff))
-    return worst
+    shifted = projective_angle(system, y[..., None, :] + fiber_phase_shifts(system))
+    diff = (shifted - np.expand_dims(base, -1)) % TWO_PI
+    return _scalar(np.max(np.minimum(diff, TWO_PI - diff), axis=-1, initial=0.0))
 
 
 class ProjectiveChart:
-    """Chart of the projected link around a base point, for the oracle.
+    """Charts of the projected link around base points, for the oracle.
 
-    Parameters are (link coordinates, torus angles), one (P, dim) batch per
-    call; the map Newton-projects the link points, applies the immersion
-    phases, and lands in a fixed affine chart as stacked real coordinates.
+    Parameters are (link coordinates, torus angles).  Base points are one
+    point, which takes (..., dim) chart points, or (N, n), (N, m) batches,
+    which take (N, S, dim) points; they are Newton-projected onto the link
+    in one call.  The map projects all link points in one call, applies the
+    immersion phases, and lands in a fixed affine chart per base point as
+    stacked real coordinates.
     """
 
     def __init__(self, system: QuadricSystem, u0, y0):
@@ -295,8 +288,9 @@ class ProjectiveChart:
         self.system = system
         self.link = with_unit_sphere(system)
         u0 = np.asarray(u0, dtype=float)
-        self.u0 = u0 / np.linalg.norm(u0)
-        self.u0 = newton_project(self.link, self.u0, polish=True)
+        self.u0 = newton_project(
+            self.link, u0 / np.linalg.norm(u0, axis=-1, keepdims=True), polish=True
+        )
         self.y0 = np.asarray(y0, dtype=float)
         self.tangent = self.link.tangent_basis(self.u0)
         self.chart = affine_chart_index(phi(system, self.u0, self.y0))
@@ -307,39 +301,46 @@ class ProjectiveChart:
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        kk = self.link.k
-        u = self.u0
+        kk, n = self.link.k, self.system.n
+        stencil = (slice(None), None) if self.u0.ndim == 2 else ()  # N centres: an S axis
+        u = self.u0[stencil]
         if kk:
-            u = newton_project(self.link, u + xi[..., :kk] @ self.tangent, polish=True)
-        w = to_affine_chart(phi(self.system, u, self.y0 + xi[..., kk:]), self.chart)
+            u = u + xi[..., :kk] @ self.tangent
+            u = newton_project(self.link, u.reshape(-1, n), polish=True).reshape(u.shape)
+        z = phi(self.system, u, self.y0[stencil] + xi[..., kk:])
+        w = to_affine_chart(z, np.asarray(self.chart)[stencil])
         return np.concatenate([w.real, w.imag], axis=-1)
 
 
 def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:
-    """Real Fubini-Study metric matrix in stacked (Re w, Im w) coordinates."""
-    half = len(w_real) // 2
-    w = w_real[:half] + 1j * w_real[half:]
-    g = np.zeros((len(w_real), len(w_real)))
-    basis = np.eye(len(w_real))
-    # hermitian form is sesquilinear: build it on the real basis vectors
-    for a in range(len(w_real)):
-        va = basis[a][:half] + 1j * basis[a][half:]
-        for b in range(a, len(w_real)):
-            vb = basis[b][:half] + 1j * basis[b][half:]
-            g[a, b] = g[b, a] = float(np.real(fs_hermitian(w, va, vb)))
-    return g
+    """Real Fubini-Study metric matrix in stacked (Re w, Im w) coordinates,
+    batched over leading axes.
+
+    fs_hermitian(w, a, b) = a^T K conj(b) with the Hermitian matrix
+    K = (w2 I - conj(w) w^T) / w2^2, w2 = 1 + |w|^2; on the real basis
+    (e_j, i e_j) its real part is [[Re K, Im K], [-Im K, Re K]].
+    """
+    w_real = np.asarray(w_real, dtype=float)
+    half = w_real.shape[-1] // 2
+    w = w_real[..., :half] + 1j * w_real[..., half:]
+    w2 = 1.0 + np.real(np.sum(w * np.conjugate(w), axis=-1))[..., None, None]
+    K = (w2 * np.eye(half) - np.conjugate(w)[..., :, None] * w[..., None, :]) / (w2 * w2)
+    return np.block([[K.real, K.imag], [-K.imag, K.real]])
 
 
 def projective_mean_curvature(
-    system: QuadricSystem, u, y, step: float = 1e-5
-) -> tuple[np.ndarray, float]:
+    system: QuadricSystem, u, y, step: float | None = None
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Oracle for the projected immersion's mean curvature.
 
     Trace of the second fundamental form in the affine chart, with the
     ambient Fubini-Study Christoffel symbols obtained by finite differences
-    of the chart metric.  Returns (H in chart coordinates, FS norm of H).
+    of the chart metric; both use the step system.tolerances.fd_step unless
+    one is given.  Returns (H in chart coordinates, FS norm of H): (N, D)
+    and (N,) for (N, n) and (N, m) batches.
     """
+    step = system.tolerances.fd_step if step is None else step
     chart = ProjectiveChart(system, u, y)
     return mean_curvature_riemannian(
-        chart, np.zeros(chart.dim), fs_metric_matrix, step=step
+        chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), fs_metric_matrix, step=step
     )

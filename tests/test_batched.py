@@ -1,6 +1,7 @@
 """Batched (N, n) geometry: every batched call equals the single-point
-calls on its rows bit for bit, and the masked sampler reproduces the
-per-point accept loop."""
+calls on its rows bit for bit (the finite-difference curvature oracles to
+rounding noise), and the masked sampler reproduces the per-point accept
+loop."""
 
 import numpy as np
 import pytest
@@ -194,3 +195,67 @@ def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
     projective_mean_curvature(cone, U[0], Y[0])
     assert len(calls) <= 2
     assert calls == [(3,), (9, 3)]
+
+    # N samples: every stencil of every sample in one call, and one call
+    # for the projective centres
+    calls = _count_newton(monkeypatch, qlag.immersion)
+    U, Y = sample_immersion(system, 3, seed=4, u_floor=0.1)
+    mean_curvature_fd(system, U, Y)
+    assert calls == [(3 * 51, 5)]
+
+    calls = _count_newton(monkeypatch, qlag.projective)
+    U, Y = sample_immersion(cone, 4, seed=4, u_floor=0.1)
+    projective_mean_curvature(cone, U, Y)
+    assert calls == [(4, 3), (4 * 9, 3)]
+
+
+def test_projective_oracle_makes_no_fs_hermitian_calls(monkeypatch):
+    import qlag.projective
+    from qlag.projective import projective_mean_curvature
+
+    calls = []
+    original = qlag.projective.fs_hermitian
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(qlag.projective, "fs_hermitian", counted)
+    cone = clifford_cone(5)
+    U, Y = sample_immersion(cone, 5, seed=2, u_floor=0.1)
+    projective_mean_curvature(cone, U, Y)
+    assert calls == []
+
+
+# Batched and single-sample oracles can differ only where Gauss-Newton's
+# batched arithmetic moves a stencil point in its last bits.  A second
+# difference divides such a change by step^2, so ten ulps of a unit-size
+# chart value become 10 * eps / step^2 (2.2e-5 at the default step 1e-5).
+FD_NOISE = 10 * np.finfo(float).eps / 1e-5 ** 2
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_batched_oracles_equal_single_sample_calls(name):
+    from qlag.immersion import mean_curvature, mean_curvature_fd
+    from qlag.projective import projective_angle_fiber_defect, projective_mean_curvature
+
+    system = SYSTEMS[name]()
+    U, Y = sample_immersion(system, 5, seed=6, u_floor=0.1)
+    batch = mean_curvature_fd(system, U, Y)
+    assert batch.shape == U.shape
+    single = np.array([mean_curvature_fd(system, u, y) for u, y in zip(U, Y)])
+    assert np.max(np.abs(batch - single)) <= FD_NOISE
+    closed = np.array([mean_curvature(system, u, y) for u, y in zip(U, Y)])
+    assert np.allclose(mean_curvature(system, U, Y), closed, rtol=0.0, atol=1e-14)
+    if not system.is_cone():
+        return
+    H, norm = projective_mean_curvature(system, U, Y)
+    assert norm.shape == (len(U),)
+    for i, (u, y) in enumerate(zip(U, Y)):
+        h_i, norm_i = projective_mean_curvature(system, u, y)
+        assert isinstance(norm_i, float)
+        assert np.max(np.abs(H[i] - h_i)) <= FD_NOISE
+        assert abs(norm[i] - norm_i) <= FD_NOISE
+    # the fiber check is exact arithmetic on y, the same in a batch
+    fiber = projective_angle_fiber_defect(system, Y)
+    assert np.array_equal(fiber, [projective_angle_fiber_defect(system, y) for y in Y])

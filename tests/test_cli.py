@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, meshes."""
 
+import glob
 import json
+import os
 
 import pytest
 
@@ -47,6 +49,34 @@ def test_analyze_passes_and_is_deterministic(tmp_path, capsys):
     assert report["quotient"]["topology"]["kind"] == "KleinBottle"
     assert report["cn"]["lagrangian_defect"]["pass"] is True
     assert report["minimality"]["is_zero"] is False
+
+
+CONFIGS = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.json"))
+)
+
+
+def test_configs_are_shipped():
+    assert CONFIGS
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_config_analyzes_and_reruns_identically(path, capsys):
+    assert main(["analyze", path]) == 0
+    first = capsys.readouterr().out
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_tol_fd_step_reaches_projective_oracle(tmp_path, capsys):
+    cfg = _write(tmp_path, BALANCED_CONE)
+    reports = []
+    for extra in ([], ["--tol-fd-step", "1e-3"]):
+        main(["verify-cpn", cfg] + extra)
+        reports.append(json.loads(capsys.readouterr().out))
+    default, coarse = (r["cpn"]["projective_minimal_curvature"]["max"] for r in reports)
+    assert reports[1]["instance"]["numeric_tolerances"]["fd_step"] == 1e-3
+    assert coarse > 10.0 * default
 
 
 def test_report_floats_have_17_significant_digits(tmp_path, capsys):

@@ -232,6 +232,25 @@ def test_oracle_vanishes_on_flat_plane():
     assert np.linalg.norm(H) <= 1e-9
 
 
+def test_christoffel_symbols_of_polar_metric():
+    from qlag.numdiff import christoffel_symbols
+
+    # plane in polar coordinates (r, t): g = diag(1, r^2), whose only
+    # symbols are Gamma^r_tt = -r and Gamma^t_rt = Gamma^t_tr = 1/r
+    def polar(x):
+        g = np.zeros(x.shape + (2,))
+        g[..., 0, 0], g[..., 1, 1] = 1.0, x[..., 0] ** 2
+        return g
+
+    x = np.array([[0.5, 0.1], [1.3, 2.0], [2.0, -1.0]])
+    gamma = christoffel_symbols(polar, x, 1e-5)
+    expected = np.zeros((3, 2, 2, 2))
+    expected[:, 0, 1, 1] = -x[:, 0]
+    expected[:, 1, 0, 1] = expected[:, 1, 1, 0] = 1.0 / x[:, 0]
+    assert np.max(np.abs(gamma - expected)) <= 1e-9
+    assert np.array_equal(christoffel_symbols(polar, x[1], 1e-5), gamma[1])
+
+
 def test_immersion_chart_center_consistency():
     sys1 = ellipse()
     u, y = _ellipse_point(1.1), np.array([0.2])

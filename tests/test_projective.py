@@ -233,6 +233,59 @@ def test_projective_curvature_small_for_matched_weights():
     assert worst <= 1e-3
 
 
+def test_fs_metric_matrix_matches_pairwise_hermitian_form():
+    from qlag.projective import fs_hermitian, fs_metric_matrix
+
+    def reference(w_real):
+        # the per-pair construction: the Hermitian form on real basis vectors
+        half = len(w_real) // 2
+        w = w_real[:half] + 1j * w_real[half:]
+        basis = np.eye(len(w_real))
+        g = np.zeros((len(w_real), len(w_real)))
+        for a in range(len(w_real)):
+            va = basis[a][:half] + 1j * basis[a][half:]
+            for b in range(len(w_real)):
+                vb = basis[b][:half] + 1j * basis[b][half:]
+                g[a, b] = np.real(fs_hermitian(w, va, vb))
+        return g
+
+    rng = np.random.default_rng(21)
+    for half in (1, 2, 4):
+        points = rng.normal(size=(3, 5, 2 * half))
+        batch = fs_metric_matrix(points)
+        assert batch.shape == (3, 5, 2 * half, 2 * half)
+        for idx in np.ndindex(3, 5):
+            expected = reference(points[idx])
+            assert np.max(np.abs(batch[idx] - expected)) <= 1e-15
+            assert np.array_equal(fs_metric_matrix(points[idx]), batch[idx])
+
+
+def test_projective_oracle_step_is_fd_step_tolerance(monkeypatch):
+    import qlag.numdiff
+    from qlag.quadric import QuadricSystem
+
+    steps = []
+    original = qlag.numdiff.christoffel_symbols
+
+    def recorded(metric, x, step):
+        steps.append(step)
+        return original(metric, x, step)
+
+    monkeypatch.setattr(qlag.numdiff, "christoffel_symbols", recorded)
+    cone = klein_bottle_cone()
+    coarse = QuadricSystem(
+        cone.exponents, cone.constants, cone.tolerances.updated(fd_step=1e-3)
+    )
+    U, Y = sample_immersion(cone, 2, seed=19, u_floor=0.1)
+    u, y = U[0], Y[0]
+    H, norm = projective_mean_curvature(coarse, u, y)
+    H_ref, norm_ref = projective_mean_curvature(cone, u, y, step=1e-3)
+    assert np.array_equal(H, H_ref) and norm == norm_ref
+    # both the chart stencil and the Christoffel symbols take the step
+    assert norm > 10.0 * projective_mean_curvature(cone, u, y)[1]
+    assert steps == [1e-3, 1e-3, 1e-5]
+
+
 def test_projective_curvature_nonzero_for_unmatched_weights():
     cone = weighted_cone([1, 1, 3])
     U, Y = sample_immersion(cone, 15, seed=18, u_floor=0.1)
