@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigInvalid, QlagError
@@ -125,7 +126,7 @@ def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
             meshing.write_obj(out, pts, polyline=line)
         elif system.n == 3:
             if not out.endswith(".csv"):
-                out = out.rsplit(".", 1)[0] + ".csv"
+                out = os.path.splitext(out)[0] + ".csv"
             meshing.write_projective_cloud(out, system, nx, ny)
         else:
             raise ConfigInvalid(

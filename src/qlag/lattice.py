@@ -234,8 +234,9 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
             basis.append(carrier)
             pivot_cols.append(col)
         work = [r for r in rest if any(r)]
-    # reduce entries above each pivot
-    for i in reversed(range(len(basis))):
+    # reduce entries above each pivot, left to right: row i is zero left of
+    # its pivot, so subtracting it leaves the earlier pivot columns reduced
+    for i in range(len(basis)):
         p = pivot_cols[i]
         for j in range(i):
             q = basis[j][p] // basis[i][p]

@@ -40,27 +40,20 @@ class SurfaceMesh:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for tri in self.faces:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                i, j = int(tri[a]), int(tri[b])
-                out.add((min(i, j), max(i, j)))
-        return out
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct undirected edges as sorted keys i*V + j (i < j, V the
+        vertex count), with the number of triangles on each."""
+        pairs = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        return np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1], return_counts=True)
 
     def euler_characteristic(self) -> int:
-        used = {int(i) for tri in self.faces for i in tri}
-        return len(used) - len(self.edges()) + len(self.faces)
+        keys, _ = self.edges()
+        return len(np.unique(self.faces)) - len(keys) + len(self.faces)
 
     def is_closed(self) -> bool:
         """Every edge shared by exactly two triangles."""
-        count: dict[tuple[int, int], int] = {}
-        for tri in self.faces:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                i, j = int(tri[a]), int(tri[b])
-                key = (min(i, j), max(i, j))
-                count[key] = count.get(key, 0) + 1
-        return all(c == 2 for c in count.values())
+        _, counts = self.edges()
+        return bool(np.all(counts == 2))
 
 
 def _sign_index_map(signs: Sequence[float], nx: int) -> np.ndarray:
@@ -102,34 +95,17 @@ def build_surface_mesh(system: QuadricSystem, nx: int = 128, ny: int = 64) -> Su
 
     thetas = np.arange(nx) / nx
     ys = np.arange(ny) * (period / 2.0) / ny
-    us = point(thetas)  # (nx, 2)
+    z = phi(system, point(thetas), ys[:, None, None])  # (ny, nx, 2)
+    vertices = np.stack([z.real, z.imag], axis=-1).reshape(nx * ny, 4)  # Re z1, Im z1, ...
 
-    def vid(i: int, j: int) -> int:
-        return j * nx + i
-
-    vertices = np.empty((nx * ny, 4))
-    for j, y in enumerate(ys):
-        # phases per coordinate: exp(i pi e_i y)
-        phases = np.exp(1j * np.pi * (system.matrix[:, 0] * y))
-        z = us * phases[None, :]
-        vertices[j * nx : (j + 1) * nx, 0] = z[:, 0].real
-        vertices[j * nx : (j + 1) * nx, 1] = z[:, 0].imag
-        vertices[j * nx : (j + 1) * nx, 2] = z[:, 1].real
-        vertices[j * nx : (j + 1) * nx, 3] = z[:, 1].imag
-
-    weld = _sign_index_map(signs, nx)
-    faces = []
-    for j in range(ny):
-        for i in range(nx):
-            i2 = (i + 1) % nx
-            if j + 1 < ny:
-                a, b, c, d = vid(i, j), vid(i2, j), vid(i2, j + 1), vid(i, j + 1)
-            else:
-                a, b = vid(i, j), vid(i2, j)
-                c, d = vid(int(weld[i2]), 0), vid(int(weld[i]), 0)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return SurfaceMesh(vertices, np.array(faces, dtype=int))
+    # quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
+    # d = (i, j+1); the row above the last one is the bottom row, welded
+    ids = np.arange(nx * ny).reshape(ny, nx)
+    upper = np.vstack([ids[1:], ids[0, _sign_index_map(signs, nx)]])
+    a, b = ids, np.roll(ids, -1, axis=1)
+    c, d = np.roll(upper, -1, axis=1), upper
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return SurfaceMesh(vertices, faces)
 
 
 def validate_projection(matrix) -> np.ndarray:
@@ -151,11 +127,9 @@ def write_obj(path, vertices3: np.ndarray, faces: np.ndarray | None = None,
               polyline: Sequence[int] | None = None) -> None:
     """Minimal OBJ writer: v records plus f (triangles) or l (polyline)."""
     with open(path, "w") as fh:
-        for v in vertices3:
-            fh.write("v %.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
+        fh.writelines("v %.17g %.17g %.17g\n" % tuple(v) for v in np.asarray(vertices3).tolist())
         if faces is not None:
-            for tri in faces:
-                fh.write("f %d %d %d\n" % (tri[0] + 1, tri[1] + 1, tri[2] + 1))
+            fh.writelines("f %d %d %d\n" % tuple(tri) for tri in (np.asarray(faces) + 1).tolist())
         if polyline is not None:
             chain = " ".join(str(i + 1) for i in polyline)
             fh.write(f"l {chain}\n")
@@ -193,34 +167,34 @@ def build_projective_polyline(system: QuadricSystem, resolution: int = 256):
     u = u / np.linalg.norm(u)
     box = torus_box(system.exponents)
     ys = np.arange(resolution)[:, None] / resolution @ box[:1]
-    pts = np.array([riemann_sphere(phi(system, u, y)) for y in ys])
+    pts = riemann_sphere(phi(system, u, ys))
     return pts, list(range(resolution)) + [0]
 
 
 def projector_coordinates(z: np.ndarray) -> np.ndarray:
-    """Chart-free CP^2 embedding: entries of the rank-one projector."""
-    z = z / np.linalg.norm(z)
-    P = np.outer(z, np.conjugate(z))
-    return np.array(
-        [
-            P[0, 0].real,
-            P[1, 1].real,
-            P[2, 2].real,
-            P[0, 1].real,
-            P[0, 1].imag,
-            P[0, 2].real,
-            P[0, 2].imag,
-            P[1, 2].real,
-            P[1, 2].imag,
-        ]
-    )
+    """Chart-free CP^2 embedding: entries of the rank-one projector.
+
+    A (..., 3) batch gives (..., 9) rows: the real diagonal, then the real
+    and imaginary parts of P12, P13 and P23.
+    """
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    # sqrt(re.re + im.im) from BLAS dot products, bit for bit the
+    # np.linalg.norm of each vector on its own
+    sq = (re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+    z = z / np.sqrt(sq)
+    # the broadcast outer product of np.outer: a contiguous product of
+    # gathered columns takes another complex-multiply loop and other bits
+    P = z[..., :, None] * np.conjugate(z)[..., None, :]
+    parts = np.stack([P.real, P.imag], axis=-1)  # (..., 3, 3, re/im)
+    return parts[..., [0, 1, 2, 0, 0, 0, 0, 1, 1], [0, 1, 2, 1, 1, 2, 2, 2, 2],
+                 [0, 0, 0, 0, 1, 0, 1, 0, 1]]
 
 
 def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 96) -> None:
     """CSV point cloud of an n = 3 cone's projective image.
 
     Columns are the chart parameters plus the nine real projector entries,
-    a chart-free representation of CP^2 points.
+    a chart-free representation of CP^2 points.  Lines end in CRLF.
     """
     require_cone(system)
     if system.n != 3:
@@ -232,18 +206,11 @@ def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 
     header = ["t", "y"] + [
         "p11", "p22", "p33", "re_p12", "im_p12", "re_p13", "im_p13", "re_p23", "im_p23"
     ]
-    import csv  # only the CSV writer needs it; analyze and OBJ export skip the import
-
+    ts = np.arange(nt) / nt
+    ys = (np.arange(ny) / ny)[:, None] * box[0]  # (ny, m)
+    coords = projector_coordinates(phi(system, point(ts)[:, None, :], ys))  # (nt, ny, 9)
+    table = np.column_stack([np.repeat(ts, ny), np.tile(ys[:, 0], nt), coords.reshape(-1, 9)])
+    row = ",".join(["%.17g"] * 11) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(nt):
-            t = i / nt
-            u = point(t)
-            for j in range(ny):
-                y = (j / ny) * box[0]
-                row = projector_coordinates(phi(system, u, y))
-                writer.writerow(
-                    ["%.17g" % t, "%.17g" % y[0]]
-                    + ["%.17g" % x for x in row]
-                )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())

@@ -183,9 +183,8 @@ def scan_samples(
             grid += (-grid) % 4
             ts = np.arange(grid)[:, None] / grid
             angles = ts @ box[:1]  # sweep along the first period direction
-            for u in pts:
-                Y_parts.append(angles)
-                U_parts.append(np.repeat(u[None, :], grid, axis=0))
+            Y_parts.append(np.tile(angles, (len(pts), 1)))
+            U_parts.append(np.repeat(pts, grid, axis=0))
     U = np.vstack(U_parts)
     Y = np.vstack(Y_parts)
     return U, Y

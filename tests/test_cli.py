@@ -212,6 +212,32 @@ def test_mesh_subcommand_projective_cloud(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "out, written",
+    [
+        ("out.v2/cloud", "out.v2/cloud.csv"),
+        ("./cloud", "cloud.csv"),
+        ("out.v2/cloud.obj", "out.v2/cloud.csv"),
+        ("cloud.csv", "cloud.csv"),
+    ],
+)
+def test_mesh_cloud_takes_csv_suffix_at_the_file_name(out, written, tmp_path, monkeypatch, capsys):
+    payload = dict(BALANCED_CONE, mesh={"resolution": [8, 8], "target": "cpn"})
+    cfg = _write(tmp_path, payload)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.v2").mkdir()
+    assert main(["mesh", cfg, "--out", out]) == 0
+    expected = os.path.join(os.path.dirname(out), os.path.basename(written))
+    assert capsys.readouterr().out == f"wrote {expected}\n"
+    produced = sorted(
+        os.path.relpath(os.path.join(root, name), tmp_path)
+        for root, _, names in os.walk(tmp_path)
+        for name in names
+        if name != "config.json"
+    )
+    assert produced == [written]
+
+
 def test_mesh_resolution_validation(tmp_path, capsys):
     payload = dict(ELLIPSE, mesh={"resolution": [0, 16]})
     cfg = _write(tmp_path, payload)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlag import (
     DimensionMismatch,
@@ -253,3 +255,60 @@ def test_sum_vector_ellipse():
 def test_sum_vector_zero_matrix_rows():
     exps = ExponentMatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
     assert sum_vector(exps) == (0, 0)
+
+
+# -- properties on random small integer matrices ---------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def _integer_matrices(max_rows=5, max_cols=4):
+    return st.integers(1, max_cols).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
+
+
+def _reduce_over_echelon(row, hnf):
+    """Remainder of ``row`` after subtracting integer multiples of the HNF
+    rows pivot by pivot; zero exactly when the row is in their lattice."""
+    rest = list(row)
+    for basis_row in hnf:
+        pivot = next(j for j, x in enumerate(basis_row) if x)
+        q, r = divmod(rest[pivot], basis_row[pivot])
+        if r:
+            return rest
+        rest = [a - q * b for a, b in zip(rest, basis_row)]
+    return rest
+
+
+@PROPERTY
+@given(_integer_matrices())
+def test_hnf_is_idempotent(rows):
+    hnf = hermite_normal_form(rows)
+    assert hermite_normal_form(hnf) == hnf
+
+
+@PROPERTY
+@given(_integer_matrices())
+def test_hnf_lattice_contains_every_input_row(rows):
+    hnf = hermite_normal_form(rows)
+    for row in rows:
+        assert not any(_reduce_over_echelon(row, hnf))
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                       min_size=m, max_size=m)))
+def test_dual_rows_pair_with_basis_rows_to_delta(rows):
+    hnf = hermite_normal_form(rows)
+    assume(len(hnf) == len(rows))
+    basis = LatticeBasis(hnf)
+    dual = dual_basis(basis)
+    for i, b in enumerate(basis.rows):
+        for j, d in enumerate(dual.rows):
+            assert sum(x * y for x, y in zip(b, d)) == (1 if i == j else 0)

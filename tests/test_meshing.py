@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlag.catalog import clifford_cone, ellipse, ellipsoid, klein_bottle_cone
+from qlag.catalog import clifford_cone, ellipse, ellipsoid, klein_bottle_cone, weighted_cone
 from qlag.errors import ConfigInvalid, DimensionUnsupported
 from qlag.meshing import (
+    SurfaceMesh,
     build_projective_polyline,
     build_surface_mesh,
     project_vertices,
+    projector_coordinates,
     riemann_sphere,
     validate_projection,
     write_obj,
@@ -101,10 +105,189 @@ def test_projective_cloud_csv(tmp_path):
 
 
 def test_projective_cloud_guard(tmp_path):
-    from qlag.catalog import weighted_cone
     from qlag.errors import NotACone
 
     with pytest.raises(DimensionUnsupported):
         write_projective_cloud(tmp_path / "c.csv", weighted_cone([1, 1, 1, 3]), 8, 8)
     with pytest.raises(NotACone):
         write_projective_cloud(tmp_path / "c.csv", ellipsoid([1, 1, 1]), 8, 8)
+
+
+# -- array code against the per-element loops it replaced ------------------
+#
+# The references below are the loops meshing used to run: per-row vertices,
+# per-quad faces, per-triangle edge walks and a per-node csv writer.  The
+# array code must reproduce them bit for bit, down to the file bytes.
+
+
+def _reference_surface(system, nx, ny):
+    from qlag.immersion import _conic_parametrization
+    from qlag.meshing import _sign_index_map
+    from qlag.torus import gamma_group, gamma_signs, torus_box
+
+    point, _ = _conic_parametrization(system)
+    period = torus_box(system.exponents)[0][0]
+    signs = gamma_signs(system.exponents, gamma_group(system.exponents).nonzero()[0])
+    us = point(np.arange(nx) / nx)
+    vertices = np.empty((nx * ny, 4))
+    for j, y in enumerate(np.arange(ny) * (period / 2.0) / ny):
+        z = us * np.exp(1j * np.pi * (system.matrix[:, 0] * y))[None, :]
+        rows = slice(j * nx, (j + 1) * nx)
+        vertices[rows, 0], vertices[rows, 1] = z[:, 0].real, z[:, 0].imag
+        vertices[rows, 2], vertices[rows, 3] = z[:, 1].real, z[:, 1].imag
+    weld = _sign_index_map(signs, nx)
+    faces = []
+    for j in range(ny):
+        for i in range(nx):
+            i2 = (i + 1) % nx
+            a, b = j * nx + i, j * nx + i2
+            if j + 1 < ny:
+                c, d = (j + 1) * nx + i2, (j + 1) * nx + i
+            else:
+                c, d = int(weld[i2]), int(weld[i])
+            faces += [(a, b, c), (a, c, d)]
+    return vertices, np.array(faces, dtype=int)
+
+
+def _reference_topology(faces):
+    """(euler characteristic, closed) from a per-triangle edge walk."""
+    count = {}
+    for tri in faces:
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            i, j = int(tri[a]), int(tri[b])
+            key = (min(i, j), max(i, j))
+            count[key] = count.get(key, 0) + 1
+    used = {int(i) for tri in faces for i in tri}
+    return len(used) - len(count) + len(faces), all(c == 2 for c in count.values())
+
+
+def _reference_obj(path, vertices3, faces):
+    with open(path, "w") as fh:
+        for v in vertices3:
+            fh.write("v %.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
+        for tri in faces:
+            fh.write("f %d %d %d\n" % (tri[0] + 1, tri[1] + 1, tri[2] + 1))
+
+
+def _reference_cloud(path, system, nt, ny):
+    import csv
+
+    from qlag.immersion import _link_parametrization, phi
+    from qlag.torus import torus_box
+
+    point, _ = _link_parametrization(system)
+    box = torus_box(system.exponents)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y", "p11", "p22", "p33", "re_p12", "im_p12",
+                         "re_p13", "im_p13", "re_p23", "im_p23"])
+        for i in range(nt):
+            t = i / nt
+            u = point(t)
+            for j in range(ny):
+                y = (j / ny) * box[0]
+                z = phi(system, u, y)
+                z = z / np.linalg.norm(z)
+                P = np.outer(z, np.conjugate(z))
+                row = [P[0, 0].real, P[1, 1].real, P[2, 2].real,
+                       P[0, 1].real, P[0, 1].imag, P[0, 2].real, P[0, 2].imag,
+                       P[1, 2].real, P[1, 2].imag]
+                writer.writerow(["%.17g" % t, "%.17g" % y[0]] + ["%.17g" % x for x in row])
+
+
+SURFACES = [
+    (ellipse, (), 192, 96),
+    (ellipse, (), 8, 4),
+    (ellipse, (), 64, 33),
+    (ellipse, (2, 3, 5.0), 32, 16),
+]
+
+
+@pytest.mark.parametrize("make, args, nx, ny", SURFACES,
+                         ids=lambda p: getattr(p, "__name__", str(p)))
+def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path):
+    system = make(*args)
+    mesh = build_surface_mesh(system, nx, ny)
+    vertices, faces = _reference_surface(system, nx, ny)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert mesh.faces.dtype == faces.dtype and np.array_equal(mesh.faces, faces)
+    assert (mesh.euler_characteristic(), mesh.is_closed()) == _reference_topology(faces)
+    proj = np.linalg.qr(np.random.default_rng(nx).normal(size=(4, 3)))[0].T
+    v3 = project_vertices(mesh.vertices, proj)
+    write_obj(tmp_path / "new.obj", v3, mesh.faces)
+    _reference_obj(tmp_path / "old.obj", v3, faces)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+@pytest.mark.parametrize("nt, ny", [(64, 64), (12, 10), (7, 5)])
+@pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 3), (2, 3, 1)], ids=str)
+def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path):
+    system = weighted_cone(weights)  # (1, 2, 3) is klein_bottle_cone
+    write_projective_cloud(tmp_path / "new.csv", system, nt, ny)
+    _reference_cloud(tmp_path / "old.csv", system, nt, ny)
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "old.csv").read_bytes()
+    assert data.count(b"\r\n") == 1 + nt * ny
+
+
+def test_projector_coordinates_batch_matches_single_vectors():
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(5, 7, 3)) + 1j * rng.normal(size=(5, 7, 3))
+    batch = projector_coordinates(z)
+    assert batch.shape == (5, 7, 9)
+    for idx in np.ndindex(5, 7):
+        assert np.array_equal(batch[idx], projector_coordinates(z[idx]))
+    # Hermitian rank-one projector: trace 1
+    assert np.max(np.abs(batch[..., :3].sum(-1) - 1.0)) <= 1e-15
+
+
+def test_projective_polyline_matches_single_point_calls():
+    from qlag.immersion import phi
+    from qlag.torus import torus_box
+
+    system = clifford_cone(2)
+    pts, _ = build_projective_polyline(system, 64)
+    (a,), (b,) = system.exponents.rows
+    u = np.array([1.0, np.sqrt(-a / b)])
+    u = u / np.linalg.norm(u)
+    ys = np.arange(64)[:, None] / 64 @ torus_box(system.exponents)[:1]
+    assert np.array_equal(pts, np.array([riemann_sphere(phi(system, u, y)) for y in ys]))
+
+
+# -- edge table and closedness ---------------------------------------------
+
+
+def test_edge_table_keys_and_counts():
+    mesh = SurfaceMesh(np.zeros((4, 4)), np.array([[0, 1, 2], [2, 1, 3]]))
+    keys, counts = mesh.edges()
+    # edges (0,1) (0,2) (1,2) (1,3) (2,3) as i*V + j with V = 4
+    assert keys.tolist() == [1, 2, 6, 7, 11]
+    assert counts.tolist() == [1, 1, 2, 1, 1]
+
+
+def test_mesh_with_a_face_removed_is_open():
+    mesh = build_surface_mesh(ellipse(), 32, 16)
+    holed = SurfaceMesh(mesh.vertices, mesh.faces[1:])
+    assert not holed.is_closed()
+    assert holed.euler_characteristic() == -1
+    assert (holed.euler_characteristic(), holed.is_closed()) == _reference_topology(holed.faces)
+
+
+def test_lone_triangle_is_open():
+    # two vertices no face uses: the Euler characteristic counts used ones
+    mesh = SurfaceMesh(np.zeros((5, 4)), np.array([[0, 1, 2]]))
+    assert not mesh.is_closed()
+    assert mesh.euler_characteristic() == 1
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    half_nx=st.integers(4, 32),
+    ny=st.integers(4, 32),
+    a=st.integers(1, 5),
+    b=st.integers(1, 5),
+)
+def test_surface_mesh_closed_with_zero_euler_characteristic(half_nx, ny, a, b):
+    mesh = build_surface_mesh(ellipse(a, b), 2 * half_nx, ny)
+    assert mesh.is_closed()
+    assert mesh.euler_characteristic() == 0
