@@ -4,8 +4,8 @@ Subcommands:
   analyze             full verification report for an instance config
   verify-cn           complex-space property suite only
   verify-cpn          projective property suite only (cones)
-  scan-intersections  self-intersection scan only
-  classify            quotient topology label only
+  classify            quotient section only: orbits, self-intersection
+                      scan, orientation characters, topology label
   mesh                export OBJ / CSV geometry
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze": "run every configured sweep and print the full report",
         "verify-cn": "verify the complex-space properties",
         "verify-cpn": "verify the projective properties (cones only)",
-        "scan-intersections": "scan sampled images for self-intersections",
-        "classify": "print the quotient topology label",
+        "classify": "print the quotient section: orbits, collision scan, "
+        "characters and topology label",
         "mesh": "export mesh geometry (OBJ surface / polyline, CSV cloud)",
     }
     for name, help_text in commands.items():
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_report(_with_sweeps(config, ("cn",)), args.out)
         if args.command == "verify-cpn":
             return _run_report(_with_sweeps(config, ("cpn",)), args.out)
-        if args.command in ("scan-intersections", "classify"):
+        if args.command == "classify":
             return _run_report(_with_sweeps(config, ("quotient",)), args.out)
         if args.command == "mesh":
             return _run_mesh(config, args.out)

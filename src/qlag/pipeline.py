@@ -431,10 +431,13 @@ def _quotient_section(config: InstanceConfig, system: QuadricSystem) -> dict:
             )
         return values
 
-    try:
-        section["orientation_characters"] = characters()
-    except QlagError as exc:
-        section["orientation_characters"] = {"error": str(exc)}
+    _guard(section, "orientation_characters", characters)
+
+    def topology():
+        label = classify_quotient(system)
+        return {"kind": label.kind, "dim": label.dim, "detail": label.detail}
+
+    _guard(section, "topology", topology)
     return section
 
 
@@ -475,14 +478,7 @@ def run_analyze(config: InstanceConfig) -> dict:
     if "cpn" in config.sweeps:
         report["cpn"] = _cpn_section(config, system)
     if "quotient" in config.sweeps:
-        quotient = _quotient_section(config, system)
-        label = classify_quotient(system)
-        quotient["topology"] = {
-            "kind": label.kind,
-            "dim": label.dim,
-            "detail": label.detail,
-        }
-        report["quotient"] = quotient
+        report["quotient"] = _quotient_section(config, system)
     report["meta"] = {"package": "qlag", "version": __version__, "seed": config.seed}
     return report
 

@@ -23,6 +23,7 @@ from .errors import ApexPoint, ChartFailure, ChartUnavailable
 from .immersion import TWO_PI, _pairings, _scalar, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
 from .quadric import QuadricSystem, newton_project, require_cone, with_unit_sphere
+from .torus import action_table
 
 PHASE_FLOOR = 1e-8
 
@@ -201,17 +202,9 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     return (p[0], out[0]) if u.ndim == 1 else (p, out)
 
 
-def projective_lagrangian_defect(system: QuadricSystem, U, Y=None) -> float:
+def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
     """Largest Fubini-Study symplectic pairing among pushed-forward link
-    frames over matched (N, n) and (N, m) sample arrays U, Y.
-
-    Called without Y, U is an iterable of (u, y) pairs.
-    """
-    if Y is None:
-        pairs = list(U)
-        if not pairs:
-            return 0.0
-        U, Y = map(np.array, zip(*pairs))
+    frames over matched (N, n) and (N, m) sample arrays U, Y."""
     if not len(U):
         return 0.0
     p, frame = link_tangent_frame(system, np.atleast_2d(U), np.atleast_2d(Y))
@@ -242,19 +235,10 @@ def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
     point moves inside its fiber exactly when all pairings share one
     parity.  All-even is the trivial full period, so the useful shifts are
     the coset representatives with every pairing odd (phase i*pi for each
-    coordinate).  Parities are checked exactly.
+    coordinate), read off the exact sign table.
     """
-    from .lattice import pairing_parity
-    from .torus import gamma_float, gamma_group
-
-    shifts = []
-    for gamma in gamma_group(system.exponents).nonzero():
-        parities = [pairing_parity(gamma, row) for row in system.exponents.rows]
-        if all(p == 1 for p in parities):
-            shifts.append(gamma_float(gamma))
-    if not shifts:
-        return np.zeros((0, system.codim))
-    return np.array(shifts)
+    signs, shifts = action_table(system.exponents)
+    return shifts[1:][np.all(signs[1:] < 0, axis=1)]
 
 
 def projective_angle_fiber_defect(system: QuadricSystem, y):

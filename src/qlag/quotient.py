@@ -10,15 +10,15 @@ embeddedness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CrossCheckFailed, NonFreeWitness
 from .immersion import phi, sample_torus_angles
-from .lattice import pairing_parity
 from .quadric import QuadricSystem, sample_points, sample_stratum_points
-from .torus import gamma_float, gamma_group, gamma_signs, torus_distance
+from .torus import action_table, gamma_float, gamma_group, gamma_signs, torus_distance
 
 
 def apply_gamma(system: QuadricSystem, gamma, u, y) -> tuple[np.ndarray, np.ndarray]:
@@ -29,15 +29,6 @@ def apply_gamma(system: QuadricSystem, gamma, u, y) -> tuple[np.ndarray, np.ndar
     """
     signs = gamma_signs(system.exponents, gamma)
     return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + gamma_float(gamma)
-
-
-def _action_table(system: QuadricSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Signs (|G|, n) and translations (|G|, m) of every group element, in
-    group order: |G| exact parity evaluations, made once per call."""
-    group = gamma_group(system.exponents)
-    signs = np.array([gamma_signs(system.exponents, g) for g in group])
-    shifts = np.array([gamma_float(g) for g in group])
-    return signs, shifts
 
 
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -58,7 +49,7 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
     U, Y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     single = U.ndim == 1
     U, Y = np.atleast_2d(U), np.atleast_2d(Y)
-    signs, shifts = _action_table(system)
+    signs, shifts = action_table(system.exponents)
     size = len(signs)
     TU = signs[:, None] * U  # (|G|, N, n)
     TY = Y + shifts[:, None]  # (|G|, N, m)
@@ -91,40 +82,37 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
 
 
 def orbit_distinctness(system: QuadricSystem, samples, tol: float = 1e-9) -> int:
-    """Run the orbit check over samples; returns the orbit size.
-
-    samples is a (U, Y) tuple of (N, n) and (N, m) arrays or an iterable of
-    (u, y) pairs; either way one batched orbit call checks them all.
-    """
+    """Run the orbit check over samples, a (U, Y) tuple of (N, n) and (N, m)
+    arrays, in one batched orbit call; returns the orbit size."""
     size = len(gamma_group(system.exponents))
-    if isinstance(samples, tuple) and len(samples) == 2 and all(
-        isinstance(a, np.ndarray) for a in samples
-    ):
-        U, Y = samples
-    else:
-        pairs = list(samples)
-        if not pairs:
-            return size
-        U, Y = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    U, Y = samples
+    if not len(U):
+        return size
     pts = orbit(system, U, Y, tol=tol)
     if len(pts) != size:
         raise NonFreeWitness(f"orbit size {len(pts)} != {size}")
     return size
 
 
-def _same_orbit(exponents, table, p, q, tol: float) -> bool:
-    """Whether q is within tol of some translate of p under the action table."""
-    signs, shifts = table
-    up, yp = np.asarray(p[0], float), np.asarray(p[1], float)
-    uq, yq = np.asarray(q[0], float), np.asarray(q[1], float)
-    du = np.max(np.abs(signs * up - uq), axis=-1)
-    dy = torus_distance(exponents, yp + shifts - yq)
-    return bool(np.any((du <= tol) & (dy <= tol)))
+def same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> np.ndarray:
+    """Whether each q = (u, y) lies within tol of some translate of the
+    matching p; p and q are (P, n) and (P, m) batches, one bool per row.
+
+    One group element at a time, so the temporaries stay (P, n) and (P, m).
+    """
+    Up, Yp = (np.atleast_2d(np.asarray(a, dtype=float)) for a in p)
+    Uq, Yq = (np.atleast_2d(np.asarray(a, dtype=float)) for a in q)
+    signs, shifts = action_table(system.exponents)
+    hit = np.zeros(len(Up), dtype=bool)
+    for sign, shift in zip(signs, shifts):
+        du = np.max(np.abs(sign * Up - Uq), axis=-1)
+        hit |= (du <= tol) & (torus_distance(system.exponents, Yp + shift - Yq) <= tol)
+    return hit
 
 
 def in_same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> bool:
     """Whether parameter points p = (u, y) and q are group translates."""
-    return _same_orbit(system.exponents, _action_table(system), p, q, tol)
+    return bool(same_orbit(system, p, q, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +178,40 @@ def scan_samples(
     return U, Y
 
 
+def close_pairs(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Index pairs i < j of rows of a (N, d) array at Chebyshev distance
+    below tol, in lexicographic order, with their distances.
+
+    Candidates share a cell of side 3 tol on the leading k = min(d, 3)
+    coordinates in one of 2^k grids, each shifted by 0 or 1.5 tol per axis.
+    On one axis the two grids' boundaries alternate 1.5 tol apart, so an
+    interval shorter than 1.5 tol crosses at most one of them: every pair
+    within tol shares a cell in some grid, with tol / 2 to spare for
+    rounding.
+    """
+    N = len(points)
+    if N < 2 or not tol > 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    lead = points[:, :3] / (3.0 * tol)
+    keys = []
+    for shift in itertools.product((0.0, 0.5), repeat=lead.shape[1]):
+        _, cell = np.unique(np.floor(lead - shift), axis=0, return_inverse=True)
+        cell = cell.ravel()  # its shape has changed between numpy releases
+        order = np.argsort(cell, kind="stable")
+        sizes = np.bincount(cell)
+        # sorted position p pairs with every later position of its cell
+        later = np.cumsum(sizes)[cell[order]] - np.arange(N) - 1
+        first = np.repeat(np.arange(N), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        keys.append(order[first] * N + order[second])
+    i, j = np.divmod(np.unique(np.concatenate(keys)), N)
+    dist = np.zeros(len(i))
+    for column in points.T:  # (C,) temporaries, not (C, d)
+        np.maximum(dist, np.abs(column[i] - column[j]), out=dist)
+    near = dist < tol
+    return i[near], j[near], dist[near]
+
+
 def scan_self_intersections(
     system: QuadricSystem,
     U: np.ndarray,
@@ -200,43 +222,18 @@ def scan_self_intersections(
     """All sample pairs with nearly equal images that are not group
     translates of each other, in lexicographic index order.
 
-    Candidate pairs come from a spatial hash on the leading image
-    coordinates with cell size tol; every reported pair is a genuine
-    self-intersection witness and must sit near a coordinate stratum
-    (some |u_j| < sqrt(tol)).
+    Candidate pairs come from close_pairs on the real and imaginary image
+    coordinates; every reported pair is a genuine self-intersection witness
+    and must sit near a coordinate stratum (some |u_j| < sqrt(tol)).
     """
     orbit_tol = np.sqrt(tol) if orbit_tol is None else orbit_tol
-    table = _action_table(system)
     images = phi(system, U, Y)
-    flat = np.column_stack([images.real, images.imag])
-    hash_dims = min(3, flat.shape[1])
-    cells: dict[tuple[int, ...], list[int]] = {}
-    keys = np.floor(flat[:, :hash_dims] / tol).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-
-    import itertools
-
-    offsets = list(itertools.product((-1, 0, 1), repeat=hash_dims))
-    pairs: list[CollisionPair] = []
-    seen: set[tuple[int, int]] = set()
-    for key, members in cells.items():
-        candidates: list[int] = []
-        for off in offsets:
-            candidates.extend(cells.get(tuple(k + o for k, o in zip(key, off)), ()))
-        for i in members:
-            for j in candidates:
-                if j <= i or (i, j) in seen:
-                    continue
-                dist = float(np.max(np.abs(flat[i] - flat[j])))
-                if dist >= tol:
-                    continue
-                seen.add((i, j))
-                if _same_orbit(system.exponents, table, (U[i], Y[i]), (U[j], Y[j]), orbit_tol):
-                    continue
-                min_u = float(min(np.min(np.abs(U[i])), np.min(np.abs(U[j]))))
-                pairs.append(CollisionPair(i, j, dist, min_u))
-    pairs.sort(key=lambda p: (p.index_a, p.index_b))
+    i, j, dist = close_pairs(np.column_stack([images.real, images.imag]), tol)
+    strangers = ~same_orbit(system, (U[i], Y[i]), (U[j], Y[j]), orbit_tol)
+    i, j, dist = i[strangers], j[strangers], dist[strangers]
+    abs_u = np.abs(U)
+    min_u = np.minimum(abs_u[i].min(axis=1), abs_u[j].min(axis=1))
+    pairs = map(CollisionPair, i.tolist(), j.tolist(), dist.tolist(), min_u.tolist())
     return CollisionReport(tuple(pairs), len(U), tol)
 
 
@@ -334,19 +331,12 @@ def orientation_character(system: QuadricSystem, gamma) -> int | None:
     multiply the characters of their 0-sphere factors, which is again the
     full product.  Returns None (unsupported) outside these families.
     """
-    rows = system.exponents.rows
     if _single_equation_positive(system) or _is_diagonal_torus(system):
-        indices = range(system.n)
-    else:
-        axis = _sphere_cone_axis(system)
-        if axis is None:
-            return None
-        indices = [i for i in range(system.n) if i != axis]
-    sign = 1
-    for i in indices:
-        if pairing_parity(gamma, rows[i]) == 1:
-            sign = -sign
-    return sign
+        return int(np.prod(gamma_signs(system.exponents, gamma)))
+    axis = _sphere_cone_axis(system)
+    if axis is None:
+        return None
+    return int(np.prod(np.delete(gamma_signs(system.exponents, gamma), axis)))
 
 
 def classify_quotient(system: QuadricSystem) -> TopologyLabel:
@@ -365,15 +355,14 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
     Everything else is Unknown.
     """
     n = system.n
-    group = gamma_group(system.exponents)
+    signs, _ = action_table(system.exponents)  # row 0 is the identity
 
     if _is_diagonal_torus(system):
         return TopologyLabel("Torus", n, "T^%d" % n)
 
     if _single_equation_positive(system):
-        gamma = group.nonzero()[0]
-        char = orientation_character(system, gamma)
-        if char == 1:
+        # the orientation character of the nonzero class
+        if np.prod(signs[1]) > 0:
             return TopologyLabel("SphereTimesCircle", n, f"S^{n-1} x S^1")
         return TopologyLabel("KleinBottle", n, f"K^{n}")
 
@@ -382,34 +371,21 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
 
     axis = _sphere_cone_axis(system)
     if axis is not None:
-        # the residual involution acts within a component: any nonzero
-        # class whose parity on the gluing axis row is even
-        residual = None
-        for gamma in group.nonzero():
-            if pairing_parity(gamma, system.exponents.rows[axis]) == 0:
-                residual = gamma
-                break
-        if residual is not None:
-            char = orientation_character(system, residual)
-            if char == 1:
-                return TopologyLabel(
-                    "SphereTimesTorus", n, f"S^{n-2} x S^1 x S^1"
-                )
-            return TopologyLabel("KleinTimesCircle", n, f"K^{n-1} x S^1")
-        return UNKNOWN
+        # the residual involution acts within a component: the first nonzero
+        # class that keeps the sign of the gluing axis
+        residual = 1 + np.flatnonzero(signs[1:, axis] > 0)
+        if not len(residual):
+            return UNKNOWN
+        if np.prod(np.delete(signs[residual[0]], axis)) > 0:
+            return TopologyLabel("SphereTimesTorus", n, f"S^{n-2} x S^1 x S^1")
+        return TopologyLabel("KleinTimesCircle", n, f"K^{n-1} x S^1")
 
     cone_axis = _cone_signature(system)
     if cone_axis is not None:
         # projective quotient of the link sphere: normalize the sign map to
         # fix the cone axis, then take the degree on the link sphere
-        gamma = group.nonzero()[0]
-        signs = gamma_signs(system.exponents, gamma)
-        normalized = signs * signs[cone_axis]
-        char = 1
-        for i in range(n):
-            if i != cone_axis and normalized[i] < 0:
-                char = -char
-        if char == 1:
+        normalized = signs[1] * signs[1, cone_axis]
+        if np.prod(np.delete(normalized, cone_axis)) > 0:
             return TopologyLabel(
                 "SphereTimesCircle", n - 1, f"S^{n-2} x S^1 (projective)"
             )

@@ -2,8 +2,8 @@
 
 The torus factor of the construction is R^m modulo twice the dual lattice;
 this module caches the exact lattice bases per exponent matrix and exposes
-float-valued period boxes, reductions and the exact sign vectors of the
-coset action.
+float-valued period boxes, reductions, the exact sign vectors of the
+coset action and the cached sign/translation table of the whole group.
 """
 
 from __future__ import annotations
@@ -123,3 +123,16 @@ def gamma_signs(exponents: ExponentMatrix, gamma: Sequence) -> np.ndarray:
 
 def gamma_float(gamma: Sequence) -> np.ndarray:
     return np.array([float(g) for g in gamma])
+
+
+@lru_cache(maxsize=None)
+def action_table(exponents: ExponentMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Signs (|G|, n) and translations (|G|, m) of every element of the coset
+    group, in group order (the identity first); computed once per exponent
+    matrix, read-only because every caller shares them."""
+    group = gamma_group(exponents)
+    signs = np.array([gamma_signs(exponents, g) for g in group])
+    shifts = np.array([gamma_float(g) for g in group])
+    signs.setflags(write=False)
+    shifts.setflags(write=False)
+    return signs, shifts

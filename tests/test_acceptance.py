@@ -113,7 +113,7 @@ def test_criterion_2_freeness():
         result = verify_free_action(system.exponents, group)
         witnesses_ok = result.free and all(w is not None for _, w in result.witnesses)
         U, Y = sample_immersion(system, 1000, seed=20)
-        size = orbit_distinctness(system, zip(U, Y), tol=1e-9)
+        size = orbit_distinctness(system, (U, Y), tol=1e-9)
         ok &= witnesses_ok and size == len(group)
     assert _verdict("2 free action + orbit distinctness (1000 samples/fixture)", ok)
 

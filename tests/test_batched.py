@@ -58,7 +58,6 @@ def test_batched_frames_equal_single_point_calls(name):
         per_row = max(projective_lagrangian_defect(system, u[None], y[None])
                       for u, y in zip(U, Y))
         assert projective_lagrangian_defect(system, U, Y) == per_row
-        assert projective_lagrangian_defect(system, zip(U, Y)) == per_row
         p, frames = link_tangent_frame(system, U, Y)
         for i, (u, y) in enumerate(zip(U, Y)):
             p1, frame1 = link_tangent_frame(system, u, y)

@@ -103,7 +103,7 @@ def test_classify_subcommand(tmp_path, capsys):
 
 def test_scan_subcommand_reports_collisions(tmp_path, capsys):
     cfg = _write(tmp_path, dict(ELLIPSE, samples=200))
-    assert main(["scan-intersections", cfg]) == 0
+    assert main(["classify", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
     section = report["quotient"]["self_intersections"]
     assert section["pairs"] > 0

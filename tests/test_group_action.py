@@ -1,4 +1,4 @@
-"""The batched group action: one sign/translation table per call, orbits and
+"""The batched group action: one cached sign/translation table, orbits and
 distinctness over (|G|, N) arrays, and the nearest-period torus distance."""
 
 import itertools
@@ -25,10 +25,18 @@ from qlag.quotient import (
     in_same_orbit,
     orbit,
     orbit_distinctness,
+    same_orbit,
     scan_samples,
     scan_self_intersections,
 )
-from qlag.torus import gamma_group, torus_box, torus_distance
+from qlag.torus import (
+    action_table,
+    gamma_float,
+    gamma_group,
+    gamma_signs,
+    torus_box,
+    torus_distance,
+)
 
 ORBIT_SYSTEMS = [ellipse, lambda: sphere_cone(3), lambda: clifford_cone(5)]
 
@@ -102,13 +110,23 @@ def test_single_orbit_equals_apply_gamma(make):
             assert np.array_equal(gu, au) and np.array_equal(gy, ay)
 
 
-def test_orbit_distinctness_accepts_arrays_and_pairs():
+def test_orbit_distinctness_takes_arrays_and_empty_batches():
     system = ellipsoid_cone()
     U, Y = sample_immersion(system, 40, seed=2)
     assert orbit_distinctness(system, (U, Y)) == 4
-    assert orbit_distinctness(system, zip(U, Y)) == 4
-    assert orbit_distinctness(system, list(zip(U, Y))) == 4
-    assert orbit_distinctness(system, []) == 4
+    assert orbit_distinctness(system, (U[:0], Y[:0])) == 4
+
+
+def _fake_table(system, group, signs=gamma_signs):
+    """An action table built from a fake group and sign function."""
+    return (
+        np.array([signs(system.exponents, g) for g in group]),
+        np.array([gamma_float(g) for g in group]),
+    )
+
+
+def _negated(exponents, gamma):
+    return -gamma_signs(exponents, gamma)
 
 
 def _per_sample_error(system, U, Y, tol=1e-9):
@@ -125,7 +143,7 @@ def test_duplicate_representative_names_the_first_sample_and_pair():
     system = ellipse()
     U, Y = sample_immersion(system, 20, seed=1)
     fake = GammaGroup(((F(1),), (F(0),), (F(1),)), LatticeBasis([[1]]))
-    with mock.patch("qlag.quotient.gamma_group", return_value=fake):
+    with mock.patch("qlag.quotient.action_table", return_value=_fake_table(system, fake)):
         expected = _per_sample_error(system, U, Y)
         assert expected == (NonFreeWitness, "orbit points 0 and 2 coincide within 1e-09")
         with pytest.raises(NonFreeWitness) as exc:
@@ -136,10 +154,8 @@ def test_duplicate_representative_names_the_first_sample_and_pair():
 def test_negated_sign_table_raises_the_per_sample_message():
     system = sphere_cone(3)
     U, Y = sample_immersion(system, 20, seed=1)
-    exact = qlag.quotient.gamma_signs
-    with mock.patch(
-        "qlag.quotient.gamma_signs", lambda exponents, gamma: -exact(exponents, gamma)
-    ):
+    table = _fake_table(system, gamma_group(system.exponents), _negated)
+    with mock.patch("qlag.quotient.action_table", return_value=table):
         expected = _per_sample_error(system, U, Y)
         assert expected == (CrossCheckFailed, "orbit point 0 leaves the immersion image")
         with pytest.raises(CrossCheckFailed) as exc:
@@ -150,14 +166,12 @@ def test_negated_sign_table_raises_the_per_sample_message():
 def test_errors_follow_the_order_of_the_per_sample_loop():
     system = ellipse()
     U, Y = sample_immersion(system, 6, seed=6)
-    exact = qlag.quotient.gamma_signs
     duplicate = GammaGroup(((F(0),), (F(1),), (F(1),)), LatticeBasis([[1]]))
     # u = 0 keeps every image, so sample 0 fails only at pair (1, 2), while
     # every later sample fails earlier in its own loop, at image 0
     U0, Y0 = np.vstack([np.zeros((1, 2)), U]), np.vstack([Y[:1], Y])
-    with mock.patch("qlag.quotient.gamma_group", return_value=duplicate), mock.patch(
-        "qlag.quotient.gamma_signs", lambda exponents, gamma: -exact(exponents, gamma)
-    ):
+    table = _fake_table(system, duplicate, _negated)
+    with mock.patch("qlag.quotient.action_table", return_value=table):
         for batch, message in [
             ((U0, Y0), "orbit points 1 and 2 coincide within 1e-09"),
             ((U0[1:], Y0[1:]), "orbit point 0 leaves the immersion image"),
@@ -172,11 +186,11 @@ def test_errors_follow_the_order_of_the_per_sample_loop():
     tail = GammaGroup(((F(0),), (F(0),), (F(1),)), LatticeBasis([[1]]))
 
     def flip_last(exponents, gamma):
-        return -exact(exponents, gamma) if gamma == (F(1),) else exact(exponents, gamma)
+        signs = gamma_signs(exponents, gamma)
+        return -signs if gamma == (F(1),) else signs
 
-    with mock.patch("qlag.quotient.gamma_group", return_value=tail), mock.patch(
-        "qlag.quotient.gamma_signs", flip_last
-    ):
+    table = _fake_table(system, tail, flip_last)
+    with mock.patch("qlag.quotient.action_table", return_value=table):
         message = "orbit points 0 and 1 coincide within 1e-09"
         assert _per_sample_error(system, U, Y) == (NonFreeWitness, message)
         with pytest.raises(NonFreeWitness) as exc:
@@ -189,7 +203,7 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
     counts = {}
     for n in (10, 50):
         U, Y = sample_immersion(system, n, seed=3)
-        seen = {"gamma_signs": 0, "phi": 0}
+        seen = {"action_table": 0, "phi": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -198,12 +212,12 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
             return wrapper
 
         with mock.patch(
-            "qlag.quotient.gamma_signs", counted("gamma_signs", qlag.quotient.gamma_signs)
+            "qlag.quotient.action_table", counted("action_table", qlag.quotient.action_table)
         ), mock.patch("qlag.quotient.phi", counted("phi", qlag.quotient.phi)):
             assert orbit_distinctness(system, (U, Y)) == 16
         counts[n] = seen
     assert counts[10] == counts[50]
-    assert counts[10]["gamma_signs"] == 16
+    assert counts[10]["action_table"] == 1
 
 
 # -- collision scan -----------------------------------------------------------------
@@ -242,3 +256,26 @@ def test_scan_images_equal_the_per_sample_immersion():
     assert np.array_equal(images, single)
     report = scan_self_intersections(system, U, Y)
     assert len(report) > 0
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS)
+def test_action_table_is_cached_and_read_only(make):
+    system = make()
+    signs, shifts = action_table(system.exponents)
+    assert action_table(make().exponents)[0] is signs
+    assert not signs.flags.writeable and not shifts.flags.writeable
+    group = gamma_group(system.exponents)
+    assert np.array_equal(signs, [gamma_signs(system.exponents, g) for g in group])
+    assert np.array_equal(shifts, [gamma_float(g) for g in group])
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS)
+def test_batched_same_orbit_equals_single_calls(make):
+    system = make()
+    U, Y = sample_immersion(system, 24, seed=5)
+    TU, TY = orbit(system, U, Y)[-1]
+    odd = (np.arange(24) % 2 == 1)[:, None]  # odd rows: a translate of another sample
+    V, Z = np.where(odd, np.roll(TU, 1, axis=0), TU), np.where(odd, np.roll(TY, 1, axis=0), TY)
+    batched = same_orbit(system, (U, Y), (V, Z))
+    assert batched.dtype == bool and batched.any() and not batched.all()
+    assert batched.tolist() == [in_same_orbit(system, p, q) for p, q in zip(zip(U, Y), zip(V, Z))]

@@ -159,19 +159,19 @@ def test_submersion_zero_frame():
 def test_projective_defect_balanced_cone():
     cone = klein_bottle_cone()
     U, Y = sample_immersion(cone, 200, seed=11, u_floor=0.05)
-    assert projective_lagrangian_defect(cone, zip(U, Y)) <= 1e-8
+    assert projective_lagrangian_defect(cone, U, Y) <= 1e-8
 
 
 def test_projective_defect_weighted_cone():
     cone = weighted_cone([1, 1, 2])
     U, Y = sample_immersion(cone, 150, seed=12, u_floor=0.05)
-    assert projective_lagrangian_defect(cone, zip(U, Y)) <= 1e-8
+    assert projective_lagrangian_defect(cone, U, Y) <= 1e-8
 
 
 def test_projective_defect_trivial_in_cp1():
     cone = clifford_cone(2)
     U, Y = sample_immersion(cone, 20, seed=13)
-    assert projective_lagrangian_defect(cone, zip(U, Y)) <= 1e-12
+    assert projective_lagrangian_defect(cone, U, Y) <= 1e-12
 
 
 def test_link_frames_are_horizontal():

@@ -98,8 +98,14 @@ def test_orbit_nonfree_detection():
     from fractions import Fraction as F
     from unittest import mock
 
+    from qlag.torus import gamma_float, gamma_signs
+
     fake = GammaGroup(((F(0),), (F(0),)), LatticeBasis([[1]]))
-    with mock.patch("qlag.quotient.gamma_group", return_value=fake):
+    table = (
+        np.array([gamma_signs(sys1.exponents, g) for g in fake]),
+        np.array([gamma_float(g) for g in fake]),
+    )
+    with mock.patch("qlag.quotient.action_table", return_value=table):
         with pytest.raises(NonFreeWitness):
             orbit(sys1, [0.8, 0.4], [0.1])
 
@@ -107,7 +113,7 @@ def test_orbit_nonfree_detection():
 def test_orbit_distinctness_sweep():
     sys4 = ellipsoid_cone()
     U, Y = sample_immersion(sys4, 50, seed=2)
-    assert orbit_distinctness(sys4, zip(U, Y)) == 4
+    assert orbit_distinctness(sys4, (U, Y)) == 4
 
 
 def test_in_same_orbit_detects_translates_and_rejects_strangers():

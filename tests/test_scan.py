@@ -1,0 +1,242 @@
+"""The array collision scan and the table-driven sign reads against the
+per-pair and per-parity loops they replace, kept here as references."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qlag import catalog
+from qlag.immersion import phi
+from qlag.lattice import pairing_parity
+from qlag.projective import fiber_phase_shifts
+from qlag.quotient import (
+    UNKNOWN,
+    CollisionPair,
+    CollisionReport,
+    TopologyLabel,
+    _cone_signature,
+    _is_diagonal_torus,
+    _single_equation_positive,
+    _sphere_cone_axis,
+    classify_quotient,
+    close_pairs,
+    orientation_character,
+    scan_samples,
+    scan_self_intersections,
+)
+from qlag.torus import gamma_float, gamma_group, gamma_signs, torus_distance
+
+CATALOG = {
+    "ellipse": catalog.ellipse,
+    "ellipse(1,1)": lambda: catalog.ellipse(1, 1),
+    "ellipsoid([1,2,3])": lambda: catalog.ellipsoid([1, 2, 3]),
+    "ellipsoid([1,1,1,1])": lambda: catalog.ellipsoid([1, 1, 1, 1]),
+    "sphere_cone(3)": lambda: catalog.sphere_cone(3),
+    "sphere_cone(4)": lambda: catalog.sphere_cone(4),
+    "ellipsoid_cone": catalog.ellipsoid_cone,
+    "klein_bottle_cone": catalog.klein_bottle_cone,
+    "weighted_cone([1,1,2])": lambda: catalog.weighted_cone([1, 1, 2]),
+    "weighted_cone([1,2,3])": lambda: catalog.weighted_cone([1, 2, 3]),
+    "clifford_cone(2)": lambda: catalog.clifford_cone(2),
+    "clifford_cone(3)": lambda: catalog.clifford_cone(3),
+    "clifford_cone(5)": lambda: catalog.clifford_cone(5),
+    "circle": catalog.circle,
+    "product_torus([1,2])": lambda: catalog.product_torus([1, 2]),
+}
+
+
+# -- references: the loops the table and the array scan replace -------------------
+
+
+def _reference_same_orbit(exponents, signs, shifts, p, q, tol):
+    du = np.max(np.abs(signs * p[0] - q[0]), axis=-1)
+    dy = torus_distance(exponents, p[1] + shifts - q[1])
+    return bool(np.any((du <= tol) & (dy <= tol)))
+
+
+def _reference_scan(system, U, Y, tol):
+    """Hash cells of side tol, their 3^d neighbours, one pair at a time."""
+    orbit_tol = np.sqrt(tol)
+    group = gamma_group(system.exponents)
+    signs = np.array([gamma_signs(system.exponents, g) for g in group])
+    shifts = np.array([gamma_float(g) for g in group])
+    images = phi(system, U, Y)
+    flat = np.column_stack([images.real, images.imag])
+    hash_dims = min(3, flat.shape[1])
+    cells = {}
+    keys = np.floor(flat[:, :hash_dims] / tol).astype(np.int64)
+    for i, key in enumerate(map(tuple, keys)):
+        cells.setdefault(key, []).append(i)
+    offsets = list(itertools.product((-1, 0, 1), repeat=hash_dims))
+    pairs, seen = [], set()
+    for key, members in cells.items():
+        candidates = []
+        for off in offsets:
+            candidates.extend(cells.get(tuple(k + o for k, o in zip(key, off)), ()))
+        for i in members:
+            for j in candidates:
+                if j <= i or (i, j) in seen:
+                    continue
+                dist = float(np.max(np.abs(flat[i] - flat[j])))
+                if dist >= tol:
+                    continue
+                seen.add((i, j))
+                p, q = (U[i], Y[i]), (U[j], Y[j])
+                if _reference_same_orbit(system.exponents, signs, shifts, p, q, orbit_tol):
+                    continue
+                min_u = float(min(np.min(np.abs(U[i])), np.min(np.abs(U[j]))))
+                pairs.append(CollisionPair(i, j, dist, min_u))
+    pairs.sort(key=lambda p: (p.index_a, p.index_b))
+    return CollisionReport(tuple(pairs), len(U), tol)
+
+
+def _reference_fiber_shifts(system):
+    shifts = []
+    for gamma in gamma_group(system.exponents).nonzero():
+        parities = [pairing_parity(gamma, row) for row in system.exponents.rows]
+        if all(p == 1 for p in parities):
+            shifts.append(gamma_float(gamma))
+    if not shifts:
+        return np.zeros((0, system.codim))
+    return np.array(shifts)
+
+
+def _parity_degree(system, gamma, indices):
+    sign = 1
+    for i in indices:
+        if pairing_parity(gamma, system.exponents.rows[i]) == 1:
+            sign = -sign
+    return sign
+
+
+def _reference_character(system, gamma):
+    if _single_equation_positive(system) or _is_diagonal_torus(system):
+        return _parity_degree(system, gamma, range(system.n))
+    axis = _sphere_cone_axis(system)
+    if axis is None:
+        return None
+    return _parity_degree(system, gamma, [i for i in range(system.n) if i != axis])
+
+
+def _reference_classify(system):
+    n = system.n
+    group = gamma_group(system.exponents)
+    if _is_diagonal_torus(system):
+        return TopologyLabel("Torus", n, "T^%d" % n)
+    if _single_equation_positive(system):
+        if _reference_character(system, group.nonzero()[0]) == 1:
+            return TopologyLabel("SphereTimesCircle", n, f"S^{n-1} x S^1")
+        return TopologyLabel("KleinBottle", n, f"K^{n}")
+    if system.is_cone() and system.k == 1:
+        return TopologyLabel("Torus", n - 1, f"T^{n-1} (projective)")
+    axis = _sphere_cone_axis(system)
+    if axis is not None:
+        for gamma in group.nonzero():
+            if pairing_parity(gamma, system.exponents.rows[axis]) == 0:
+                if _reference_character(system, gamma) == 1:
+                    return TopologyLabel("SphereTimesTorus", n, f"S^{n-2} x S^1 x S^1")
+                return TopologyLabel("KleinTimesCircle", n, f"K^{n-1} x S^1")
+        return UNKNOWN
+    cone_axis = _cone_signature(system)
+    if cone_axis is not None:
+        signs = gamma_signs(system.exponents, group.nonzero()[0])
+        normalized = signs * signs[cone_axis]
+        char = 1
+        for i in range(n):
+            if i != cone_axis and normalized[i] < 0:
+                char = -char
+        if char == 1:
+            return TopologyLabel("SphereTimesCircle", n - 1, f"S^{n-2} x S^1 (projective)")
+        return TopologyLabel("KleinBottle", n - 1, f"K^{n-1} (projective)")
+    return UNKNOWN
+
+
+# -- comparisons on the catalog -----------------------------------------------------
+
+
+# (sample count, seed) per tolerance: the reference takes seconds on the
+# thousands of near-apex pairs the cones report at 1e-6
+SCAN_SETS = {1e-8: [(384, 0), (600, 27)], 1e-6: [(384, 27)]}
+# instances whose scans report pairs, so the comparison covers them
+NONEMPTY = {(1e-8, "ellipse"), (1e-6, "ellipse"), (1e-6, "klein_bottle_cone"),
+            (1e-6, "clifford_cone(5)")}
+
+
+@pytest.mark.parametrize("tol", sorted(SCAN_SETS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_scan_equals_the_reference_scan(name, tol):
+    system = CATALOG[name]()
+    for count, seed in SCAN_SETS[tol]:
+        U, Y = scan_samples(system, count, seed=seed)
+        report = scan_self_intersections(system, U, Y, tol=tol)
+        assert report == _reference_scan(system, U, Y, tol)
+        assert len(report) > 0 or (tol, name) not in NONEMPTY
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_sign_reads_equal_the_parity_loops(name):
+    system = CATALOG[name]()
+    assert classify_quotient(system) == _reference_classify(system)
+    for gamma in gamma_group(system.exponents):
+        char = orientation_character(system, gamma)
+        assert char == _reference_character(system, gamma)
+        assert char is None or type(char) is int
+    if system.is_cone():
+        shifts = fiber_phase_shifts(system)
+        expected = _reference_fiber_shifts(system)
+        assert shifts.shape == expected.shape and np.array_equal(shifts, expected)
+
+
+def test_scan_with_zero_tolerance_reports_nothing():
+    system = catalog.ellipse()
+    U, Y = scan_samples(system, 200, seed=3)
+    assert len(scan_self_intersections(system, U, Y, tol=0.0)) == 0
+
+
+# -- the candidate search against brute force -----------------------------------------
+
+
+def _brute_force_pairs(points, tol):
+    N = len(points)
+    i, j = np.triu_indices(N, 1)
+    near = np.max(np.abs(points[i] - points[j]), axis=1) < tol
+    return i[near], j[near]
+
+
+@st.composite
+def clustered_clouds(draw):
+    dim = draw(st.integers(1, 6))
+    tol = draw(st.sampled_from([1e-8, 1e-5, 0.01, 0.37]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 6)), dim))
+    spread = draw(st.sampled_from([0.5, 2.0, 6.0])) * tol
+    cloud = centers[rng.integers(len(centers), size=draw(st.integers(0, 60)))]
+    cloud = cloud + rng.uniform(-spread, spread, size=cloud.shape)
+    # pairs at tol * (1 - 2^-k) along one axis, the first point on a cell
+    # boundary of either grid or just below it
+    straddle = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(1, 40))
+        axis = draw(st.integers(0, dim - 1))
+        base = rng.uniform(-2.0, 2.0, size=dim)
+        cell = np.floor(base[axis] / (3 * tol))
+        base[axis] = (cell + draw(st.sampled_from([0.0, 0.5]))) * 3 * tol
+        base[axis] -= draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) * tol
+        partner = base.copy()
+        partner[axis] += tol * (1 - 2.0**-k)
+        straddle += [base, partner]
+    points = np.vstack([cloud, np.reshape(straddle, (-1, dim))])
+    return rng.permutation(points), tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(clustered_clouds())
+def test_close_pairs_equal_the_brute_force_search(cloud):
+    points, tol = cloud
+    i, j, dist = close_pairs(points, tol)
+    bi, bj = _brute_force_pairs(points, tol)
+    assert np.array_equal(i, bi) and np.array_equal(j, bj)
+    assert np.array_equal(dist, np.max(np.abs(points[i] - points[j]), axis=1))

@@ -4,10 +4,11 @@ report instead of an exception that aborts analyze."""
 import pytest
 
 import qlag.immersion
+import qlag.pipeline
 import qlag.quotient
 from qlag.catalog import ellipse
 from qlag.errors import CrossCheckFailed
-from qlag.pipeline import InstanceConfig, run_analyze
+from qlag.pipeline import InstanceConfig, report_passed, run_analyze
 
 ELLIPSE = {
     "n": 2,
@@ -35,10 +36,8 @@ def test_frame_gram_mismatch_is_recorded(monkeypatch):
 
 
 def test_orbit_leaving_the_image_is_recorded(monkeypatch):
-    exact = qlag.quotient.gamma_signs
-    monkeypatch.setattr(
-        qlag.quotient, "gamma_signs", lambda exponents, gamma: -exact(exponents, gamma)
-    )
+    signs, shifts = qlag.quotient.action_table(ellipse().exponents)
+    monkeypatch.setattr(qlag.quotient, "action_table", lambda exponents: (-signs, shifts))
     report = run_analyze(
         InstanceConfig.from_dict(dict(ELLIPSE, sweeps={"quotient": True}))
     )
@@ -46,3 +45,22 @@ def test_orbit_leaving_the_image_is_recorded(monkeypatch):
     assert entry["pass"] is False
     assert entry["error"].startswith("CrossCheckFailed")
     assert "topology" in report["quotient"]
+
+
+def _fail(*args, **kwargs):
+    raise CrossCheckFailed("injected")
+
+
+@pytest.mark.parametrize(
+    "patched, key",
+    [("orientation_character", "orientation_characters"), ("classify_quotient", "topology")],
+)
+def test_failing_quotient_entry_is_recorded(monkeypatch, patched, key):
+    monkeypatch.setattr(qlag.pipeline, patched, _fail)
+    report = run_analyze(
+        InstanceConfig.from_dict(dict(ELLIPSE, sweeps={"quotient": True}))
+    )
+    entry = report["quotient"][key]
+    assert entry == {"error": "CrossCheckFailed: injected", "pass": False}
+    assert report["quotient"]["self_intersections"]["pass"] is True
+    assert not report_passed(report)
