@@ -6,9 +6,12 @@ A quadric system in R^n plus its twisted torus factor gives the map
 
 whose quotient by the coset group immerses into C^n.  This module builds
 tangent frames, checks the symplectic pullback, evaluates the Lagrangian
-angle and the two independent mean-curvature routes, discretizes the
-angle's Laplace-Beltrami operator, runs Hamiltonian variation quadratures,
-and assembles product systems.
+angle (closed form, and measured off the frame), and the two independent
+mean-curvature routes, discretizes the angle's Laplace-Beltrami operator,
+runs Hamiltonian variation quadratures, and assembles product systems.
+Its chart, ImmersionChart, takes the variety that stencil points are
+projected onto and a map to ambient coordinates, so the projective
+oracle reuses it on the link.
 
 Conventions, fixed once and used everywhere:
   * Hermitian product <xi, eta> = sum_i xi_i * conj(eta_i);
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .lattice import ExponentMatrix, sum_vector
 from .numdiff import mean_curvature_flat
-from .quadric import QuadricSystem, newton_project, sample_points
+from .quadric import QuadricSystem, newton_project, orthonormalize, sample_points
 from .torus import torus_box
 
 TWO_PI = 2.0 * np.pi
@@ -175,23 +178,17 @@ def lagrangian_angle(system: QuadricSystem, y) -> LagrangianAngle:
     return LagrangianAngle(_scalar(value % TWO_PI), np.pi * e)
 
 
-def measured_lagrangian_angle(system: QuadricSystem, u, y) -> float:
+def measured_lagrangian_angle(system: QuadricSystem, u, y):
     """Angle read off the immersion itself, with no closed form involved.
 
     Orthonormalizes the tangent frame over the real inner product and takes
     the argument of the complex determinant of the holomorphic volume form
-    on it.  Agrees with lagrangian_angle up to orientation (mod pi).
+    on it.  Agrees with lagrangian_angle up to orientation (mod pi).  One
+    value per sample for (N, n) and (N, m) batches, a float for one point.
     """
     rows = frame_at(system, u, y).all_rows()
-    ortho: list[np.ndarray] = []
-    for r in rows:
-        v = r.copy()
-        for q in ortho:
-            v = v - np.real(np.sum(v * np.conjugate(q))) * q
-        v = v / np.linalg.norm(v)
-        ortho.append(v)
-    det = np.linalg.det(np.array(ortho))
-    return float(np.angle(det) % TWO_PI)
+    frame = orthonormalize(rows.reshape((-1,) + rows.shape[-2:]))[0].reshape(rows.shape)
+    return _scalar(np.angle(np.linalg.det(frame)) % TWO_PI)
 
 
 def mean_curvature(system: QuadricSystem, u, y) -> np.ndarray:
@@ -214,29 +211,38 @@ class ImmersionChart:
     tangent basis frozen at the centre, so the map is smooth in the chart
     variables.  Centres are one point, which takes (..., dim) chart points,
     or (N, n), (N, m) batches, which take (N, S, dim) points; all variety
-    points are projected in one call.  Output stacks real and imaginary
-    parts for the finite-difference machinery.
+    points are projected in one call.  Stencil points are projected onto
+    ``variety`` (the system itself by default), and ``ambient`` maps the
+    immersed points to the chart's target coordinates (C^n itself here).
+    Output stacks real and imaginary parts for the finite-difference
+    machinery.
     """
 
-    def __init__(self, system: QuadricSystem, u0, y0):
+    def __init__(self, system: QuadricSystem, u0, y0, variety: QuadricSystem | None = None):
         self.system = system
+        self.variety = system if variety is None else variety
         self.u0 = np.asarray(u0, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
-        self.tangent = system.tangent_basis(self.u0) if system.k else None
+        self.tangent = self.variety.tangent_basis(self.u0) if self.variety.k else None
+        # N centres: per-centre data gains an S axis against (N, S, dim) points
+        self.stencil = (slice(None), None) if self.u0.ndim == 2 else ()
 
     @property
     def dim(self) -> int:
-        return self.system.k + self.system.codim
+        return self.variety.k + self.system.codim
+
+    def ambient(self, z: np.ndarray) -> np.ndarray:
+        """Target coordinates of immersed points z."""
+        return z
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        k, n = self.system.k, self.system.n
-        stencil = (slice(None), None) if self.u0.ndim == 2 else ()  # N centres: an S axis
-        u = self.u0[stencil]
+        k, n = self.variety.k, self.system.n
+        u = self.u0[self.stencil]
         if k:
             u = u + xi[..., :k] @ self.tangent
-            u = newton_project(self.system, u.reshape(-1, n), polish=True).reshape(u.shape)
-        z = phi(self.system, u, self.y0[stencil] + xi[..., k:])
+            u = newton_project(self.variety, u.reshape(-1, n), polish=True).reshape(u.shape)
+        z = self.ambient(phi(self.system, u, self.y0[self.stencil] + xi[..., k:]))
         return np.concatenate([z.real, z.imag], axis=-1)
 
 
@@ -565,18 +571,11 @@ def harmonicity_convergence(
 class TrigPolynomial:
     """sum_t amp * cos(2*pi*(freqs . xi) + phase) on the unit torus.
 
-    Values and gradients are analytic; integer frequency vectors keep the
+    Gradients are analytic; integer frequency vectors keep the
     quadrature sums exact under the trapezoidal rule on uniform grids.
     """
 
     terms: tuple[tuple[float, tuple[int, ...], float], ...]
-
-    def value(self, *grids) -> np.ndarray:
-        out = np.zeros(np.broadcast(*grids).shape if grids else ())
-        for amp, freqs, phase in self.terms:
-            arg = phase + TWO_PI * sum(f * g for f, g in zip(freqs, grids))
-            out = out + amp * np.cos(arg)
-        return out
 
     def gradient(self, axis: int, *grids) -> np.ndarray:
         out = np.zeros(np.broadcast(*grids).shape if grids else ())

@@ -106,12 +106,6 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def det(self) -> Fraction:
-        return _det(self.rows)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
     def coordinates(self, v: Sequence) -> FracVector:
         """Coefficients c with  v = sum_i c_i * rows[i],  exact."""
         vec = tuple(Fraction(x) for x in v)

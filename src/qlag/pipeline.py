@@ -320,6 +320,11 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         # a cn chart has one axis per coordinate: n torus axes when k = 0,
         # curve plus torus axis on a plane conic
         resolution = _budget_resolution(64, HARMONIC_NODE_BUDGET, system.n)
+        if resolution < 8:
+            raise DimensionUnsupported(
+                f"a {system.n}-dimensional chart mesh gets {resolution} nodes per axis "
+                f"from the {HARMONIC_NODE_BUDGET}-node budget, below the 8-node minimum"
+            )
         mesh = chart_mesh(system, resolution)
         value = laplace_beltrami_defect(mesh, mesh.angle_values())
         return _entry(
@@ -406,14 +411,12 @@ def _quotient_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         tol = config.verify_tolerance("scan")
         U, Y = scan_samples(system, min(config.samples * 4, 3000), seed=config.seed + 5)
         report = scan_self_intersections(system, U, Y, tol=tol)
-        localized = all(p.min_abs_u < np.sqrt(tol) for p in report.pairs)
+        localized = np.all(report.min_abs_u < np.sqrt(tol))
         return {
             "pairs": len(report),
             "sample_count": report.sample_count,
             "tolerance": tol,
-            "max_min_abs_u": float(
-                max((p.min_abs_u for p in report.pairs), default=0.0)
-            ),
+            "max_min_abs_u": float(np.max(report.min_abs_u, initial=0.0)),
             "localized": bool(localized),
             "pass": bool(localized),
         }

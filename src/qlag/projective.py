@@ -4,8 +4,12 @@ A homogeneous system scales into itself, so the immersed cone meets the
 unit sphere in a link whose circle-bundle projection is a Lagrangian
 immersion into CP^(n-1) carrying the Fubini-Study form.  This module
 normalizes cone points to the sphere, projects along the fibers, splits
-off horizontal components, checks the Riemannian-submersion identities,
-and measures the projective mean curvature with a chart oracle.
+off horizontal components, and measures the projective mean curvature with
+a chart oracle.  It builds on the C^n side: the link frame is the cone
+frame orthonormalized off the radial row, and the oracle's chart is the
+immersion chart on the link read in an affine chart.  One pushed
+Fubini-Study Gram, chart_gram, serves the Riemannian-submersion check and
+the Lagrangian check.
 
 The Fubini-Study metric is normalized to holomorphic sectional curvature 4
 (the metric the unit-sphere submersion induces); in the affine chart w the
@@ -20,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ApexPoint, ChartFailure, ChartUnavailable
-from .immersion import TWO_PI, _pairings, _scalar, frame_at, lagrangian_angle, phi
+from .immersion import TWO_PI, ImmersionChart, _pairings, _scalar, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
-from .quadric import QuadricSystem, newton_project, require_cone, with_unit_sphere
+from .quadric import QuadricSystem, newton_project, orthonormalize, require_cone, with_unit_sphere
 from .torus import action_table
 
 PHASE_FLOOR = 1e-8
@@ -53,9 +57,6 @@ class ProjectivePoint:
         return isinstance(other, ProjectivePoint) and bool(
             np.max(np.abs(self.z - other.z)) <= 1e-10
         )
-
-    def distance(self, other: "ProjectivePoint") -> float:
-        return float(np.max(np.abs(self.z - other.z)))
 
 
 def hopf_project(p: Sequence[complex]) -> ProjectivePoint:
@@ -100,10 +101,6 @@ def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
     return _scalar(term / (w2 * w2), complex)
 
 
-def fs_symplectic(w, a, b) -> float:
-    return _scalar(-np.imag(fs_hermitian(np.asarray(w), np.asarray(a), np.asarray(b))))
-
-
 def affine_chart_index(z: Sequence[complex]) -> int:
     """Largest-modulus coordinate: the best-conditioned affine chart (one
     per row of a batch)."""
@@ -135,6 +132,16 @@ def pushforward_to_chart(p: Sequence[complex], xi: Sequence[complex], chart: int
     return (xi_rest * lead - p_rest * xi_lead) / (lead * lead)
 
 
+def chart_gram(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fubini-Study Hermitian Gram of tangent rows pushed from sphere points
+    into each point's affine chart: (..., r, r) for (..., n) points and
+    (..., r, n) rows."""
+    chart = affine_chart_index(p)
+    w = to_affine_chart(p, chart)
+    pushed = pushforward_to_chart(p[..., None, :], rows, np.asarray(chart)[..., None])
+    return fs_hermitian(w[..., None, None, :], pushed[..., :, None, :], pushed[..., None, :, :])
+
+
 def submersion_isometry_defect(p: Sequence[complex], frame: Sequence[Sequence[complex]]) -> float:
     """Largest violation of the Riemannian-submersion identities.
 
@@ -146,15 +153,8 @@ def submersion_isometry_defect(p: Sequence[complex], frame: Sequence[Sequence[co
     rows = np.asarray(frame, dtype=complex).reshape(-1, len(p))
     if not len(rows):
         return 0.0
-    chart = affine_chart_index(p)
-    w = to_affine_chart(p, chart)
-    pushed = pushforward_to_chart(p, rows, chart)
-    up = _pairings(rows, np.conjugate(rows))
-    down = fs_hermitian(w, pushed[:, None, :], pushed[None, :, :])
-    return float(max(
-        np.max(np.abs(np.real(up) - np.real(down))),
-        np.max(np.abs(np.imag(down) - np.imag(up))),
-    ))
+    gap = _pairings(rows, np.conjugate(rows)) - chart_gram(p, rows)
+    return float(max(np.max(np.abs(gap.real)), np.max(np.abs(gap.imag))))
 
 
 def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndarray]:
@@ -176,30 +176,18 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     p = phi(system, un, Y)
     rows = frame_at(system, un, Y).all_rows()
     radial = p / np.linalg.norm(p, axis=-1)[:, None]
-
-    N, n = p.shape
+    n = p.shape[-1]
     # Newton meets the cone to an absolute residual at u; normalizing to the
     # sphere scales it, and what the collapsed row keeps of it, by 1/|u|^2
     cut = 1e-10 * np.maximum(1.0, 1.0 / (norm * norm))
-    out = np.zeros((N, n - 1, n), dtype=complex)
-    found = np.zeros(N, dtype=int)
-    for r in np.moveaxis(rows, 1, 0):
-        # Gram-Schmidt in the real inner product Re<a, b>
-        v = r - np.real(np.sum(r * np.conjugate(radial), axis=-1))[:, None] * radial
-        for q in np.moveaxis(out, 1, 0):
-            v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
-        nv = np.linalg.norm(v, axis=-1)
-        keep = nv > cut
-        put = np.nonzero(keep & (found < n - 1))[0]
-        out[put, found[put]] = v[put] / nv[put, None]
-        found += keep
-    bad = np.nonzero(found != n - 1)[0]
+    frame, kept = orthonormalize(rows, n - 1, cut, against=radial[:, None, :])
+    bad = np.nonzero(kept != n - 1)[0]
     if len(bad):
         where = "" if u.ndim == 1 else f" at sample {bad[0]}"
         raise ChartFailure(
-            f"link frame has rank {found[bad[0]]}, expected {n - 1}{where}"
+            f"link frame has rank {kept[bad[0]]}, expected {n - 1}{where}"
         )
-    return (p[0], out[0]) if u.ndim == 1 else (p, out)
+    return (p[0], frame[0]) if u.ndim == 1 else (p, frame)
 
 
 def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
@@ -208,12 +196,11 @@ def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
     if not len(U):
         return 0.0
     p, frame = link_tangent_frame(system, np.atleast_2d(U), np.atleast_2d(Y))
-    chart = affine_chart_index(p)
-    w = to_affine_chart(p, chart)
-    pushed = pushforward_to_chart(p[:, None, :], frame, chart[:, None])
-    omega = fs_symplectic(w[:, None, None, :], pushed[:, :, None, :], pushed[:, None, :, :])
+    # the strict upper triangle: Im of the computed Gram is not exactly
+    # antisymmetric, so the lower one could differ in its last bits
     upper = np.triu_indices(p.shape[-1] - 1, 1)
-    return float(np.max(np.abs(omega[:, upper[0], upper[1]]), initial=0.0))
+    omega = np.imag(chart_gram(p, frame))[:, upper[0], upper[1]]
+    return float(np.max(np.abs(omega), initial=0.0))
 
 
 def projective_angle(system: QuadricSystem, y):
@@ -256,44 +243,25 @@ def projective_angle_fiber_defect(system: QuadricSystem, y):
     return _scalar(np.max(np.minimum(diff, TWO_PI - diff), axis=-1, initial=0.0))
 
 
-class ProjectiveChart:
+class ProjectiveChart(ImmersionChart):
     """Charts of the projected link around base points, for the oracle.
 
-    Parameters are (link coordinates, torus angles).  Base points are one
-    point, which takes (..., dim) chart points, or (N, n), (N, m) batches,
-    which take (N, S, dim) points; they are Newton-projected onto the link
-    in one call.  The map projects all link points in one call, applies the
-    immersion phases, and lands in a fixed affine chart per base point as
-    stacked real coordinates.
+    The immersion chart on the link (the system plus the unit sphere), read
+    in a fixed affine chart per base point.  Parameters are (link
+    coordinates, torus angles); base points are Newton-projected onto the
+    link in one call.
     """
 
     def __init__(self, system: QuadricSystem, u0, y0):
         require_cone(system)
-        self.system = system
-        self.link = with_unit_sphere(system)
+        link = with_unit_sphere(system)
         u0 = np.asarray(u0, dtype=float)
-        self.u0 = newton_project(
-            self.link, u0 / np.linalg.norm(u0, axis=-1, keepdims=True), polish=True
-        )
-        self.y0 = np.asarray(y0, dtype=float)
-        self.tangent = self.link.tangent_basis(self.u0)
+        u0 = newton_project(link, u0 / np.linalg.norm(u0, axis=-1, keepdims=True), polish=True)
+        super().__init__(system, u0, y0, variety=link)
         self.chart = affine_chart_index(phi(system, self.u0, self.y0))
 
-    @property
-    def dim(self) -> int:
-        return self.link.k + self.system.codim
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        kk, n = self.link.k, self.system.n
-        stencil = (slice(None), None) if self.u0.ndim == 2 else ()  # N centres: an S axis
-        u = self.u0[stencil]
-        if kk:
-            u = u + xi[..., :kk] @ self.tangent
-            u = newton_project(self.link, u.reshape(-1, n), polish=True).reshape(u.shape)
-        z = phi(self.system, u, self.y0[stencil] + xi[..., kk:])
-        w = to_affine_chart(z, np.asarray(self.chart)[stencil])
-        return np.concatenate([w.real, w.imag], axis=-1)
+    def ambient(self, z: np.ndarray) -> np.ndarray:
+        return to_affine_chart(z, np.asarray(self.chart)[self.stencil])
 
 
 def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:

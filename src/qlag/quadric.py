@@ -131,7 +131,7 @@ class QuadricSystem:
         N, n, k = len(U), self.n, self.k
         tangents = np.zeros((N, k, n))
         filled = np.zeros(N, dtype=int)
-        frame = _orthonormalize(self.normals(U))
+        frame = orthonormalize(self.normals(U))[0]
         for seed, e in enumerate(np.eye(n)):
             open_rows = filled < k
             if not open_rows.any():
@@ -151,20 +151,33 @@ class QuadricSystem:
         return tangents[0] if u.ndim == 1 else tangents
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt over the rows of each (r, n) slice of a batch.
+def orthonormalize(
+    rows: np.ndarray, count: int | None = None, cut=0.0, against: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt in Re<a, b> over the rows of each (s, n) slice
+    of a (N, s, n) batch, real or complex.
 
-    Callers pass frames of full numerical rank, whose residual norms stay
-    above the smallest singular value, so no row degenerates.
+    Each row is projected off the orthonormal rows of ``against`` (N, a, n),
+    then off the rows kept so far, and skipped when its residual norm is at
+    most ``cut`` (a scalar or one value per slice).  Every row is examined.
+    Returns (frame, kept): the first ``count`` kept rows of each slice
+    (default s), normalized and zero-padded to (N, count, n), and the number
+    of rows each slice kept (its rank past the cut), which may exceed count.
     """
-    out = np.zeros_like(rows)
-    for a in range(rows.shape[1]):
-        v = rows[:, a, :]
-        for b in range(a):
-            q = out[:, b, :]
-            v = v - (q * v).sum(-1)[:, None] * q
-        out[:, a, :] = v / np.sqrt((v * v).sum(-1))[:, None]
-    return out
+    N, s, n = rows.shape
+    frame = np.zeros((N, s, n), dtype=rows.dtype)
+    kept = np.zeros(N, dtype=int)
+    fixed = () if against is None else np.moveaxis(against, 1, 0)
+    for r in range(s):
+        v = rows[:, r, :]
+        # slots a slice has not filled are zero rows and subtract exact zeros
+        for q in [*fixed, *np.moveaxis(frame[:, :kept.max(initial=0)], 1, 0)]:
+            v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
+        norm = np.linalg.norm(v, axis=-1)
+        keep = np.nonzero(norm > cut)[0]
+        frame[keep, kept[keep]] = v[keep] / norm[keep, None]
+        kept[keep] += 1
+    return frame[:, :count], kept
 
 
 # gauss_newton row status

@@ -120,17 +120,14 @@ def in_same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollisionPair:
-    index_a: int
-    index_b: int
-    image_distance: float
-    min_abs_u: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionReport:
-    pairs: tuple[CollisionPair, ...]
+    """Colliding sample pairs (i, j), i < j, in lexicographic order, with
+    the Chebyshev distance of their images and the smaller min_l |u_l|."""
+
+    pairs: np.ndarray  # (P, 2) int64
+    image_distance: np.ndarray  # (P,)
+    min_abs_u: np.ndarray  # (P,)
     sample_count: int
     tolerance: float
 
@@ -233,8 +230,7 @@ def scan_self_intersections(
     i, j, dist = i[strangers], j[strangers], dist[strangers]
     abs_u = np.abs(U)
     min_u = np.minimum(abs_u[i].min(axis=1), abs_u[j].min(axis=1))
-    pairs = map(CollisionPair, i.tolist(), j.tolist(), dist.tolist(), min_u.tolist())
-    return CollisionReport(tuple(pairs), len(U), tol)
+    return CollisionReport(np.column_stack([i, j]), dist, min_u, len(U), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -295,12 +295,10 @@ def test_criterion_8_self_intersection_localization():
     sys1 = ellipse()
     U, Y = scan_samples(sys1, 5000, seed=28)
     report = scan_self_intersections(sys1, U, Y, tol=1e-8)
-    localized = len(report) > 0 and all(p.min_abs_u < 1e-4 for p in report.pairs)
+    localized = len(report) > 0 and bool(np.all(report.min_abs_u < 1e-4))
     circle_pair = any(
-        abs(U[p.index_a][0]) < 1e-9
-        and abs(U[p.index_b][0]) < 1e-9
-        and U[p.index_a][1] * U[p.index_b][1] < 0
-        for p in report.pairs
+        abs(U[a][0]) < 1e-9 and abs(U[b][0]) < 1e-9 and U[a][1] * U[b][1] < 0
+        for a, b in report.pairs
     )
     ok = empty_ok and localized and circle_pair
     assert _verdict(

@@ -1,10 +1,12 @@
 """Batched (N, n) geometry: every batched call equals the single-point
 calls on its rows bit for bit (the finite-difference curvature oracles to
-rounding noise), and the masked sampler reproduces the per-point accept
-loop."""
+rounding noise), the masked sampler reproduces the per-point accept loop,
+and the one Gram-Schmidt reproduces the loops it replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlag.catalog import (
     clifford_cone,
@@ -15,9 +17,17 @@ from qlag.catalog import (
     sphere_cone,
 )
 from qlag.errors import SamplingExhausted, SingularPoint
-from qlag.immersion import frame_at, lagrangian_defect, sample_immersion, torus_metric
+from qlag.immersion import (
+    TWO_PI,
+    frame_at,
+    lagrangian_defect,
+    measured_lagrangian_angle,
+    phi,
+    sample_immersion,
+    torus_metric,
+)
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
-from qlag.quadric import CONVERGED, QuadricSystem, gauss_newton, sample_points
+from qlag.quadric import CONVERGED, QuadricSystem, gauss_newton, orthonormalize, sample_points
 
 SYSTEMS = {
     "ellipse": ellipse,
@@ -164,15 +174,16 @@ def test_sampler_exhaustion_reports_same_rejections():
 # -- one Gauss-Newton call per finite-difference stencil ------------------------------
 
 
-def _count_newton(monkeypatch, module):
+def _count_newton(monkeypatch, *modules):
+    """Shapes of the points passed to newton_project as bound in each module,
+    in call order."""
     calls = []
-    original = module.newton_project
+    for module in modules:
+        def counted(*args, original=module.newton_project, **kwargs):
+            calls.append(np.shape(args[1]))
+            return original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, "newton_project", counted)
+        monkeypatch.setattr(module, "newton_project", counted)
     return calls
 
 
@@ -188,8 +199,10 @@ def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
     mean_curvature_fd(system, U[0], Y[0])
     assert calls == [(51, 5)]
 
+    # the centres are projected in qlag.projective, the stencils by the
+    # immersion chart the projective chart extends
     cone = klein_bottle_cone()  # dim 2 chart: the centre, then 1 + 4 + 4 points
-    calls = _count_newton(monkeypatch, qlag.projective)
+    calls = _count_newton(monkeypatch, qlag.projective, qlag.immersion)
     U, Y = sample_immersion(cone, 1, seed=4, u_floor=0.1)
     projective_mean_curvature(cone, U[0], Y[0])
     assert len(calls) <= 2
@@ -202,7 +215,7 @@ def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
     mean_curvature_fd(system, U, Y)
     assert calls == [(3 * 51, 5)]
 
-    calls = _count_newton(monkeypatch, qlag.projective)
+    calls = _count_newton(monkeypatch, qlag.projective, qlag.immersion)
     U, Y = sample_immersion(cone, 4, seed=4, u_floor=0.1)
     projective_mean_curvature(cone, U, Y)
     assert calls == [(4, 3), (4 * 9, 3)]
@@ -258,3 +271,147 @@ def test_batched_oracles_equal_single_sample_calls(name):
     # the fiber check is exact arithmetic on y, the same in a batch
     fiber = projective_angle_fiber_defect(system, Y)
     assert np.array_equal(fiber, [projective_angle_fiber_defect(system, y) for y in Y])
+
+
+# -- one Gram-Schmidt: orthonormalize against the three loops it replaced ------------
+
+
+def _reference_normal_frame(rows):
+    """Modified Gram-Schmidt over every row of full-rank frames."""
+    out = np.zeros_like(rows)
+    for a in range(rows.shape[1]):
+        v = rows[:, a, :]
+        for b in range(a):
+            q = out[:, b, :]
+            v = v - (q * v).sum(-1)[:, None] * q
+        out[:, a, :] = v / np.sqrt((v * v).sum(-1))[:, None]
+    return out
+
+
+def _reference_link_frame(system, U, Y):
+    """Radial projection, then every row against every output slot."""
+    norm = np.linalg.norm(U, axis=-1)
+    un = U / norm[:, None]
+    p = phi(system, un, Y)
+    rows = frame_at(system, un, Y).all_rows()
+    radial = p / np.linalg.norm(p, axis=-1)[:, None]
+    N, n = p.shape
+    cut = 1e-10 * np.maximum(1.0, 1.0 / (norm * norm))
+    out = np.zeros((N, n - 1, n), dtype=complex)
+    found = np.zeros(N, dtype=int)
+    for r in np.moveaxis(rows, 1, 0):
+        v = r - np.real(np.sum(r * np.conjugate(radial), axis=-1))[:, None] * radial
+        for q in np.moveaxis(out, 1, 0):
+            v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
+        nv = np.linalg.norm(v, axis=-1)
+        keep = nv > cut
+        put = np.nonzero(keep & (found < n - 1))[0]
+        out[put, found[put]] = v[put] / nv[put, None]
+        found += keep
+    assert np.all(found == n - 1)
+    return p, out
+
+
+def _reference_measured_angle(system, u, y):
+    """One point, one row at a time.  Its 1-d np.linalg.norm sums Re^2 and
+    Im^2 in two BLAS dots, where the batched norm sums |v_l|^2 per entry, so
+    a normalized row can differ in its last bit: the angles agree to
+    ANGLE_NOISE, not bit for bit."""
+    rows = frame_at(system, u, y).all_rows()
+    ortho = []
+    for r in rows:
+        v = r.copy()
+        for q in ortho:
+            v = v - np.real(np.sum(v * np.conjugate(q))) * q
+        v = v / np.linalg.norm(v)
+        ortho.append(v)
+    return float(np.angle(np.linalg.det(np.array(ortho))) % TWO_PI)
+
+
+ANGLE_NOISE = 4 * np.spacing(TWO_PI)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_orthonormalize_equals_the_loops_it_replaces(name):
+    system = SYSTEMS[name]()
+    U, Y = sample_immersion(system, 40, seed=31)
+    normals = system.normals(U)
+    assert np.array_equal(orthonormalize(normals)[0], _reference_normal_frame(normals))
+
+    angles = measured_lagrangian_angle(system, U, Y)
+    assert angles.shape == (len(U),)
+    for i, (u, y) in enumerate(zip(U, Y)):
+        single = measured_lagrangian_angle(system, u, y)
+        assert isinstance(single, float)
+        assert angles[i] == single
+        gap = (single - _reference_measured_angle(system, u, y) + np.pi) % TWO_PI - np.pi
+        assert abs(gap) <= ANGLE_NOISE
+
+    if system.is_cone():
+        U, Y = sample_immersion(system, 40, seed=32, u_floor=0.05)
+        p, frame = link_tangent_frame(system, U, Y)
+        p_ref, frame_ref = _reference_link_frame(system, U, Y)
+        assert np.array_equal(p, p_ref) and np.array_equal(frame, frame_ref)
+
+
+# -- random batches -------------------------------------------------------------------
+
+
+def _real_rank(rows, tol=1e-8):
+    """Rank over R of complex or real rows, as vectors of R^(2n) or R^n."""
+    flat = np.concatenate([rows.real, rows.imag], axis=-1) if np.iscomplexobj(rows) else rows
+    return np.linalg.matrix_rank(flat, tol=tol) if len(flat) else 0
+
+
+@st.composite
+def batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_rows = draw(st.booleans())
+    N, s, n = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(2, 6))
+    a = draw(st.integers(0, n - 1))
+
+    def gauss(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_rows else x
+
+    rows = gauss(N, s, n)
+    if s > 1 and draw(st.booleans()):
+        # a duplicated row in the first slice: its residual is rounding noise
+        rows[0, draw(st.integers(1, s - 1))] = rows[0, 0]
+    # `against` rows orthonormal in Re<a, b>: QR in the real representation
+    q = np.linalg.qr(rng.normal(size=(N, 2 * n if complex_rows else n, a)))[0]
+    against = np.swapaxes(q[:, :n] + 1j * q[:, n:] if complex_rows else q, 1, 2)
+    count = draw(st.integers(1, s))
+    return rows, against, count
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batches())
+def test_orthonormalize_keeps_the_rank_past_the_cut(batch):
+    rows, against, count = batch
+    N, s, n = rows.shape
+    cut = np.full(N, 1e-9)
+    frame, kept = orthonormalize(rows, count, cut, against=against)
+    assert frame.shape == (N, count, n) and frame.dtype == rows.dtype
+    for i in range(N):
+        projected = rows[i] - np.real(rows[i] @ against[i].conj().T) @ against[i]
+        assert kept[i] == _real_rank(projected)
+        used = min(kept[i], count)
+        q = frame[i, :used]
+        assert np.max(np.abs(np.real(q @ q.conj().T) - np.eye(used)), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.real(q @ against[i].conj().T)), initial=0.0) <= 1e-12
+        assert not np.any(frame[i, used:])
+
+
+def test_orthonormalize_counts_past_count_and_skips_duplicates():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(2, 4, 5))
+    rows[0, 2] = rows[0, 1]  # slice 0 has rank 3
+    against = np.zeros((2, 1, 5))
+    against[:, 0, 0] = 1.0
+    frame, kept = orthonormalize(rows, 2, 1e-9, against=against)
+    assert kept.tolist() == [3, 4]  # both above count 2
+    assert np.max(np.abs(frame[..., 0])) <= 1e-15
+    frame, kept = orthonormalize(rows, 4, np.array([1e-9, 1e9]))
+    assert kept.tolist() == [3, 0]
+    assert not np.any(frame[0, 3]) and not np.any(frame[1])

@@ -18,7 +18,7 @@ from qlag.immersion import (
     laplace_beltrami_defect,
     random_trig_polynomial,
 )
-from qlag.pipeline import InstanceConfig, _budget_resolution, run_analyze
+from qlag.pipeline import InstanceConfig, _budget_resolution, report_passed, run_analyze
 from qlag.torus import torus_box
 
 
@@ -150,3 +150,22 @@ def test_product_torus_4_reports_harmonicity_and_variation():
     assert cn["angle_harmonicity"]["count"] == 22 ** 4
     assert cn["hamiltonian_variation"]["pass"] is True
 
+
+def test_seven_torus_skips_harmonicity_the_budget_cannot_mesh():
+    # 64^3 nodes leave 5 per axis in 7 dimensions, below the 8-node minimum:
+    # the entry is skipped like the variation, not failed
+    config = InstanceConfig.from_dict({
+        "n": 7,
+        "k": 0,
+        "rows": np.eye(7, dtype=int).tolist(),
+        "constants": [float(i * i) for i in range(1, 8)],
+        "samples": 20,
+        "curvature_samples": 4,
+        "sweeps": {"cn": True},
+    })
+    report = run_analyze(config)
+    entry = report["cn"]["angle_harmonicity"]
+    assert set(entry) == {"skipped"}
+    assert "7-dimensional" in entry["skipped"] and str(64 ** 3) in entry["skipped"]
+    assert "skipped" in report["cn"]["hamiltonian_variation"]
+    assert report_passed(report)

@@ -153,12 +153,11 @@ def test_scan_finds_identified_circles_on_ellipse():
     U, Y = scan_samples(sys1, 1200, seed=3)
     report = scan_self_intersections(sys1, U, Y)
     assert len(report) > 0
-    for pair in report.pairs:
-        assert pair.min_abs_u < 1e-4
+    assert np.all(report.min_abs_u < 1e-4)
     # the collisions live on the u1 = 0 circles with opposite u2 signs
     found_opposite = False
-    for pair in report.pairs:
-        ua, ub = U[pair.index_a], U[pair.index_b]
+    for a, b in report.pairs:
+        ua, ub = U[a], U[b]
         if abs(ua[0]) < 1e-9 and abs(ub[0]) < 1e-9 and ua[1] * ub[1] < 0:
             found_opposite = True
     assert found_opposite

@@ -14,8 +14,6 @@ from qlag.lattice import pairing_parity
 from qlag.projective import fiber_phase_shifts
 from qlag.quotient import (
     UNKNOWN,
-    CollisionPair,
-    CollisionReport,
     TopologyLabel,
     _cone_signature,
     _is_diagonal_torus,
@@ -88,9 +86,12 @@ def _reference_scan(system, U, Y, tol):
                 if _reference_same_orbit(system.exponents, signs, shifts, p, q, orbit_tol):
                     continue
                 min_u = float(min(np.min(np.abs(U[i])), np.min(np.abs(U[j]))))
-                pairs.append(CollisionPair(i, j, dist, min_u))
-    pairs.sort(key=lambda p: (p.index_a, p.index_b))
-    return CollisionReport(tuple(pairs), len(U), tol)
+                pairs.append((i, j, dist, min_u))
+    pairs.sort(key=lambda p: p[:2])
+    index = np.array([p[:2] for p in pairs], dtype=np.int64).reshape(-1, 2)
+    dist = np.array([p[2] for p in pairs], dtype=float)
+    min_u = np.array([p[3] for p in pairs], dtype=float)
+    return index, dist, min_u
 
 
 def _reference_fiber_shifts(system):
@@ -172,7 +173,13 @@ def test_scan_equals_the_reference_scan(name, tol):
     for count, seed in SCAN_SETS[tol]:
         U, Y = scan_samples(system, count, seed=seed)
         report = scan_self_intersections(system, U, Y, tol=tol)
-        assert report == _reference_scan(system, U, Y, tol)
+        index, dist, min_u = _reference_scan(system, U, Y, tol)
+        assert report.pairs.dtype == np.int64 and report.pairs.shape == index.shape
+        assert np.array_equal(report.pairs, index)
+        assert np.array_equal(report.image_distance, dist)
+        assert np.array_equal(report.min_abs_u, min_u)
+        assert (report.sample_count, report.tolerance) == (len(U), tol)
+        assert len(report) == len(report.pairs) == len(index)
         assert len(report) > 0 or (tol, name) not in NONEMPTY
 
 
