@@ -57,17 +57,12 @@ from .immersion import (  # noqa: F401
     sample_immersion,
 )
 from .projective import (  # noqa: F401
-    ProjectivePoint,
-    cone_to_sphere,
-    hopf_project,
-    horizontal_component,
     projective_lagrangian_defect,
     projective_mean_curvature,
     submersion_isometry_defect,
 )
 from .quotient import (  # noqa: F401
     TopologyLabel,
-    apply_gamma,
     classify_quotient,
     orbit,
     orientation_character,

@@ -158,9 +158,6 @@ class LagrangianAngle:
     value: float | np.ndarray
     gradient: np.ndarray  # d(beta)/dy_j = pi * e_j, e the row-sum vector
 
-    def is_constant(self) -> bool:
-        return bool(np.all(self.gradient == 0.0))
-
 
 def _scalar(value: np.ndarray, kind=float):
     """A Python scalar for a 0-d result, the array itself for a batch."""
@@ -291,21 +288,12 @@ def product_system(a: QuadricSystem, b: QuadricSystem) -> QuadricSystem:
     """Block-diagonal assembly of two systems.
 
     The immersion of the product is the coordinatewise pair of the factor
-    immersions; Lagrangian angles add and mean curvatures concatenate.  An
-    empty system (n = 0) is the neutral element.
+    immersions; Lagrangian angles add and mean curvatures concatenate.
     """
-    if a.n == 0:
-        return b
-    if b.n == 0:
-        return a
     ma, mb = a.codim, b.codim
     rows = [tuple(r) + (0,) * mb for r in a.exponents.rows]
     rows += [(0,) * ma + tuple(r) for r in b.exponents.rows]
     return QuadricSystem(ExponentMatrix(rows), a.constants + b.constants, a.tolerances)
-
-
-def empty_system() -> QuadricSystem:
-    return QuadricSystem(ExponentMatrix(()), ())
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +340,6 @@ class ChartMesh:
         for a in range(self.dim):
             out += self.angle_gradient[a] * grids[a]
         return out
-
-    def raw_torus_grids(self, box: np.ndarray) -> list[np.ndarray]:
-        """Unnormalized torus coordinates y on the nodes.
-
-        The mesh stores torus axes scaled into [0,1); multiplying back
-        through the period box recovers the y each node represents.
-        """
-        m = len(box)
-        coords = self.node_grids()[self.dim - m:]
-        ys = [sum(box[i][j] * coords[i] for i in range(m)) for j in range(m)]
-        return [np.broadcast_to(y, self.shape).copy() for y in ys]
 
 
 def _conic_parametrization(system: QuadricSystem):
@@ -541,27 +518,6 @@ def harmonicity_defect(
     return laplace_beltrami_defect(mesh, mesh.angle_values())
 
 
-def harmonicity_convergence(
-    system: QuadricSystem,
-    resolution: int = 64,
-    on_link: bool = False,
-    floor: float = 1e-12,
-) -> tuple[float, float]:
-    """Defect at the base resolution and at its doubling.
-
-    The scheme is second order, so the defect must drop by at least 4x per
-    doubling until it reaches the double-precision floor; raises
-    MeshTooCoarse otherwise.
-    """
-    coarse = harmonicity_defect(system, resolution, on_link=on_link)
-    fine = harmonicity_defect(system, 2 * resolution, on_link=on_link)
-    if fine > max(coarse / 4.0, floor):
-        raise MeshTooCoarse(
-            f"defect {coarse:.3e} -> {fine:.3e} under doubling (need 4x drop or floor)"
-        )
-    return coarse, fine
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian variation quadrature
 # ---------------------------------------------------------------------------
@@ -600,10 +556,6 @@ def random_trig_polynomial(
         phase = float(rng.uniform(0.0, TWO_PI))
         terms.append((amp, freqs, phase))
     return TrigPolynomial(tuple(terms))
-
-
-def constant_polynomial(value: float, dim: int) -> TrigPolynomial:
-    return TrigPolynomial(((value, (0,) * dim, 0.0),))
 
 
 def hamiltonian_variation(

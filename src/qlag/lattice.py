@@ -40,9 +40,8 @@ class ExponentMatrix:
 
     rows[i] has length ``codim`` (the number of quadric equations); the rows
     must span a rank-``codim`` lattice.  n >= 1 and 0 <= k <= n-1 where
-    k = n - codim is the dimension of the solution variety.  The degenerate
-    n = 0 case (no coordinates, no equations) is allowed as the neutral
-    element of product assembly.
+    k = n - codim is the dimension of the solution variety; no rows, or
+    rows of length 0, raise ValueError.
     """
 
     rows: tuple[IntVector, ...]
@@ -53,15 +52,10 @@ class ExponentMatrix:
         if len(widths) > 1:
             raise DimensionMismatch("exponent rows have unequal lengths")
         m = self.codim
-        if self.n:
-            if not 1 <= m <= self.n:
-                raise ValueError(
-                    f"need between 1 and n equations, got {m} for n={self.n}"
-                )
-            if _row_rank(self.rows) < m:
-                raise RankDeficient(
-                    f"exponent rows span rank {_row_rank(self.rows)} < {m}"
-                )
+        if not 1 <= m <= self.n:
+            raise ValueError(f"need between 1 and n equations, got {m} for n={self.n}")
+        if _row_rank(self.rows) < m:
+            raise RankDeficient(f"exponent rows span rank {_row_rank(self.rows)} < {m}")
 
     @property
     def n(self) -> int:
@@ -99,7 +93,7 @@ class LatticeBasis:
         m = len(frac_rows)
         if any(len(r) != m for r in frac_rows):
             raise DimensionMismatch("basis matrix must be square")
-        if m and _det(frac_rows) == 0:
+        if _det(frac_rows) == 0:
             raise SingularBasis("basis matrix has determinant 0")
 
     @property
@@ -305,9 +299,6 @@ class FreeActionResult:
     # for each nonzero representative, the first row index with odd pairing,
     # or None if all pairings are even (the freeness failure witness)
     witnesses: tuple[tuple[FracVector, int | None], ...]
-
-    def __bool__(self) -> bool:
-        return self.free
 
 
 def verify_free_action(exponents: ExponentMatrix, group: GammaGroup) -> FreeActionResult:

@@ -3,10 +3,11 @@
 A homogeneous system scales into itself, so the immersed cone meets the
 unit sphere in a link whose circle-bundle projection is a Lagrangian
 immersion into CP^(n-1) carrying the Fubini-Study form.  This module
-normalizes cone points to the sphere, projects along the fibers, splits
-off horizontal components, and measures the projective mean curvature with
-a chart oracle.  It builds on the C^n side: the link frame is the cone
-frame orthonormalized off the radial row, and the oracle's chart is the
+builds the link frame (the sphere point and its horizontal tangent rows),
+reads points and vectors in affine charts, checks the Lagrangian angle
+along the fibers, and measures the projective mean curvature with a chart
+oracle.  It builds on the C^n side: the link frame is the cone frame
+orthonormalized off the radial row, and the oracle's chart is the
 immersion chart on the link read in an affine chart.  One pushed
 Fubini-Study Gram, chart_gram, serves the Riemannian-submersion check and
 the Lagrangian check.
@@ -18,76 +19,17 @@ Hermitian form is  ((1+|w|^2) <a,b> - (a.conj(w))(conj(b).w)) / (1+|w|^2)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ApexPoint, ChartFailure, ChartUnavailable
+from .errors import ApexPoint, ChartFailure
 from .immersion import TWO_PI, ImmersionChart, _pairings, _scalar, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
 from .quadric import QuadricSystem, newton_project, orthonormalize, require_cone, with_unit_sphere
 from .torus import action_table
 
 PHASE_FLOOR = 1e-8
-
-
-def cone_to_sphere(system: QuadricSystem, u, y) -> np.ndarray:
-    """Unit-norm representative of a cone point's image.
-
-    Scaling u keeps it on the cone (all constants are zero), so the result
-    still lies on the immersed image.
-    """
-    require_cone(system)
-    u = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        raise ApexPoint("the apex u = 0 has no spherical representative")
-    return phi(system, u / norm, y)
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Normal-form homogeneous coordinates: unit norm, first coordinate of
-    modulus above the floor rotated to zero phase."""
-
-    z: np.ndarray
-
-    def __eq__(self, other) -> bool:  # equality of normal forms
-        return isinstance(other, ProjectivePoint) and bool(
-            np.max(np.abs(self.z - other.z)) <= 1e-10
-        )
-
-
-def hopf_project(p: Sequence[complex]) -> ProjectivePoint:
-    """Collapse the circle fiber: e^{i theta} p maps to the same point."""
-    z = np.asarray(p, dtype=complex)
-    norm = np.linalg.norm(z)
-    if norm == 0.0:
-        raise ApexPoint("zero vector has no projective class")
-    z = z / norm
-    lead = next((j for j in range(len(z)) if abs(z[j]) > PHASE_FLOOR), None)
-    if lead is None:
-        raise ChartUnavailable("all coordinates below the phase floor")
-    z = z * np.exp(-1j * np.angle(z[lead]))
-    z.setflags(write=False)
-    return ProjectivePoint(z)
-
-
-def horizontal_component(p: Sequence[complex], xi: Sequence[complex]) -> np.ndarray:
-    """Remove the span{p, ip} components (real inner products).
-
-    What remains is orthogonal to the fiber circle through p, hence a
-    horizontal vector of the bundle.
-    """
-    p = np.asarray(p, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-    ip = 1j * p
-
-    def rdot(a, b):
-        return float(np.real(np.sum(a * np.conjugate(b))))
-
-    return xi - rdot(xi, p) * p - rdot(xi, ip) * ip
 
 
 def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
@@ -229,18 +171,22 @@ def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
 
 
 def projective_angle_fiber_defect(system: QuadricSystem, y):
-    """Largest change of the projected angle along fiber shifts, mod 2*pi;
-    one value per row of a (N, m) batch of torus angles.
+    """Largest change of the projected angle along fiber shifts, modulo the
+    angle's period on CP^(n-1); one value per row of a (N, m) batch of
+    torus angles.
 
-    Zero whenever the exponent rows sum to zero (constant angle); in
-    general the angle is multivalued along fibers and only its gradient is
-    well defined.
+    A shift with every pairing (e_i, gamma) odd maps z to -z and moves the
+    angle by pi*(e, gamma), e the row sum, where (e, gamma) = n (mod 2).  For
+    even n that is a full turn.  For odd n the holomorphic volume form
+    changes sign, Omega(-z) = -Omega(z), so the angle downstairs is defined
+    only mod pi, and the change is reduced mod pi.  Zero up to rounding.
     """
     y = np.asarray(y, dtype=float)
+    period = np.pi if system.n % 2 else TWO_PI
     base = projective_angle(system, y)
     shifted = projective_angle(system, y[..., None, :] + fiber_phase_shifts(system))
-    diff = (shifted - np.expand_dims(base, -1)) % TWO_PI
-    return _scalar(np.max(np.minimum(diff, TWO_PI - diff), axis=-1, initial=0.0))
+    diff = (shifted - np.expand_dims(base, -1)) % period
+    return _scalar(np.max(np.minimum(diff, period - diff), axis=-1, initial=0.0))
 
 
 class ProjectiveChart(ImmersionChart):

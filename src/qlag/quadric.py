@@ -55,7 +55,7 @@ class QuadricSystem:
             raise ValueError(
                 f"{len(self.constants)} constants for {exponents.codim} equations"
             )
-        matrix = np.array(exponents.rows, dtype=float).reshape(self.n, self.codim)
+        matrix = np.array(exponents.rows, dtype=float)
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 

@@ -1,6 +1,8 @@
 """The coset group action on M x T^m: orbits, freeness at sample scale,
 self-intersection scanning, orientation characters, and pattern-matched
 classification of the quotient for the recognized instance families.
+Orbits, the collision scan and the labels read the action from the cached
+sign/translation table torus.action_table, over batches of points.
 
 Topology here is honest about its scope: labels are only emitted for
 instance shapes whose quotient is understood case by case; everything else
@@ -18,17 +20,7 @@ import numpy as np
 from .errors import CrossCheckFailed, NonFreeWitness
 from .immersion import phi, sample_torus_angles
 from .quadric import QuadricSystem, sample_points, sample_stratum_points
-from .torus import action_table, gamma_float, gamma_group, gamma_signs, torus_distance
-
-
-def apply_gamma(system: QuadricSystem, gamma, u, y) -> tuple[np.ndarray, np.ndarray]:
-    """Sign flips on u (exact parities) and translation on y.
-
-    Applying a representative twice lands on a point identified with the
-    original under the torus periods.
-    """
-    signs = gamma_signs(system.exponents, gamma)
-    return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + gamma_float(gamma)
+from .torus import action_table, gamma_group, gamma_signs, torus_distance
 
 
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -108,11 +100,6 @@ def same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> np.ndarray:
         du = np.max(np.abs(sign * Up - Uq), axis=-1)
         hit |= (du <= tol) & (torus_distance(system.exponents, Yp + shift - Yq) <= tol)
     return hit
-
-
-def in_same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> bool:
-    """Whether parameter points p = (u, y) and q are group translates."""
-    return bool(same_orbit(system, p, q, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +196,9 @@ def close_pairs(points: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     return i[near], j[near], dist[near]
 
 
+SCAN_BLOCK = 16384  # close pairs per same_orbit call
+
+
 def scan_self_intersections(
     system: QuadricSystem,
     U: np.ndarray,
@@ -220,13 +210,18 @@ def scan_self_intersections(
     translates of each other, in lexicographic index order.
 
     Candidate pairs come from close_pairs on the real and imaginary image
-    coordinates; every reported pair is a genuine self-intersection witness
-    and must sit near a coordinate stratum (some |u_j| < sqrt(tol)).
+    coordinates and are tested against the group in blocks of SCAN_BLOCK,
+    so memory beyond close_pairs' own does not grow with the pair count.
+    Every reported pair is a genuine self-intersection witness and must sit
+    near a coordinate stratum (some |u_j| < sqrt(tol)).
     """
     orbit_tol = np.sqrt(tol) if orbit_tol is None else orbit_tol
     images = phi(system, U, Y)
     i, j, dist = close_pairs(np.column_stack([images.real, images.imag]), tol)
-    strangers = ~same_orbit(system, (U[i], Y[i]), (U[j], Y[j]), orbit_tol)
+    strangers = np.empty(len(i), dtype=bool)
+    for lo in range(0, len(i), SCAN_BLOCK):  # bounds the gathered (P, n) copies
+        b = slice(lo, lo + SCAN_BLOCK)
+        strangers[b] = ~same_orbit(system, (U[i[b]], Y[i[b]]), (U[j[b]], Y[j[b]]), orbit_tol)
     i, j, dist = i[strangers], j[strangers], dist[strangers]
     abs_u = np.abs(U)
     min_u = np.minimum(abs_u[i].min(axis=1), abs_u[j].min(axis=1))
@@ -244,9 +239,6 @@ class TopologyLabel:
     #            SphereTimesTorus | Torus | Unknown
     dim: int | None = None
     detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.dim})" if self.dim is not None else self.kind
 
 
 UNKNOWN = TopologyLabel("Unknown")

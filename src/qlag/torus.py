@@ -2,8 +2,9 @@
 
 The torus factor of the construction is R^m modulo twice the dual lattice;
 this module caches the exact lattice bases per exponent matrix and exposes
-float-valued period boxes, reductions, the exact sign vectors of the
-coset action and the cached sign/translation table of the whole group.
+float-valued period boxes, nearest-period distances, the exact sign vectors
+of the coset action and the cached sign/translation table of the whole
+group.
 """
 
 from __future__ import annotations
@@ -101,12 +102,6 @@ def torus_distance(exponents: ExponentMatrix, dy: Sequence[float]) -> float | np
         dist2 = d2 if dist2 is None else np.minimum(dist2, d2)
     dist = np.sqrt(dist2)
     return float(dist) if dy.ndim == 1 else dist
-
-
-def torus_reduce(exponents: ExponentMatrix, y: Sequence[float]) -> np.ndarray:
-    """Representative of y inside the fundamental period box [0,1)^m."""
-    c = torus_coordinates(exponents, y)
-    return (c - np.floor(c)) @ torus_box(exponents)
 
 
 def gamma_signs(exponents: ExponentMatrix, gamma: Sequence) -> np.ndarray:

@@ -38,11 +38,8 @@ from qlag.immersion import (
     random_trig_polynomial,
 )
 from qlag.meshing import build_surface_mesh
-from qlag.projective import (
-    horizontal_component,
-    projective_mean_curvature,
-    submersion_isometry_defect,
-)
+from qlag.projective import projective_mean_curvature, submersion_isometry_defect
+from qlag.quadric import orthonormalize
 from qlag.quotient import (
     orbit_distinctness,
     scan_samples,
@@ -245,12 +242,9 @@ def test_criterion_6_hopf_fubini_study_consistency():
         for _ in range(500):
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
             p = p / np.linalg.norm(p)
-            frame = [
-                horizontal_component(
-                    p, rng.normal(size=n) + 1j * rng.normal(size=n)
-                )
-                for _ in range(n - 1)
-            ]
+            rows = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n - 1)]
+            # horizontal: orthonormal off the fiber directions p and i p
+            frame = orthonormalize(np.array([rows]), against=np.array([[p, 1j * p]]))[0][0]
             worst = max(worst, submersion_isometry_defect(p, frame))
     assert _verdict(
         "6 Hopf/Fubini-Study submersion identities (500 frames, n=2,3)",

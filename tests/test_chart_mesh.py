@@ -19,7 +19,6 @@ from qlag.immersion import (
     random_trig_polynomial,
 )
 from qlag.pipeline import InstanceConfig, _budget_resolution, report_passed, run_analyze
-from qlag.torus import torus_box
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,6 @@ def test_variation_equals_dense_mesh(name, monkeypatch):
     monkeypatch.setattr(immersion, "chart_mesh", dense_chart_mesh)
     dense = [hamiltonian_variation(system, f, resolution=16) for f in polys]
     assert broadcast == dense
-
-
-@pytest.mark.parametrize(
-    "system", [ellipse(), product_torus([1, 2])], ids=["ellipse", "torus2"]
-)
-def test_raw_torus_grids_have_mesh_shape(system):
-    mesh = chart_mesh(system, 16)
-    box = torus_box(system.exponents)
-    raw = mesh.raw_torus_grids(box)
-    assert len(raw) == system.codim
-    assert all(y.shape == mesh.shape for y in raw)
-    assert np.array_equal(raw, _dense(mesh).raw_torus_grids(box))
 
 
 def test_node_grids_are_sparse():

@@ -21,8 +21,6 @@ from qlag.errors import CrossCheckFailed, NonFreeWitness
 from qlag.immersion import phi, sample_immersion
 from qlag.lattice import GammaGroup, LatticeBasis
 from qlag.quotient import (
-    apply_gamma,
-    in_same_orbit,
     orbit,
     orbit_distinctness,
     same_orbit,
@@ -99,6 +97,13 @@ def test_batched_orbit_rows_equal_single_calls(make):
             assert np.array_equal(bu[s], su) and np.array_equal(by[s], sy)
 
 
+def _apply_gamma(system, gamma, u, y):
+    """The reference action of one representative, without the cached table:
+    exact sign flips on u and the translation on y."""
+    signs = gamma_signs(system.exponents, gamma)
+    return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + gamma_float(gamma)
+
+
 @pytest.mark.parametrize("make", ORBIT_SYSTEMS)
 def test_single_orbit_equals_apply_gamma(make):
     system = make()
@@ -106,7 +111,7 @@ def test_single_orbit_equals_apply_gamma(make):
     for u, y in zip(U, Y):
         pts = orbit(system, u, y)
         for gamma, (gu, gy) in zip(gamma_group(system.exponents), pts):
-            au, ay = apply_gamma(system, gamma, u, y)
+            au, ay = _apply_gamma(system, gamma, u, y)
             assert np.array_equal(gu, au) and np.array_equal(gy, ay)
 
 
@@ -226,7 +231,7 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
 def _in_same_orbit_loop(system, p, q, tol):
     """The reference: one translate at a time."""
     for gamma in gamma_group(system.exponents):
-        gu, gy = apply_gamma(system, gamma, *p)
+        gu, gy = _apply_gamma(system, gamma, *p)
         if np.max(np.abs(gu - q[0])) <= tol and torus_distance(system.exponents, gy - q[1]) <= tol:
             return True
     return False
@@ -239,10 +244,10 @@ def test_in_same_orbit_matches_the_per_translate_loop(make):
     U, Y = sample_immersion(system, 12, seed=8)
     decisions = []
     for (u, y), gamma in zip(zip(U, Y), rng.choice(len(gamma_group(system.exponents)), 12)):
-        gu, gy = apply_gamma(system, gamma_group(system.exponents).representatives[gamma], u, y)
+        gu, gy = _apply_gamma(system, gamma_group(system.exponents).representatives[gamma], u, y)
         period = torus_box(system.exponents)[0]
         for q in [(gu, gy + period), (gu, gy + 0.5 * period), (gu + 3e-6, gy - 2e-6)]:
-            got = in_same_orbit(system, (u, y), q)
+            got = bool(same_orbit(system, (u, y), q)[0])  # a one-row batch
             assert got == _in_same_orbit_loop(system, (u, y), q, 1e-5)
             decisions.append(got)
     assert any(decisions) and not all(decisions)
@@ -278,4 +283,5 @@ def test_batched_same_orbit_equals_single_calls(make):
     V, Z = np.where(odd, np.roll(TU, 1, axis=0), TU), np.where(odd, np.roll(TY, 1, axis=0), TY)
     batched = same_orbit(system, (U, Y), (V, Z))
     assert batched.dtype == bool and batched.any() and not batched.all()
-    assert batched.tolist() == [in_same_orbit(system, p, q) for p, q in zip(zip(U, Y), zip(V, Z))]
+    single = [bool(same_orbit(system, p, q)[0]) for p, q in zip(zip(U, Y), zip(V, Z))]
+    assert batched.tolist() == single

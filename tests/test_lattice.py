@@ -13,6 +13,7 @@ from qlag import (
     ExponentMatrix,
     GammaGroup,
     LatticeBasis,
+    QuadricSystem,
     RankDeficient,
     SingularBasis,
     dual_basis,
@@ -48,6 +49,14 @@ def test_basis_identity_passthrough():
 def test_rank_deficient_rejected():
     with pytest.raises(RankDeficient):
         ExponentMatrix([[1, 1], [2, 2], [3, 3]])
+
+
+def test_empty_exponent_matrix_rejected():
+    # no coordinates is no instance: products assemble nonempty factors only
+    with pytest.raises(ValueError):
+        ExponentMatrix(())
+    with pytest.raises(ValueError):
+        QuadricSystem([], [])
 
 
 def test_hnf_determinant_preserved():

@@ -4,12 +4,10 @@ submersion identities, and the projective curvature oracle."""
 import numpy as np
 import pytest
 
+import qlag.projective as projective
 from qlag import (
     ApexPoint,
     NotACone,
-    cone_to_sphere,
-    hopf_project,
-    horizontal_component,
     projective_lagrangian_defect,
     projective_mean_curvature,
     submersion_isometry_defect,
@@ -17,12 +15,15 @@ from qlag import (
 from qlag.catalog import clifford_cone, ellipse, klein_bottle_cone, weighted_cone
 from qlag.immersion import sample_immersion
 from qlag.projective import (
+    affine_chart_index,
     fiber_phase_shifts,
     link_tangent_frame,
     projective_angle,
     projective_angle_fiber_defect,
+    to_affine_chart,
 )
-from qlag.quadric import sample_points
+from qlag.pipeline import InstanceConfig, report_passed, run_analyze
+from qlag.quadric import orthonormalize, sample_points
 
 
 def _random_sphere_point(rng, n):
@@ -30,62 +31,77 @@ def _random_sphere_point(rng, n):
     return p / np.linalg.norm(p)
 
 
+def _horizontal(p, rows, cut=0.0):
+    """(frame, rank) of rows orthonormalized off the fiber directions p and
+    i p at the sphere point p, so every row kept is horizontal."""
+    p = np.asarray(p, dtype=complex)
+    rows = np.asarray(rows, dtype=complex).reshape(1, -1, len(p))
+    frame, kept = orthonormalize(rows, cut=cut, against=np.array([[p, 1j * p]]))
+    return frame[0, : kept[0]], kept[0]
+
+
 def _random_horizontal_frame(rng, p, count):
-    return [
-        horizontal_component(p, rng.normal(size=len(p)) + 1j * rng.normal(size=len(p)))
-        for _ in range(count)
-    ]
+    n = len(p)
+    return _horizontal(p, [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(count)])[0]
 
 
 # -- sphere normalization -------------------------------------------------------
+
+
+def _sphere_point(cone, u, y):
+    """The link frame's sphere point: the image of u / |u|."""
+    return link_tangent_frame(cone, u, y)[0]
 
 
 def test_cone_to_sphere_scaling_invariance():
     cone = klein_bottle_cone()
     u = np.array([1.0, 1.0, 1.0])
     y = [0.4]
-    base = cone_to_sphere(cone, u, y)
+    base = _sphere_point(cone, u, y)
     assert np.linalg.norm(base) == pytest.approx(1.0)
-    assert np.allclose(cone_to_sphere(cone, 7.3 * u, y), base)
+    assert np.allclose(_sphere_point(cone, 7.3 * u, y), base)
     assert np.allclose(cone.residual(7.3 * u), 0.0)
 
 
 def test_cone_to_sphere_unit_input_unchanged():
     cone = klein_bottle_cone()
     u = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    z = cone_to_sphere(cone, u, [0.0])
+    z = _sphere_point(cone, u, [0.0])
     assert np.allclose(z, u)
 
 
 def test_cone_to_sphere_guards():
     with pytest.raises(NotACone):
-        cone_to_sphere(ellipse(), [1.0, 0.0], [0.0])
+        _sphere_point(ellipse(), [1.0, 0.0], [0.0])
     with pytest.raises(ApexPoint):
-        cone_to_sphere(klein_bottle_cone(), [0.0, 0.0, 0.0], [0.0])
+        _sphere_point(klein_bottle_cone(), [0.0, 0.0, 0.0], [0.0])
 
 
-# -- fiber collapse ---------------------------------------------------------------
+# -- fiber collapse: a fiber is one point of each affine chart ----------------------
 
 
 def test_hopf_basepoint_normal_form():
-    p = hopf_project([1.0, 0.0, 0.0])
-    assert np.allclose(p.z, [1.0, 0.0, 0.0])
+    p = np.array([1.0, 0.0, 0.0])
+    assert affine_chart_index(p) == 0
+    assert np.array_equal(to_affine_chart(p, 0), [0.0, 0.0])
 
 
 def test_hopf_fiber_invariance_random_phases():
     rng = np.random.default_rng(0)
     p = _random_sphere_point(rng, 3)
-    base = hopf_project(p)
+    chart = affine_chart_index(p)
+    base = to_affine_chart(p, chart)
     for theta in rng.uniform(0.0, 2 * np.pi, size=100):
-        assert hopf_project(np.exp(1j * theta) * p) == base
+        assert np.max(np.abs(to_affine_chart(np.exp(1j * theta) * p, chart) - base)) <= 1e-10
 
 
 def test_hopf_clifford_equator():
+    # |z_1| = |z_2| on the link: the chart point has modulus 1
     cone = clifford_cone(2)
     pts = sample_points(cone, 20, seed=1)
     for u in pts:
-        z = hopf_project(cone_to_sphere(cone, u, [0.3])).z
-        assert abs(abs(z[0]) - abs(z[1])) <= 1e-10
+        w = to_affine_chart(_sphere_point(cone, u, [0.3]), 0)
+        assert abs(abs(w[0]) - 1.0) <= 1e-10
 
 
 # -- horizontality ----------------------------------------------------------------
@@ -94,14 +110,14 @@ def test_hopf_clifford_equator():
 def test_horizontal_kills_fiber_direction():
     rng = np.random.default_rng(2)
     p = _random_sphere_point(rng, 4)
-    assert np.max(np.abs(horizontal_component(p, 1j * p))) <= 1e-14
+    assert _horizontal(p, [1j * p], cut=1e-14)[1] == 0
 
 
 def test_horizontal_projection_idempotent():
     rng = np.random.default_rng(3)
     p = _random_sphere_point(rng, 3)
-    xi = horizontal_component(p, rng.normal(size=3) + 1j * rng.normal(size=3))
-    again = horizontal_component(p, xi)
+    xi, _ = _horizontal(p, rng.normal(size=3) + 1j * rng.normal(size=3))
+    again, _ = _horizontal(p, xi)
     assert np.max(np.abs(again - xi)) <= 1e-14
 
 
@@ -109,7 +125,7 @@ def test_horizontal_output_is_horizontal():
     rng = np.random.default_rng(4)
     for _ in range(20):
         p = _random_sphere_point(rng, 3)
-        xi = horizontal_component(p, rng.normal(size=3) + 1j * rng.normal(size=3))
+        xi, _ = _horizontal(p, rng.normal(size=3) + 1j * rng.normal(size=3))
         herm = np.sum(xi * np.conjugate(p))
         assert abs(herm) <= 1e-12  # both real pairings vanish
 
@@ -119,12 +135,7 @@ def test_horizontal_rank_drop_is_two():
     rng = np.random.default_rng(5)
     p = _random_sphere_point(rng, 3)
     basis = np.eye(6)  # real basis of C^3
-    images = []
-    for row in basis:
-        xi = row[:3] + 1j * row[3:]
-        h = horizontal_component(p, xi)
-        images.append(np.concatenate([h.real, h.imag]))
-    assert np.linalg.matrix_rank(np.array(images), tol=1e-10) == 4
+    assert _horizontal(p, basis[:, :3] + 1j * basis[:, 3:], cut=1e-10)[1] == 4
 
 
 # -- submersion identities ---------------------------------------------------------
@@ -214,6 +225,41 @@ def test_fiber_shifts_and_invariance():
     # balanced cone: no all-odd representative, constant angle anyway
     cone = klein_bottle_cone()
     assert projective_angle_fiber_defect(cone, [0.37]) <= 1e-12
+
+
+def _cpn_analyze(system):
+    config = InstanceConfig.from_dict({
+        "n": system.n,
+        "k": system.k,
+        "rows": [list(r) for r in system.exponents.rows],
+        "constants": list(system.constants),
+        "samples": 60,
+        "sweeps": {"cpn": True},
+    })
+    return run_analyze(config)
+
+
+def test_fiber_invariance_mod_pi_for_odd_n():
+    # z -> -z moves the angle by pi * (e, gamma), odd for odd n: the angle
+    # on CP^2 is defined mod pi, so a half turn is no defect
+    cone = weighted_cone([1, 1, 3])
+    assert len(fiber_phase_shifts(cone)) == 1 and cone.n == 3
+    report = _cpn_analyze(cone)
+    assert report["cpn"]["angle_fiber_invariance"]["pass"]
+    assert report_passed(report)
+
+
+@pytest.mark.parametrize(
+    "weights, turn", [([1, 1, 3], np.pi / 2), ([1, 1, 1, 1], np.pi)], ids=["n3", "n4"]
+)
+def test_fiber_invariance_catches_half_shifts(weights, turn, monkeypatch):
+    # negative control: half of each shift moves the angle by pi*(e, gamma)/2,
+    # a quarter turn mod pi for n = 3 and a half turn mod 2*pi for n = 4
+    real = projective.fiber_phase_shifts
+    monkeypatch.setattr(projective, "fiber_phase_shifts", lambda system: real(system) / 2)
+    entry = _cpn_analyze(weighted_cone(weights))["cpn"]["angle_fiber_invariance"]
+    assert not entry["pass"]
+    assert entry["max"] == pytest.approx(turn, abs=1e-9)
 
 
 # -- projective curvature oracle ------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from qlag import (
     NonFreeWitness,
-    apply_gamma,
     classify_quotient,
     orbit,
     orientation_character,
@@ -23,49 +22,47 @@ from qlag.catalog import (
     weighted_cone,
 )
 from qlag.immersion import phi, sample_immersion
-from qlag.quotient import in_same_orbit, orbit_distinctness, scan_samples
-from qlag.torus import gamma_group, torus_distance, torus_reduce
+from qlag.quotient import orbit_distinctness, same_orbit, scan_samples
+from qlag.torus import action_table, gamma_group, torus_distance
 
 
 def _nonzero_gamma(system):
     return gamma_group(system.exponents).nonzero()[0]
 
 
+def _apply_row(system, row, u, y):
+    """Group element ``row`` of the cached action table applied to (u, y);
+    row 0 is the identity, row 1 the first nonzero class."""
+    signs, shifts = action_table(system.exponents)
+    return signs[row] * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + shifts[row]
+
+
 # -- the action ----------------------------------------------------------------
 
 
 def test_apply_gamma_ellipse():
-    sys1 = ellipse()
-    u2, y2 = apply_gamma(sys1, _nonzero_gamma(sys1), [0.8, 0.4], [0.25])
+    u2, y2 = _apply_row(ellipse(), 1, [0.8, 0.4], [0.25])
     assert np.allclose(u2, [-0.8, 0.4])
     assert np.allclose(y2, [1.25])
 
 
 def test_apply_gamma_identity():
-    sys1 = ellipse()
-    zero = gamma_group(sys1.exponents).representatives[0]
-    u2, y2 = apply_gamma(sys1, zero, [0.8, 0.4], [0.25])
+    u2, y2 = _apply_row(ellipse(), 0, [0.8, 0.4], [0.25])
     assert np.allclose(u2, [0.8, 0.4]) and np.allclose(y2, [0.25])
 
 
 def test_apply_gamma_sphere_cone_flips():
-    sys3 = sphere_cone(4)
-    group = gamma_group(sys3.exponents)
+    signs, _ = action_table(sphere_cone(4).exponents)
     # some element flips exactly the first n-1 coordinates
-    patterns = set()
-    u = np.ones(4)
-    for gamma in group:
-        gu, _ = apply_gamma(sys3, gamma, u, [0.0, 0.0])
-        patterns.add(tuple(np.sign(gu)))
+    patterns = {tuple(np.sign(row * np.ones(4))) for row in signs}
     assert (-1.0, -1.0, -1.0, 1.0) in patterns
     assert (1.0, 1.0, 1.0, -1.0) in patterns
 
 
 def test_apply_gamma_involution_up_to_periods():
     sys1 = ellipse()
-    gamma = _nonzero_gamma(sys1)
     u, y = np.array([0.6, 0.5]), np.array([0.3])
-    u2, y2 = apply_gamma(sys1, gamma, *apply_gamma(sys1, gamma, u, y))
+    u2, y2 = _apply_row(sys1, 1, *_apply_row(sys1, 1, u, y))
     assert np.allclose(u2, u)
     assert torus_distance(sys1.exponents, y2 - y) <= 1e-12
 
@@ -119,19 +116,18 @@ def test_orbit_distinctness_sweep():
 def test_in_same_orbit_detects_translates_and_rejects_strangers():
     sys1 = ellipse()
     u, y = np.array([0.6, np.sqrt((1 - 0.36) / 2)]), np.array([0.7])
-    gu, gy = apply_gamma(sys1, _nonzero_gamma(sys1), u, y)
-    assert in_same_orbit(sys1, (u, y), (gu, gy))
-    assert in_same_orbit(sys1, (u, y), (u, y + 2.0))  # full period
-    assert not in_same_orbit(sys1, (u, y), (u, y + 0.37))
+    gu, gy = _apply_row(sys1, 1, u, y)
+    # one-row batches: one verdict each
+    assert same_orbit(sys1, (u, y), (gu, gy)).tolist() == [True]
+    assert same_orbit(sys1, (u, y), (u, y + 2.0)).tolist() == [True]  # full period
+    assert same_orbit(sys1, (u, y), (u, y + 0.37)).tolist() == [False]
 
 
-# -- torus reduction --------------------------------------------------------------
+# -- torus distance ---------------------------------------------------------------
 
 
-def test_torus_reduce_and_distance():
+def test_torus_distance_one_dim():
     sys1 = ellipse()
-    reduced = torus_reduce(sys1.exponents, [4.3])
-    assert np.allclose(reduced, [0.3])
     assert torus_distance(sys1.exponents, [2.0]) <= 1e-12
     assert torus_distance(sys1.exponents, [1.0]) == pytest.approx(1.0)
 

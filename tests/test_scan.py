@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlag.quotient as quotient
 from qlag import catalog
 from qlag.immersion import phi
 from qlag.lattice import pairing_parity
@@ -181,6 +182,28 @@ def test_scan_equals_the_reference_scan(name, tol):
         assert (report.sample_count, report.tolerance) == (len(U), tol)
         assert len(report) == len(report.pairs) == len(index)
         assert len(report) > 0 or (tol, name) not in NONEMPTY
+
+
+# 160 and 30,180 close pairs: blocks of 7 and 4,099 leave a ragged last one
+@pytest.mark.parametrize("name, tol, block", [("ellipse", 1e-8, 7), ("clifford_cone(5)", 1e-6, 4099)])
+def test_scan_blocks_do_not_change_the_report(name, tol, block, monkeypatch):
+    system = CATALOG[name]()
+    U, Y = scan_samples(system, 384, seed=27)
+    whole = scan_self_intersections(system, U, Y, tol=tol)
+    sizes = []
+    real_same_orbit = quotient.same_orbit
+
+    def recorded(system, p, q, tol):
+        sizes.append(len(p[0]))
+        return real_same_orbit(system, p, q, tol)
+
+    monkeypatch.setattr(quotient, "SCAN_BLOCK", block)
+    monkeypatch.setattr(quotient, "same_orbit", recorded)
+    blocked = scan_self_intersections(system, U, Y, tol=tol)
+    assert len(sizes) > 2 and max(sizes) == block
+    assert sum(sizes) > len(blocked) > 0  # both translates and strangers seen
+    for field in ("pairs", "image_distance", "min_abs_u"):
+        assert np.array_equal(getattr(blocked, field), getattr(whole, field))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
