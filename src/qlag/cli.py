@@ -9,13 +9,18 @@ Subcommands:
   mesh                export OBJ / CSV geometry
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error.  Reports go to stdout and, with --out, to a file; identical
-(config, seed) pairs produce byte-identical reports.
+error, an --out path that cannot be written included.  Reports go to
+stdout and, with --out, to a file (written first, so an unwritable path
+prints nothing); identical (config, seed) pairs produce byte-identical
+reports.  The argument parser is built on the first main() call and
+reused by later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -34,6 +39,7 @@ TOL_FLAGS = sorted(
 ) + ["residual", "rank", "u-floor", "fd-step"]
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlag",
@@ -100,11 +106,20 @@ def _with_sweeps(config: InstanceConfig, sweeps: tuple[str, ...]) -> InstanceCon
     return replace(config, sweeps=sweeps)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write the output file into a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigInvalid([f"--out: cannot write {path}: {exc}"]) from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if out_path:  # the file first: an unwritable --out leaves stdout empty
+        with _writing(out_path), open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _run_report(config: InstanceConfig, out_path: str | None) -> int:
@@ -123,11 +138,13 @@ def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
     if target == "cpn":
         if system.n == 2:
             pts, line = meshing.build_projective_polyline(system, max(nx, ny))
-            meshing.write_obj(out, pts, polyline=line)
+            with _writing(out):
+                meshing.write_obj(out, pts, polyline=line)
         elif system.n == 3:
             if not out.endswith(".csv"):
                 out = os.path.splitext(out)[0] + ".csv"
-            meshing.write_projective_cloud(out, system, nx, ny)
+            with _writing(out):
+                meshing.write_projective_cloud(out, system, nx, ny)
         else:
             raise ConfigInvalid(
                 ["mesh.target: cpn meshes support n=2 (polyline) and n=3 (cloud)"]
@@ -135,7 +152,8 @@ def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
     else:
         mesh = meshing.build_surface_mesh(system, nx, ny)
         vertices = meshing.project_vertices(mesh.vertices, config.mesh_projection)
-        meshing.write_obj(out, vertices, mesh.faces)
+        with _writing(out):
+            meshing.write_obj(out, vertices, mesh.faces)
         chi = mesh.euler_characteristic()
         sys.stdout.write(
             "mesh: %d vertices, %d faces, euler_characteristic %d, closed %s\n"

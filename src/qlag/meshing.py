@@ -7,11 +7,18 @@ and written as OBJ.  One-dimensional projective images (n = 2 cones) are
 written as closed OBJ polylines on the unit sphere; two-dimensional
 projective images (n = 3 cones) go out as CSV point clouds in projector
 coordinates.
+
+Each mesh is built as arrays.  A SurfaceMesh computes its edge table once,
+on first use, and the Euler characteristic and the closedness test both
+read it.  The writers format BLOCK rows per % operation, with the same
+%.17g / %d conversion per value as a per-line writer, so the files are
+byte for byte the same while the string built per block stays bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +37,8 @@ DEFAULT_PROJECTION = np.array(
     ]
 )
 
+BLOCK = 4096  # rows formatted per % operation by the writers
+
 
 @dataclass(frozen=True)
 class SurfaceMesh:
@@ -40,15 +49,25 @@ class SurfaceMesh:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # the arrays are never mutated after construction, so one table
+        # serves every reader; read-only, since callers share it
+        pairs = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, counts = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1],
+                                 return_counts=True)
+        keys.flags.writeable = counts.flags.writeable = False
+        return keys, counts
+
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct undirected edges as sorted keys i*V + j (i < j, V the
-        vertex count), with the number of triangles on each."""
-        pairs = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        return np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1], return_counts=True)
+        vertex count), with the number of triangles on each (read-only)."""
+        return self._edge_table
 
     def euler_characteristic(self) -> int:
         keys, _ = self.edges()
-        return len(np.unique(self.faces)) - len(keys) + len(self.faces)
+        used = np.count_nonzero(np.bincount(self.faces.ravel(), minlength=self.vertex_count))
+        return used - len(keys) + len(self.faces)
 
     def is_closed(self) -> bool:
         """Every edge shared by exactly two triangles."""
@@ -123,13 +142,20 @@ def project_vertices(vertices: np.ndarray, projection=None) -> np.ndarray:
     return vertices @ proj.T
 
 
+def _write_rows(fh, fmt: str, table: np.ndarray) -> None:
+    """Write each row of a 2-D table through fmt, BLOCK rows per % operation."""
+    for lo in range(0, len(table), BLOCK):
+        block = table[lo:lo + BLOCK]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_obj(path, vertices3: np.ndarray, faces: np.ndarray | None = None,
               polyline: Sequence[int] | None = None) -> None:
     """Minimal OBJ writer: v records plus f (triangles) or l (polyline)."""
     with open(path, "w") as fh:
-        fh.writelines("v %.17g %.17g %.17g\n" % tuple(v) for v in np.asarray(vertices3).tolist())
+        _write_rows(fh, "v %.17g %.17g %.17g\n", np.asarray(vertices3))
         if faces is not None:
-            fh.writelines("f %d %d %d\n" % tuple(tri) for tri in (np.asarray(faces) + 1).tolist())
+            _write_rows(fh, "f %d %d %d\n", np.asarray(faces) + 1)
         if polyline is not None:
             chain = " ".join(str(i + 1) for i in polyline)
             fh.write(f"l {chain}\n")
@@ -213,4 +239,4 @@ def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 
     row = ",".join(["%.17g"] * 11) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % tuple(r) for r in table.tolist())
+        _write_rows(fh, row, table)

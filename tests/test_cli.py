@@ -245,6 +245,49 @@ def test_mesh_resolution_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+OUT_TARGETS = {
+    "analyze": ("analyze", ELLIPSE),
+    "surface": ("mesh", dict(ELLIPSE, mesh={"resolution": [16, 8]})),
+    "cloud": ("mesh", dict(BALANCED_CONE, mesh={"resolution": [8, 8], "target": "cpn"})),
+    "polyline": ("mesh", {"n": 2, "k": 1, "rows": [[1], [-1]], "constants": [0.0],
+                          "mesh": {"resolution": [16, 16], "target": "cpn"}}),
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", OUT_TARGETS)
+def test_unwritable_out_is_a_config_error(target, where, tmp_path, capsys):
+    command, payload = OUT_TARGETS[target]
+    cfg = _write(tmp_path, payload)
+    taken = tmp_path / "taken.csv"  # a directory; the cloud keeps a .csv name
+    taken.mkdir()
+    out = str(tmp_path / "missing" / "x.csv") if where == "missing-directory" else str(taken)
+    assert main([command, cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: --out: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    from qlag.cli import _build_parser
+
+    cfg = _write(tmp_path, ELLIPSE)
+    argv = ["analyze", cfg, "--seed", "5", "--samples", "40", "--tol-lagrangian", "1e-30"]
+    assert main(argv) == 1
+    overridden = capsys.readouterr().out
+    assert main(["analyze", cfg]) == 0
+    second = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    _build_parser.cache_clear()
+    assert main(["analyze", cfg]) == 0
+    fresh = capsys.readouterr().out
+    assert second == fresh != overridden
+    instance = json.loads(second)["instance"]
+    assert (instance["seed"], instance["samples"]) == (0, 60)
+    assert instance["verify_tolerances"]["lagrangian"] != 1e-30
+
+
 def test_run_analyze_errors_recorded_not_fatal():
     # a cpn sweep on a non-cone records a skip and the run still succeeds
     config = InstanceConfig.from_dict(dict(ELLIPSE, sweeps={"cpn": True}))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlag import meshing
 from qlag.catalog import clifford_cone, ellipse, ellipsoid, klein_bottle_cone, weighted_cone
 from qlag.errors import ConfigInvalid, DimensionUnsupported
 from qlag.meshing import (
@@ -161,12 +162,14 @@ def _reference_topology(faces):
     return len(used) - len(count) + len(faces), all(c == 2 for c in count.values())
 
 
-def _reference_obj(path, vertices3, faces):
+def _reference_obj(path, vertices3, faces=(), polyline=None):
     with open(path, "w") as fh:
         for v in vertices3:
             fh.write("v %.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
         for tri in faces:
             fh.write("f %d %d %d\n" % (tri[0] + 1, tri[1] + 1, tri[2] + 1))
+        if polyline is not None:
+            fh.write("l " + " ".join(str(i + 1) for i in polyline) + "\n")
 
 
 def _reference_cloud(path, system, nt, ny):
@@ -230,6 +233,72 @@ def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path):
     assert data.count(b"\r\n") == 1 + nt * ny
 
 
+# -- block writers: patched block sizes against the per-line loops --------
+#
+# With BLOCK = 4, the row counts 0, 1, 3, 4, 5 and 9 are 0, 1, BLOCK - 1,
+# BLOCK, BLOCK + 1 and 2 * BLOCK + 1.
+
+
+ROW_COUNTS = [0, 1, 3, 4, 5, 9]
+
+
+def _awkward_vertices(rows):
+    """(rows, 3) floats whose first and last entries are -0.0, a subnormal
+    and values near the ends of the double range."""
+    v = np.random.default_rng(rows).normal(size=(rows, 3)).reshape(-1)
+    special = np.array([-0.0, 1e-320, 1e300, -1e300, 5e-324])
+    k = min(len(special), len(v))
+    v[:k], v[len(v) - k:] = special[:k], special[::-1][:k]
+    return v.reshape(rows, 3)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_obj_blocks_match_loop_reference(rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(meshing, "BLOCK", 4)
+    v = _awkward_vertices(rows)
+    faces = np.random.default_rng(rows).integers(0, max(rows, 1), size=(rows, 3))
+    line = list(range(rows)) + [0]
+    for name, kwargs in [("faces", {"faces": faces}), ("line", {"polyline": line})]:
+        write_obj(tmp_path / f"new-{name}.obj", v, **kwargs)
+        _reference_obj(tmp_path / f"old-{name}.obj", v, **kwargs)
+        data = (tmp_path / f"new-{name}.obj").read_bytes()
+        assert data == (tmp_path / f"old-{name}.obj").read_bytes()
+    assert sum(line.startswith(b"v ") for line in data.splitlines()) == rows
+    if rows >= 3:  # the specials at the end overlap the first row below that
+        assert data.startswith(b"v -0 9.9998886718268301e-321 1.0000000000000001e+300\n")
+
+
+@pytest.mark.parametrize("block", [1, 31, 32, 33, 4096])
+def test_surface_obj_blocks_match_loop_reference(block, tmp_path, monkeypatch):
+    # 32 vertices and 64 faces: one row short of, at and one past a block
+    monkeypatch.setattr(meshing, "BLOCK", block)
+    mesh = build_surface_mesh(ellipse(), 8, 4)
+    v3 = project_vertices(mesh.vertices)
+    write_obj(tmp_path / "new.obj", v3, mesh.faces)
+    _reference_obj(tmp_path / "old.obj", v3, mesh.faces)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 9])
+def test_polyline_blocks_match_loop_reference(resolution, tmp_path, monkeypatch):
+    monkeypatch.setattr(meshing, "BLOCK", 4)
+    pts, line = build_projective_polyline(clifford_cone(2), resolution)
+    write_obj(tmp_path / "new.obj", pts, polyline=line)
+    _reference_obj(tmp_path / "old.obj", pts, polyline=line)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+# 9 rows against blocks of 10, 9, 8 and 4 (BLOCK - 1, BLOCK, BLOCK + 1 and
+# 2 * BLOCK + 1 rows), and 4 rows in one block
+@pytest.mark.parametrize("nt, ny, block", [(3, 3, 10), (3, 3, 9), (3, 3, 8), (3, 3, 4),
+                                           (2, 2, 4096)])
+def test_cloud_blocks_match_loop_reference(nt, ny, block, tmp_path, monkeypatch):
+    monkeypatch.setattr(meshing, "BLOCK", block)
+    write_projective_cloud(tmp_path / "new.csv", klein_bottle_cone(), nt, ny)
+    _reference_cloud(tmp_path / "old.csv", klein_bottle_cone(), nt, ny)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_projector_coordinates_batch_matches_single_vectors():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(5, 7, 3)) + 1j * rng.normal(size=(5, 7, 3))
@@ -263,6 +332,29 @@ def test_edge_table_keys_and_counts():
     # edges (0,1) (0,2) (1,2) (1,3) (2,3) as i*V + j with V = 4
     assert keys.tolist() == [1, 2, 6, 7, 11]
     assert counts.tolist() == [1, 1, 2, 1, 1]
+
+
+def test_one_edge_table_per_mesh(monkeypatch):
+    mesh = build_surface_mesh(ellipse(), 32, 16)
+    holed = SurfaceMesh(mesh.vertices, mesh.faces[1:])
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(meshing.np, "unique", counting_unique)
+    assert mesh.euler_characteristic() == 0
+    assert mesh.is_closed()
+    keys, counts = mesh.edges()
+    assert mesh.euler_characteristic() == 0 and mesh.is_closed()
+    assert calls == [3 * len(mesh.faces)]
+    assert not keys.flags.writeable and not counts.flags.writeable
+    # a mesh of other faces builds its own table
+    assert holed.euler_characteristic() == -1
+    assert not holed.is_closed()
+    assert calls == [3 * len(mesh.faces), 3 * len(holed.faces)]
 
 
 def test_mesh_with_a_face_removed_is_open():
