@@ -9,18 +9,16 @@ Subcommands:
   mesh                export OBJ / CSV geometry
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error, an --out path that cannot be written included.  Reports go to
-stdout and, with --out, to a file (written first, so an unwritable path
-prints nothing); identical (config, seed) pairs produce byte-identical
-reports.  The argument parser is built on the first main() call and
-reused by later calls in the same process.
+error, an --out path that cannot be opened included.  Reports go to
+stdout and, with --out, to a file (written first, so a path that cannot
+be opened prints nothing); identical (config, seed) pairs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -39,7 +37,6 @@ TOL_FLAGS = sorted(
 ) + ["residual", "rank", "u-floor", "fd-step"]
 
 
-@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlag",
@@ -108,10 +105,17 @@ def _with_sweeps(config: InstanceConfig, sweeps: tuple[str, ...]) -> InstanceCon
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """Turn a failure to write the output file into a configuration error."""
+    """Turn a failure to open the output file into a configuration error.
+
+    Only an OSError naming the path (a missing directory, a directory in
+    its place, no permission) is converted; one raised partway through a
+    write, such as a full disk, carries no file name and propagates.
+    """
     try:
         yield
     except OSError as exc:
+        if exc.filename != path:
+            raise
         raise ConfigInvalid([f"--out: cannot write {path}: {exc}"]) from None
 
 

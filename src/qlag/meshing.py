@@ -8,11 +8,12 @@ written as closed OBJ polylines on the unit sphere; two-dimensional
 projective images (n = 3 cones) go out as CSV point clouds in projector
 coordinates.
 
-Each mesh is built as arrays.  A SurfaceMesh computes its edge table once,
-on first use, and the Euler characteristic and the closedness test both
-read it.  The writers format BLOCK rows per % operation, with the same
-%.17g / %d conversion per value as a per-line writer, so the files are
-byte for byte the same while the string built per block stays bounded.
+Each mesh is built as arrays.  A SurfaceMesh holds read-only views of its
+vertices and faces and computes its edge table once, on first use; the
+Euler characteristic and the closedness test both read it.  The writers
+format BLOCK rows per % operation, with the same %.17g / %d conversion per
+value as a per-line writer, so the files are byte for byte the same while
+the string built per block stays bounded.
 """
 
 from __future__ import annotations
@@ -45,14 +46,21 @@ class SurfaceMesh:
     vertices: np.ndarray  # (V, 4) real coordinates of C^2 points
     faces: np.ndarray  # (F, 3) int vertex indices
 
+    def __post_init__(self) -> None:
+        # the edge table is cached, so the mesh holds read-only views:
+        # changing mesh.faces in place would leave the table stale
+        for name in ("vertices", "faces"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
 
     @cached_property
     def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # the arrays are never mutated after construction, so one table
-        # serves every reader; read-only, since callers share it
+        # one table serves every reader; read-only, since callers share it
         pairs = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         keys, counts = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1],
                                  return_counts=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, meshes."""
 
+import errno
 import glob
 import json
 import os
@@ -269,23 +270,20 @@ def test_unwritable_out_is_a_config_error(target, where, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
-    from qlag.cli import _build_parser
+def test_failed_write_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # an OSError partway through a write (here a full disk) names no file,
+    # so it is not reported as an unwritable --out
+    from qlag import meshing
 
-    cfg = _write(tmp_path, ELLIPSE)
-    argv = ["analyze", cfg, "--seed", "5", "--samples", "40", "--tol-lagrangian", "1e-30"]
-    assert main(argv) == 1
-    overridden = capsys.readouterr().out
-    assert main(["analyze", cfg]) == 0
-    second = capsys.readouterr().out
-    assert _build_parser() is _build_parser()
-    _build_parser.cache_clear()
-    assert main(["analyze", cfg]) == 0
-    fresh = capsys.readouterr().out
-    assert second == fresh != overridden
-    instance = json.loads(second)["instance"]
-    assert (instance["seed"], instance["samples"]) == (0, 60)
-    assert instance["verify_tolerances"]["lagrangian"] != 1e-30
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(meshing, "write_obj", full_disk)
+    cfg = _write(tmp_path, OUT_TARGETS["surface"][1])
+    with pytest.raises(OSError) as info:
+        main(["mesh", cfg, "--out", str(tmp_path / "x.obj")])
+    assert info.value.errno == errno.ENOSPC
+    capsys.readouterr()
 
 
 def test_run_analyze_errors_recorded_not_fatal():

@@ -208,7 +208,7 @@ SURFACES = [
 
 @pytest.mark.parametrize("make, args, nx, ny", SURFACES,
                          ids=lambda p: getattr(p, "__name__", str(p)))
-def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path):
+def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path, monkeypatch):
     system = make(*args)
     mesh = build_surface_mesh(system, nx, ny)
     vertices, faces = _reference_surface(system, nx, ny)
@@ -217,20 +217,30 @@ def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path):
     assert (mesh.euler_characteristic(), mesh.is_closed()) == _reference_topology(faces)
     proj = np.linalg.qr(np.random.default_rng(nx).normal(size=(4, 3)))[0].T
     v3 = project_vertices(mesh.vertices, proj)
-    write_obj(tmp_path / "new.obj", v3, mesh.faces)
     _reference_obj(tmp_path / "old.obj", v3, faces)
-    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+    # V vertex rows and 2V face rows against blocks one short of, at and
+    # one past V rows
+    V = len(v3)
+    for block in (meshing.BLOCK, V - 1, V, V + 1):
+        monkeypatch.setattr(meshing, "BLOCK", block)
+        write_obj(tmp_path / "new.obj", v3, mesh.faces)
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
 
 
 @pytest.mark.parametrize("nt, ny", [(64, 64), (12, 10), (7, 5)])
 @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 3), (2, 3, 1)], ids=str)
-def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path):
+def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path, monkeypatch):
     system = weighted_cone(weights)  # (1, 2, 3) is klein_bottle_cone
-    write_projective_cloud(tmp_path / "new.csv", system, nt, ny)
     _reference_cloud(tmp_path / "old.csv", system, nt, ny)
-    data = (tmp_path / "new.csv").read_bytes()
-    assert data == (tmp_path / "old.csv").read_bytes()
-    assert data.count(b"\r\n") == 1 + nt * ny
+    # nt * ny rows against blocks one short of, at and one past them, and
+    # against at least two full blocks and a partial one
+    rows = nt * ny
+    for block in (meshing.BLOCK, rows - 1, rows, rows + 1, (rows - 1) // 2):
+        monkeypatch.setattr(meshing, "BLOCK", block)
+        write_projective_cloud(tmp_path / "new.csv", system, nt, ny)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "old.csv").read_bytes()
+        assert data.count(b"\r\n") == 1 + rows
 
 
 # -- block writers: patched block sizes against the per-line loops --------
@@ -266,37 +276,6 @@ def test_obj_blocks_match_loop_reference(rows, tmp_path, monkeypatch):
     assert sum(line.startswith(b"v ") for line in data.splitlines()) == rows
     if rows >= 3:  # the specials at the end overlap the first row below that
         assert data.startswith(b"v -0 9.9998886718268301e-321 1.0000000000000001e+300\n")
-
-
-@pytest.mark.parametrize("block", [1, 31, 32, 33, 4096])
-def test_surface_obj_blocks_match_loop_reference(block, tmp_path, monkeypatch):
-    # 32 vertices and 64 faces: one row short of, at and one past a block
-    monkeypatch.setattr(meshing, "BLOCK", block)
-    mesh = build_surface_mesh(ellipse(), 8, 4)
-    v3 = project_vertices(mesh.vertices)
-    write_obj(tmp_path / "new.obj", v3, mesh.faces)
-    _reference_obj(tmp_path / "old.obj", v3, mesh.faces)
-    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
-
-
-@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 9])
-def test_polyline_blocks_match_loop_reference(resolution, tmp_path, monkeypatch):
-    monkeypatch.setattr(meshing, "BLOCK", 4)
-    pts, line = build_projective_polyline(clifford_cone(2), resolution)
-    write_obj(tmp_path / "new.obj", pts, polyline=line)
-    _reference_obj(tmp_path / "old.obj", pts, polyline=line)
-    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
-
-
-# 9 rows against blocks of 10, 9, 8 and 4 (BLOCK - 1, BLOCK, BLOCK + 1 and
-# 2 * BLOCK + 1 rows), and 4 rows in one block
-@pytest.mark.parametrize("nt, ny, block", [(3, 3, 10), (3, 3, 9), (3, 3, 8), (3, 3, 4),
-                                           (2, 2, 4096)])
-def test_cloud_blocks_match_loop_reference(nt, ny, block, tmp_path, monkeypatch):
-    monkeypatch.setattr(meshing, "BLOCK", block)
-    write_projective_cloud(tmp_path / "new.csv", klein_bottle_cone(), nt, ny)
-    _reference_cloud(tmp_path / "old.csv", klein_bottle_cone(), nt, ny)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_projector_coordinates_batch_matches_single_vectors():
@@ -351,6 +330,10 @@ def test_one_edge_table_per_mesh(monkeypatch):
     assert mesh.euler_characteristic() == 0 and mesh.is_closed()
     assert calls == [3 * len(mesh.faces)]
     assert not keys.flags.writeable and not counts.flags.writeable
+    # the table cannot go stale: the mesh's own arrays are read-only too
+    with pytest.raises(ValueError):
+        mesh.faces[0, 0] = 1
+    assert not mesh.vertices.flags.writeable
     # a mesh of other faces builds its own table
     assert holed.euler_characteristic() == -1
     assert not holed.is_closed()
