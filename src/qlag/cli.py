@@ -22,6 +22,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigInvalid, QlagError
 from .pipeline import (
@@ -36,6 +37,17 @@ TOL_FLAGS = sorted(
     name.replace("_", "-") for name in VERIFY_TOLERANCES
 ) + ["residual", "rank", "u-floor", "fd-step"]
 
+# name -> (help, the sweeps it runs); analyze runs the config's own sweeps
+# and mesh writes geometry instead of a report
+COMMANDS = {
+    "analyze": ("run every configured sweep and print the full report", None),
+    "verify-cn": ("verify the complex-space properties", ("cn",)),
+    "verify-cpn": ("verify the projective properties (cones only)", ("cpn",)),
+    "classify": ("print the quotient section: orbits, collision scan, characters and "
+                 "topology label", ("quotient",)),
+    "mesh": ("export mesh geometry (OBJ surface / polyline, CSV cloud)", None),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,15 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "from integer quadric systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": "run every configured sweep and print the full report",
-        "verify-cn": "verify the complex-space properties",
-        "verify-cpn": "verify the projective properties (cones only)",
-        "classify": "print the quotient section: orbits, collision scan, "
-        "characters and topology label",
-        "mesh": "export mesh geometry (OBJ surface / polyline, CSV cloud)",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the instance config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
@@ -95,12 +99,6 @@ def _load_config(args) -> InstanceConfig:
             tolerances[flag.replace("-", "_")] = value
     raw["tolerances"] = tolerances
     return InstanceConfig.from_dict(raw)
-
-
-def _with_sweeps(config: InstanceConfig, sweeps: tuple[str, ...]) -> InstanceConfig:
-    from dataclasses import replace
-
-    return replace(config, sweeps=sweeps)
 
 
 @contextlib.contextmanager
@@ -172,17 +170,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        if args.command == "analyze":
-            return _run_report(config, args.out)
-        if args.command == "verify-cn":
-            return _run_report(_with_sweeps(config, ("cn",)), args.out)
-        if args.command == "verify-cpn":
-            return _run_report(_with_sweeps(config, ("cpn",)), args.out)
-        if args.command == "classify":
-            return _run_report(_with_sweeps(config, ("quotient",)), args.out)
         if args.command == "mesh":
             return _run_mesh(config, args.out)
-        parser.error(f"unknown command {args.command}")
+        sweeps = COMMANDS[args.command][1]
+        if sweeps is not None:
+            config = replace(config, sweeps=sweeps)
+        return _run_report(config, args.out)
     except ConfigInvalid as exc:
         for message in exc.messages:
             sys.stderr.write(f"config error: {message}\n")
@@ -190,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     except QlagError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,14 @@ from .errors import (
 )
 from .lattice import ExponentMatrix, sum_vector
 from .numdiff import mean_curvature_flat
-from .quadric import QuadricSystem, newton_project, orthonormalize, sample_points
+from .quadric import (
+    QuadricSystem,
+    definite,
+    lone_sign,
+    newton_project,
+    orthonormalize,
+    sample_points,
+)
 from .torus import torus_box
 
 TWO_PI = 2.0 * np.pi
@@ -243,12 +250,13 @@ class ImmersionChart:
         return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def mean_curvature_fd(system: QuadricSystem, u, y, step: float | None = None) -> np.ndarray:
+def mean_curvature_fd(system: QuadricSystem, u, y) -> np.ndarray:
     """Independent mean-curvature oracle: unnormalized trace of the second
     fundamental form, everything by central finite differences in local
-    charts.  Shares no formulas with mean_curvature.  (N, n) and (N, m)
-    batches give (N, n), with every stencil in one chart call."""
-    step = system.tolerances.fd_step if step is None else step
+    charts, with the step system.tolerances.fd_step.  Shares no formulas
+    with mean_curvature.  (N, n) and (N, m) batches give (N, n), with every
+    stencil in one chart call."""
+    step = system.tolerances.fd_step
     chart = ImmersionChart(system, u, y)
     H = mean_curvature_flat(chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), step)
     n = system.n
@@ -347,7 +355,7 @@ def _conic_parametrization(system: QuadricSystem):
     a*u1^2 + b*u2^2 = d, t in [0,1)."""
     (a,), (b,) = system.exponents.rows
     d = system.constants[0]
-    if d == 0 or a * d <= 0 or b * d <= 0:
+    if not definite((a, b), d):
         raise ChartUnavailable("surface charts need a compact conic (ellipse)")
     ra, rb = np.sqrt(d / a), np.sqrt(d / b)
 
@@ -373,15 +381,12 @@ def _link_parametrization(system: QuadricSystem):
     """
     if system.n != 3 or system.codim != 1 or not system.is_cone():
         raise ChartUnavailable("link charts are built for n=3 single-equation cones")
-    coeffs = np.array([r[0] for r in system.exponents.rows], dtype=float)
-    neg = np.nonzero(coeffs < 0)[0]
-    pos = np.nonzero(coeffs > 0)[0]
-    if len(neg) == 2 and len(pos) == 1:
-        coeffs, neg, pos = -coeffs, pos, neg
-    if len(neg) != 1 or len(pos) != 2:
+    column = system.exponents.column(0)
+    l = lone_sign(column)
+    if l is None:
         raise ChartUnavailable("cone must have signature (+,+,-) up to sign")
-    l, (p, q) = neg[0], pos
-    a, b, c = coeffs[p], coeffs[q], -coeffs[l]
+    p, q = (i for i in range(3) if i != l)
+    a, b, c = np.abs(np.array(column, dtype=float))[[p, q, l]]
     sp, sq = 1.0 / np.sqrt(1.0 + a / c), 1.0 / np.sqrt(1.0 + b / c)
 
     def point(t):
@@ -533,23 +538,25 @@ class TrigPolynomial:
 
     terms: tuple[tuple[float, tuple[int, ...], float], ...]
 
-    def gradient(self, axis: int, *grids) -> np.ndarray:
-        out = np.zeros(np.broadcast(*grids).shape if grids else ())
+    def gradient(self, *grids) -> list[np.ndarray]:
+        """The partial derivatives along every axis at the grid points, from
+        one sine per term."""
+        zero = np.zeros(np.broadcast(*grids).shape if grids else ())
+        out = [zero] * len(grids)  # entries are rebound, never written in place
         for amp, freqs, phase in self.terms:
-            if freqs[axis] == 0:
-                continue
-            arg = phase + TWO_PI * sum(f * g for f, g in zip(freqs, grids))
-            out = out - amp * TWO_PI * freqs[axis] * np.sin(arg)
+            sine = np.sin(phase + TWO_PI * sum(f * g for f, g in zip(freqs, grids)))
+            for axis, f in enumerate(freqs):
+                if f:
+                    out[axis] = out[axis] - amp * TWO_PI * f * sine
         return out
 
 
-def random_trig_polynomial(
-    dim: int, seed: int = 0, n_terms: int = 4, max_freq: int = 2
-) -> TrigPolynomial:
+def random_trig_polynomial(dim: int, seed: int = 0) -> TrigPolynomial:
+    """Four terms with integer frequencies in [-2, 2], none all zero."""
     rng = np.random.default_rng([seed, 7])
     terms = []
-    for _ in range(n_terms):
-        freqs = tuple(int(f) for f in rng.integers(-max_freq, max_freq + 1, size=dim))
+    for _ in range(4):
+        freqs = tuple(int(f) for f in rng.integers(-2, 3, size=dim))
         if not any(freqs):
             freqs = (1,) + (0,) * (dim - 1)
         amp = float(rng.uniform(-1.0, 1.0))
@@ -582,7 +589,7 @@ def hamiltonian_variation(
     # the mesh are half-open already; nothing to trim.
     ginv = np.linalg.inv(mesh.metric)
     sqrtg = np.sqrt(np.linalg.det(mesh.metric))
-    df = [f.gradient(b, *grids) for b in range(mesh.dim)]
+    df = f.gradient(*grids)
     integrand = np.zeros(mesh.shape)
     for a in range(mesh.dim):
         if mesh.angle_gradient[a] == 0.0:
@@ -624,8 +631,7 @@ def gradient_graph_variation(
     detg = g11 * g22 - g12 * g12
     db1 = (np.roll(beta, -1, axis=0) - np.roll(beta, 1, axis=0)) / (2 * h)
     db2 = (np.roll(beta, -1, axis=1) - np.roll(beta, 1, axis=1)) / (2 * h)
-    df1 = f.gradient(0, x1, x2)
-    df2 = f.gradient(1, x1, x2)
+    df1, df2 = f.gradient(x1, x2)
     integrand = (
         g22 * db1 * df1 - g12 * (db1 * df2 + db2 * df1) + g11 * db2 * df2
     ) / detg

@@ -8,7 +8,9 @@ everything group-theoretic downstream (sign action, freeness, orientation
 characters).
 
 All arithmetic here is exact: integers for L, fractions.Fraction for L*.
-Parity statements must never pass through floating point.
+Parity statements must never pass through floating point.  Linear algebra
+over Q is one Gauss-Jordan inverse per LatticeBasis, which rejects a
+singular basis and gives both the dual basis and coordinates.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class ExponentMatrix:
         m = self.codim
         if not 1 <= m <= self.n:
             raise ValueError(f"need between 1 and n equations, got {m} for n={self.n}")
-        if _row_rank(self.rows) < m:
-            raise RankDeficient(f"exponent rows span rank {_row_rank(self.rows)} < {m}")
+        rank = len(hermite_normal_form(self.rows))
+        if rank < m:
+            raise RankDeficient(f"exponent rows span rank {rank} < {m}")
 
     @property
     def n(self) -> int:
@@ -93,21 +96,20 @@ class LatticeBasis:
         m = len(frac_rows)
         if any(len(r) != m for r in frac_rows):
             raise DimensionMismatch("basis matrix must be square")
-        if _det(frac_rows) == 0:
-            raise SingularBasis("basis matrix has determinant 0")
+        # not a field: equality, hash and repr read the rows alone
+        object.__setattr__(self, "_inverse", _inverse(frac_rows))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def coordinates(self, v: Sequence) -> FracVector:
-        """Coefficients c with  v = sum_i c_i * rows[i],  exact."""
+        """Coefficients c with  v = sum_i c_i * rows[i],  exact: c = v B^-1."""
         vec = tuple(Fraction(x) for x in v)
         if len(vec) != self.dim:
             raise DimensionMismatch("vector length does not match basis")
-        # Solve B^T c = v by Gauss-Jordan over Q.
-        cols = [[self.rows[i][j] for i in range(self.dim)] for j in range(self.dim)]
-        return tuple(_solve(cols, vec))
+        return tuple(sum((x * r[j] for x, r in zip(vec, self._inverse)), Fraction(0))
+                     for j in range(self.dim))
 
     def contains(self, v: Sequence) -> bool:
         """True iff v is an integer combination of the basis rows."""
@@ -143,35 +145,15 @@ class GammaGroup:
 # ---------------------------------------------------------------------------
 
 
-def _det(rows: Sequence[FracVector]) -> Fraction:
+def _inverse(rows: Sequence[FracVector]) -> tuple[FracVector, ...]:
+    """B^-1 of a square matrix over Q by Gauss-Jordan on [B | I]; raises
+    SingularBasis when det B = 0."""
     m = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
+    a = [list(r) + [Fraction(int(i == j)) for j in range(m)] for i, r in enumerate(rows)]
     for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, m):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
-def _solve(matrix_rows, rhs) -> list[Fraction]:
-    """Solve A x = rhs exactly; A given as list of rows of Fractions."""
-    m = len(matrix_rows)
-    a = [list(matrix_rows[i]) + [rhs[i]] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularBasis("singular system in exact solve")
+            raise SingularBasis("basis matrix has determinant 0")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -179,11 +161,7 @@ def _solve(matrix_rows, rhs) -> list[Fraction]:
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
-
-
-def _row_rank(rows: Sequence[IntVector]) -> int:
-    return len(hermite_normal_form(rows))
+    return tuple(tuple(r[m:]) for r in a)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
@@ -239,27 +217,15 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
 
 
 def lattice_basis_from_generators(exponents: ExponentMatrix) -> LatticeBasis:
-    """Canonical (HNF) basis of the lattice generated by the exponent rows.
-
-    Raises RankDeficient when the rows span less than full rank; degenerate
-    inputs are rejected rather than silently completed.
-    """
-    m = exponents.codim
-    hnf = hermite_normal_form(exponents.rows)
-    if len(hnf) < m:
-        raise RankDeficient(f"generators span rank {len(hnf)}, need {m}")
-    return LatticeBasis(hnf)
+    """Canonical (HNF) basis of the lattice generated by the exponent rows,
+    square because an ExponentMatrix has full rank."""
+    return LatticeBasis(hermite_normal_form(exponents.rows))
 
 
 def dual_basis(basis: LatticeBasis) -> LatticeBasis:
-    """Rows b*_j with <b_i, b*_j> = delta_ij, exactly (inverse transpose)."""
-    m = basis.dim
-    rows = []
-    for j in range(m):
-        rhs = [Fraction(1 if i == j else 0) for i in range(m)]
-        # column j of B^{-1}  ==  row j of B^{-T}
-        rows.append(_solve([list(r) for r in basis.rows], rhs))
-    return LatticeBasis(rows)
+    """Rows b*_j with <b_i, b*_j> = delta_ij, exactly (inverse transpose):
+    row j is column j of the basis's stored inverse."""
+    return LatticeBasis(zip(*basis._inverse))
 
 
 def gamma_representatives(dual: LatticeBasis) -> GammaGroup:

@@ -9,7 +9,8 @@ module errors are recorded per property instead of aborting the run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
@@ -31,13 +32,13 @@ from .immersion import (
     sample_immersion,
     torus_metric,
 )
-from .lattice import ExponentMatrix, sum_vector
+from .lattice import ExponentMatrix, sum_vector, verify_free_action
 from .projective import (
     projective_angle_fiber_defect,
     projective_lagrangian_defect,
     projective_mean_curvature,
 )
-from .quadric import QuadricSystem, Tolerances
+from .quadric import QuadricSystem, Tolerances, require_cone
 from .quotient import (
     classify_quotient,
     orbit_distinctness,
@@ -63,8 +64,12 @@ VERIFY_TOLERANCES = {
     "scan": 1e-8,
 }
 
-# Tolerances keys that tune the numerics rather than judge a check.
-NUMERIC_TOLERANCES = ("residual", "rank", "u_floor", "r_max", "fd_step", "max_iter")
+# Tolerances keys that tune the numerics rather than judge a check, with
+# their defaults: an int default takes a positive integer, a float one a
+# finite number >= 0.
+NUMERIC_TOLERANCES = {f.name: f.default for f in fields(Tolerances)}
+
+SWEEPS = ("cn", "cpn", "quotient")
 
 # Samples per batched frame pass: bounds the (block, r, r, n) temporaries of
 # the Gram pairings, so peak memory stays flat in the sample count.
@@ -144,21 +149,30 @@ class InstanceConfig:
         if not isinstance(tolerances, dict):
             errors.append("tolerances: must be an object")
             tolerances = {}
+        defaults = {**VERIFY_TOLERANCES, **NUMERIC_TOLERANCES}
         for key, value in tolerances.items():
-            if key not in VERIFY_TOLERANCES and key not in NUMERIC_TOLERANCES:
+            if key not in defaults:
                 errors.append(f"tolerances.{key}: unknown tolerance")
-            elif key == "max_iter" and not _is_count(value, 1):
-                errors.append("tolerances.max_iter: must be a positive integer")
+            elif isinstance(defaults[key], int) and not _is_count(value, 1):
+                errors.append(f"tolerances.{key}: must be a positive integer")
             elif not (_is_real(value) and value >= 0):
                 errors.append(f"tolerances.{key}: must be a finite number >= 0")
         sweeps = raw.get("sweeps", {"cn": True, "quotient": True})
-        if not isinstance(sweeps, (dict, list, tuple)):
+        if isinstance(sweeps, dict):
+            for key, value in sweeps.items():
+                if key not in SWEEPS:
+                    errors.append(f"sweeps.{key}: unknown sweep")
+                elif not isinstance(value, bool):
+                    errors.append(f"sweeps.{key}: must be true or false")
+            sweeps = [key for key, value in sweeps.items() if value]
+        elif isinstance(sweeps, (list, tuple)):
+            for i, name in enumerate(sweeps):
+                if name not in SWEEPS:
+                    errors.append(f"sweeps[{i}]: unknown sweep {name!r}")
+        else:
             errors.append("sweeps: must be an object or a list")
             sweeps = ()
-        if isinstance(sweeps, dict):
-            order = [s for s in ("cn", "cpn", "quotient") if sweeps.get(s)]
-        else:
-            order = [s for s in ("cn", "cpn", "quotient") if s in sweeps]
+        order = [s for s in SWEEPS if s in sweeps]
         mesh = raw.get("mesh", {})
         if not isinstance(mesh, dict):
             errors.append("mesh: must be an object")
@@ -201,15 +215,12 @@ class InstanceConfig:
         )
 
     def system(self) -> QuadricSystem:
-        numeric = Tolerances()
         overrides = {
-            key: float(val)
-            for key, val in self.tolerances.items()
-            if key in NUMERIC_TOLERANCES and key != "max_iter"
+            key: type(default)(self.tolerances[key])
+            for key, default in NUMERIC_TOLERANCES.items()
+            if key in self.tolerances
         }
-        if "max_iter" in self.tolerances:
-            overrides["max_iter"] = int(self.tolerances["max_iter"])
-        return QuadricSystem(self.rows, self.constants, numeric.updated(**overrides))
+        return QuadricSystem(self.rows, self.constants, Tolerances(**overrides))
 
     def verify_tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, VERIFY_TOLERANCES[name]))
@@ -236,8 +247,6 @@ def _guard(report: dict, key: str, fn) -> None:
 
 def _lattice_section(system: QuadricSystem) -> dict:
     basis, dual, group = lattice_data(system.exponents)
-    from .lattice import verify_free_action
-
     result = verify_free_action(system.exponents, group)
     return {
         "basis": [[str(x) for x in row] for row in basis.rows],
@@ -348,8 +357,6 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
 
 def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
-    from .quadric import require_cone
-
     section: dict[str, Any] = {}
     try:
         require_cone(system)
@@ -457,14 +464,7 @@ def run_analyze(config: InstanceConfig) -> dict:
             "samples": config.samples,
             "seed": config.seed,
             "sweeps": list(config.sweeps),
-            "numeric_tolerances": {
-                "residual": system.tolerances.residual,
-                "rank": system.tolerances.rank,
-                "u_floor": system.tolerances.u_floor,
-                "max_iter": system.tolerances.max_iter,
-                "r_max": system.tolerances.r_max,
-                "fd_step": system.tolerances.fd_step,
-            },
+            "numeric_tolerances": asdict(system.tolerances),
             "verify_tolerances": {
                 name: config.verify_tolerance(name) for name in sorted(VERIFY_TOLERANCES)
             },
@@ -488,21 +488,13 @@ def run_analyze(config: InstanceConfig) -> dict:
 
 def report_passed(report: dict) -> bool:
     """True when no property entry carries pass=False."""
-    ok = True
 
-    def walk(node) -> None:
-        nonlocal ok
+    def failed(node) -> bool:
         if isinstance(node, dict):
-            if node.get("pass") is False:
-                ok = False
-            for v in node.values():
-                walk(v)
-        elif isinstance(node, (list, tuple)):
-            for v in node:
-                walk(v)
+            return node.get("pass") is False or any(map(failed, node.values()))
+        return isinstance(node, (list, tuple)) and any(map(failed, node))
 
-    walk(report)
-    return ok
+    return not failed(report)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +503,6 @@ def report_passed(report: dict) -> bool:
 
 
 def _format_scalar(value) -> str:
-    import json
-
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:
@@ -531,12 +521,13 @@ def _format_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def serialize_report(report: dict, indent: int = 2) -> str:
-    """JSON text with stable key order and 17-significant-digit floats."""
+def serialize_report(report: dict) -> str:
+    """JSON text indented by two spaces, with stable key order and
+    17-significant-digit floats."""
 
     def render(node, level: int) -> str:
-        pad = " " * (indent * level)
-        inner = " " * (indent * (level + 1))
+        pad = "  " * level
+        inner = "  " * (level + 1)
         if isinstance(node, dict):
             if not node:
                 return "{}"

@@ -227,17 +227,17 @@ def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:
 
 
 def projective_mean_curvature(
-    system: QuadricSystem, u, y, step: float | None = None
+    system: QuadricSystem, u, y
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Oracle for the projected immersion's mean curvature.
 
     Trace of the second fundamental form in the affine chart, with the
     ambient Fubini-Study Christoffel symbols obtained by finite differences
-    of the chart metric; both use the step system.tolerances.fd_step unless
-    one is given.  Returns (H in chart coordinates, FS norm of H): (N, D)
-    and (N,) for (N, n) and (N, m) batches.
+    of the chart metric; both use the step system.tolerances.fd_step.
+    Returns (H in chart coordinates, FS norm of H): (N, D) and (N,) for
+    (N, n) and (N, m) batches.
     """
-    step = system.tolerances.fd_step if step is None else step
+    step = system.tolerances.fd_step
     chart = ProjectiveChart(system, u, y)
     return mean_curvature_riemannian(
         chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), fs_metric_matrix, step=step

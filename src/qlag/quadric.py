@@ -3,11 +3,15 @@
 Validation, residuals, normal frames, tangent spaces, Gauss-Newton
 projection onto M and seeded rejection sampling.  Everything is a pure
 function of immutable inputs; samplers are deterministic per (seed, count).
+
+One equation's sign pattern is read by definite (a compact ellipsoid) and
+lone_sign (a cone's axis) alone.  Tolerances is the one record of the
+numeric knobs: its fields name them, their defaults give their types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +36,6 @@ class Tolerances:
     max_iter: int = 100
     r_max: float = 1e3
     fd_step: float = 1e-5
-
-    def updated(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,6 @@ def sample_points(
     count: int,
     seed: int = 0,
     u_floor: float | None = None,
-    scale: float = 1.0,
 ) -> np.ndarray:
     """Deterministic rejection sampler: Gaussian ambient draws projected
     onto M, keeping smooth points off the coordinate strata.
@@ -273,7 +273,7 @@ def sample_points(
     Points with min_i |u_i| <= u_floor or norm > r_max are rejected, so the
     returned samples are safe for chart-based verification.  Raises
     SamplingExhausted when the acceptance rate is too low (e.g. an empty or
-    unbounded variety at this scale).
+    unbounded variety at unit scale).
     """
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
@@ -292,7 +292,7 @@ def sample_points(
                 f"accepted {have}/{count} after {attempts} draws "
                 f"(rejections: {rejected})"
             )
-        guesses = rng.normal(0.0, scale, size=(batch, system.n))
+        guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
         attempts += batch
         points, status = gauss_newton(system, guesses)
         ok = status == CONVERGED
@@ -347,6 +347,27 @@ def sample_stratum_points(
         accepted.append(take)
         have += len(take)
     return np.concatenate(accepted)
+
+
+def definite(column: Sequence[int], d: float) -> bool:
+    """Whether sum_i column[i] u_i^2 = d cuts out a compact ellipsoid: d and
+    every coefficient nonzero and of one sign."""
+    if d < 0:
+        column, d = [-c for c in column], -d
+    return d > 0 and all(c > 0 for c in column)
+
+
+def lone_sign(column: Sequence[int]) -> int | None:
+    """Index of the one coefficient whose sign differs from all the others,
+    none zero: the axis of a (+,...,+,-) signature up to a global sign, or
+    None.  Of two coefficients of opposite sign it returns the positive one."""
+    col = np.asarray(column)
+    if np.sum(col < 0) == len(col) - 1 and np.sum(col > 0) == 1:
+        col = -col
+    neg = np.flatnonzero(col < 0)
+    if len(neg) == 1 and np.sum(col > 0) == len(col) - 1:
+        return int(neg[0])
+    return None
 
 
 def require_cone(system: QuadricSystem) -> None:

@@ -2,7 +2,10 @@
 self-intersection scanning, orientation characters, and pattern-matched
 classification of the quotient for the recognized instance families.
 Orbits, the collision scan and the labels read the action from the cached
-sign/translation table torus.action_table, over batches of points.
+sign/translation table torus.action_table, over batches of points.  The
+family recognizers read each equation's sign pattern through
+quadric.definite and quadric.lone_sign, so the rule for a compact ellipsoid
+and for the axis of a cone is written once.
 
 Topology here is honest about its scope: labels are only emitted for
 instance shapes whose quotient is understood case by case; everything else
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import CrossCheckFailed, NonFreeWitness
 from .immersion import phi, sample_torus_angles
-from .quadric import QuadricSystem, sample_points, sample_stratum_points
-from .torus import action_table, gamma_group, gamma_signs, torus_distance
+from .quadric import QuadricSystem, definite, lone_sign, sample_points, sample_stratum_points
+from .torus import action_table, gamma_group, gamma_signs, torus_box, torus_distance
 
 
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -75,15 +78,12 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
 
 def orbit_distinctness(system: QuadricSystem, samples, tol: float = 1e-9) -> int:
     """Run the orbit check over samples, a (U, Y) tuple of (N, n) and (N, m)
-    arrays, in one batched orbit call; returns the orbit size."""
-    size = len(gamma_group(system.exponents))
+    arrays, in one batched orbit call; returns the orbit size |G|, which is
+    the length of every orbit the check lets pass."""
     U, Y = samples
-    if not len(U):
-        return size
-    pts = orbit(system, U, Y, tol=tol)
-    if len(pts) != size:
-        raise NonFreeWitness(f"orbit size {len(pts)} != {size}")
-    return size
+    if len(U):
+        orbit(system, U, Y, tol=tol)
+    return len(gamma_group(system.exponents))
 
 
 def same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> np.ndarray:
@@ -126,24 +126,21 @@ def scan_samples(
     system: QuadricSystem,
     count: int,
     seed: int = 0,
-    stratum_fraction: float = 0.4,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample set for collision scanning: generic points plus points placed
-    exactly on each coordinate stratum u_j = 0, where identifications can
+    """Sample set for collision scanning: generic points plus 40% placed
+    exactly on the coordinate strata u_j = 0, where identifications can
     hide.
 
     Stratum points come with their sign mirrors and carry torus angles on a
     uniform grid whose size is a multiple of 4, so half-period phase
     oppositions produce exact image coincidences rather than near misses.
     """
-    n_strata = max(0, int(count * stratum_fraction))
+    n_strata = max(0, int(count * 0.4))
     n_generic = count - n_strata
     U_parts = [sample_points(system, n_generic, seed=seed, u_floor=1e-6)]
     Y_parts = [sample_torus_angles(system, n_generic, seed=seed)]
     if n_strata and system.k >= 1:
         per_axis = max(8, n_strata // system.n)
-        from .torus import torus_box
-
         box = torus_box(system.exponents)
         for j in range(system.n):
             pts = sample_stratum_points(system, j, 8, seed=seed + j)
@@ -204,18 +201,18 @@ def scan_self_intersections(
     U: np.ndarray,
     Y: np.ndarray,
     tol: float = 1e-8,
-    orbit_tol: float | None = None,
 ) -> CollisionReport:
     """All sample pairs with nearly equal images that are not group
     translates of each other, in lexicographic index order.
 
     Candidate pairs come from close_pairs on the real and imaginary image
     coordinates and are tested against the group in blocks of SCAN_BLOCK,
-    so memory beyond close_pairs' own does not grow with the pair count.
+    so memory beyond close_pairs' own does not grow with the pair count;
+    a pair is a translate when within sqrt(tol) of one.
     Every reported pair is a genuine self-intersection witness and must sit
     near a coordinate stratum (some |u_j| < sqrt(tol)).
     """
-    orbit_tol = np.sqrt(tol) if orbit_tol is None else orbit_tol
+    orbit_tol = np.sqrt(tol)
     images = phi(system, U, Y)
     i, j, dist = close_pairs(np.column_stack([images.real, images.imag]), tol)
     strangers = np.empty(len(i), dtype=bool)
@@ -245,28 +242,15 @@ UNKNOWN = TopologyLabel("Unknown")
 
 
 def _single_equation_positive(system: QuadricSystem) -> bool:
-    """One equation cutting out a compact ellipsoid (after sign flip)."""
-    if system.codim != 1:
-        return False
-    col = [r[0] for r in system.exponents.rows]
-    d = system.constants[0]
-    if d < 0:
-        col, d = [-c for c in col], -d
-    return d > 0 and all(c > 0 for c in col)
+    """One equation cutting out a compact ellipsoid."""
+    return system.codim == 1 and definite(system.exponents.column(0), system.constants[0])
 
 
 def _cone_signature(system: QuadricSystem) -> int | None:
     """Index of the single negative coefficient of a (+,...,+,-) cone."""
     if system.codim != 1 or not system.is_cone():
         return None
-    col = np.array([r[0] for r in system.exponents.rows])
-    if np.sum(col < 0) == system.n - 1 and np.sum(col > 0) == 1:
-        col = -col
-    neg = np.nonzero(col < 0)[0]
-    pos = np.nonzero(col > 0)[0]
-    if len(neg) == 1 and len(pos) == system.n - 1:
-        return int(neg[0])
-    return None
+    return lone_sign(system.exponents.column(0))
 
 
 def _sphere_cone_axis(system: QuadricSystem) -> int | None:
@@ -274,26 +258,10 @@ def _sphere_cone_axis(system: QuadricSystem) -> int | None:
     a cone whose single negative coordinate is the gluing axis."""
     if system.codim != 2 or system.n < 3:
         return None
-    cols = [system.exponents.column(0), system.exponents.column(1)]
-    ds = list(system.constants)
-    pos_idx = cone_idx = None
-    for idx in (0, 1):
-        col, d = list(cols[idx]), ds[idx]
-        if d < 0:
-            col, d = [-c for c in col], -d
-        if d > 0 and all(c > 0 for c in col):
-            pos_idx = idx
-        elif d == 0:
-            cone_idx = idx
-    if pos_idx is None or cone_idx is None:
-        return None
-    col = np.array(cols[cone_idx])
-    if np.sum(col < 0) == system.n - 1:
-        col = -col
-    neg = np.nonzero(col < 0)[0]
-    pos = np.nonzero(col > 0)[0]
-    if len(neg) == 1 and len(pos) == system.n - 1:
-        return int(neg[0])
+    E, d = system.exponents, system.constants
+    for pos, cone in ((0, 1), (1, 0)):
+        if d[cone] == 0 and definite(E.column(pos), d[pos]):
+            return lone_sign(E.column(cone))
     return None
 
 
@@ -305,8 +273,7 @@ def _is_diagonal_torus(system: QuadricSystem) -> bool:
     E = system.matrix
     if not np.array_equal(E != 0, np.eye(system.n, dtype=bool)):
         return False
-    diag = np.diag(E)
-    return all(d / e > 0 for d, e in zip(system.constants, diag))
+    return all(definite((e,), d) for e, d in zip(np.diag(E), system.constants))
 
 
 def orientation_character(system: QuadricSystem, gamma) -> int | None:

@@ -101,16 +101,40 @@ def test_curve_chart_metric_is_per_curve_node(system, on_link):
 
 
 def test_variation_takes_one_gradient_per_axis(monkeypatch):
+    # one sine per term serves the derivatives along every axis
     calls = []
-    real_gradient = TrigPolynomial.gradient
+    real_sin = np.sin
 
-    def counted(self, axis, *grids):
-        calls.append(axis)
-        return real_gradient(self, axis, *grids)
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real_sin(x, *args, **kwargs)
 
-    monkeypatch.setattr(TrigPolynomial, "gradient", counted)
-    hamiltonian_variation(product_torus([1, 2, 3]), random_trig_polynomial(3, seed=0), 16)
-    assert sorted(calls) == [0, 1, 2]
+    f = random_trig_polynomial(3, seed=0)
+    monkeypatch.setattr(np, "sin", counted)
+    hamiltonian_variation(product_torus([1, 2, 3]), f, 16)
+    assert len(calls) == len(f.terms) == 4
+
+
+def _per_axis_gradient(f, axis, *grids):
+    """The per-axis loop gradient replaced, one sine per term and axis."""
+    out = np.zeros(np.broadcast(*grids).shape if grids else ())
+    for amp, freqs, phase in f.terms:
+        if freqs[axis] == 0:
+            continue
+        arg = phase + immersion.TWO_PI * sum(q * g for q, g in zip(freqs, grids))
+        out = out - amp * immersion.TWO_PI * freqs[axis] * np.sin(arg)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gradient_equals_the_per_axis_loop(dim):
+    grids = ChartMesh((16, 12, 8)[:dim], (1 / 16, 1 / 12, 1 / 8)[:dim], (False,) * dim,
+                      np.eye(dim), np.zeros(dim), 1.0).node_grids()
+    f = TrigPolynomial(random_trig_polynomial(dim, seed=dim).terms + ((0.5, (0,) * dim, 1.0),))
+    got = f.gradient(*grids)
+    assert len(got) == dim
+    for axis in range(dim):
+        assert np.array_equal(got[axis], _per_axis_gradient(f, axis, *grids))
 
 
 # -- node budget of the pipeline's chart checks -------------------------------------

@@ -141,6 +141,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         ({"mesh": {"target": "xyz"}}, "mesh.target"),
         ({"mesh": {"resolution": 5}}, "mesh.resolution"),
         ({"sweeps": 5}, "sweeps"),
+        ({"sweeps": {"qoutient": True}}, "sweeps.qoutient"),
+        ({"sweeps": ["cn", "cpm"]}, "sweeps[1]"),
+        ({"sweeps": {"cn": "yes"}}, "sweeps.cn"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
 )

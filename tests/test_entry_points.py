@@ -1,5 +1,8 @@
-"""No dead entry points: every definition in ``src/qlag`` is reached by the
-package itself or by the benchmark's tracer.
+"""No dead entry points and no unset knobs.
+
+Every definition in ``src/qlag`` is reached by the package itself or by the
+benchmark's tracer, and every parameter with a default is set by some call
+in the package.
 
 A top-level function or class, or a method that is not a dunder, counts as
 reached when its name appears as a ``Name`` or an ``Attribute`` in another
@@ -8,6 +11,13 @@ reached when its name appears as a ``Name`` or an ``Attribute`` in another
 ``__main__`` re-export and dispatch only, so they do not count.  Tests do
 not count either: a helper only a test calls is a second copy of a routine
 the package already has.
+
+A parameter with a default counts as set when a ``src/qlag`` call of a
+function of that name passes it by keyword, by position, or through ``*``
+or ``**``; a method's calls skip ``self``, and ``__init__`` is called by its
+class name or through ``super().__init__``.  A default no call overrides is
+a decision written in two places, the signature and every caller's silence,
+so it belongs where it is used.
 """
 
 import ast
@@ -95,8 +105,8 @@ def _unreached() -> list[str]:
     return out
 
 
-def _allowed(qualified: str) -> bool:
-    return qualified in ALLOWED or qualified.split(".", 1)[0] in ALLOWED
+def _allowed(qualified: str, allowlist: dict = ALLOWED) -> bool:
+    return qualified in allowlist or qualified.split(".", 1)[0] in allowlist
 
 
 def test_every_entry_point_is_reached():
@@ -112,3 +122,79 @@ def test_allowlist_entry_is_defined_and_still_needed(entry):
     if name:
         assert name in dict(_definitions(modules[stem])), f"qlag.{stem} has no {name}"
         assert entry in _unreached(), f"{entry} is reached now; drop it from ALLOWED"
+
+
+# -- knobs: parameters with a default that some package call sets ---------------------
+
+# "module.function(parameter)" or a module -> why its default stays unset
+KNOBS_ALLOWED = {
+    "catalog": "the named instances are the package's public inputs",
+    "cli.main(argv)": "the console script passes no argv; tests and embedders do",
+    "immersion.gradient_graph_variation(resolution)": "the negative control, reached by tests",
+}
+
+
+def _knobs(tree: ast.Module):
+    """(qualified name, names a call may use, parameter name, position among
+    the call's arguments or None) of every parameter with a default, in
+    top-level functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    callees = {node.name, "__init__"} if m.name == "__init__" else {m.name}
+                    yield from _params(m, f"{node.name}.{m.name}", callees, skip=1)
+        elif isinstance(node, ast.FunctionDef):
+            yield from _params(node, node.name, {node.name}, skip=0)
+
+
+def _params(fn: ast.FunctionDef, qualified: str, callees: set[str], skip: int):
+    """_knobs' tuples for one function; skip drops self from the positions."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    for i, arg in enumerate(positional[len(positional) - len(args.defaults):]):
+        position = len(positional) - len(args.defaults) + i - skip
+        yield f"{qualified}({arg.arg})", callees, arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualified}({arg.arg})", callees, arg.arg, None
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether call passes the parameter, by keyword, position, * or **."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unset_knobs() -> list[str]:
+    modules = _modules()
+    calls = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def callee(call: ast.Call) -> str | None:
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    out = []
+    for stem, tree in modules.items():
+        for qualified, names, param, position in _knobs(tree):
+            if not any(callee(c) in names and _sets(c, param, position) for c in calls):
+                out.append(f"{stem}.{qualified}")
+    return out
+
+
+def test_every_knob_is_set_by_a_package_call():
+    unset = [name for name in _unset_knobs() if not _allowed(name, KNOBS_ALLOWED)]
+    assert not unset, f"defaults no qlag call overrides: {unset}"
+
+
+@pytest.mark.parametrize("entry", sorted(KNOBS_ALLOWED))
+def test_knob_allowlist_entry_is_still_unset(entry):
+    unset = _unset_knobs()
+    if "(" in entry:
+        assert entry in unset, f"{entry} is set by a qlag call now, or gone; drop it"
+    else:
+        assert any(name.startswith(entry + ".") for name in unset), f"no unset knob in {entry}"

@@ -1,6 +1,8 @@
 """Projective side: sphere normalization, fiber collapse, horizontality,
 submersion identities, and the projective curvature oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -319,17 +321,13 @@ def test_projective_oracle_step_is_fd_step_tolerance(monkeypatch):
 
     monkeypatch.setattr(qlag.numdiff, "christoffel_symbols", recorded)
     cone = klein_bottle_cone()
-    coarse = QuadricSystem(
-        cone.exponents, cone.constants, cone.tolerances.updated(fd_step=1e-3)
-    )
+    coarse = QuadricSystem(cone.exponents, cone.constants, replace(cone.tolerances, fd_step=1e-3))
     U, Y = sample_immersion(cone, 2, seed=19, u_floor=0.1)
     u, y = U[0], Y[0]
-    H, norm = projective_mean_curvature(coarse, u, y)
-    H_ref, norm_ref = projective_mean_curvature(cone, u, y, step=1e-3)
-    assert np.array_equal(H, H_ref) and norm == norm_ref
+    norm = projective_mean_curvature(coarse, u, y)[1]
     # both the chart stencil and the Christoffel symbols take the step
     assert norm > 10.0 * projective_mean_curvature(cone, u, y)[1]
-    assert steps == [1e-3, 1e-3, 1e-5]
+    assert steps == [1e-3, 1e-5]
 
 
 def test_projective_curvature_nonzero_for_unmatched_weights():

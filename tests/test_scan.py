@@ -1,5 +1,7 @@
 """The array collision scan and the table-driven sign reads against the
-per-pair and per-parity loops they replace, kept here as references."""
+per-pair and per-parity loops they replace, kept here as references, and the
+family recognizers and curve charts against frozen copies of the
+sign-pattern tests they were built from."""
 
 import itertools
 
@@ -8,18 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlag.immersion as immersion
 import qlag.quotient as quotient
 from qlag import catalog
-from qlag.immersion import phi
+from qlag.errors import ChartUnavailable, RankDeficient
+from qlag.immersion import TWO_PI, chart_mesh, phi
 from qlag.lattice import pairing_parity
 from qlag.projective import fiber_phase_shifts
+from qlag.quadric import QuadricSystem
 from qlag.quotient import (
     UNKNOWN,
     TopologyLabel,
-    _cone_signature,
-    _is_diagonal_torus,
-    _single_equation_positive,
-    _sphere_cone_axis,
     classify_quotient,
     close_pairs,
     orientation_character,
@@ -104,6 +105,122 @@ def _reference_fiber_shifts(system):
     if not shifts:
         return np.zeros((0, system.codim))
     return np.array(shifts)
+
+
+# -- frozen copies of the sign-pattern tests the recognizers and charts used
+#    before quadric.definite and quadric.lone_sign read them once
+
+
+def _single_equation_positive(system):
+    if system.codim != 1:
+        return False
+    col = [r[0] for r in system.exponents.rows]
+    d = system.constants[0]
+    if d < 0:
+        col, d = [-c for c in col], -d
+    return d > 0 and all(c > 0 for c in col)
+
+
+def _cone_signature(system):
+    if system.codim != 1 or not system.is_cone():
+        return None
+    col = np.array([r[0] for r in system.exponents.rows])
+    if np.sum(col < 0) == system.n - 1 and np.sum(col > 0) == 1:
+        col = -col
+    neg = np.nonzero(col < 0)[0]
+    pos = np.nonzero(col > 0)[0]
+    if len(neg) == 1 and len(pos) == system.n - 1:
+        return int(neg[0])
+    return None
+
+
+def _sphere_cone_axis(system):
+    if system.codim != 2 or system.n < 3:
+        return None
+    cols = [system.exponents.column(0), system.exponents.column(1)]
+    ds = list(system.constants)
+    pos_idx = cone_idx = None
+    for idx in (0, 1):
+        col, d = list(cols[idx]), ds[idx]
+        if d < 0:
+            col, d = [-c for c in col], -d
+        if d > 0 and all(c > 0 for c in col):
+            pos_idx = idx
+        elif d == 0:
+            cone_idx = idx
+    if pos_idx is None or cone_idx is None:
+        return None
+    col = np.array(cols[cone_idx])
+    if np.sum(col < 0) == system.n - 1:
+        col = -col
+    neg = np.nonzero(col < 0)[0]
+    pos = np.nonzero(col > 0)[0]
+    if len(neg) == 1 and len(pos) == system.n - 1:
+        return int(neg[0])
+    return None
+
+
+def _is_diagonal_torus(system):
+    if system.k != 0:
+        return False
+    E = system.matrix
+    if not np.array_equal(E != 0, np.eye(system.n, dtype=bool)):
+        return False
+    diag = np.diag(E)
+    return all(d / e > 0 for d, e in zip(system.constants, diag))
+
+
+def _conic_parametrization(system):
+    (a,), (b,) = system.exponents.rows
+    d = system.constants[0]
+    if d == 0 or a * d <= 0 or b * d <= 0:
+        raise ChartUnavailable("surface charts need a compact conic (ellipse)")
+    ra, rb = np.sqrt(d / a), np.sqrt(d / b)
+
+    def point(t):
+        ang = TWO_PI * np.asarray(t)
+        return np.stack([ra * np.cos(ang), rb * np.sin(ang)], axis=-1)
+
+    def velocity(t):
+        ang = TWO_PI * np.asarray(t)
+        return np.stack([-TWO_PI * ra * np.sin(ang), TWO_PI * rb * np.cos(ang)], axis=-1)
+
+    return point, velocity
+
+
+def _link_parametrization(system):
+    if system.n != 3 or system.codim != 1 or not system.is_cone():
+        raise ChartUnavailable("link charts are built for n=3 single-equation cones")
+    coeffs = np.array([r[0] for r in system.exponents.rows], dtype=float)
+    neg = np.nonzero(coeffs < 0)[0]
+    pos = np.nonzero(coeffs > 0)[0]
+    if len(neg) == 2 and len(pos) == 1:
+        coeffs, neg, pos = -coeffs, pos, neg
+    if len(neg) != 1 or len(pos) != 2:
+        raise ChartUnavailable("cone must have signature (+,+,-) up to sign")
+    l, (p, q) = neg[0], pos
+    a, b, c = coeffs[p], coeffs[q], -coeffs[l]
+    sp, sq = 1.0 / np.sqrt(1.0 + a / c), 1.0 / np.sqrt(1.0 + b / c)
+
+    def point(t):
+        ang = TWO_PI * np.asarray(t)
+        up, uq = sp * np.cos(ang), sq * np.sin(ang)
+        ul = np.sqrt((a * up * up + b * uq * uq) / c)
+        u = np.zeros(np.shape(ang) + (3,))
+        u[..., p], u[..., q], u[..., l] = up, uq, ul
+        return u
+
+    def velocity(t):
+        ang = TWO_PI * np.asarray(t)
+        up, uq = sp * np.cos(ang), sq * np.sin(ang)
+        dup, duq = -TWO_PI * sp * np.sin(ang), TWO_PI * sq * np.cos(ang)
+        ul = np.sqrt((a * up * up + b * uq * uq) / c)
+        dul = (a * up * dup + b * uq * duq) / (c * ul)
+        v = np.zeros(np.shape(ang) + (3,))
+        v[..., p], v[..., q], v[..., l] = dup, duq, dul
+        return v
+
+    return point, velocity
 
 
 def _parity_degree(system, gamma, indices):
@@ -218,6 +335,67 @@ def test_sign_reads_equal_the_parity_loops(name):
         shifts = fiber_phase_shifts(system)
         expected = _reference_fiber_shifts(system)
         assert shifts.shape == expected.shape and np.array_equal(shifts, expected)
+
+
+# -- the recognizers and curve charts on an exhaustive grid of small systems ----------
+
+CONSTANTS = (-1.0, 0.0, 1.0)
+
+
+def _grid(block):
+    """Single equations with columns over {-2..2}^n for n = 2, 3, 4, or
+    (block "pairs") n = 3 pairs of equations with columns over {-1, 0, 1, 2}^3;
+    every constant in {-1, 0, 1}.  Rank-deficient exponents are skipped."""
+    if block == "pairs":
+        columns = list(itertools.product((-1, 0, 1, 2), repeat=3))
+        shapes = [(list(zip(a, b)), list(d)) for a in columns for b in columns
+                  for d in itertools.product(CONSTANTS, repeat=2)]
+    else:
+        shapes = [([[c] for c in column], [d])
+                  for column in itertools.product(range(-2, 3), repeat=block)
+                  for d in CONSTANTS]
+    systems = []
+    for rows, constants in shapes:
+        try:
+            systems.append(QuadricSystem(rows, constants))
+        except RankDeficient:
+            pass
+    return systems
+
+
+def _outcome(fn):
+    """fn's result, or its exception type and message."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001  the message is what is compared
+        return type(exc).__name__, str(exc)
+
+
+def _chart_meshes(systems):
+    return [(_outcome(lambda: chart_mesh(s, 8)), _outcome(lambda: chart_mesh(s, 8, on_link=True)))
+            for s in systems]
+
+
+def _same_mesh(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in
+               ("shape", "spacings", "periodic", "metric", "angle_gradient", "volume"))
+
+
+@pytest.mark.parametrize("block", [2, 3, 4, "pairs"])
+def test_recognizers_equal_the_frozen_sign_tests(block, monkeypatch):
+    systems = _grid(block)
+    assert len(systems) == {2: 72, 3: 372, 4: 1872, "pairs": 34668}[block]
+    for system in systems:
+        assert classify_quotient(system) == _reference_classify(system)
+        for gamma in gamma_group(system.exponents):
+            assert orientation_character(system, gamma) == _reference_character(system, gamma)
+    meshes = _chart_meshes(systems)
+    monkeypatch.setattr(immersion, "_conic_parametrization", _conic_parametrization)
+    monkeypatch.setattr(immersion, "_link_parametrization", _link_parametrization)
+    for system, got, expected in zip(systems, meshes, _chart_meshes(systems)):
+        assert _same_mesh(got[0], expected[0]) and _same_mesh(got[1], expected[1]), system
 
 
 def test_scan_with_zero_tolerance_reports_nothing():
