@@ -9,10 +9,10 @@ Subcommands:
   mesh                export OBJ / CSV geometry
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error, an --out path that cannot be opened included.  Reports go to
-stdout and, with --out, to a file (written first, so a path that cannot
-be opened prints nothing); identical (config, seed) pairs produce byte-identical
-reports.
+error, an --out path that cannot be opened and sweeps that check nothing
+on the instance included.  Reports go to stdout and, with --out, to a
+file (written first, so a path that cannot be opened prints nothing);
+identical (config, seed) pairs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -126,8 +126,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run_report(config: InstanceConfig, out_path: str | None) -> int:
     report = run_analyze(config)
+    passed = report_passed(report)
+    if passed is None:
+        sweeps = ", ".join(config.sweeps) or "none"
+        raise ConfigInvalid([f"sweeps: the report checks nothing (sweeps run: {sweeps})"])
     _emit(serialize_report(report), out_path)
-    return 0 if report_passed(report) else 1
+    return 0 if passed else 1
 
 
 def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:

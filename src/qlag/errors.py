@@ -49,12 +49,15 @@ class ChartFailure(QlagError):
     """Local chart left its domain of validity."""
 
 
-class ChartUnavailable(QlagError):
-    """No affine chart covers the requested point."""
-
-
 class DimensionUnsupported(QlagError):
     """Operation is not implemented for this manifold dimension."""
+
+
+class ChartUnavailable(DimensionUnsupported):
+    """The system has no chart of the requested kind: a curve chart needs a
+    compact plane conic, a link chart an n=3 cone of signature (+,+,-).
+    A report check that needs one is skipped, as for an unsupported
+    dimension."""
 
 
 class MeshTooCoarse(QlagError):

@@ -9,6 +9,9 @@ tangent frames, checks the symplectic pullback, evaluates the Lagrangian
 angle (closed form, and measured off the frame), and the two independent
 mean-curvature routes, discretizes the angle's Laplace-Beltrami operator,
 runs Hamiltonian variation quadratures, and assembles product systems.
+A frame is one pass: frame_at evaluates the phases once and checks the
+torus Gram block, and the one Hermitian Gram of the frame rows, which the
+Lagrangian and cross-block checks read, is built on first read.
 Its chart, ImmersionChart, takes the variety that stencil points are
 projected onto and a map to ambient coordinates, so the projective
 oracle reuses it on the link.
@@ -25,6 +28,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +46,6 @@ from .quadric import (
     definite,
     lone_sign,
     newton_project,
-    orthonormalize,
     sample_points,
 )
 from .torus import torus_box
@@ -69,17 +72,9 @@ def phi(system: QuadricSystem, u: Sequence[float], y: Sequence[float]) -> np.nda
     return np.asarray(u, dtype=float) * torus_phases(system, y)
 
 
-def torus_tangents(system: QuadricSystem, u, y) -> np.ndarray:
-    """Rows Y_j = d/dy_j of the immersion: (pi*i*E[i,j]*u_i*phase_i)_i."""
-    phases = torus_phases(system, y)
-    u = np.asarray(u, dtype=float)
-    return np.pi * 1j * (system.matrix.T * (u * phases)[..., None, :])
-
-
-def variety_tangents(system: QuadricSystem, u, y) -> np.ndarray:
-    """Rows X_s: the orthonormal tangent frame of M twisted by the phases."""
-    phases = torus_phases(system, y)
-    return system.tangent_basis(u).astype(complex) * phases[..., None, :]
+def torus_tangents(system: QuadricSystem, z) -> np.ndarray:
+    """Rows Y_j = d/dy_j of the immersion at z = phi(u, y): (pi*i*E[i,j]*z_i)_i."""
+    return np.pi * 1j * (system.matrix.T * np.asarray(z)[..., None, :])
 
 
 def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,56 +95,58 @@ def torus_metric(system: QuadricSystem, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameBundle:
-    """Tangent frame at an immersion point with its Gram blocks.
+    """Tangent frame at an immersion point: its rows, the torus metric
+    block frame_at checked, and the Hermitian Gram of the rows, built on
+    first read.
 
     From a (N, n) batch every field gains a leading sample axis.
     """
 
-    variety: np.ndarray  # (k, n) complex rows X_s
-    torus: np.ndarray  # (m, n) complex rows Y_j
-    metric_x: np.ndarray  # (k, k) real
-    metric_y: np.ndarray  # (m, m) real
-    cross: np.ndarray  # (m, k) complex Hermitian products <Y_j, X_s>
+    rows: np.ndarray  # (k + m, n) complex: the variety rows X_s, then the torus rows Y_j
+    metric_y: np.ndarray  # (m, m) real Re<Y_i, Y_j>
 
-    def all_rows(self) -> np.ndarray:
-        return np.concatenate([self.variety, self.torus], axis=-2)
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """<V_a, V_b> for every pair of rows, (k + m, k + m) complex."""
+        return _pairings(self.rows, np.conjugate(self.rows))
+
+    def symplectic_defect(self):
+        """max |omega(V_a, V_b)| over all pairs of rows; one value per
+        sample for a batched bundle."""
+        return np.max(np.abs(np.imag(self.gram)), axis=(-2, -1), initial=0.0)
 
     def cross_defect(self):
         """Largest |<Y_j, X_s>|: zero in exact arithmetic for points on M;
         one value per sample for a batched bundle."""
-        return np.max(np.abs(self.cross), axis=(-2, -1), initial=0.0)
+        k = self.rows.shape[-2] - self.metric_y.shape[-1]
+        return np.max(np.abs(self.gram[..., k:, :k]), axis=(-2, -1), initial=0.0)
 
 
 def frame_at(system: QuadricSystem, u, y) -> FrameBundle:
-    """Tangent frame and metric blocks; the numeric torus Gram is checked
-    against its closed form on every call.
+    """Tangent frame, the variety rows X_s (the orthonormal tangent basis of
+    M twisted by the phases) then the torus rows Y_j; their torus Gram is
+    checked against its closed form on every call.
 
     u and y may be (N, n) and (N, m) batches; row i of every field equals
     the single-point call on (u[i], y[i]) bit for bit.
     """
-    X = variety_tangents(system, u, y)
-    Y = torus_tangents(system, u, y)
-    gx = np.real(_pairings(X, np.conjugate(X)))
+    u = np.asarray(u, dtype=float)
+    phases = torus_phases(system, y)
+    Y = torus_tangents(system, u * phases)
+    rows = np.concatenate([system.tangent_basis(u) * phases[..., None, :], Y], axis=-2)
     gy = np.real(_pairings(Y, np.conjugate(Y)))
     agrees = np.isclose(gy, torus_metric(system, u), rtol=1e-10, atol=1e-10)
     off = np.nonzero(~agrees.all(axis=(-2, -1)).reshape(-1))[0]
     if len(off):
         where = "" if gy.ndim == 2 else f" at sample {off[0]}"
         raise CrossCheckFailed(f"torus metric Gram disagrees with closed form{where}")
-    return FrameBundle(X, Y, gx, gy, _pairings(Y, np.conjugate(X)))
-
-
-def frame_symplectic_defect(rows: np.ndarray):
-    """max |omega(V_a, V_b)| over all pairs of frame rows; (N,) for a
-    (N, r, n) batch of frames."""
-    gram = _pairings(rows, np.conjugate(rows))
-    return np.max(np.abs(np.imag(gram)), axis=(-2, -1), initial=0.0)
+    return FrameBundle(rows, gy)
 
 
 def lagrangian_defect(system: QuadricSystem, u, y):
     """Largest symplectic pairing among tangent frame vectors; one value
     per sample for (N, n) and (N, m) batches."""
-    return frame_symplectic_defect(frame_at(system, u, y).all_rows())
+    return frame_at(system, u, y).symplectic_defect()
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +182,14 @@ def lagrangian_angle(system: QuadricSystem, y) -> LagrangianAngle:
 def measured_lagrangian_angle(system: QuadricSystem, u, y):
     """Angle read off the immersion itself, with no closed form involved.
 
-    Orthonormalizes the tangent frame over the real inner product and takes
-    the argument of the complex determinant of the holomorphic volume form
-    on it.  Agrees with lagrangian_angle up to orientation (mod pi).  One
-    value per sample for (N, n) and (N, m) batches, a float for one point.
+    The argument of the holomorphic volume form on the tangent frame rows,
+    det of the rows.  Gram-Schmidt over the real inner product would
+    multiply the rows by a real triangular matrix with positive diagonal,
+    which leaves that argument unchanged, so the rows serve as they are.
+    Agrees with lagrangian_angle up to orientation (mod pi).  One value per
+    sample for (N, n) and (N, m) batches, a float for one point.
     """
-    rows = frame_at(system, u, y).all_rows()
-    frame = orthonormalize(rows.reshape((-1,) + rows.shape[-2:]))[0].reshape(rows.shape)
-    return _scalar(np.angle(np.linalg.det(frame)) % TWO_PI)
+    return _scalar(np.angle(np.linalg.det(frame_at(system, u, y).rows)) % TWO_PI)
 
 
 def mean_curvature(system: QuadricSystem, u, y) -> np.ndarray:
@@ -205,7 +202,7 @@ def mean_curvature(system: QuadricSystem, u, y) -> np.ndarray:
     """
     e = np.array(sum_vector(system.exponents), dtype=float)
     coeff = np.linalg.solve(torus_metric(system, u), np.pi * e)
-    return 1j * (coeff[..., None, :] @ torus_tangents(system, u, y))[..., 0, :]
+    return 1j * (coeff[..., None, :] @ torus_tangents(system, phi(system, u, y)))[..., 0, :]
 
 
 class ImmersionChart:

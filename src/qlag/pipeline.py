@@ -21,7 +21,6 @@ from .errors import ConfigInvalid, DimensionUnsupported, QlagError, RankDeficien
 from .immersion import (
     chart_mesh,
     frame_at,
-    frame_symplectic_defect,
     hamiltonian_variation,
     harmonicity_defect,
     lagrangian_defect,  # noqa: F401  perfbench/tracing.py wraps it here
@@ -239,7 +238,7 @@ def _entry(value: float, tolerance: float, count: int, mean: float | None = None
 def _guard(report: dict, key: str, fn) -> None:
     try:
         report[key] = fn()
-    except DimensionUnsupported as exc:
+    except DimensionUnsupported as exc:  # ChartUnavailable included
         report[key] = {"skipped": str(exc)}
     except QlagError as exc:
         report[key] = {"error": f"{type(exc).__name__}: {exc}", "pass": False}
@@ -275,7 +274,7 @@ def _frame_checks(system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> tuple:
     for start in range(0, len(U), FRAME_BLOCK):
         u, y = U[start:start + FRAME_BLOCK], Y[start:start + FRAME_BLOCK]
         fb = frame_at(system, u, y)
-        defects.append(frame_symplectic_defect(fb.all_rows()))
+        defects.append(fb.symplectic_defect())
         cross = max(cross, np.max(fb.cross_defect()))
         metric = max(metric, np.max(np.abs(fb.metric_y - torus_metric(system, u))))
     return np.concatenate(defects), cross, metric
@@ -486,15 +485,22 @@ def run_analyze(config: InstanceConfig) -> dict:
     return report
 
 
-def report_passed(report: dict) -> bool:
-    """True when no property entry carries pass=False."""
+def report_passed(report: dict) -> bool | None:
+    """Whether every pass flag in the report is true; None when the report
+    holds no pass flag, that is, checked nothing."""
 
-    def failed(node) -> bool:
+    def flags(node):
         if isinstance(node, dict):
-            return node.get("pass") is False or any(map(failed, node.values()))
-        return isinstance(node, (list, tuple)) and any(map(failed, node))
+            if "pass" in node:
+                yield node["pass"]
+            for value in node.values():
+                yield from flags(value)
+        elif isinstance(node, (list, tuple)):
+            for value in node:
+                yield from flags(value)
 
-    return not failed(report)
+    verdicts = list(flags(report))
+    return all(verdicts) if verdicts else None
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
         raise ApexPoint("no link frame at the apex")
     un = U / norm[:, None]
     p = phi(system, un, Y)
-    rows = frame_at(system, un, Y).all_rows()
+    rows = frame_at(system, un, Y).rows
     radial = p / np.linalg.norm(p, axis=-1)[:, None]
     n = p.shape[-1]
     # Newton meets the cone to an absolute residual at u; normalizing to the

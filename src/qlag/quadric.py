@@ -117,11 +117,11 @@ class QuadricSystem:
     def tangent_basis(self, u: Sequence[float]) -> np.ndarray:
         """k orthonormal vectors orthogonal to every normal, deterministic.
 
-        Gram-Schmidt over the standard basis seeds e_1, e_2, ... in order,
-        so the result depends only on u (no randomness, no SVD sign
-        ambiguity).  Each point drops the seeds whose residual norm is at
-        most 1e-8.  A (N, n) batch gives (N, k, n); row i equals the
-        single-point call on u[i] bit for bit.
+        orthonormalize runs the standard basis seeds e_1, e_2, ... in order
+        against the orthonormal normal frame, so the result depends only on
+        u (no randomness, no SVD sign ambiguity).  Each point drops the
+        seeds whose residual norm is at most 1e-8.  A (N, n) batch gives
+        (N, k, n); row i equals the single-point call on u[i] bit for bit.
         """
         u = np.asarray(u, dtype=float)
         U = np.atleast_2d(u)
@@ -129,23 +129,10 @@ class QuadricSystem:
         if len(singular):
             where = u if u.ndim == 1 else f"sample {singular[0]} ({U[singular[0]]})"
             raise SingularPoint(f"normal frame rank < {self.codim} at {where}")
-        N, n, k = len(U), self.n, self.k
-        tangents = np.zeros((N, k, n))
-        filled = np.zeros(N, dtype=int)
-        frame = orthonormalize(self.normals(U))[0]
-        for seed, e in enumerate(np.eye(n)):
-            open_rows = filled < k
-            if not open_rows.any():
-                break
-            # project the seed off the normal frame, then off the tangents
-            # found so far (unfilled slots are zero rows and add exact zeros)
-            v = e - (frame[:, :, seed, None] * frame).sum(1)
-            v = v - ((tangents * v[:, None, :]).sum(-1)[:, :, None] * tangents).sum(1)
-            norm = np.sqrt((v * v).sum(-1))
-            take = np.nonzero(open_rows & (norm > 1e-8))[0]
-            tangents[take, filled[take]] = v[take] / norm[take, None]
-            filled[take] += 1
-        short = np.nonzero(filled < k)[0]
+        seeds = np.broadcast_to(np.eye(self.n), (len(U), self.n, self.n))
+        normal = orthonormalize(self.normals(U))[0]
+        tangents, kept = orthonormalize(seeds, self.k, 1e-8, against=normal)
+        short = np.nonzero(kept < self.k)[0]
         if len(short):
             where = "" if u.ndim == 1 else f" at sample {short[0]}"
             raise SingularPoint(f"could not complete tangent basis{where}")

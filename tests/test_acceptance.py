@@ -4,6 +4,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 verdicts.  Tolerances are pinned here and never loosened at runtime.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -31,7 +32,6 @@ from qlag.catalog import (
 )
 from qlag.immersion import (
     TrigPolynomial,
-    frame_symplectic_defect,
     gradient_graph_variation,
     hamiltonian_variation,
     harmonicity_defect,
@@ -133,11 +133,12 @@ def test_criterion_3_lagrangian_property():
         U, Y = sample_immersion(system, 1000, seed=21)
         for u, y in zip(U, Y):
             fb = frame_at(system, u, y)
-            worst_defect = max(worst_defect, frame_symplectic_defect(fb.all_rows()))
+            worst_defect = max(worst_defect, fb.symplectic_defect())
             worst_cross = max(worst_cross, fb.cross_defect())
-    rows = frame_at(ellipse(), [np.cos(0.4), np.sin(0.4) / np.sqrt(2)], [0.3]).all_rows()
+    fb = frame_at(ellipse(), [np.cos(0.4), np.sin(0.4) / np.sqrt(2)], [0.3])
+    rows = fb.rows.copy()
     rows[1] = rows[1] + 0.1j * rows[0]
-    control = frame_symplectic_defect(rows)
+    control = replace(fb, rows=rows).symplectic_defect()
     ok = worst_defect <= 1e-10 and worst_cross <= 1e-10 and control > 1e-2
     assert _verdict(
         "3 Lagrangian property (4000 samples)",
@@ -331,11 +332,12 @@ def test_criterion_10_product_torus():
     worst_cross = 0.0
     for u, y in zip(U, Y):
         fb = frame_at(torus, u, y)
-        worst_defect = max(worst_defect, frame_symplectic_defect(fb.all_rows()))
+        worst_defect = max(worst_defect, fb.symplectic_defect())
         worst_cross = max(worst_cross, fb.cross_defect())
-    rows = frame_at(torus, U[0], Y[0]).all_rows()
+    fb = frame_at(torus, U[0], Y[0])
+    rows = fb.rows.copy()
     rows[1] = rows[1] + 0.1j * rows[0]
-    control = frame_symplectic_defect(rows)
+    control = replace(fb, rows=rows).symplectic_defect()
 
     d24 = harmonicity_defect(torus, 24)
     d48 = harmonicity_defect(torus, 48)

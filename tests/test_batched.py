@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlag import immersion, pipeline, quadric
 from qlag.catalog import (
     clifford_cone,
     ellipse,
@@ -38,7 +39,7 @@ SYSTEMS = {
     "product_torus([1,2,3])": lambda: product_torus([1, 2, 3]),
 }
 
-FRAME_FIELDS = ("variety", "torus", "metric_x", "metric_y", "cross")
+FRAME_FIELDS = ("rows", "metric_y", "gram")
 
 
 def _assert_rows_equal(system, U, Y):
@@ -273,7 +274,7 @@ def test_batched_oracles_equal_single_sample_calls(name):
     assert np.array_equal(fiber, [projective_angle_fiber_defect(system, y) for y in Y])
 
 
-# -- one Gram-Schmidt: orthonormalize against the three loops it replaced ------------
+# -- one Gram-Schmidt: orthonormalize against the four loops it replaced -------------
 
 
 def _reference_normal_frame(rows):
@@ -293,7 +294,7 @@ def _reference_link_frame(system, U, Y):
     norm = np.linalg.norm(U, axis=-1)
     un = U / norm[:, None]
     p = phi(system, un, Y)
-    rows = frame_at(system, un, Y).all_rows()
+    rows = frame_at(system, un, Y).rows
     radial = p / np.linalg.norm(p, axis=-1)[:, None]
     N, n = p.shape
     cut = 1e-10 * np.maximum(1.0, 1.0 / (norm * norm))
@@ -317,7 +318,7 @@ def _reference_measured_angle(system, u, y):
     Im^2 in two BLAS dots, where the batched norm sums |v_l|^2 per entry, so
     a normalized row can differ in its last bit: the angles agree to
     ANGLE_NOISE, not bit for bit."""
-    rows = frame_at(system, u, y).all_rows()
+    rows = frame_at(system, u, y).rows
     ortho = []
     for r in rows:
         v = r.copy()
@@ -326,6 +327,89 @@ def _reference_measured_angle(system, u, y):
         v = v / np.linalg.norm(v)
         ortho.append(v)
     return float(np.angle(np.linalg.det(np.array(ortho))) % TWO_PI)
+
+
+def _reference_tangent_basis(system, u):
+    """Classical Gram-Schmidt over the standard seeds, off the normal frame
+    and then off the tangents found so far."""
+    u = np.asarray(u, dtype=float)
+    U = np.atleast_2d(u)
+    singular = np.nonzero(~system.is_smooth_point(U))[0]
+    if len(singular):
+        where = u if u.ndim == 1 else f"sample {singular[0]} ({U[singular[0]]})"
+        raise SingularPoint(f"normal frame rank < {system.codim} at {where}")
+    N, n, k = len(U), system.n, system.k
+    tangents = np.zeros((N, k, n))
+    filled = np.zeros(N, dtype=int)
+    frame = quadric.orthonormalize(system.normals(U))[0]
+    for seed, e in enumerate(np.eye(n)):
+        open_rows = filled < k
+        if not open_rows.any():
+            break
+        v = e - (frame[:, :, seed, None] * frame).sum(1)
+        v = v - ((tangents * v[:, None, :]).sum(-1)[:, :, None] * tangents).sum(1)
+        norm = np.sqrt((v * v).sum(-1))
+        take = np.nonzero(open_rows & (norm > 1e-8))[0]
+        tangents[take, filled[take]] = v[take] / norm[take, None]
+        filled[take] += 1
+    short = np.nonzero(filled < k)[0]
+    if len(short):
+        where = "" if u.ndim == 1 else f" at sample {short[0]}"
+        raise SingularPoint(f"could not complete tangent basis{where}")
+    return tangents[0] if u.ndim == 1 else tangents
+
+
+def _singular_point_message(fn, *args):
+    with pytest.raises(SingularPoint) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_tangent_basis_equals_the_seed_loop_it_replaces(name):
+    # the two loops round differently where a seed nearly lies in the span
+    # of the normals and the tangents before it; there both lose
+    # orthonormality to the cancellation, so each sample's gap is bounded
+    # by the reference's own orthonormality error
+    system = SYSTEMS[name]()
+    U = sample_points(system, 40, seed=33)
+    basis, reference = system.tangent_basis(U), _reference_tangent_basis(system, U)
+    assert basis.shape == reference.shape == (40, system.k, system.n)
+    normal = orthonormalize(system.normals(U))[0]
+    own_error = np.maximum(
+        np.max(np.abs(reference @ np.swapaxes(normal, 1, 2)), axis=(1, 2), initial=0.0),
+        np.max(np.abs(reference @ np.swapaxes(reference, 1, 2) - np.eye(system.k)),
+               axis=(1, 2), initial=0.0),
+    )
+    gap = np.max(np.abs(basis - reference), axis=(1, 2), initial=0.0)
+    assert np.all(gap <= 4.0 * (own_error + np.finfo(float).eps))
+    if system.codim == 1:  # one normal: the loops part only at the tangents
+        assert np.max(gap, initial=0.0) <= 1e-15
+
+
+def test_tangent_basis_singular_messages_unchanged(monkeypatch):
+    cone = klein_bottle_cone()
+    U = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]])
+    for u in (U, U[1]):
+        assert _singular_point_message(cone.tangent_basis, u) == _singular_point_message(
+            _reference_tangent_basis, cone, u
+        )
+    # a normal frame gone non-finite at the last sample leaves its basis short
+    real = quadric.orthonormalize
+
+    def nan_normal_frame(rows, *args, **kwargs):
+        frame, kept = real(rows, *args, **kwargs)
+        if not args and not kwargs:
+            frame = frame.copy()
+            frame[-1] = np.nan
+        return frame, kept
+
+    monkeypatch.setattr(quadric, "orthonormalize", nan_normal_frame)
+    U = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    for u in (U, U[1]):
+        message = _singular_point_message(cone.tangent_basis, u)
+        assert message.startswith("could not complete tangent basis")
+        assert message == _singular_point_message(_reference_tangent_basis, cone, u)
 
 
 ANGLE_NOISE = 4 * np.spacing(TWO_PI)
@@ -352,6 +436,33 @@ def test_orthonormalize_equals_the_loops_it_replaces(name):
         p, frame = link_tangent_frame(system, U, Y)
         p_ref, frame_ref = _reference_link_frame(system, U, Y)
         assert np.array_equal(p, p_ref) and np.array_equal(frame, frame_ref)
+
+
+# -- one frame pass: each frame's Gram blocks built once ------------------------------
+
+
+def test_frame_grams_built_once_per_block(monkeypatch):
+    # the report's cn frame checks read the torus block frame_at checks and
+    # the full Gram; a link frame, and the measured angle, only the torus block
+    calls = []
+    pairings = immersion._pairings
+
+    def counting_pairings(a, b):
+        if np.iscomplexobj(a):  # torus_metric pairs real rows
+            calls.append(a.shape[:-2])
+        return pairings(a, b)
+
+    monkeypatch.setattr(immersion, "_pairings", counting_pairings)
+    monkeypatch.setattr(pipeline, "FRAME_BLOCK", 16)
+    cone = clifford_cone(5)
+    U, Y = sample_immersion(cone, 40, seed=41, u_floor=0.05)
+    defects, cross, metric = pipeline._frame_checks(cone, U, Y)
+    assert len(defects) == 40 and cross <= 1e-10 and metric <= 1e-12
+    assert calls == [(16,)] * 4 + [(8,)] * 2  # two per block of 16, 16 and 8 samples
+    del calls[:]
+    link_tangent_frame(cone, U, Y)
+    measured_lagrangian_angle(cone, U, Y)
+    assert calls == [(40,)] * 2
 
 
 # -- random batches -------------------------------------------------------------------

@@ -144,6 +144,11 @@ def test_config_error_exit_code(tmp_path, capsys):
         ({"sweeps": {"qoutient": True}}, "sweeps.qoutient"),
         ({"sweeps": ["cn", "cpm"]}, "sweeps[1]"),
         ({"sweeps": {"cn": "yes"}}, "sweeps.cn"),
+        # sweeps that check nothing on the instance: the report has no verdict
+        ({"sweeps": {}}, "sweeps"),
+        ({"sweeps": []}, "sweeps"),
+        ({"sweeps": {"cn": False, "cpn": False, "quotient": False}}, "sweeps"),
+        ({"sweeps": ["cpn"]}, "sweeps"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
 )
@@ -153,6 +158,37 @@ def test_invalid_field_is_config_error(tmp_path, capsys, patch, field):
     captured = capsys.readouterr()
     assert f"config error: {field}:" in captured.err
     assert captured.out == ""
+
+
+def test_verify_cpn_on_a_non_cone_is_config_error(capsys):
+    ellipse = next(path for path in CONFIGS if os.path.basename(path) == "ellipse.json")
+    assert main(["verify-cpn", ellipse]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "config error: sweeps: the report checks nothing (sweeps run: cpn)"
+    ]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "rows, constants, section, keys, reason",
+    [
+        ([[1], [-2]], [1.0], "cn", ("angle_harmonicity", "hamiltonian_variation"),
+         "surface charts need a compact conic (ellipse)"),
+        ([[1], [-2]], [0.0], "cn", ("angle_harmonicity", "hamiltonian_variation"),
+         "surface charts need a compact conic (ellipse)"),
+        ([[1], [-1], [0]], [0.0], "cpn", ("link_angle_harmonicity",),
+         "cone must have signature (+,+,-) up to sign"),
+    ],
+    ids=["hyperbola", "line-pair cone", "planes cone"],
+)
+def test_missing_curve_chart_is_skipped(tmp_path, capsys, rows, constants, section, keys, reason):
+    payload = dict(ELLIPSE, n=len(rows), k=len(rows) - 1, rows=rows, constants=constants,
+                   samples=40, curvature_samples=4, sweeps=["cn", "cpn", "quotient"])
+    assert main(["analyze", _write(tmp_path, payload)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in keys:
+        assert report[section][key] == {"skipped": reason}
 
 
 def test_rank_deficient_rows_named(tmp_path, capsys):

@@ -2,6 +2,8 @@
 angle, both mean-curvature routes, harmonicity and variation quadratures,
 and product assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ from qlag.immersion import (
     ImmersionChart,
     TrigPolynomial,
     chart_mesh,
-    frame_symplectic_defect,
     gradient_graph_variation,
     hamiltonian_variation,
     harmonicity_defect,
@@ -75,10 +76,9 @@ def test_phi_group_invariance_exact():
 
 def test_frame_hand_values():
     fb = frame_at(ellipse(), [1.0, 0.0], [0.0])
-    assert np.allclose(fb.torus, [[np.pi * 1j, 0.0]])
-    assert np.allclose(fb.variety, [[0.0, 1.0]])
+    assert np.allclose(fb.rows, [[0.0, 1.0], [np.pi * 1j, 0.0]])
     assert np.allclose(fb.metric_y, [[np.pi ** 2]])
-    assert np.allclose(fb.metric_x, [[1.0]])
+    assert np.allclose(fb.gram, [[1.0, 0.0], [0.0, np.pi ** 2]])
     assert fb.cross_defect() <= 1e-14
 
 
@@ -111,9 +111,10 @@ def test_lagrangian_defect_sweeps():
 
 def test_perturbed_frame_negative_control():
     sys1 = ellipse()
-    rows = frame_at(sys1, _ellipse_point(0.4), [0.3]).all_rows()
+    fb = frame_at(sys1, _ellipse_point(0.4), [0.3])
+    rows = fb.rows.copy()
     rows[1] = rows[1] + 0.1j * rows[0]
-    assert frame_symplectic_defect(rows) > 1e-2
+    assert replace(fb, rows=rows).symplectic_defect() > 1e-2
 
 
 # -- Lagrangian angle ----------------------------------------------------------

@@ -361,8 +361,9 @@ def test_link_frame_truly_rank_deficient_raises(monkeypatch):
 
     def duplicated_torus_rows(system, u, y):
         fb = real_frame_at(system, u, y)
-        torus = np.repeat(fb.torus[..., :1, :], fb.torus.shape[-2], axis=-2)
-        return type(fb)(fb.variety, torus, fb.metric_x, fb.metric_y, fb.cross)
+        k = system.k
+        torus = np.repeat(fb.rows[..., k:k + 1, :], system.codim, axis=-2)
+        return type(fb)(np.concatenate([fb.rows[..., :k, :], torus], axis=-2), fb.metric_y)
 
     monkeypatch.setattr(projective, "frame_at", duplicated_torus_rows)
     cone = clifford_cone(3)
