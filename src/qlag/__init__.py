@@ -24,16 +24,13 @@ from .errors import (  # noqa: F401
 )
 from .lattice import (  # noqa: F401
     ExponentMatrix,
-    GammaGroup,
     LatticeBasis,
     dual_basis,
     gamma_representatives,
     hermite_normal_form,
     lattice_basis_from_generators,
-    pairing,
     pairing_parity,
     sum_vector,
-    verify_free_action,
 )
 from .quadric import (  # noqa: F401
     QuadricSystem,

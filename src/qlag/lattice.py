@@ -3,9 +3,9 @@
 The exponent rows e_1..e_n of a quadric system generate a full-rank lattice
 L in R^m (m = number of equations).  This module extracts a canonical basis
 of L (Hermite normal form), the dual lattice basis, and the 2^m coset
-representatives of G = L*/2L* whose parities with the generator rows drive
-everything group-theoretic downstream (sign action, freeness, orientation
-characters).
+representatives of G = L*/2L*, whose parities with the generator rows
+become signs in torus.gamma_signs alone; freeness, orientation characters,
+orbits and the mesh seam read them from the table torus.action_table.
 
 All arithmetic here is exact: integers for L, fractions.Fraction for L*.
 Parity statements must never pass through floating point.  Linear algebra
@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, RankDeficient, SingularBasis
 
 IntVector = tuple[int, ...]
 FracVector = tuple[Fraction, ...]
+CosetGroup = tuple[FracVector, ...]  # representatives of L*/2L*, the identity first
 
 
 def _as_int_rows(rows: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
@@ -72,9 +73,6 @@ class ExponentMatrix:
     def k(self) -> int:
         return self.n - self.codim
 
-    def row(self, i: int) -> IntVector:
-        return self.rows[i]
-
     def column(self, j: int) -> IntVector:
         return tuple(r[j] for r in self.rows)
 
@@ -119,25 +117,6 @@ class LatticeBasis:
         import numpy as np
 
         return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
-
-
-@dataclass(frozen=True)
-class GammaGroup:
-    """Coset representatives of L*/2L*: all {0,1}-combinations of the dual
-    basis rows, enumerated in lexicographic order over the coefficient bits
-    (so the zero vector comes first)."""
-
-    representatives: tuple[FracVector, ...]
-    dual: LatticeBasis
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def __iter__(self) -> Iterator[FracVector]:
-        return iter(self.representatives)
-
-    def nonzero(self) -> tuple[FracVector, ...]:
-        return self.representatives[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +207,7 @@ def dual_basis(basis: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(zip(*basis._inverse))
 
 
-def gamma_representatives(dual: LatticeBasis) -> GammaGroup:
+def gamma_representatives(dual: LatticeBasis) -> CosetGroup:
     """All {0,1}-combinations of the dual basis rows: 2^m coset
     representatives of L*/2L*, the zero vector first."""
     m = dual.dim
@@ -239,51 +218,18 @@ def gamma_representatives(dual: LatticeBasis) -> GammaGroup:
             if e:
                 v = [a + b for a, b in zip(v, dual.rows[i])]
         reps.append(tuple(v))
-    return GammaGroup(tuple(reps), dual)
-
-
-def pairing(gamma: Sequence, e_row: Sequence[int]) -> Fraction:
-    """Euclidean pairing (gamma, e) = sum_i gamma_i * e_i, exact."""
-    if len(gamma) != len(e_row):
-        raise DimensionMismatch(
-            f"pairing of lengths {len(gamma)} and {len(e_row)}"
-        )
-    return sum((Fraction(g) * int(e) for g, e in zip(gamma, e_row)), Fraction(0))
+    return tuple(reps)
 
 
 def pairing_parity(gamma: Sequence, e_row: Sequence[int]) -> int:
-    """Parity (0 or 1) of the pairing, which must be an integer."""
-    value = pairing(gamma, e_row)
+    """Parity (0 or 1) of the Euclidean pairing (gamma, e) = sum_i gamma_i *
+    e_i, computed exactly; the pairing must be an integer."""
+    if len(gamma) != len(e_row):
+        raise DimensionMismatch(f"pairing of lengths {len(gamma)} and {len(e_row)}")
+    value = sum((Fraction(g) * int(e) for g, e in zip(gamma, e_row)), Fraction(0))
     if value.denominator != 1:
         raise ValueError(f"pairing {value} is not an integer; gamma not in L*")
     return value.numerator % 2
-
-
-@dataclass(frozen=True)
-class FreeActionResult:
-    free: bool
-    # for each nonzero representative, the first row index with odd pairing,
-    # or None if all pairings are even (the freeness failure witness)
-    witnesses: tuple[tuple[FracVector, int | None], ...]
-
-
-def verify_free_action(exponents: ExponentMatrix, group: GammaGroup) -> FreeActionResult:
-    """A nonzero class gamma acts freely iff some (e_j, gamma) is odd.
-
-    Returns the verdict plus, per nonzero representative, a witness row
-    index j (or None on failure).  Parities are computed exactly.
-    """
-    witnesses = []
-    free = True
-    for gamma in group.nonzero():
-        j = next(
-            (i for i in range(exponents.n) if pairing_parity(gamma, exponents.row(i)) == 1),
-            None,
-        )
-        if j is None:
-            free = False
-        witnesses.append((gamma, j))
-    return FreeActionResult(free, tuple(witnesses))
 
 
 def sum_vector(exponents: ExponentMatrix) -> IntVector:

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionUnsupported
 from .immersion import _conic_parametrization, _link_parametrization, phi
 from .quadric import QuadricSystem, require_cone
-from .torus import gamma_group, gamma_signs, torus_box
+from .torus import action_table, torus_box
+from .torus import gamma_signs  # noqa: F401  perfbench/tracing.py wraps it here
 
 # drops Im z2: rows are orthonormal in (Re z1, Im z1, Re z2, Im z2)
 DEFAULT_PROJECTION = np.array(
@@ -116,9 +117,7 @@ def build_surface_mesh(system: QuadricSystem, nx: int = 128, ny: int = 64) -> Su
     point, _ = _conic_parametrization(system)
     box = torus_box(system.exponents)
     period = box[0][0]
-    group = gamma_group(system.exponents)
-    gamma = group.nonzero()[0]
-    signs = gamma_signs(system.exponents, gamma)
+    signs = action_table(system.exponents)[0][1]  # the nonzero group element's row
 
     thetas = np.arange(nx) / nx
     ys = np.arange(ny) * (period / 2.0) / ny

@@ -31,7 +31,7 @@ from .immersion import (
     sample_immersion,
     torus_metric,
 )
-from .lattice import ExponentMatrix, sum_vector, verify_free_action
+from .lattice import ExponentMatrix, sum_vector
 from .projective import (
     projective_angle_fiber_defect,
     projective_lagrangian_defect,
@@ -45,7 +45,7 @@ from .quotient import (
     scan_samples,
     scan_self_intersections,
 )
-from .torus import gamma_group, lattice_data
+from .torus import action_table, gamma_group, lattice_data
 
 VERIFY_TOLERANCES = {
     "lagrangian": 1e-10,
@@ -65,8 +65,13 @@ VERIFY_TOLERANCES = {
 
 # Tolerances keys that tune the numerics rather than judge a check, with
 # their defaults: an int default takes a positive integer, a float one a
-# finite number >= 0.
+# finite number >= 0 (> 0 for fd_step, the finite-difference step).
 NUMERIC_TOLERANCES = {f.name: f.default for f in fields(Tolerances)}
+
+# the keys a config may set, at the top level and under "mesh"
+CONFIG_KEYS = ("n", "k", "rows", "constants", "samples", "seed", "curvature_samples",
+               "sweeps", "tolerances", "mesh")
+MESH_KEYS = ("resolution", "target", "projection")
 
 SWEEPS = ("cn", "cpn", "quotient")
 
@@ -109,11 +114,11 @@ class InstanceConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InstanceConfig":
-        errors: list[str] = []
+        errors = [f"{key}: unknown key" for key in raw if key not in CONFIG_KEYS]
         n = raw.get("n")
         k = raw.get("k")
         rows = raw.get("rows")
-        constants = raw.get("constants", raw.get("d"))
+        constants = raw.get("constants")
         if not _is_count(n, 1):
             errors.append("n: must be a positive integer")
         if not _is_count(k, 0):
@@ -156,6 +161,8 @@ class InstanceConfig:
                 errors.append(f"tolerances.{key}: must be a positive integer")
             elif not (_is_real(value) and value >= 0):
                 errors.append(f"tolerances.{key}: must be a finite number >= 0")
+            elif key == "fd_step" and value == 0:
+                errors.append("tolerances.fd_step: must be > 0")
         sweeps = raw.get("sweeps", {"cn": True, "quotient": True})
         if isinstance(sweeps, dict):
             for key, value in sweeps.items():
@@ -176,6 +183,7 @@ class InstanceConfig:
         if not isinstance(mesh, dict):
             errors.append("mesh: must be an object")
             mesh = {}
+        errors.extend(f"mesh.{key}: unknown key" for key in mesh if key not in MESH_KEYS)
         resolution = mesh.get("resolution", (128, 64))
         if not isinstance(resolution, (list, tuple)) or len(resolution) != 2 or not all(
             _is_count(r, 1) for r in resolution
@@ -246,15 +254,19 @@ def _guard(report: dict, key: str, fn) -> None:
 
 def _lattice_section(system: QuadricSystem) -> dict:
     basis, dual, group = lattice_data(system.exponents)
-    result = verify_free_action(system.exponents, group)
+    signs, _ = action_table(system.exponents)
+    # a nonzero class acts freely iff it flips some coordinate; the first
+    # coordinate it flips is its witness
+    flips = signs[1:] < 0
+    witnesses = [int(np.argmax(row)) if row.any() else None for row in flips]
     return {
         "basis": [[str(x) for x in row] for row in basis.rows],
         "dual_basis": [[str(x) for x in row] for row in dual.rows],
         "group_order": len(group),
-        "free_action": bool(result.free),
+        "free_action": None not in witnesses,
         "witnesses": [
             {"gamma": [str(x) for x in gamma], "row": w}
-            for gamma, w in result.witnesses
+            for gamma, w in zip(group[1:], witnesses)
         ],
     }
 
@@ -431,14 +443,11 @@ def _quotient_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     def characters():
         group = gamma_group(system.exponents)
-        values = []
-        for gamma in group:
-            char = orientation_character(system, gamma)
-            values.append(
-                {"gamma": [str(x) for x in gamma],
-                 "character": char if char is not None else "unsupported"}
-            )
-        return values
+        chars = orientation_character(system) or ("unsupported",) * len(group)
+        return [
+            {"gamma": [str(x) for x in gamma], "character": char}
+            for gamma, char in zip(group, chars)
+        ]
 
     _guard(section, "orientation_characters", characters)
 

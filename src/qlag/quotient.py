@@ -1,11 +1,11 @@
 """The coset group action on M x T^m: orbits, freeness at sample scale,
 self-intersection scanning, orientation characters, and pattern-matched
 classification of the quotient for the recognized instance families.
-Orbits, the collision scan and the labels read the action from the cached
-sign/translation table torus.action_table, over batches of points.  The
-family recognizers read each equation's sign pattern through
-quadric.definite and quadric.lone_sign, so the rule for a compact ellipsoid
-and for the axis of a cone is written once.
+Orbits, the collision scan, the orientation characters and the labels read
+the action from the cached sign/translation table torus.action_table, over
+batches of points and all group elements at once.  The family recognizers
+read each equation's sign pattern through quadric.definite and
+quadric.lone_sign, so the rule for an ellipsoid and a cone axis is written once.
 
 Topology here is honest about its scope: labels are only emitted for
 instance shapes whose quotient is understood case by case; everything else
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CrossCheckFailed, NonFreeWitness
 from .immersion import phi, sample_torus_angles
 from .quadric import QuadricSystem, definite, lone_sign, sample_points, sample_stratum_points
-from .torus import action_table, gamma_group, gamma_signs, torus_box, torus_distance
+from .torus import action_table, gamma_group, torus_box, torus_distance
+from .torus import gamma_signs  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -276,22 +277,24 @@ def _is_diagonal_torus(system: QuadricSystem) -> bool:
     return all(definite((e,), d) for e, d in zip(np.diag(E), system.constants))
 
 
-def orientation_character(system: QuadricSystem, gamma) -> int | None:
-    """Degree (+1/-1) of the sign map on the sphere factor of M.
+def orientation_character(system: QuadricSystem) -> tuple[int, ...] | None:
+    """Degree (+1/-1) of each group element's sign map on the sphere factor
+    of M, one per row of the action table (the identity first).
 
     For a single compact equation M is an ellipsoid and the character is
     the determinant of the diagonal sign matrix, i.e. the product of all
-    parities.  For the sphere-and-cone family the sphere factor lives in
-    the coordinates away from the gluing axis.  Diagonal torus systems
-    multiply the characters of their 0-sphere factors, which is again the
-    full product.  Returns None (unsupported) outside these families.
+    signs.  For the sphere-and-cone family the sphere factor lives in the
+    coordinates away from the gluing axis.  Diagonal torus systems multiply
+    the characters of their 0-sphere factors, which is again the full
+    product.  Returns None (unsupported) outside these families.
     """
-    if _single_equation_positive(system) or _is_diagonal_torus(system):
-        return int(np.prod(gamma_signs(system.exponents, gamma)))
-    axis = _sphere_cone_axis(system)
-    if axis is None:
-        return None
-    return int(np.prod(np.delete(gamma_signs(system.exponents, gamma), axis)))
+    signs, _ = action_table(system.exponents)
+    if not (_single_equation_positive(system) or _is_diagonal_torus(system)):
+        axis = _sphere_cone_axis(system)
+        if axis is None:
+            return None
+        signs = np.delete(signs, axis, axis=1)
+    return tuple(int(c) for c in np.prod(signs, axis=1))
 
 
 def classify_quotient(system: QuadricSystem) -> TopologyLabel:
@@ -317,7 +320,7 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
 
     if _single_equation_positive(system):
         # the orientation character of the nonzero class
-        if np.prod(signs[1]) > 0:
+        if orientation_character(system)[1] > 0:
             return TopologyLabel("SphereTimesCircle", n, f"S^{n-1} x S^1")
         return TopologyLabel("KleinBottle", n, f"K^{n}")
 
@@ -331,7 +334,7 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
         residual = 1 + np.flatnonzero(signs[1:, axis] > 0)
         if not len(residual):
             return UNKNOWN
-        if np.prod(np.delete(signs[residual[0]], axis)) > 0:
+        if orientation_character(system)[residual[0]] > 0:
             return TopologyLabel("SphereTimesTorus", n, f"S^{n-2} x S^1 x S^1")
         return TopologyLabel("KleinTimesCircle", n, f"K^{n-1} x S^1")
 

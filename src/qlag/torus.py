@@ -4,7 +4,7 @@ The torus factor of the construction is R^m modulo twice the dual lattice;
 this module caches the exact lattice bases per exponent matrix and exposes
 float-valued period boxes, nearest-period distances, the exact sign vectors
 of the coset action and the cached sign/translation table of the whole
-group.
+group, which is where every reader of the action takes it from.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (
+    CosetGroup,
     ExponentMatrix,
-    GammaGroup,
     LatticeBasis,
     dual_basis,
     gamma_representatives,
@@ -27,14 +27,14 @@ from .lattice import (
 
 
 @lru_cache(maxsize=None)
-def lattice_data(exponents: ExponentMatrix) -> tuple[LatticeBasis, LatticeBasis, GammaGroup]:
-    """(basis of L, basis of L*, coset group L*/2L*) for the row lattice."""
+def lattice_data(exponents: ExponentMatrix) -> tuple[LatticeBasis, LatticeBasis, CosetGroup]:
+    """(basis of L, basis of L*, representatives of L*/2L*) for the row lattice."""
     basis = lattice_basis_from_generators(exponents)
     dual = dual_basis(basis)
     return basis, dual, gamma_representatives(dual)
 
 
-def gamma_group(exponents: ExponentMatrix) -> GammaGroup:
+def gamma_group(exponents: ExponentMatrix) -> CosetGroup:
     return lattice_data(exponents)[2]
 
 
@@ -116,10 +116,6 @@ def gamma_signs(exponents: ExponentMatrix, gamma: Sequence) -> np.ndarray:
     )
 
 
-def gamma_float(gamma: Sequence) -> np.ndarray:
-    return np.array([float(g) for g in gamma])
-
-
 @lru_cache(maxsize=None)
 def action_table(exponents: ExponentMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Signs (|G|, n) and translations (|G|, m) of every element of the coset
@@ -127,7 +123,7 @@ def action_table(exponents: ExponentMatrix) -> tuple[np.ndarray, np.ndarray]:
     matrix, read-only because every caller shares them."""
     group = gamma_group(exponents)
     signs = np.array([gamma_signs(exponents, g) for g in group])
-    shifts = np.array([gamma_float(g) for g in group])
+    shifts = np.array([[float(x) for x in g] for g in group])
     signs.setflags(write=False)
     shifts.setflags(write=False)
     return signs, shifts

@@ -19,7 +19,6 @@ from qlag import (
     mean_curvature,
     mean_curvature_fd,
     sample_immersion,
-    verify_free_action,
 )
 from qlag.catalog import (
     ellipse,
@@ -40,12 +39,12 @@ from qlag.immersion import (
 from qlag.meshing import build_surface_mesh
 from qlag.projective import projective_mean_curvature, submersion_isometry_defect
 from qlag.quadric import orthonormalize
+from qlag.pipeline import InstanceConfig, run_analyze
 from qlag.quotient import (
     orbit_distinctness,
     scan_samples,
     scan_self_intersections,
 )
-from qlag.torus import gamma_group
 
 
 def _verdict(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -106,12 +105,19 @@ FREENESS_FIXTURES = [
 def test_criterion_2_freeness():
     ok = True
     for name, system in FREENESS_FIXTURES:
-        group = gamma_group(system.exponents)
-        result = verify_free_action(system.exponents, group)
-        witnesses_ok = result.free and all(w is not None for _, w in result.witnesses)
+        # the report's lattice section: every nonzero class flips a coordinate
+        config = InstanceConfig.from_dict({
+            "n": system.n, "k": system.k, "rows": [list(r) for r in system.exponents.rows],
+            "constants": list(system.constants), "sweeps": {},
+        })
+        section = run_analyze(config)["lattice"]
+        witnesses = section["witnesses"]
+        witnesses_ok = section["free_action"] is True and all(
+            w["row"] is not None for w in witnesses
+        )
         U, Y = sample_immersion(system, 1000, seed=20)
         size = orbit_distinctness(system, (U, Y), tol=1e-9)
-        ok &= witnesses_ok and size == len(group)
+        ok &= witnesses_ok and size == section["group_order"] == len(witnesses) + 1
     assert _verdict("2 free action + orbit distinctness (1000 samples/fixture)", ok)
 
 

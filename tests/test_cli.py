@@ -144,6 +144,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         ({"sweeps": {"qoutient": True}}, "sweeps.qoutient"),
         ({"sweeps": ["cn", "cpm"]}, "sweeps[1]"),
         ({"sweeps": {"cn": "yes"}}, "sweeps.cn"),
+        # misspelt keys, and the dropped alias d of constants, are unknown
+        ({"sampels": 7}, "sampels"),
+        ({"curvature_sample": 3}, "curvature_sample"),
+        ({"mesh": {"resolutoin": [8, 4]}}, "mesh.resolutoin"),
+        ({"d": [1.0]}, "d"),
+        # a zero finite-difference step divides by zero
+        ({"tolerances": {"fd_step": 0}}, "tolerances.fd_step"),
         # sweeps that check nothing on the instance: the report has no verdict
         ({"sweeps": {}}, "sweeps"),
         ({"sweeps": []}, "sweeps"),

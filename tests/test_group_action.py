@@ -19,7 +19,6 @@ from qlag.catalog import (
 )
 from qlag.errors import CrossCheckFailed, NonFreeWitness
 from qlag.immersion import phi, sample_immersion
-from qlag.lattice import GammaGroup, LatticeBasis
 from qlag.quotient import (
     orbit,
     orbit_distinctness,
@@ -29,7 +28,6 @@ from qlag.quotient import (
 )
 from qlag.torus import (
     action_table,
-    gamma_float,
     gamma_group,
     gamma_signs,
     torus_box,
@@ -101,7 +99,7 @@ def _apply_gamma(system, gamma, u, y):
     """The reference action of one representative, without the cached table:
     exact sign flips on u and the translation on y."""
     signs = gamma_signs(system.exponents, gamma)
-    return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + gamma_float(gamma)
+    return signs * np.asarray(u, dtype=float), np.asarray(y, dtype=float) + _shift(gamma)
 
 
 @pytest.mark.parametrize("make", ORBIT_SYSTEMS)
@@ -122,11 +120,17 @@ def test_orbit_distinctness_takes_arrays_and_empty_batches():
     assert orbit_distinctness(system, (U[:0], Y[:0])) == 4
 
 
+def _shift(gamma):
+    """The translation of one representative, as floats."""
+    return np.array([float(x) for x in gamma])
+
+
 def _fake_table(system, group, signs=gamma_signs):
-    """An action table built from a fake group and sign function."""
+    """An action table built from a fake group, a plain tuple of
+    representatives, and a sign function."""
     return (
         np.array([signs(system.exponents, g) for g in group]),
-        np.array([gamma_float(g) for g in group]),
+        np.array([_shift(g) for g in group]),
     )
 
 
@@ -147,7 +151,7 @@ def _per_sample_error(system, U, Y, tol=1e-9):
 def test_duplicate_representative_names_the_first_sample_and_pair():
     system = ellipse()
     U, Y = sample_immersion(system, 20, seed=1)
-    fake = GammaGroup(((F(1),), (F(0),), (F(1),)), LatticeBasis([[1]]))
+    fake = ((F(1),), (F(0),), (F(1),))
     with mock.patch("qlag.quotient.action_table", return_value=_fake_table(system, fake)):
         expected = _per_sample_error(system, U, Y)
         assert expected == (NonFreeWitness, "orbit points 0 and 2 coincide within 1e-09")
@@ -171,7 +175,7 @@ def test_negated_sign_table_raises_the_per_sample_message():
 def test_errors_follow_the_order_of_the_per_sample_loop():
     system = ellipse()
     U, Y = sample_immersion(system, 6, seed=6)
-    duplicate = GammaGroup(((F(0),), (F(1),), (F(1),)), LatticeBasis([[1]]))
+    duplicate = ((F(0),), (F(1),), (F(1),))
     # u = 0 keeps every image, so sample 0 fails only at pair (1, 2), while
     # every later sample fails earlier in its own loop, at image 0
     U0, Y0 = np.vstack([np.zeros((1, 2)), U]), np.vstack([Y[:1], Y])
@@ -188,7 +192,7 @@ def test_errors_follow_the_order_of_the_per_sample_loop():
             assert str(exc.value) == message
 
     # within one sample, pair (0, 1) comes before image 2
-    tail = GammaGroup(((F(0),), (F(0),), (F(1),)), LatticeBasis([[1]]))
+    tail = ((F(0),), (F(0),), (F(1),))
 
     def flip_last(exponents, gamma):
         signs = gamma_signs(exponents, gamma)
@@ -244,7 +248,7 @@ def test_in_same_orbit_matches_the_per_translate_loop(make):
     U, Y = sample_immersion(system, 12, seed=8)
     decisions = []
     for (u, y), gamma in zip(zip(U, Y), rng.choice(len(gamma_group(system.exponents)), 12)):
-        gu, gy = _apply_gamma(system, gamma_group(system.exponents).representatives[gamma], u, y)
+        gu, gy = _apply_gamma(system, gamma_group(system.exponents)[gamma], u, y)
         period = torus_box(system.exponents)[0]
         for q in [(gu, gy + period), (gu, gy + 0.5 * period), (gu + 3e-6, gy - 2e-6)]:
             got = bool(same_orbit(system, (u, y), q)[0])  # a one-row batch
@@ -271,7 +275,7 @@ def test_action_table_is_cached_and_read_only(make):
     assert not signs.flags.writeable and not shifts.flags.writeable
     group = gamma_group(system.exponents)
     assert np.array_equal(signs, [gamma_signs(system.exponents, g) for g in group])
-    assert np.array_equal(shifts, [gamma_float(g) for g in group])
+    assert np.array_equal(shifts, [_shift(g) for g in group])
 
 
 @pytest.mark.parametrize("make", ORBIT_SYSTEMS)

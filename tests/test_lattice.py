@@ -1,17 +1,20 @@
 """Exact lattice arithmetic: canonical bases, duals, coset groups,
-parity pairings.  Everything here must hold with rational equality."""
+parity pairings, and the report's freeness verdict read off the action
+table.  Everything here must hold with rational equality."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qlag.pipeline
 from qlag import (
     DimensionMismatch,
     ExponentMatrix,
-    GammaGroup,
+    InstanceConfig,
     LatticeBasis,
     QuadricSystem,
     RankDeficient,
@@ -20,13 +23,19 @@ from qlag import (
     gamma_representatives,
     hermite_normal_form,
     lattice_basis_from_generators,
-    pairing,
     pairing_parity,
+    run_analyze,
+    serialize_report,
     sum_vector,
-    verify_free_action,
 )
+from qlag.torus import action_table
 
 F = Fraction
+
+
+def _pairing(gamma, row):
+    """The exact Euclidean pairing (gamma, e), a Fraction."""
+    return sum((F(g) * e for g, e in zip(gamma, row)), F(0))
 
 
 # -- basis extraction -------------------------------------------------------
@@ -104,7 +113,7 @@ def test_dual_pairing_is_exact_identity():
         dual = dual_basis(basis)
         for i in range(m):
             for j in range(m):
-                assert pairing(dual.rows[j], [int(x) for x in basis.rows[i]]) == (
+                assert _pairing(dual.rows[j], [int(x) for x in basis.rows[i]]) == (
                     1 if i == j else 0
                 )
 
@@ -118,14 +127,13 @@ def test_singular_basis_rejected():
 
 def test_gamma_one_dim():
     group = gamma_representatives(LatticeBasis([[1]]))
-    assert set(group.representatives) == {(F(0),), (F(1),)}
-    assert group.representatives[0] == (F(0),)
+    assert group == ((F(0),), (F(1),))  # a plain tuple, the identity first
 
 
 def test_gamma_hand_duals():
     dual = LatticeBasis([[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]])
     group = gamma_representatives(dual)
-    assert set(group.representatives) == {
+    assert set(group) == {
         (F(0), F(0)),
         (F(1, 2), F(1, 2)),
         (F(1, 2), F(-1, 2)),
@@ -135,7 +143,7 @@ def test_gamma_hand_duals():
 
 def test_gamma_unit_lattice():
     group = gamma_representatives(LatticeBasis([[1, 0], [0, 1]]))
-    assert set(group.representatives) == {
+    assert set(group) == {
         (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)),
     }
 
@@ -154,7 +162,7 @@ def test_gamma_cardinality_and_distinctness_mod_2dual():
         group = gamma_representatives(dual)
         assert len(group) == 2 ** m
         # differences of distinct representatives never land in 2L*
-        reps = group.representatives
+        reps = group
         twice = LatticeBasis([[2 * x for x in r] for r in dual.rows])
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -164,20 +172,18 @@ def test_gamma_cardinality_and_distinctness_mod_2dual():
 
 # -- pairings ----------------------------------------------------------------
 
-def test_pairing_values():
-    assert pairing([F(1, 2), F(1, 2)], [1, 1]) == 1
-    assert pairing([F(1, 2), F(1, 2)], [1, -1]) == 0
-    assert pairing([F(0), F(0)], [5, -7]) == 0
-
-
 def test_pairing_parity():
     assert pairing_parity([F(1, 2), F(1, 2)], [1, 1]) == 1
     assert pairing_parity([F(1, 2), F(1, 2)], [1, -1]) == 0
+    assert pairing_parity([F(0), F(0)], [5, -7]) == 0
+    assert pairing_parity([F(3, 2), F(1, 2)], [1, 3]) == 1  # pairing 3
+    with pytest.raises(ValueError, match="not an integer"):
+        pairing_parity([F(1, 2), F(0)], [1, 1])
 
 
 def test_pairing_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        pairing([F(1)], [1, 2])
+        pairing_parity([F(1)], [1, 2])
 
 
 def test_pairings_integral_for_all_group_elements():
@@ -195,39 +201,46 @@ def test_pairings_integral_for_all_group_elements():
         group = gamma_representatives(dual_basis(basis))
         for gamma in group:
             for row in rows.rows:
-                assert pairing(gamma, row).denominator == 1
+                assert _pairing(gamma, row).denominator == 1
 
 
-# -- free action --------------------------------------------------------------
+# -- free action: the report's lattice section ------------------------------
 
-def _group_for(rows) -> tuple[ExponentMatrix, GammaGroup]:
-    exps = ExponentMatrix(rows)
-    return exps, gamma_representatives(dual_basis(lattice_basis_from_generators(exps)))
+
+def _lattice_report(rows) -> dict:
+    """The lattice section of a report on the exponent rows; the constants
+    are placeholders, since no sweep runs."""
+    n, m = len(rows), len(rows[0])
+    config = {"n": n, "k": n - m, "rows": rows, "constants": [1.0] * m, "sweeps": {}}
+    return run_analyze(InstanceConfig.from_dict(config))["lattice"]
 
 
 def test_free_action_ellipse():
-    exps, group = _group_for([[1], [2]])
-    result = verify_free_action(exps, group)
-    assert result.free
-    assert result.witnesses[0][1] == 0  # first row pairs oddly
+    section = _lattice_report([[1], [2]])
+    assert section["free_action"] is True
+    assert section["witnesses"] == [{"gamma": ["1"], "row": 0}]  # first row pairs oddly
 
 
 def test_free_action_two_sphere_family():
-    exps, group = _group_for([(1, 1), (1, 1), (1, -1)])
-    result = verify_free_action(exps, group)
-    assert result.free
-    assert all(w is not None for _, w in result.witnesses)
+    section = _lattice_report([[1, 1], [1, 1], [1, -1]])
+    assert section["free_action"] is True
+    assert len(section["witnesses"]) == 3
+    assert all(w["row"] is not None for w in section["witnesses"])
 
 
-def test_free_action_synthetic_failure():
-    # even sublattice with a representative pairing evenly against all rows
-    exps = ExponentMatrix([[2, 0], [0, 2]])
-    fake = GammaGroup(
-        ((F(0), F(0)), (F(1), F(1))), LatticeBasis([[1, 0], [0, 1]])
-    )
-    result = verify_free_action(exps, fake)
-    assert not result.free
-    assert result.witnesses[0][1] is None
+def test_free_action_synthetic_failure(monkeypatch):
+    # a table whose first nonzero row flips no coordinate: that class would
+    # fix every point, so the action is not free and it has no witness
+    rows = [[2, 0], [0, 2]]
+    signs, shifts = action_table(ExponentMatrix(rows))
+    fake = np.array(signs)
+    fake[1] = 1.0
+    monkeypatch.setattr(qlag.pipeline, "action_table", lambda exponents: (fake, shifts))
+    section = _lattice_report(rows)
+    assert section["free_action"] is False
+    assert [w["row"] for w in section["witnesses"]] == [None, 0, 0]
+    text = serialize_report({"lattice": section})
+    assert '"free_action": false' in text and '"row": null' in text
 
 
 def test_free_action_matches_parity_bruteforce():
@@ -241,14 +254,19 @@ def test_free_action_matches_parity_bruteforce():
                 exps = ExponentMatrix(cand)
             except RankDeficient:
                 exps = None
+        section = _lattice_report(cand)
         group = gamma_representatives(dual_basis(lattice_basis_from_generators(exps)))
-        result = verify_free_action(exps, group)
-        brute = all(
-            any(pairing_parity(g, row) == 1 for row in exps.rows)
-            for g in group.nonzero()
-        )
-        assert result.free == brute
-        assert result.free  # valid coset groups always act freely
+        assert [w["gamma"] for w in section["witnesses"]] == [
+            [str(x) for x in g] for g in group[1:]
+        ]
+        # the first row each nonzero class pairs with oddly, in exact arithmetic
+        brute = [
+            next((j for j, row in enumerate(cand) if _pairing(g, row).numerator % 2), None)
+            for g in group[1:]
+        ]
+        assert [w["row"] for w in section["witnesses"]] == brute
+        assert section["free_action"] is (None not in brute)
+        assert section["free_action"]  # valid coset groups always act freely
 
 
 # -- sum vector ----------------------------------------------------------------

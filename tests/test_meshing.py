@@ -128,7 +128,7 @@ def _reference_surface(system, nx, ny):
 
     point, _ = _conic_parametrization(system)
     period = torus_box(system.exponents)[0][0]
-    signs = gamma_signs(system.exponents, gamma_group(system.exponents).nonzero()[0])
+    signs = gamma_signs(system.exponents, gamma_group(system.exponents)[1])
     us = point(np.arange(nx) / nx)
     vertices = np.empty((nx * ny, 4))
     for j, y in enumerate(np.arange(ny) * (period / 2.0) / ny):

@@ -26,10 +26,6 @@ from qlag.quotient import orbit_distinctness, same_orbit, scan_samples
 from qlag.torus import action_table, gamma_group, torus_distance
 
 
-def _nonzero_gamma(system):
-    return gamma_group(system.exponents).nonzero()[0]
-
-
 def _apply_row(system, row, u, y):
     """Group element ``row`` of the cached action table applied to (u, y);
     row 0 is the identity, row 1 the first nonzero class."""
@@ -91,16 +87,15 @@ def test_orbit_distinct_even_on_stratum():
 def test_orbit_nonfree_detection():
     # a synthetic duplicate representative must be caught
     sys1 = ellipse()
-    from qlag.lattice import GammaGroup, LatticeBasis
     from fractions import Fraction as F
     from unittest import mock
 
-    from qlag.torus import gamma_float, gamma_signs
+    from qlag.torus import gamma_signs
 
-    fake = GammaGroup(((F(0),), (F(0),)), LatticeBasis([[1]]))
+    fake = ((F(0),), (F(0),))
     table = (
         np.array([gamma_signs(sys1.exponents, g) for g in fake]),
-        np.array([gamma_float(g) for g in fake]),
+        np.array([[float(x) for x in g] for g in fake]),
     )
     with mock.patch("qlag.quotient.action_table", return_value=table):
         with pytest.raises(NonFreeWitness):
@@ -174,36 +169,35 @@ def test_scan_empty_for_round_sphere():
 # -- orientation characters ----------------------------------------------------------
 
 
+# one character per row of the action table: row 0 is the identity, row 1
+# the first nonzero class
+
+
 def test_character_ellipse_reverses():
-    sys1 = ellipse()
-    assert orientation_character(sys1, _nonzero_gamma(sys1)) == -1
+    assert orientation_character(ellipse())[1] == -1
 
 
 def test_character_identity_element():
-    sys1 = ellipse()
-    zero = gamma_group(sys1.exponents).representatives[0]
-    assert orientation_character(sys1, zero) == 1
+    assert orientation_character(ellipse())[0] == 1
+    assert orientation_character(sphere_cone(4))[0] == 1
 
 
 def test_character_odd_sphere_preserves():
     sphere = ellipsoid([1, 1, 1, 1])  # S^3, antipodal map
-    assert orientation_character(sphere, _nonzero_gamma(sphere)) == 1
+    assert orientation_character(sphere) == (1, 1)
 
 
 def test_character_even_sphere_reverses():
     sphere = ellipsoid([1, 1, 1])  # S^2
-    assert orientation_character(sphere, _nonzero_gamma(sphere)) == -1
+    assert orientation_character(sphere) == (1, -1)
 
 
 def test_character_homomorphism_property():
     for system in (ellipse(), ellipsoid([1, 2, 3]), sphere_cone(3), product_torus([1.0, 0.5])):
-        group = gamma_group(system.exponents)
-        reps = group.representatives
-        chars = {}
-        for gamma in reps:
-            chars[gamma] = orientation_character(system, gamma)
-        if any(c is None for c in chars.values()):
-            continue
+        reps = gamma_group(system.exponents)
+        values = orientation_character(system)
+        assert len(values) == len(reps)
+        chars = dict(zip(reps, values))
         from qlag.lattice import pairing_parity
 
         for a in reps:
@@ -223,7 +217,7 @@ def test_character_homomorphism_property():
 
 
 def test_character_unsupported_family():
-    assert orientation_character(klein_bottle_cone(), _nonzero_gamma(klein_bottle_cone())) is None
+    assert orientation_character(klein_bottle_cone()) is None
 
 
 # -- classification -------------------------------------------------------------------
