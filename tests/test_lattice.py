@@ -172,11 +172,19 @@ def test_gamma_cardinality_and_distinctness_mod_2dual():
 
 # -- pairings ----------------------------------------------------------------
 
-def test_pairing_parity():
+def test_pairing_values():
+    # the exact pairing is read through its parity: values 1, 0, 0, 3, 2, -1
     assert pairing_parity([F(1, 2), F(1, 2)], [1, 1]) == 1
     assert pairing_parity([F(1, 2), F(1, 2)], [1, -1]) == 0
     assert pairing_parity([F(0), F(0)], [5, -7]) == 0
-    assert pairing_parity([F(3, 2), F(1, 2)], [1, 3]) == 1  # pairing 3
+    assert pairing_parity([F(3, 2), F(1, 2)], [1, 3]) == 1
+    assert pairing_parity([F(3, 2), F(1, 2)], [1, 1]) == 0
+    assert pairing_parity([F(-3, 2), F(1, 2)], [1, 1]) == 1
+
+
+def test_pairing_parity():
+    assert pairing_parity([F(1, 2), F(1, 2)], [1, 1]) == 1
+    assert pairing_parity([F(1, 2), F(1, 2)], [1, -1]) == 0
     with pytest.raises(ValueError, match="not an integer"):
         pairing_parity([F(1, 2), F(0)], [1, 1])
 
