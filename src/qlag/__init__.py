@@ -41,7 +41,6 @@ from .quadric import (  # noqa: F401
 )
 from .immersion import (  # noqa: F401
     FrameBundle,
-    LagrangianAngle,
     frame_at,
     hamiltonian_variation,
     harmonicity_defect,

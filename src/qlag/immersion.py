@@ -14,7 +14,8 @@ torus Gram block, and the one Hermitian Gram of the frame rows, which the
 Lagrangian and cross-block checks read, is built on first read.
 Its chart, ImmersionChart, takes the variety that stencil points are
 projected onto and a map to ambient coordinates, so the projective
-oracle reuses it on the link.
+oracle reuses it on the link.  Every sample-wise routine takes (N, n)
+variety points and (N, m) torus angles and returns one result per row.
 
 Conventions, fixed once and used everywhere:
   * Hermitian product <xi, eta> = sum_i xi_i * conj(eta_i);
@@ -61,8 +62,8 @@ TWO_PI = 2.0 * np.pi
 def torus_phases(system: QuadricSystem, y: Sequence[float]) -> np.ndarray:
     """exp(i*pi*(e_i, y)) for every exponent row; (N, n) for a (N, m) batch."""
     y = np.asarray(y, dtype=float)
-    # one matrix-vector product per sample, the same BLAS call a single
-    # point makes, so batch rows and single calls agree bit for bit
+    # one matrix-vector product per sample, never one product over the
+    # batch, so a sample's bits do not depend on the block it falls in
     angles = np.pi * (system.matrix @ y[..., None])[..., 0]
     return np.exp(1j * angles)
 
@@ -80,8 +81,8 @@ def torus_tangents(system: QuadricSystem, z) -> np.ndarray:
 def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_l a[..., i, l] * b[..., j, l] for every row pair (i, j).
 
-    Summed along the contiguous last axis, never through BLAS, so a batch
-    row gets the same bits as the single-point call on it.
+    Summed along the contiguous last axis, never through BLAS, so a
+    sample's bits do not depend on the block it falls in.
     """
     return (a[..., :, None, :] * b[..., None, :, :]).sum(-1)
 
@@ -95,29 +96,25 @@ def torus_metric(system: QuadricSystem, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameBundle:
-    """Tangent frame at an immersion point: its rows, the torus metric
-    block frame_at checked, and the Hermitian Gram of the rows, built on
-    first read.
+    """Tangent frames at N immersion points: their rows, the torus metric
+    blocks frame_at checked, and the Hermitian Grams of the rows, built on
+    first read."""
 
-    From a (N, n) batch every field gains a leading sample axis.
-    """
-
-    rows: np.ndarray  # (k + m, n) complex: the variety rows X_s, then the torus rows Y_j
-    metric_y: np.ndarray  # (m, m) real Re<Y_i, Y_j>
+    rows: np.ndarray  # (N, k + m, n) complex: the variety rows X_s, then the torus rows Y_j
+    metric_y: np.ndarray  # (N, m, m) real Re<Y_i, Y_j>
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """<V_a, V_b> for every pair of rows, (k + m, k + m) complex."""
+        """<V_a, V_b> for every pair of rows, (N, k + m, k + m) complex."""
         return _pairings(self.rows, np.conjugate(self.rows))
 
-    def symplectic_defect(self):
-        """max |omega(V_a, V_b)| over all pairs of rows; one value per
-        sample for a batched bundle."""
+    def symplectic_defect(self) -> np.ndarray:
+        """max |omega(V_a, V_b)| over all pairs of rows, per sample."""
         return np.max(np.abs(np.imag(self.gram)), axis=(-2, -1), initial=0.0)
 
-    def cross_defect(self):
-        """Largest |<Y_j, X_s>|: zero in exact arithmetic for points on M;
-        one value per sample for a batched bundle."""
+    def cross_defect(self) -> np.ndarray:
+        """Largest |<Y_j, X_s>| per sample: zero in exact arithmetic for
+        points on M."""
         k = self.rows.shape[-2] - self.metric_y.shape[-1]
         return np.max(np.abs(self.gram[..., k:, :k]), axis=(-2, -1), initial=0.0)
 
@@ -125,10 +122,8 @@ class FrameBundle:
 def frame_at(system: QuadricSystem, u, y) -> FrameBundle:
     """Tangent frame, the variety rows X_s (the orthonormal tangent basis of
     M twisted by the phases) then the torus rows Y_j; their torus Gram is
-    checked against its closed form on every call.
-
-    u and y may be (N, n) and (N, m) batches; row i of every field equals
-    the single-point call on (u[i], y[i]) bit for bit.
+    checked against its closed form on every call, at the samples of
+    (N, n) and (N, m) batches u and y.
     """
     u = np.asarray(u, dtype=float)
     phases = torus_phases(system, y)
@@ -136,16 +131,14 @@ def frame_at(system: QuadricSystem, u, y) -> FrameBundle:
     rows = np.concatenate([system.tangent_basis(u) * phases[..., None, :], Y], axis=-2)
     gy = np.real(_pairings(Y, np.conjugate(Y)))
     agrees = np.isclose(gy, torus_metric(system, u), rtol=1e-10, atol=1e-10)
-    off = np.nonzero(~agrees.all(axis=(-2, -1)).reshape(-1))[0]
+    off = np.nonzero(~agrees.all(axis=(-2, -1)))[0]
     if len(off):
-        where = "" if gy.ndim == 2 else f" at sample {off[0]}"
-        raise CrossCheckFailed(f"torus metric Gram disagrees with closed form{where}")
+        raise CrossCheckFailed(f"torus metric Gram disagrees with closed form at sample {off[0]}")
     return FrameBundle(rows, gy)
 
 
-def lagrangian_defect(system: QuadricSystem, u, y):
-    """Largest symplectic pairing among tangent frame vectors; one value
-    per sample for (N, n) and (N, m) batches."""
+def lagrangian_defect(system: QuadricSystem, u, y) -> np.ndarray:
+    """Largest symplectic pairing among tangent frame vectors, per sample."""
     return frame_at(system, u, y).symplectic_defect()
 
 
@@ -154,29 +147,16 @@ def lagrangian_defect(system: QuadricSystem, u, y):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LagrangianAngle:
-    """Angle value (mod 2*pi) and its constant gradient in the y chart; the
-    value has the batch shape of a (..., m) array of torus angles."""
-
-    value: float | np.ndarray
-    gradient: np.ndarray  # d(beta)/dy_j = pi * e_j, e the row-sum vector
-
-
-def _scalar(value: np.ndarray, kind=float):
-    """A Python scalar for a 0-d result, the array itself for a batch."""
-    return kind(value) if np.ndim(value) == 0 else value
-
-
-def lagrangian_angle(system: QuadricSystem, y) -> LagrangianAngle:
-    """beta(y) = pi*(e, y) + codim*pi/2 reduced mod 2*pi.
+def lagrangian_angle(system: QuadricSystem, y) -> np.ndarray:
+    """beta(y) = pi*(e, y) + codim*pi/2 reduced mod 2*pi, one value per row
+    of a (N, m) batch of torus angles.
 
     The angle is linear in the torus coordinates with slope pi*e; only the
     slope enters the mean curvature, the constant is an orientation choice.
     """
     e = np.array(sum_vector(system.exponents), dtype=float)
     value = np.pi * (np.asarray(y, dtype=float) @ e) + system.codim * np.pi / 2.0
-    return LagrangianAngle(_scalar(value % TWO_PI), np.pi * e)
+    return value % TWO_PI
 
 
 def measured_lagrangian_angle(system: QuadricSystem, u, y):
@@ -187,9 +167,9 @@ def measured_lagrangian_angle(system: QuadricSystem, u, y):
     multiply the rows by a real triangular matrix with positive diagonal,
     which leaves that argument unchanged, so the rows serve as they are.
     Agrees with lagrangian_angle up to orientation (mod pi).  One value per
-    sample for (N, n) and (N, m) batches, a float for one point.
+    sample of (N, n) and (N, m) batches.
     """
-    return _scalar(np.angle(np.linalg.det(frame_at(system, u, y).rows)) % TWO_PI)
+    return np.angle(np.linalg.det(frame_at(system, u, y).rows)) % TWO_PI
 
 
 def mean_curvature(system: QuadricSystem, u, y) -> np.ndarray:
@@ -210,9 +190,9 @@ class ImmersionChart:
 
     The variety factor is parametrized by Gauss-Newton projection along a
     tangent basis frozen at the centre, so the map is smooth in the chart
-    variables.  Centres are one point, which takes (..., dim) chart points,
-    or (N, n), (N, m) batches, which take (N, S, dim) points; all variety
-    points are projected in one call.  Stencil points are projected onto
+    variables.  Centres are (N, n), (N, m) batches, and the chart takes
+    (N, S, dim) points, S per centre; all variety points are projected in
+    one call.  Stencil points are projected onto
     ``variety`` (the system itself by default), and ``ambient`` maps the
     immersed points to the chart's target coordinates (C^n itself here).
     Output stacks real and imaginary parts for the finite-difference
@@ -225,8 +205,6 @@ class ImmersionChart:
         self.u0 = np.asarray(u0, dtype=float)
         self.y0 = np.asarray(y0, dtype=float)
         self.tangent = self.variety.tangent_basis(self.u0) if self.variety.k else None
-        # N centres: per-centre data gains an S axis against (N, S, dim) points
-        self.stencil = (slice(None), None) if self.u0.ndim == 2 else ()
 
     @property
     def dim(self) -> int:
@@ -239,11 +217,11 @@ class ImmersionChart:
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         k, n = self.variety.k, self.system.n
-        u = self.u0[self.stencil]
+        u = self.u0[:, None]
         if k:
             u = u + xi[..., :k] @ self.tangent
             u = newton_project(self.variety, u.reshape(-1, n), polish=True).reshape(u.shape)
-        z = self.ambient(phi(self.system, u, self.y0[self.stencil] + xi[..., k:]))
+        z = self.ambient(phi(self.system, u, self.y0[:, None] + xi[..., k:]))
         return np.concatenate([z.real, z.imag], axis=-1)
 
 
@@ -255,7 +233,7 @@ def mean_curvature_fd(system: QuadricSystem, u, y) -> np.ndarray:
     stencil in one chart call."""
     step = system.tolerances.fd_step
     chart = ImmersionChart(system, u, y)
-    H = mean_curvature_flat(chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), step)
+    H = mean_curvature_flat(chart, np.zeros((len(chart.u0), chart.dim)), step)
     n = system.n
     return H[..., :n] + 1j * H[..., n:]
 
@@ -466,7 +444,7 @@ def chart_mesh(
         metric = mx.reshape(shape[:1] + (1,) * (dim - 1) + (dim, dim))
         grad = np.concatenate([[0.0], np.pi * (box @ e)])
     else:
-        u0 = newton_project(system, np.ones(system.n))
+        u0 = newton_project(system, np.ones((1, system.n)))[0]
         gy = torus_metric(system, u0)
         gy = box @ gy @ box.T
         metric = gy.reshape((1,) * dim + (dim, dim))

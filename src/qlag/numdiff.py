@@ -8,8 +8,7 @@ curvature oracles the closed-form routes are checked against, so nothing
 here may share code with the analytic formulas.
 
 Every routine is batched over leading axes: N chart centres (N, dim) give
-N stencils in one chart call, and a single centre (dim,) is the same code
-with no leading axis.
+N stencils in one chart call.
 """
 
 from __future__ import annotations
@@ -44,12 +43,17 @@ def chart_derivatives(chart: ChartMap, xi0: np.ndarray, step: float):
     plus, minus = values[..., 1:dim + 1, :], values[..., dim + 1:2 * dim + 1, :]
     first = (plus - minus) / (2.0 * step)
     second = np.empty(xi0.shape[:-1] + (dim, dim) + f0.shape[-1:])
-    diagonal = (plus - 2.0 * f0[..., None, :] + minus) / (step * step)
-    second[..., range(dim), range(dim), :] = diagonal
     pp, pm, mp, mm = np.moveaxis(
         values[..., 2 * dim + 1:, :].reshape(xi0.shape[:-1] + (4, len(a)) + f0.shape[-1:]), -3, 0
     )
-    second[..., a, b, :] = second[..., b, a, :] = (pp - pm - mp + mm) / (4.0 * step * step)
+    # a step whose square underflows to zero divides by zero here, quietly:
+    # its induced metric is degenerate too, which the oracle records as a
+    # ChartFailure
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diagonal = (plus - 2.0 * f0[..., None, :] + minus) / (step * step)
+        off_diagonal = (pp - pm - mp + mm) / (4.0 * step * step)
+    second[..., range(dim), range(dim), :] = diagonal
+    second[..., a, b, :] = second[..., b, a, :] = off_diagonal
     return f0, first, second
 
 
@@ -81,8 +85,8 @@ def mean_curvature_riemannian(chart: ChartMap, xi0: np.ndarray,
     The chart maps parameters to ambient coordinates; the ambient covariant
     second derivative is d2F + Gamma(F) dF dF, projected off the tangent
     span with respect to the ambient metric.  The Christoffel symbols use
-    the same step as the chart stencil.  Returns (H, norm of H): (N, D) and
-    (N,) for (N, dim) centres, (D,) and a float for one centre.
+    the same step as the chart stencil.  Returns (H, norm of H), (N, D) and
+    (N,) for (N, dim) centres.
     """
     x0, first, second = chart_derivatives(chart, xi0, step)
     g = np.asarray(metric(x0), dtype=float)
@@ -98,7 +102,7 @@ def mean_curvature_riemannian(chart: ChartMap, xi0: np.ndarray,
     coeff = np.linalg.solve(G, first @ g @ H[..., None])[..., 0]
     H = H - (coeff[..., None, :] @ first)[..., 0, :]
     norm = np.sqrt(np.maximum(0.0, np.einsum("...a,...ab,...b->...", H, g, H)))
-    return H, float(norm) if norm.ndim == 0 else norm
+    return H, norm
 
 
 def mean_curvature_flat(chart: ChartMap, xi0: np.ndarray, step: float = 1e-5) -> np.ndarray:

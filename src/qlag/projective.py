@@ -19,12 +19,10 @@ Hermitian form is  ((1+|w|^2) <a,b> - (a.conj(w))(conj(b).w)) / (1+|w|^2)^2.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ApexPoint, ChartFailure
-from .immersion import TWO_PI, ImmersionChart, _pairings, _scalar, frame_at, lagrangian_angle, phi
+from .immersion import TWO_PI, ImmersionChart, _pairings, frame_at, lagrangian_angle, phi
 from .numdiff import mean_curvature_riemannian
 from .quadric import QuadricSystem, newton_project, orthonormalize, require_cone, with_unit_sphere
 from .torus import action_table
@@ -32,21 +30,21 @@ from .torus import action_table
 PHASE_FLOOR = 1e-8
 
 
-def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    """Fubini-Study Hermitian product of chart vectors a, b at chart point w.
+def fs_hermitian(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fubini-Study Hermitian product of chart vectors a, b at chart points w.
 
     Broadcasts over leading axes; vectors run along the last one.
     """
     w2 = 1.0 + np.real(np.sum(w * np.conjugate(w), axis=-1))
     term = w2 * np.sum(a * np.conjugate(b), axis=-1)
     term -= np.sum(a * np.conjugate(w), axis=-1) * np.sum(np.conjugate(b) * w, axis=-1)
-    return _scalar(term / (w2 * w2), complex)
+    return term / (w2 * w2)
 
 
-def affine_chart_index(z: Sequence[complex]) -> int:
-    """Largest-modulus coordinate: the best-conditioned affine chart (one
-    per row of a batch)."""
-    return _scalar(np.argmax(np.abs(np.asarray(z)), axis=-1), int)
+def affine_chart_index(z: np.ndarray) -> np.ndarray:
+    """Largest-modulus coordinate of each row of a (N, n) batch: the
+    best-conditioned affine chart."""
+    return np.argmax(np.abs(np.asarray(z)), axis=-1)
 
 
 def _in_chart(z: np.ndarray, chart) -> tuple[np.ndarray, np.ndarray]:
@@ -58,14 +56,14 @@ def _in_chart(z: np.ndarray, chart) -> tuple[np.ndarray, np.ndarray]:
     return lead, z[keep].reshape(z.shape[:-1] + (z.shape[-1] - 1,))
 
 
-def to_affine_chart(z: Sequence[complex], chart: int) -> np.ndarray:
+def to_affine_chart(z: np.ndarray, chart) -> np.ndarray:
     lead, rest = _in_chart(np.asarray(z, dtype=complex), chart)
     if np.any(np.abs(lead) <= PHASE_FLOOR):
         raise ChartFailure(f"coordinate {chart} vanishes; chart unusable")
     return rest / lead
 
 
-def pushforward_to_chart(p: Sequence[complex], xi: Sequence[complex], chart: int) -> np.ndarray:
+def pushforward_to_chart(p: np.ndarray, xi: np.ndarray, chart) -> np.ndarray:
     """Differential of the chart map z -> (z_i / z_c)_{i != c} applied to xi."""
     lead, p_rest = _in_chart(np.asarray(p, dtype=complex), chart)
     if np.any(np.abs(lead) <= PHASE_FLOOR):
@@ -80,23 +78,23 @@ def chart_gram(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (..., r, n) rows."""
     chart = affine_chart_index(p)
     w = to_affine_chart(p, chart)
-    pushed = pushforward_to_chart(p[..., None, :], rows, np.asarray(chart)[..., None])
+    pushed = pushforward_to_chart(p[..., None, :], rows, chart[..., None])
     return fs_hermitian(w[..., None, None, :], pushed[..., :, None, :], pushed[..., None, :, :])
 
 
-def submersion_isometry_defect(p: Sequence[complex], frame: Sequence[Sequence[complex]]) -> float:
-    """Largest violation of the Riemannian-submersion identities.
+def submersion_isometry_defect(p: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Largest violation of the Riemannian-submersion identities at each of
+    (N, n) unit sphere points p, for its (r, n) horizontal rows in the
+    (N, r, n) frame: one value per sample.
 
     For horizontal vectors at a unit sphere point, metric pairings and
     symplectic pairings must transfer unchanged through the projection into
     the Fubini-Study chart.
     """
     p = np.asarray(p, dtype=complex)
-    rows = np.asarray(frame, dtype=complex).reshape(-1, len(p))
-    if not len(rows):
-        return 0.0
+    rows = np.asarray(frame, dtype=complex)
     gap = _pairings(rows, np.conjugate(rows)) - chart_gram(p, rows)
-    return float(max(np.max(np.abs(gap.real)), np.max(np.abs(gap.imag))))
+    return np.max(np.maximum(np.abs(gap.real), np.abs(gap.imag)), axis=(-2, -1), initial=0.0)
 
 
 def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndarray]:
@@ -110,13 +108,12 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     """
     require_cone(system)
     u = np.asarray(u, dtype=float)
-    U, Y = np.atleast_2d(u), np.atleast_2d(np.asarray(y, dtype=float))
-    norm = np.linalg.norm(U, axis=-1)
+    norm = np.linalg.norm(u, axis=-1)
     if np.any(norm == 0.0):
         raise ApexPoint("no link frame at the apex")
-    un = U / norm[:, None]
-    p = phi(system, un, Y)
-    rows = frame_at(system, un, Y).rows
+    un = u / norm[:, None]
+    p = phi(system, un, y)
+    rows = frame_at(system, un, y).rows
     radial = p / np.linalg.norm(p, axis=-1)[:, None]
     n = p.shape[-1]
     # Newton meets the cone to an absolute residual at u; normalizing to the
@@ -125,11 +122,10 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     frame, kept = orthonormalize(rows, n - 1, cut, against=radial[:, None, :])
     bad = np.nonzero(kept != n - 1)[0]
     if len(bad):
-        where = "" if u.ndim == 1 else f" at sample {bad[0]}"
         raise ChartFailure(
-            f"link frame has rank {kept[bad[0]]}, expected {n - 1}{where}"
+            f"link frame has rank {kept[bad[0]]}, expected {n - 1} at sample {bad[0]}"
         )
-    return (p[0], frame[0]) if u.ndim == 1 else (p, frame)
+    return p, frame
 
 
 def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
@@ -137,7 +133,7 @@ def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
     frames over matched (N, n) and (N, m) sample arrays U, Y."""
     if not len(U):
         return 0.0
-    p, frame = link_tangent_frame(system, np.atleast_2d(U), np.atleast_2d(Y))
+    p, frame = link_tangent_frame(system, U, Y)
     # the strict upper triangle: Im of the computed Gram is not exactly
     # antisymmetric, so the lower one could differ in its last bits
     upper = np.triu_indices(p.shape[-1] - 1, 1)
@@ -154,7 +150,7 @@ def projective_angle(system: QuadricSystem, y):
     by the cone requirement.
     """
     require_cone(system)
-    return lagrangian_angle(system, y).value
+    return lagrangian_angle(system, y)
 
 
 def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
@@ -170,7 +166,7 @@ def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
     return shifts[1:][np.all(signs[1:] < 0, axis=1)]
 
 
-def projective_angle_fiber_defect(system: QuadricSystem, y):
+def projective_angle_fiber_defect(system: QuadricSystem, y) -> np.ndarray:
     """Largest change of the projected angle along fiber shifts, modulo the
     angle's period on CP^(n-1); one value per row of a (N, m) batch of
     torus angles.
@@ -185,8 +181,8 @@ def projective_angle_fiber_defect(system: QuadricSystem, y):
     period = np.pi if system.n % 2 else TWO_PI
     base = projective_angle(system, y)
     shifted = projective_angle(system, y[..., None, :] + fiber_phase_shifts(system))
-    diff = (shifted - np.expand_dims(base, -1)) % period
-    return _scalar(np.max(np.minimum(diff, period - diff), axis=-1, initial=0.0))
+    diff = (shifted - base[..., None]) % period
+    return np.max(np.minimum(diff, period - diff), axis=-1, initial=0.0)
 
 
 class ProjectiveChart(ImmersionChart):
@@ -207,7 +203,7 @@ class ProjectiveChart(ImmersionChart):
         self.chart = affine_chart_index(phi(system, self.u0, self.y0))
 
     def ambient(self, z: np.ndarray) -> np.ndarray:
-        return to_affine_chart(z, np.asarray(self.chart)[self.stencil])
+        return to_affine_chart(z, self.chart[:, None])
 
 
 def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:
@@ -226,9 +222,7 @@ def fs_metric_matrix(w_real: np.ndarray) -> np.ndarray:
     return np.block([[K.real, K.imag], [-K.imag, K.real]])
 
 
-def projective_mean_curvature(
-    system: QuadricSystem, u, y
-) -> tuple[np.ndarray, float | np.ndarray]:
+def projective_mean_curvature(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for the projected immersion's mean curvature.
 
     Trace of the second fundamental form in the affine chart, with the
@@ -240,5 +234,5 @@ def projective_mean_curvature(
     step = system.tolerances.fd_step
     chart = ProjectiveChart(system, u, y)
     return mean_curvature_riemannian(
-        chart, np.zeros(chart.u0.shape[:-1] + (chart.dim,)), fs_metric_matrix, step=step
+        chart, np.zeros((len(chart.u0), chart.dim)), fs_metric_matrix, step=step
     )

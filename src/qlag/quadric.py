@@ -97,46 +97,39 @@ class QuadricSystem:
         """Jacobian of the residual: twice the normal frame."""
         return 2.0 * self.normals(u)
 
-    def smoothness_rank(self, u: Sequence[float]):
-        """Numerical rank of the normal frame; smooth iff it equals codim.
-
-        An int for one point, an int array for a (N, n) batch (one stacked
-        SVD).
-        """
+    def smoothness_rank(self, u: np.ndarray) -> np.ndarray:
+        """Numerical rank of the normal frame at each point of a (N, n) batch,
+        from one stacked SVD; a point is smooth iff its rank equals codim."""
         nf = self.normals(u)
         if not nf.size:
-            rank = np.zeros(nf.shape[:-2], dtype=int)
-        else:
-            s = np.linalg.svd(nf, compute_uv=False)
-            rank = np.sum(s > self.tolerances.rank * np.maximum(1.0, s[..., :1]), axis=-1)
-        return int(rank) if rank.ndim == 0 else rank
+            return np.zeros(nf.shape[:-2], dtype=int)
+        s = np.linalg.svd(nf, compute_uv=False)
+        return np.sum(s > self.tolerances.rank * np.maximum(1.0, s[..., :1]), axis=-1)
 
-    def is_smooth_point(self, u: Sequence[float]):
+    def is_smooth_point(self, u: np.ndarray) -> np.ndarray:
         return self.smoothness_rank(u) == self.codim
 
-    def tangent_basis(self, u: Sequence[float]) -> np.ndarray:
-        """k orthonormal vectors orthogonal to every normal, deterministic.
+    def tangent_basis(self, u: np.ndarray) -> np.ndarray:
+        """k orthonormal vectors orthogonal to every normal at each point of a
+        (N, n) batch, (N, k, n), deterministic.
 
         orthonormalize runs the standard basis seeds e_1, e_2, ... in order
         against the orthonormal normal frame, so the result depends only on
         u (no randomness, no SVD sign ambiguity).  Each point drops the
-        seeds whose residual norm is at most 1e-8.  A (N, n) batch gives
-        (N, k, n); row i equals the single-point call on u[i] bit for bit.
+        seeds whose residual norm is at most 1e-8.
         """
         u = np.asarray(u, dtype=float)
-        U = np.atleast_2d(u)
-        singular = np.nonzero(~self.is_smooth_point(U))[0]
+        singular = np.nonzero(~self.is_smooth_point(u))[0]
         if len(singular):
-            where = u if u.ndim == 1 else f"sample {singular[0]} ({U[singular[0]]})"
-            raise SingularPoint(f"normal frame rank < {self.codim} at {where}")
-        seeds = np.broadcast_to(np.eye(self.n), (len(U), self.n, self.n))
-        normal = orthonormalize(self.normals(U))[0]
+            i = singular[0]
+            raise SingularPoint(f"normal frame rank < {self.codim} at sample {i} ({u[i]})")
+        seeds = np.broadcast_to(np.eye(self.n), (len(u), self.n, self.n))
+        normal = orthonormalize(self.normals(u))[0]
         tangents, kept = orthonormalize(seeds, self.k, 1e-8, against=normal)
         short = np.nonzero(kept < self.k)[0]
         if len(short):
-            where = "" if u.ndim == 1 else f" at sample {short[0]}"
-            raise SingularPoint(f"could not complete tangent basis{where}")
-        return tangents[0] if u.ndim == 1 else tangents
+            raise SingularPoint(f"could not complete tangent basis at sample {short[0]}")
+        return tangents
 
 
 def orthonormalize(
@@ -228,16 +221,16 @@ def gauss_newton(
 
 
 def newton_project(
-    system: QuadricSystem, guess: Sequence[float], polish: bool = False
+    system: QuadricSystem, guesses: np.ndarray, polish: bool = False
 ) -> np.ndarray:
-    """gauss_newton on one point or a (N, n) batch, raising on the first
-    failed row: SingularJacobian or NoConvergence."""
-    guess = np.asarray(guess, dtype=float)
-    points, status = gauss_newton(system, np.atleast_2d(guess), polish)
+    """gauss_newton on a (N, n) batch, raising on the first failed row:
+    SingularJacobian or NoConvergence."""
+    guesses = np.asarray(guesses, dtype=float)
+    points, status = gauss_newton(system, guesses, polish)
     failed = np.nonzero(status != CONVERGED)[0]
     if len(failed):
         i = failed[0]
-        where = guess if guess.ndim == 1 else f"row {i} ({guess[i]})"
+        where = f"row {i} ({guesses[i]})"
         if status[i] == SINGULAR:
             raise SingularJacobian(f"rank-deficient Jacobian or non-finite step from {where}")
         raise NoConvergence(
@@ -245,7 +238,7 @@ def newton_project(
             f"{system.tolerances.residual:.3e} after {system.tolerances.max_iter} "
             f"iterations from {where}"
         )
-    return points.reshape(guess.shape)
+    return points
 
 
 def sample_points(

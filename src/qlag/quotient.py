@@ -28,11 +28,9 @@ from .torus import gamma_signs  # noqa: F401  perfbench/tracing.py wraps it here
 
 
 def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All |G| translates of (u, y), verified pairwise distinct.
-
-    (u, y) is one point, (n,) and (m,), or a batch, (N, n) and (N, m).  One
-    point gives |G| pairs (u, y); a batch gives |G| pairs of (N, n) and
-    (N, m) arrays, row s of each being the translate of sample s.
+    """All |G| translates of the samples of (N, n) and (N, m) batches u, y,
+    verified pairwise distinct: |G| pairs of (N, n) and (N, m) arrays, row
+    s of each being the translate of sample s.
 
     Distinctness uses the torus metric on the y part, so points that only
     differ by a full period are correctly treated as equal.  Raises
@@ -43,8 +41,6 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
     (i, j > i), which come before image i + 1.
     """
     U, Y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
-    single = U.ndim == 1
-    U, Y = np.atleast_2d(U), np.atleast_2d(Y)
     signs, shifts = action_table(system.exponents)
     size = len(signs)
     TU = signs[:, None] * U  # (|G|, N, n)
@@ -72,8 +68,6 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
         if j == 0:
             raise CrossCheckFailed(f"orbit point {i} leaves the immersion image")
         raise NonFreeWitness(f"orbit points {i} and {j - 1} coincide within {tol}")
-    if single:
-        return list(zip(TU[:, 0], TY[:, 0]))
     return list(zip(TU, TY))
 
 
@@ -93,8 +87,8 @@ def same_orbit(system: QuadricSystem, p, q, tol: float = 1e-5) -> np.ndarray:
 
     One group element at a time, so the temporaries stay (P, n) and (P, m).
     """
-    Up, Yp = (np.atleast_2d(np.asarray(a, dtype=float)) for a in p)
-    Uq, Yq = (np.atleast_2d(np.asarray(a, dtype=float)) for a in q)
+    Up, Yp = (np.asarray(a, dtype=float) for a in p)
+    Uq, Yq = (np.asarray(a, dtype=float) for a in q)
     signs, shifts = action_table(system.exponents)
     hit = np.zeros(len(Up), dtype=bool)
     for sign, shift in zip(signs, shifts):

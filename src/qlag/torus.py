@@ -85,23 +85,21 @@ def _period_candidates(exponents: ExponentMatrix) -> np.ndarray:
     return candidates
 
 
-def torus_distance(exponents: ExponentMatrix, dy: Sequence[float]) -> float | np.ndarray:
-    """Euclidean distance from dy to the nearest torus period.
+def torus_distance(exponents: ExponentMatrix, dy: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each vector of a (..., m) batch dy to the
+    nearest torus period.
 
-    One vector gives a float; a (..., m) batch gives one distance per
-    vector.  Rounding the box coordinates finds the nearest period only on
+    Rounding the box coordinates finds the nearest period only on
     rectangular boxes; the candidates of _period_candidates around the
     rounded one make the distance exact on skewed boxes too.
     """
-    dy = np.asarray(dy, dtype=float)
     c = torus_coordinates(exponents, dy)
     v = (c - np.round(c)) @ torus_box(exponents)
     dist2 = None
     for period in _period_candidates(exponents):
         d2 = ((v - period) ** 2).sum(axis=-1)
         dist2 = d2 if dist2 is None else np.minimum(dist2, d2)
-    dist = np.sqrt(dist2)
-    return float(dist) if dy.ndim == 1 else dist
+    return np.sqrt(dist2)
 
 
 def gamma_signs(exponents: ExponentMatrix, gamma: Sequence) -> np.ndarray:

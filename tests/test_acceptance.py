@@ -137,14 +137,13 @@ def test_criterion_3_lagrangian_property():
     worst_cross = 0.0
     for name, system in LAGRANGIAN_FIXTURES:
         U, Y = sample_immersion(system, 1000, seed=21)
-        for u, y in zip(U, Y):
-            fb = frame_at(system, u, y)
-            worst_defect = max(worst_defect, fb.symplectic_defect())
-            worst_cross = max(worst_cross, fb.cross_defect())
-    fb = frame_at(ellipse(), [np.cos(0.4), np.sin(0.4) / np.sqrt(2)], [0.3])
+        fb = frame_at(system, U, Y)
+        worst_defect = max(worst_defect, np.max(fb.symplectic_defect()))
+        worst_cross = max(worst_cross, np.max(fb.cross_defect()))
+    fb = frame_at(ellipse(), [[np.cos(0.4), np.sin(0.4) / np.sqrt(2)]], [[0.3]])
     rows = fb.rows.copy()
-    rows[1] = rows[1] + 0.1j * rows[0]
-    control = replace(fb, rows=rows).symplectic_defect()
+    rows[0, 1] = rows[0, 1] + 0.1j * rows[0, 0]
+    control = replace(fb, rows=rows).symplectic_defect()[0]
     ok = worst_defect <= 1e-10 and worst_cross <= 1e-10 and control > 1e-2
     assert _verdict(
         "3 Lagrangian property (4000 samples)",
@@ -214,22 +213,16 @@ def test_criterion_4_h_minimality():
 def test_criterion_5_minimality_iff_zero_sum():
     cone = klein_bottle_cone()
     Uc, Yc = sample_immersion(cone, 200, seed=22, u_floor=0.1)
-    cone_worst = max(
-        float(np.linalg.norm(mean_curvature_fd(cone, u, y))) for u, y in zip(Uc, Yc)
-    )
+    cone_worst = np.max(np.linalg.norm(mean_curvature_fd(cone, Uc, Yc), axis=-1))
 
     sys1 = ellipse()
     Ue, Ye = sample_immersion(sys1, 200, seed=23, u_floor=0.1)
-    match_worst = 0.0
-    norm_min = np.inf
-    for u, y in zip(Ue, Ye):
-        h_closed = mean_curvature(sys1, u, y)
-        h_fd = mean_curvature_fd(sys1, u, y)
-        norm = float(np.linalg.norm(h_closed))
-        match_worst = max(
-            match_worst, float(np.linalg.norm(h_closed - h_fd)) / (1.0 + norm)
-        )
-        norm_min = min(norm_min, norm)
+    h_closed = mean_curvature(sys1, Ue, Ye)
+    norm = np.linalg.norm(h_closed, axis=-1)
+    match_worst = np.max(
+        np.linalg.norm(h_closed - mean_curvature_fd(sys1, Ue, Ye), axis=-1) / (1.0 + norm)
+    )
+    norm_min = np.min(norm)
     ok = cone_worst <= 1e-4 and match_worst <= 1e-4 and norm_min > 0.1
     assert _verdict(
         "5 minimality iff zero row-sum (200 samples each)",
@@ -246,13 +239,15 @@ def test_criterion_6_hopf_fubini_study_consistency():
     rng = np.random.default_rng(24)
     worst = 0.0
     for n in (2, 3):
+        P, R = [], []
         for _ in range(500):
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
-            p = p / np.linalg.norm(p)
-            rows = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n - 1)]
-            # horizontal: orthonormal off the fiber directions p and i p
-            frame = orthonormalize(np.array([rows]), against=np.array([[p, 1j * p]]))[0][0]
-            worst = max(worst, submersion_isometry_defect(p, frame))
+            P.append(p / np.linalg.norm(p))
+            R.append([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n - 1)])
+        P = np.array(P)
+        # horizontal: orthonormal off the fiber directions p and i p
+        frames = orthonormalize(np.array(R), against=np.stack([P, 1j * P], axis=1))[0]
+        worst = max(worst, np.max(submersion_isometry_defect(P, frames)))
     assert _verdict(
         "6 Hopf/Fubini-Study submersion identities (500 frames, n=2,3)",
         worst <= 1e-8,
@@ -266,15 +261,11 @@ def test_criterion_6_hopf_fubini_study_consistency():
 def test_criterion_7_projective_minimality():
     matched = weighted_cone([1, 1, 2])
     Um, Ym = sample_immersion(matched, 100, seed=25, u_floor=0.1)
-    matched_worst = max(
-        projective_mean_curvature(matched, u, y)[1] for u, y in zip(Um, Ym)
-    )
+    matched_worst = np.max(projective_mean_curvature(matched, Um, Ym)[1])
 
     unmatched = weighted_cone([1, 1, 3])
     Uu, Yu = sample_immersion(unmatched, 20, seed=26, u_floor=0.1)
-    unmatched_min = min(
-        projective_mean_curvature(unmatched, u, y)[1] for u, y in zip(Uu, Yu)
-    )
+    unmatched_min = np.min(projective_mean_curvature(unmatched, Uu, Yu)[1])
     ok = matched_worst <= 1e-3 and unmatched_min > 1e-2
     assert _verdict(
         "7 projective minimality (matched vs unmatched weights)",
@@ -334,16 +325,12 @@ def test_criterion_9_topology_labels_and_euler():
 def test_criterion_10_product_torus():
     torus = product_torus([1.0, 0.5, 1.5])
     U, Y = sample_immersion(torus, 1000, seed=29)
-    worst_defect = 0.0
-    worst_cross = 0.0
-    for u, y in zip(U, Y):
-        fb = frame_at(torus, u, y)
-        worst_defect = max(worst_defect, fb.symplectic_defect())
-        worst_cross = max(worst_cross, fb.cross_defect())
-    fb = frame_at(torus, U[0], Y[0])
-    rows = fb.rows.copy()
-    rows[1] = rows[1] + 0.1j * rows[0]
-    control = replace(fb, rows=rows).symplectic_defect()
+    fb = frame_at(torus, U, Y)
+    worst_defect = np.max(fb.symplectic_defect())
+    worst_cross = np.max(fb.cross_defect())
+    rows = fb.rows[:1].copy()
+    rows[0, 1] = rows[0, 1] + 0.1j * rows[0, 0]
+    control = replace(fb, rows=rows).symplectic_defect()[0]
 
     d24 = harmonicity_defect(torus, 24)
     d48 = harmonicity_defect(torus, 48)

@@ -1,7 +1,8 @@
-"""Batched (N, n) geometry: every batched call equals the single-point
-calls on its rows bit for bit (the finite-difference curvature oracles to
-rounding noise), the masked sampler reproduces the per-point accept loop,
-and the one Gram-Schmidt reproduces the loops it replaced."""
+"""Batched (N, n) geometry: every sample-wise routine gives each row the
+same bits however the batch is cut into blocks, one-row blocks included
+(the finite-difference curvature oracles to rounding noise), the masked
+sampler reproduces the per-point accept loop, and the one Gram-Schmidt
+reproduces the loops it replaced."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qlag.immersion import (
 )
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
 from qlag.quadric import CONVERGED, QuadricSystem, gauss_newton, orthonormalize, sample_points
+from qlag.quotient import orbit, same_orbit
 
 SYSTEMS = {
     "ellipse": ellipse,
@@ -39,43 +41,49 @@ SYSTEMS = {
     "product_torus([1,2,3])": lambda: product_torus([1, 2, 3]),
 }
 
-FRAME_FIELDS = ("rows", "metric_y", "gram")
 
+def _frame_fields(system, U, Y):
+    """Everything the frame pass gives per row, as a function of a block."""
 
-def _assert_rows_equal(system, U, Y):
-    batch = frame_at(system, U, Y)
-    assert np.array_equal(
-        system.tangent_basis(U), np.array([system.tangent_basis(u) for u in U])
-    )
-    for i, (u, y) in enumerate(zip(U, Y)):
-        single = frame_at(system, u, y)
-        for name in FRAME_FIELDS:
-            assert np.array_equal(getattr(batch, name)[i], getattr(single, name)), name
-        assert batch.cross_defect()[i] == single.cross_defect()
-    assert np.array_equal(
-        lagrangian_defect(system, U, Y),
-        [lagrangian_defect(system, u, y) for u, y in zip(U, Y)],
-    )
-    assert np.array_equal(torus_metric(system, U), [torus_metric(system, u) for u in U])
+    def fields(rows):
+        fb = frame_at(system, U[rows], Y[rows])
+        return (
+            system.tangent_basis(U[rows]), fb.rows, fb.metric_y, fb.gram, fb.cross_defect(),
+            fb.symplectic_defect(), lagrangian_defect(system, U[rows], Y[rows]),
+            measured_lagrangian_angle(system, U[rows], Y[rows]), torus_metric(system, U[rows]),
+        )
+
+    return fields
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_batched_frames_equal_single_point_calls(name):
+def test_batched_frames_equal_single_point_calls(name, blockwise):
+    # one-row blocks are the single-point calls; FRAME_BLOCK and SCAN_BLOCK
+    # cut the report's batches at other boundaries
     system = SYSTEMS[name]()
     U, Y = sample_immersion(system, 40, seed=21)
-    _assert_rows_equal(system, U, Y)
+    blockwise(_frame_fields(system, U, Y), len(U), seed=1)
+
+    def orbits(rows):
+        translates = orbit(system, U[rows], Y[rows])
+        return tuple(np.stack(part, axis=1) for part in zip(*translates))
+
+    blockwise(orbits, len(U), seed=2)
+    # odd rows are a translate of another sample, even rows their own
+    TU, TY = orbit(system, U, Y)[-1]
+    V, Z = TU.copy(), TY.copy()
+    V[1::2], Z[1::2] = np.roll(TU, 1, axis=0)[1::2], np.roll(TY, 1, axis=0)[1::2]
+    blockwise(lambda rows: (same_orbit(system, (U[rows], Y[rows]), (V[rows], Z[rows])),),
+              len(U), seed=3)
     if system.is_cone():
         U, Y = sample_immersion(system, 40, seed=22, u_floor=0.05)
-        per_row = max(projective_lagrangian_defect(system, u[None], y[None])
-                      for u, y in zip(U, Y))
+        blockwise(lambda rows: link_tangent_frame(system, U[rows], Y[rows]), len(U), seed=4)
+        per_row = max(projective_lagrangian_defect(system, U[i:i + 1], Y[i:i + 1])
+                      for i in range(len(U)))
         assert projective_lagrangian_defect(system, U, Y) == per_row
-        p, frames = link_tangent_frame(system, U, Y)
-        for i, (u, y) in enumerate(zip(U, Y)):
-            p1, frame1 = link_tangent_frame(system, u, y)
-            assert np.array_equal(p[i], p1) and np.array_equal(frames[i], frame1)
 
 
-def test_batch_mixing_seed_skip_paths():
+def test_batch_mixing_seed_skip_paths(blockwise):
     # at [1, 0] the first seed e_1 is the normal direction and is dropped;
     # at a generic point it is kept
     system = ellipse()
@@ -85,7 +93,7 @@ def test_batch_mixing_seed_skip_paths():
     basis = system.tangent_basis(U)
     assert np.allclose(basis[0], [[0.0, 1.0]])
     assert np.allclose(basis[2], [[1.0, 0.0]])
-    _assert_rows_equal(system, U, Y)
+    blockwise(_frame_fields(system, U, Y), len(U))
 
 
 def test_batch_with_singular_sample_names_it():
@@ -102,7 +110,7 @@ def test_batch_rank_and_smoothness_shapes():
     U = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert system.smoothness_rank(U).tolist() == [1, 0]
     assert system.is_smooth_point(U).tolist() == [True, False]
-    assert isinstance(system.smoothness_rank(U[0]), int)
+    assert system.smoothness_rank(U[:0]).shape == (0,)
 
 
 # -- the masked sampler against the per-point accept loop ----------------------------
@@ -137,7 +145,7 @@ def _reference_sample(system, count, seed=0, u_floor=None):
             if np.linalg.norm(p) > tol.r_max:
                 rejected["unbounded"] += 1
                 continue
-            if not system.is_smooth_point(p):
+            if not system.is_smooth_point(p[None])[0]:
                 rejected["singular"] += 1
                 continue
             accepted.append(p)
@@ -197,7 +205,7 @@ def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
     system = sphere_cone(5)  # dim 5 chart: a 1 + 10 + 40 point stencil
     calls = _count_newton(monkeypatch, qlag.immersion)
     U, Y = sample_immersion(system, 1, seed=4, u_floor=0.1)
-    mean_curvature_fd(system, U[0], Y[0])
+    mean_curvature_fd(system, U, Y)
     assert calls == [(51, 5)]
 
     # the centres are projected in qlag.projective, the stencils by the
@@ -205,9 +213,8 @@ def test_curvature_oracles_project_each_stencil_in_one_call(monkeypatch):
     cone = klein_bottle_cone()  # dim 2 chart: the centre, then 1 + 4 + 4 points
     calls = _count_newton(monkeypatch, qlag.projective, qlag.immersion)
     U, Y = sample_immersion(cone, 1, seed=4, u_floor=0.1)
-    projective_mean_curvature(cone, U[0], Y[0])
-    assert len(calls) <= 2
-    assert calls == [(3,), (9, 3)]
+    projective_mean_curvature(cone, U, Y)
+    assert calls == [(1, 3), (9, 3)]
 
     # N samples: every stencil of every sample in one call, and one call
     # for the projective centres
@@ -240,7 +247,7 @@ def test_projective_oracle_makes_no_fs_hermitian_calls(monkeypatch):
     assert calls == []
 
 
-# Batched and single-sample oracles can differ only where Gauss-Newton's
+# Oracles on differently cut batches can differ only where Gauss-Newton's
 # batched arithmetic moves a stencil point in its last bits.  A second
 # difference divides such a change by step^2, so ten ulps of a unit-size
 # chart value become 10 * eps / step^2 (2.2e-5 at the default step 1e-5).
@@ -248,30 +255,23 @@ FD_NOISE = 10 * np.finfo(float).eps / 1e-5 ** 2
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
-def test_batched_oracles_equal_single_sample_calls(name):
+def test_batched_oracles_equal_single_sample_calls(name, blockwise):
     from qlag.immersion import mean_curvature, mean_curvature_fd
     from qlag.projective import projective_angle_fiber_defect, projective_mean_curvature
 
     system = SYSTEMS[name]()
     U, Y = sample_immersion(system, 5, seed=6, u_floor=0.1)
-    batch = mean_curvature_fd(system, U, Y)
-    assert batch.shape == U.shape
-    single = np.array([mean_curvature_fd(system, u, y) for u, y in zip(U, Y)])
-    assert np.max(np.abs(batch - single)) <= FD_NOISE
-    closed = np.array([mean_curvature(system, u, y) for u, y in zip(U, Y)])
-    assert np.allclose(mean_curvature(system, U, Y), closed, rtol=0.0, atol=1e-14)
+    assert mean_curvature_fd(system, U, Y).shape == U.shape
+    blockwise(lambda rows: (mean_curvature_fd(system, U[rows], Y[rows]),), len(U),
+              noise=FD_NOISE)
+    blockwise(lambda rows: (mean_curvature(system, U[rows], Y[rows]),), len(U), noise=1e-14)
     if not system.is_cone():
         return
-    H, norm = projective_mean_curvature(system, U, Y)
-    assert norm.shape == (len(U),)
-    for i, (u, y) in enumerate(zip(U, Y)):
-        h_i, norm_i = projective_mean_curvature(system, u, y)
-        assert isinstance(norm_i, float)
-        assert np.max(np.abs(H[i] - h_i)) <= FD_NOISE
-        assert abs(norm[i] - norm_i) <= FD_NOISE
-    # the fiber check is exact arithmetic on y, the same in a batch
-    fiber = projective_angle_fiber_defect(system, Y)
-    assert np.array_equal(fiber, [projective_angle_fiber_defect(system, y) for y in Y])
+    assert projective_mean_curvature(system, U, Y)[1].shape == (len(U),)
+    blockwise(lambda rows: projective_mean_curvature(system, U[rows], Y[rows]), len(U),
+              noise=FD_NOISE)
+    # the fiber check is exact arithmetic on y, the same in any block
+    blockwise(lambda rows: (projective_angle_fiber_defect(system, Y[rows]),), len(U))
 
 
 # -- one Gram-Schmidt: orthonormalize against the four loops it replaced -------------
@@ -313,12 +313,11 @@ def _reference_link_frame(system, U, Y):
     return p, out
 
 
-def _reference_measured_angle(system, u, y):
-    """One point, one row at a time.  Its 1-d np.linalg.norm sums Re^2 and
-    Im^2 in two BLAS dots, where the batched norm sums |v_l|^2 per entry, so
-    a normalized row can differ in its last bit: the angles agree to
-    ANGLE_NOISE, not bit for bit."""
-    rows = frame_at(system, u, y).rows
+def _reference_measured_angle(rows):
+    """One sample's frame rows, one row at a time.  Its 1-d np.linalg.norm
+    sums Re^2 and Im^2 in two BLAS dots, where the batched norm sums |v_l|^2
+    per entry, so a normalized row can differ in its last bit: the angles
+    agree to ANGLE_NOISE, not bit for bit."""
     ortho = []
     for r in rows:
         v = r.copy()
@@ -332,12 +331,12 @@ def _reference_measured_angle(system, u, y):
 def _reference_tangent_basis(system, u):
     """Classical Gram-Schmidt over the standard seeds, off the normal frame
     and then off the tangents found so far."""
-    u = np.asarray(u, dtype=float)
-    U = np.atleast_2d(u)
+    U = np.asarray(u, dtype=float)
     singular = np.nonzero(~system.is_smooth_point(U))[0]
     if len(singular):
-        where = u if u.ndim == 1 else f"sample {singular[0]} ({U[singular[0]]})"
-        raise SingularPoint(f"normal frame rank < {system.codim} at {where}")
+        raise SingularPoint(
+            f"normal frame rank < {system.codim} at sample {singular[0]} ({U[singular[0]]})"
+        )
     N, n, k = len(U), system.n, system.k
     tangents = np.zeros((N, k, n))
     filled = np.zeros(N, dtype=int)
@@ -354,9 +353,8 @@ def _reference_tangent_basis(system, u):
         filled[take] += 1
     short = np.nonzero(filled < k)[0]
     if len(short):
-        where = "" if u.ndim == 1 else f" at sample {short[0]}"
-        raise SingularPoint(f"could not complete tangent basis{where}")
-    return tangents[0] if u.ndim == 1 else tangents
+        raise SingularPoint(f"could not complete tangent basis at sample {short[0]}")
+    return tangents
 
 
 def _singular_point_message(fn, *args):
@@ -390,7 +388,7 @@ def test_tangent_basis_equals_the_seed_loop_it_replaces(name):
 def test_tangent_basis_singular_messages_unchanged(monkeypatch):
     cone = klein_bottle_cone()
     U = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]])
-    for u in (U, U[1]):
+    for u in (U, U[1:2]):
         assert _singular_point_message(cone.tangent_basis, u) == _singular_point_message(
             _reference_tangent_basis, cone, u
         )
@@ -406,7 +404,7 @@ def test_tangent_basis_singular_messages_unchanged(monkeypatch):
 
     monkeypatch.setattr(quadric, "orthonormalize", nan_normal_frame)
     U = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    for u in (U, U[1]):
+    for u in (U, U[1:]):
         message = _singular_point_message(cone.tangent_basis, u)
         assert message.startswith("could not complete tangent basis")
         assert message == _singular_point_message(_reference_tangent_basis, cone, u)
@@ -424,12 +422,9 @@ def test_orthonormalize_equals_the_loops_it_replaces(name):
 
     angles = measured_lagrangian_angle(system, U, Y)
     assert angles.shape == (len(U),)
-    for i, (u, y) in enumerate(zip(U, Y)):
-        single = measured_lagrangian_angle(system, u, y)
-        assert isinstance(single, float)
-        assert angles[i] == single
-        gap = (single - _reference_measured_angle(system, u, y) + np.pi) % TWO_PI - np.pi
-        assert abs(gap) <= ANGLE_NOISE
+    reference = [_reference_measured_angle(rows) for rows in frame_at(system, U, Y).rows]
+    gap = (angles - reference + np.pi) % TWO_PI - np.pi
+    assert np.max(np.abs(gap)) <= ANGLE_NOISE
 
     if system.is_cone():
         U, Y = sample_immersion(system, 40, seed=32, u_floor=0.05)

@@ -5,6 +5,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qlag.cli import main
@@ -78,6 +79,19 @@ def test_tol_fd_step_reaches_projective_oracle(tmp_path, capsys):
     default, coarse = (r["cpn"]["projective_minimal_curvature"]["max"] for r in reports)
     assert reports[1]["instance"]["numeric_tolerances"]["fd_step"] == 1e-3
     assert coarse > 10.0 * default
+
+
+def test_tiny_fd_step_is_a_recorded_failure_not_a_warning(capsys, recwarn):
+    # the step's square underflows to zero: the stencil divides by zero, and
+    # the oracle records the degenerate metric without a numpy warning
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "ellipse.json")
+    assert main(["verify-cn", path, "--tol-fd-step", "1e-200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and not recwarn.list
+    assert json.loads(captured.out)["cn"]["curvature_match"] == {
+        "error": "ChartFailure: degenerate induced metric in the curvature oracle",
+        "pass": False,
+    }
 
 
 def test_report_floats_have_17_significant_digits(tmp_path, capsys):
@@ -357,5 +371,5 @@ def test_report_values_reproducible_from_module_calls():
     system = config.system()
     U, Y = sample_immersion(system, report["instance"]["samples"],
                             seed=report["instance"]["seed"])
-    direct = max(lagrangian_defect(system, u, y) for u, y in zip(U, Y))
+    direct = np.max(lagrangian_defect(system, U, Y))
     assert direct == report["cn"]["lagrangian_defect"]["max"]

@@ -53,8 +53,7 @@ def test_torus_distance_matches_brute_force_on_skewed_box(system):
     assert np.count_nonzero(box - np.diag(np.diag(box)))  # skewed
     dy = np.random.default_rng(11).uniform(-3.0, 3.0, size=(2000, 2))
     exact = _brute_force_distance(system.exponents, dy)
-    single = np.array([torus_distance(system.exponents, d) for d in dy])
-    np.testing.assert_allclose(single, exact, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(torus_distance(system.exponents, dy), exact, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -65,9 +64,8 @@ def test_torus_distance_batches_over_leading_axes(system):
     dy = np.random.default_rng(3).uniform(-3.0, 3.0, size=(4, 5, m))
     batched = torus_distance(system.exponents, dy)
     assert batched.shape == (4, 5)
-    single = [[torus_distance(system.exponents, d) for d in row] for row in dy]
-    assert np.array_equal(batched, np.array(single))
-    assert isinstance(torus_distance(system.exponents, dy[0, 0]), float)
+    rows = [torus_distance(system.exponents, row) for row in dy]
+    assert np.array_equal(batched, np.array(rows))
 
 
 def test_torus_distance_on_rectangular_boxes_is_the_rounding_distance():
@@ -82,17 +80,17 @@ def test_torus_distance_on_rectangular_boxes_is_the_rounding_distance():
 
 
 @pytest.mark.parametrize("make", ORBIT_SYSTEMS)
-def test_batched_orbit_rows_equal_single_calls(make):
+def test_batched_orbit_rows_equal_single_calls(make, blockwise):
     system = make()
     U, Y = sample_immersion(system, 30, seed=9)
     batch = orbit(system, U, Y)
     assert len(batch) == len(gamma_group(system.exponents))
-    for s, (u, y) in enumerate(zip(U, Y)):
-        single = orbit(system, u, y)
-        assert len(single) == len(batch)
-        for (bu, by), (su, sy) in zip(batch, single):
-            assert bu.shape == (len(U), system.n)
-            assert np.array_equal(bu[s], su) and np.array_equal(by[s], sy)
+    assert all(bu.shape == (len(U), system.n) for bu, _ in batch)
+
+    def translates(rows):
+        return tuple(np.stack(part, axis=1) for part in zip(*orbit(system, U[rows], Y[rows])))
+
+    blockwise(translates, len(U), seed=9)
 
 
 def _apply_gamma(system, gamma, u, y):
@@ -106,11 +104,9 @@ def _apply_gamma(system, gamma, u, y):
 def test_single_orbit_equals_apply_gamma(make):
     system = make()
     U, Y = sample_immersion(system, 3, seed=4)
-    for u, y in zip(U, Y):
-        pts = orbit(system, u, y)
-        for gamma, (gu, gy) in zip(gamma_group(system.exponents), pts):
-            au, ay = _apply_gamma(system, gamma, u, y)
-            assert np.array_equal(gu, au) and np.array_equal(gy, ay)
+    for gamma, (gu, gy) in zip(gamma_group(system.exponents), orbit(system, U, Y)):
+        au, ay = _apply_gamma(system, gamma, U, Y)
+        assert np.array_equal(gu, au) and np.array_equal(gy, ay)
 
 
 def test_orbit_distinctness_takes_arrays_and_empty_batches():
@@ -139,10 +135,10 @@ def _negated(exponents, gamma):
 
 
 def _per_sample_error(system, U, Y, tol=1e-9):
-    """The error of the per-sample loop: one orbit call per sample."""
-    for u, y in zip(U, Y):
+    """The error of the per-sample loop: one orbit call per one-row batch."""
+    for s in range(len(U)):
         try:
-            orbit(system, u, y, tol=tol)
+            orbit(system, U[s:s + 1], Y[s:s + 1], tol=tol)
         except (NonFreeWitness, CrossCheckFailed) as exc:
             return type(exc), str(exc)
     return None
@@ -233,7 +229,7 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
 
 
 def _in_same_orbit_loop(system, p, q, tol):
-    """The reference: one translate at a time."""
+    """The reference for one-row batches p and q: one translate at a time."""
     for gamma in gamma_group(system.exponents):
         gu, gy = _apply_gamma(system, gamma, *p)
         if np.max(np.abs(gu - q[0])) <= tol and torus_distance(system.exponents, gy - q[1]) <= tol:
@@ -247,12 +243,13 @@ def test_in_same_orbit_matches_the_per_translate_loop(make):
     rng = np.random.default_rng(8)
     U, Y = sample_immersion(system, 12, seed=8)
     decisions = []
-    for (u, y), gamma in zip(zip(U, Y), rng.choice(len(gamma_group(system.exponents)), 12)):
-        gu, gy = _apply_gamma(system, gamma_group(system.exponents)[gamma], u, y)
+    for s, gamma in enumerate(rng.choice(len(gamma_group(system.exponents)), 12)):
+        p = U[s:s + 1], Y[s:s + 1]  # one-row batches
+        gu, gy = _apply_gamma(system, gamma_group(system.exponents)[gamma], *p)
         period = torus_box(system.exponents)[0]
         for q in [(gu, gy + period), (gu, gy + 0.5 * period), (gu + 3e-6, gy - 2e-6)]:
-            got = bool(same_orbit(system, (u, y), q)[0])  # a one-row batch
-            assert got == _in_same_orbit_loop(system, (u, y), q, 1e-5)
+            got = bool(same_orbit(system, p, q)[0])
+            assert got == _in_same_orbit_loop(system, p, q, 1e-5)
             decisions.append(got)
     assert any(decisions) and not all(decisions)
 
@@ -279,7 +276,7 @@ def test_action_table_is_cached_and_read_only(make):
 
 
 @pytest.mark.parametrize("make", ORBIT_SYSTEMS)
-def test_batched_same_orbit_equals_single_calls(make):
+def test_batched_same_orbit_equals_single_calls(make, blockwise):
     system = make()
     U, Y = sample_immersion(system, 24, seed=5)
     TU, TY = orbit(system, U, Y)[-1]
@@ -287,5 +284,5 @@ def test_batched_same_orbit_equals_single_calls(make):
     V, Z = np.where(odd, np.roll(TU, 1, axis=0), TU), np.where(odd, np.roll(TY, 1, axis=0), TY)
     batched = same_orbit(system, (U, Y), (V, Z))
     assert batched.dtype == bool and batched.any() and not batched.all()
-    single = [bool(same_orbit(system, p, q)[0]) for p, q in zip(zip(U, Y), zip(V, Z))]
-    assert batched.tolist() == single
+    blockwise(lambda rows: (same_orbit(system, (U[rows], Y[rows]), (V[rows], Z[rows])),),
+              len(U), seed=5)

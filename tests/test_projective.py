@@ -51,14 +51,14 @@ def _random_horizontal_frame(rng, p, count):
 
 
 def _sphere_point(cone, u, y):
-    """The link frame's sphere point: the image of u / |u|."""
+    """The link frame's sphere points: the images of the rows u / |u|."""
     return link_tangent_frame(cone, u, y)[0]
 
 
 def test_cone_to_sphere_scaling_invariance():
     cone = klein_bottle_cone()
-    u = np.array([1.0, 1.0, 1.0])
-    y = [0.4]
+    u = np.array([[1.0, 1.0, 1.0]])
+    y = [[0.4]]
     base = _sphere_point(cone, u, y)
     assert np.linalg.norm(base) == pytest.approx(1.0)
     assert np.allclose(_sphere_point(cone, 7.3 * u, y), base)
@@ -67,43 +67,42 @@ def test_cone_to_sphere_scaling_invariance():
 
 def test_cone_to_sphere_unit_input_unchanged():
     cone = klein_bottle_cone()
-    u = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    z = _sphere_point(cone, u, [0.0])
+    u = np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3.0)
+    z = _sphere_point(cone, u, [[0.0]])
     assert np.allclose(z, u)
 
 
 def test_cone_to_sphere_guards():
     with pytest.raises(NotACone):
-        _sphere_point(ellipse(), [1.0, 0.0], [0.0])
+        _sphere_point(ellipse(), [[1.0, 0.0]], [[0.0]])
     with pytest.raises(ApexPoint):
-        _sphere_point(klein_bottle_cone(), [0.0, 0.0, 0.0], [0.0])
+        _sphere_point(klein_bottle_cone(), [[0.0, 0.0, 0.0]], [[0.0]])
 
 
 # -- fiber collapse: a fiber is one point of each affine chart ----------------------
 
 
 def test_hopf_basepoint_normal_form():
-    p = np.array([1.0, 0.0, 0.0])
-    assert affine_chart_index(p) == 0
-    assert np.array_equal(to_affine_chart(p, 0), [0.0, 0.0])
+    p = np.array([[1.0, 0.0, 0.0]])
+    assert affine_chart_index(p).tolist() == [0]
+    assert np.array_equal(to_affine_chart(p, 0), [[0.0, 0.0]])
 
 
 def test_hopf_fiber_invariance_random_phases():
     rng = np.random.default_rng(0)
-    p = _random_sphere_point(rng, 3)
+    p = _random_sphere_point(rng, 3)[None]
     chart = affine_chart_index(p)
     base = to_affine_chart(p, chart)
-    for theta in rng.uniform(0.0, 2 * np.pi, size=100):
-        assert np.max(np.abs(to_affine_chart(np.exp(1j * theta) * p, chart) - base)) <= 1e-10
+    fiber = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(100, 1))) * p
+    assert np.max(np.abs(to_affine_chart(fiber, chart[0]) - base)) <= 1e-10
 
 
 def test_hopf_clifford_equator():
     # |z_1| = |z_2| on the link: the chart point has modulus 1
     cone = clifford_cone(2)
     pts = sample_points(cone, 20, seed=1)
-    for u in pts:
-        w = to_affine_chart(_sphere_point(cone, u, [0.3]), 0)
-        assert abs(abs(w[0]) - 1.0) <= 1e-10
+    w = to_affine_chart(_sphere_point(cone, pts, np.full((20, 1), 0.3)), 0)
+    assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) <= 1e-10
 
 
 # -- horizontality ----------------------------------------------------------------
@@ -146,24 +145,24 @@ def test_horizontal_rank_drop_is_two():
 @pytest.mark.parametrize("n", [2, 3])
 def test_submersion_isometry_random_frames(n):
     rng = np.random.default_rng(6 + n)
-    worst = 0.0
+    P, frames = [], []
     for _ in range(100):
-        p = _random_sphere_point(rng, n)
-        frame = _random_horizontal_frame(rng, p, n - 1)
-        worst = max(worst, submersion_isometry_defect(p, frame))
-    assert worst <= 1e-8
+        P.append(_random_sphere_point(rng, n))
+        frames.append(_random_horizontal_frame(rng, P[-1], n - 1))
+    defects = submersion_isometry_defect(np.array(P), np.array(frames))
+    assert defects.shape == (100,) and np.max(defects) <= 1e-8
 
 
 def test_submersion_fiber_frame_negative_control():
     rng = np.random.default_rng(9)
     p = _random_sphere_point(rng, 3)
-    assert submersion_isometry_defect(p, [1j * p]) > 0.1
+    assert submersion_isometry_defect([p], [[1j * p]]) > 0.1
 
 
 def test_submersion_zero_frame():
     rng = np.random.default_rng(10)
     p = _random_sphere_point(rng, 3)
-    assert submersion_isometry_defect(p, []) == 0.0
+    assert submersion_isometry_defect([p], np.zeros((1, 0, 3))).tolist() == [0.0]
 
 
 # -- projective Lagrangian property -------------------------------------------------
@@ -190,10 +189,8 @@ def test_projective_defect_trivial_in_cp1():
 def test_link_frames_are_horizontal():
     cone = klein_bottle_cone()
     U, Y = sample_immersion(cone, 30, seed=14, u_floor=0.05)
-    for u, y in zip(U, Y):
-        p, frame = link_tangent_frame(cone, u, y)
-        for v in frame:
-            assert abs(np.sum(v * np.conjugate(p))) <= 1e-10
+    p, frame = link_tangent_frame(cone, U, Y)
+    assert np.max(np.abs(np.sum(frame * np.conjugate(p[:, None, :]), axis=-1))) <= 1e-10
 
 
 # -- projective angle ----------------------------------------------------------------
@@ -201,7 +198,7 @@ def test_link_frames_are_horizontal():
 
 def test_projective_angle_constant_for_balanced_cone():
     cone = klein_bottle_cone()
-    values = {projective_angle(cone, [y]) for y in (0.0, 0.3, 1.7)}
+    values = set(projective_angle(cone, [[0.0], [0.3], [1.7]]).tolist())
     assert len(values) == 1
 
 
@@ -210,23 +207,22 @@ def test_projective_angle_matches_ambient_angle():
 
     cone = weighted_cone([1, 1, 3])
     _, Y = sample_immersion(cone, 20, seed=15)
-    for y in Y:
-        assert projective_angle(cone, y) == lagrangian_angle(cone, y).value
+    assert np.array_equal(projective_angle(cone, Y), lagrangian_angle(cone, Y))
 
 
 def test_projective_angle_guard():
     with pytest.raises(NotACone):
-        projective_angle(ellipse(), [0.0])
+        projective_angle(ellipse(), [[0.0]])
 
 
 def test_fiber_shifts_and_invariance():
     # the two-coordinate equal-modulus cone has an all-odd representative
     cone2 = clifford_cone(2)
     assert len(fiber_phase_shifts(cone2)) == 1
-    assert projective_angle_fiber_defect(cone2, [0.37]) <= 1e-12
+    assert projective_angle_fiber_defect(cone2, [[0.37]]) <= 1e-12
     # balanced cone: no all-odd representative, constant angle anyway
     cone = klein_bottle_cone()
-    assert projective_angle_fiber_defect(cone, [0.37]) <= 1e-12
+    assert projective_angle_fiber_defect(cone, [[0.37]]) <= 1e-12
 
 
 def _cpn_analyze(system):
@@ -270,15 +266,13 @@ def test_fiber_invariance_catches_half_shifts(weights, turn, monkeypatch):
 def test_projective_curvature_small_for_balanced_cone():
     cone = klein_bottle_cone()
     U, Y = sample_immersion(cone, 15, seed=16, u_floor=0.1)
-    worst = max(projective_mean_curvature(cone, u, y)[1] for u, y in zip(U, Y))
-    assert worst <= 1e-3
+    assert np.max(projective_mean_curvature(cone, U, Y)[1]) <= 1e-3
 
 
 def test_projective_curvature_small_for_matched_weights():
     cone = weighted_cone([1, 1, 2])
     U, Y = sample_immersion(cone, 15, seed=17, u_floor=0.1)
-    worst = max(projective_mean_curvature(cone, u, y)[1] for u, y in zip(U, Y))
-    assert worst <= 1e-3
+    assert np.max(projective_mean_curvature(cone, U, Y)[1]) <= 1e-3
 
 
 def test_fs_metric_matrix_matches_pairwise_hermitian_form():
@@ -323,7 +317,7 @@ def test_projective_oracle_step_is_fd_step_tolerance(monkeypatch):
     cone = klein_bottle_cone()
     coarse = QuadricSystem(cone.exponents, cone.constants, replace(cone.tolerances, fd_step=1e-3))
     U, Y = sample_immersion(cone, 2, seed=19, u_floor=0.1)
-    u, y = U[0], Y[0]
+    u, y = U[:1], Y[:1]
     norm = projective_mean_curvature(coarse, u, y)[1]
     # both the chart stencil and the Christoffel symbols take the step
     assert norm > 10.0 * projective_mean_curvature(cone, u, y)[1]
@@ -333,8 +327,7 @@ def test_projective_oracle_step_is_fd_step_tolerance(monkeypatch):
 def test_projective_curvature_nonzero_for_unmatched_weights():
     cone = weighted_cone([1, 1, 3])
     U, Y = sample_immersion(cone, 15, seed=18, u_floor=0.1)
-    values = [projective_mean_curvature(cone, u, y)[1] for u, y in zip(U, Y)]
-    assert min(values) > 1e-2
+    assert np.min(projective_mean_curvature(cone, U, Y)[1]) > 1e-2
 
 
 # -- link frame rank cut ---------------------------------------------------------
@@ -347,8 +340,8 @@ def test_link_frame_near_apex_keeps_rank():
     U, Y = sample_immersion(cone, 300, seed=5, u_floor=0.05)
     for i in (29, 288):
         assert np.linalg.norm(U[i]) < 0.1
-        p, frame = link_tangent_frame(cone, U[i], Y[i])
-        assert frame.shape == (2, 3)
+        p, frame = link_tangent_frame(cone, U[i:i + 1], Y[i:i + 1])
+        assert frame.shape == (1, 2, 3)
         assert projective_lagrangian_defect(cone, U[i:i + 1], Y[i:i + 1]) <= 1e-8
     assert projective_lagrangian_defect(cone, U, Y) <= 1e-8
 
@@ -368,7 +361,7 @@ def test_link_frame_truly_rank_deficient_raises(monkeypatch):
     monkeypatch.setattr(projective, "frame_at", duplicated_torus_rows)
     cone = clifford_cone(3)
     U, Y = sample_immersion(cone, 300, seed=5, u_floor=0.05)
-    with pytest.raises(ChartFailure, match="rank 1, expected 2"):
-        link_tangent_frame(cone, U[29], Y[29])
+    with pytest.raises(ChartFailure, match="rank 1, expected 2 at sample 0"):
+        link_tangent_frame(cone, U[29:30], Y[29:30])
     with pytest.raises(ChartFailure, match="rank 1, expected 2 at sample 0"):
         link_tangent_frame(cone, U, Y)

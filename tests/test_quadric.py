@@ -65,26 +65,25 @@ def test_normals_match_finite_difference_gradient():
 
 def test_smoothness_rank():
     sys1 = ellipse()
-    assert sys1.smoothness_rank([1.0, 0.0]) == 1
-    assert sys1.smoothness_rank([0.0, 0.0]) == 0
+    assert sys1.smoothness_rank([[1.0, 0.0], [0.0, 0.0]]).tolist() == [1, 0]
     sys3 = sphere_cone(3)
-    u = sample_points(sys3, 1, seed=1)[0]
-    assert sys3.smoothness_rank(u) == 2
+    u = sample_points(sys3, 1, seed=1)
+    assert sys3.smoothness_rank(u).tolist() == [2]
     # explicit feasible point (1,0,1)/sqrt(2): both normals independent
-    explicit = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    explicit = np.array([[1.0, 0.0, 1.0]]) / np.sqrt(2.0)
     assert np.allclose(sys3.residual(explicit), 0.0)
-    assert sys3.smoothness_rank(explicit) == 2
+    assert sys3.smoothness_rank(explicit).tolist() == [2]
 
 
 def test_tangent_basis_hand_values():
     sys1 = ellipse()
-    assert np.allclose(sys1.tangent_basis([1.0, 0.0]), [[0.0, 1.0]])
-    assert np.allclose(sys1.tangent_basis([0.0, 1.0 / np.sqrt(2)]), [[1.0, 0.0]])
+    basis = sys1.tangent_basis([[1.0, 0.0], [0.0, 1.0 / np.sqrt(2)]])
+    assert np.allclose(basis, [[[0.0, 1.0]], [[1.0, 0.0]]])
 
 
 def test_tangent_basis_sphere_north_pole():
     sphere = ellipsoid([1, 1, 1, 1])
-    basis = sphere.tangent_basis([0.0, 0.0, 0.0, 1.0])
+    basis = sphere.tangent_basis([[0.0, 0.0, 0.0, 1.0]])[0]
     assert basis.shape == (3, 4)
     assert np.allclose(basis[:, 3], 0.0)
     assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
@@ -92,31 +91,31 @@ def test_tangent_basis_sphere_north_pole():
 
 def test_tangent_basis_orthogonal_to_normals():
     sys3 = sphere_cone(4)
-    for i, u in enumerate(sample_points(sys3, 10, seed=2)):
-        T = sys3.tangent_basis(u)
-        assert np.allclose(T @ T.T, np.eye(sys3.k), atol=1e-12)
-        assert np.max(np.abs(T @ sys3.normals(u).T)) < 1e-12
+    U = sample_points(sys3, 10, seed=2)
+    T = sys3.tangent_basis(U)
+    assert np.allclose(T @ np.swapaxes(T, 1, 2), np.eye(sys3.k), atol=1e-12)
+    assert np.max(np.abs(T @ np.swapaxes(sys3.normals(U), 1, 2))) < 1e-12
 
 
 def test_tangent_basis_singular_point():
     with pytest.raises(SingularPoint):
-        klein_bottle_cone().tangent_basis([0.0, 0.0, 0.0])
+        klein_bottle_cone().tangent_basis([[0.0, 0.0, 0.0]])
 
 
 def test_newton_exact_point_unchanged():
-    u = np.array([1.0, 0.0])
+    u = np.array([[1.0, 0.0]])
     out = newton_project(ellipse(), u)
     assert np.array_equal(out, u)
 
 
 def test_newton_converges_from_nearby():
-    out = newton_project(ellipse(), [1.1, 0.05])
+    out = newton_project(ellipse(), [[1.1, 0.05]])[0]
     assert abs(out[0] ** 2 + 2 * out[1] ** 2 - 1.0) <= 1e-12
 
 
 def test_newton_zero_guess_fails():
     with pytest.raises((SingularJacobian, NoConvergence)):
-        newton_project(ellipse(), [0.0, 0.0])
+        newton_project(ellipse(), [[0.0, 0.0]])
 
 
 def test_newton_batch_matches_scalar():
@@ -126,9 +125,7 @@ def test_newton_batch_matches_scalar():
     pts, status = gauss_newton(sys3, guesses)
     ok = status == CONVERGED
     assert ok.sum() > 20
-    for guess, p, good in zip(guesses, pts, ok):
-        if good:
-            assert np.max(np.abs(sys3.residual(p))) <= 1e-12
+    assert np.max(np.abs(sys3.residual(pts[ok]))) <= 1e-12
 
 
 def test_gauss_newton_statuses_and_raising_front_door():
@@ -140,11 +137,11 @@ def test_gauss_newton_statuses_and_raising_front_door():
     points, status = gauss_newton(hyperbola, guesses)
     assert status.tolist() == [CONVERGED, SINGULAR, NO_CONVERGENCE, SINGULAR]
     assert np.array_equal(points[0], guesses[0])
-    assert np.array_equal(newton_project(hyperbola, guesses[0]), guesses[0])
+    assert np.array_equal(newton_project(hyperbola, guesses[:1]), guesses[:1])
     with pytest.raises(SingularJacobian):
-        newton_project(hyperbola, guesses[1])
+        newton_project(hyperbola, guesses[1:2])
     with pytest.raises(NoConvergence):
-        newton_project(hyperbola, guesses[2])
+        newton_project(hyperbola, guesses[2:3])
     with pytest.raises(SingularJacobian, match="row 1"):
         newton_project(hyperbola, guesses)
 

@@ -27,7 +27,7 @@ def test_frame_gram_mismatch_is_recorded(monkeypatch):
         qlag.immersion, "torus_metric", lambda system, u: closed_form(system, u) + 1e-6
     )
     with pytest.raises(CrossCheckFailed):
-        qlag.immersion.frame_at(ellipse(), [1.0, 0.0], [0.0])
+        qlag.immersion.frame_at(ellipse(), [[1.0, 0.0]], [[0.0]])
     report = run_analyze(InstanceConfig.from_dict(dict(ELLIPSE, sweeps={"cn": True})))
     for key in ("lagrangian_defect", "frame_cross_block", "torus_metric_form"):
         entry = report["cn"][key]
