@@ -56,18 +56,25 @@ def _in_chart(z: np.ndarray, chart) -> tuple[np.ndarray, np.ndarray]:
     return lead, z[keep].reshape(z.shape[:-1] + (z.shape[-1] - 1,))
 
 
-def to_affine_chart(z: np.ndarray, chart) -> np.ndarray:
+def _chart_lead(z: np.ndarray, chart) -> tuple[np.ndarray, np.ndarray]:
+    """_in_chart on complex z, raising ChartFailure for the first sample
+    (row of the leading axis) whose chart coordinate vanishes."""
     lead, rest = _in_chart(np.asarray(z, dtype=complex), chart)
-    if np.any(np.abs(lead) <= PHASE_FLOOR):
-        raise ChartFailure(f"coordinate {chart} vanishes; chart unusable")
+    bad = np.argwhere(np.abs(lead) <= PHASE_FLOOR)
+    if len(bad):
+        c = np.broadcast_to(np.asarray(chart)[..., None], lead.shape)[tuple(bad[0])]
+        raise ChartFailure(f"coordinate {c} vanishes at sample {bad[0][0]}; chart unusable")
+    return lead, rest
+
+
+def to_affine_chart(z: np.ndarray, chart) -> np.ndarray:
+    lead, rest = _chart_lead(z, chart)
     return rest / lead
 
 
 def pushforward_to_chart(p: np.ndarray, xi: np.ndarray, chart) -> np.ndarray:
     """Differential of the chart map z -> (z_i / z_c)_{i != c} applied to xi."""
-    lead, p_rest = _in_chart(np.asarray(p, dtype=complex), chart)
-    if np.any(np.abs(lead) <= PHASE_FLOOR):
-        raise ChartFailure(f"coordinate {chart} vanishes; chart unusable")
+    lead, p_rest = _chart_lead(p, chart)
     xi_lead, xi_rest = _in_chart(np.asarray(xi, dtype=complex), chart)
     return (xi_rest * lead - p_rest * xi_lead) / (lead * lead)
 

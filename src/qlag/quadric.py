@@ -241,6 +241,27 @@ def newton_project(
     return points
 
 
+def _chunk_end(start: int, size: int, need: int, tried: int, have: int) -> int:
+    """End of the next Gauss-Newton chunk of a batch of ``size`` ordered
+    draws from ``start``, for a sampler that still needs ``need`` points and
+    has accepted ``have`` of the ``tried`` draws it has projected.
+
+    The first chunk is ``need`` rows; later ones scale the shortfall by the
+    acceptance seen so far, and take the rest of the batch while nothing
+    has been accepted.  A chunk never holds one row: the residual of a
+    (1, n) batch takes another BLAS path, whose last bit can differ, so a
+    lone leftover row joins the chunk before it.
+    """
+    if not tried:
+        rows = need
+    elif have:
+        rows = -(-need * tried // have)
+    else:
+        rows = size
+    stop = min(start + max(2, rows), size)
+    return size if stop == size - 1 else stop
+
+
 def sample_points(
     system: QuadricSystem,
     count: int,
@@ -253,7 +274,9 @@ def sample_points(
     Points with min_i |u_i| <= u_floor or norm > r_max are rejected, so the
     returned samples are safe for chart-based verification.  Raises
     SamplingExhausted when the acceptance rate is too low (e.g. an empty or
-    unbounded variety at unit scale).
+    unbounded variety at unit scale).  Each batch of draws is projected in
+    quota-sized chunks, in draw order, until the quota fills; the samples
+    and rejection counts do not depend on the chunking.
     """
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
@@ -261,20 +284,24 @@ def sample_points(
         return np.zeros((0, system.n))
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
-    have = attempts = 0
+    have = attempts = tried = 0
     rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
     cap = max(2000, 400 * count)
-    batch = max(64, 2 * count)
+    batch = start = max(64, 2 * count)
     while have < count:
-        if attempts >= cap:
-            # a dominant "unbounded" count suggests M escapes the radius cap
-            raise SamplingExhausted(
-                f"accepted {have}/{count} after {attempts} draws "
-                f"(rejections: {rejected})"
-            )
-        guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
-        attempts += batch
-        points, status = gauss_newton(system, guesses)
+        if start == batch:
+            if attempts >= cap:
+                # a dominant "unbounded" count suggests M escapes the radius cap
+                raise SamplingExhausted(
+                    f"accepted {have}/{count} after {attempts} draws "
+                    f"(rejections: {rejected})"
+                )
+            guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
+            attempts += batch
+            start = 0
+        stop = _chunk_end(start, batch, count - have, tried, have)
+        points, status = gauss_newton(system, guesses[start:stop])
+        tried, start = tried + stop - start, stop
         ok = status == CONVERGED
         # verdict per draw: the index in `rejected` of its first failed test,
         # -1 when accepted; diverged draws may be non-finite, so the later
@@ -309,19 +336,25 @@ def sample_stratum_points(
     Used by the self-intersection scanner, which must probe the strata
     where identifications can occur.  Guesses start on the stratum, which
     Gauss-Newton never leaves.  Returns up to ``count`` points; an
-    infeasible stratum yields an empty array instead of raising.
+    infeasible stratum yields an empty array instead of raising.  Batches
+    are projected in quota-sized chunks as in sample_points, and the points
+    do not depend on the chunking.
     """
     rng = np.random.default_rng(seed)
     others = np.arange(system.n) != zero_index
     accepted = [np.zeros((0, system.n))]
-    have = attempts = 0
+    have = attempts = tried = size = start = 0
     cap = max(500, 100 * count)
-    while have < count and attempts < cap:
-        size = min(max(64, 2 * count), cap - attempts)
-        guesses = np.zeros((size, system.n))
-        guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
-        attempts += size
-        points, status = gauss_newton(system, guesses)
+    while have < count and (start < size or attempts < cap):
+        if start == size:
+            size = min(max(64, 2 * count), cap - attempts)
+            guesses = np.zeros((size, system.n))
+            guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
+            attempts += size
+            start = 0
+        stop = _chunk_end(start, size, count - have, tried, have)
+        points, status = gauss_newton(system, guesses[start:stop])
+        tried, start = tried + stop - start, stop
         good = points[status == CONVERGED]
         take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]
         accepted.append(take)

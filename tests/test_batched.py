@@ -1,7 +1,9 @@
 """Batched (N, n) geometry: every sample-wise routine gives each row the
 same bits however the batch is cut into blocks, one-row blocks included
-(the finite-difference curvature oracles to rounding noise), the masked
-sampler reproduces the per-point accept loop, and the one Gram-Schmidt
+(the finite-difference curvature oracles to rounding noise), Gauss-Newton
+does for blocks of two rows or more, the chunked samplers reproduce the
+per-point accept loop and the one-call-per-batch stratum loop while
+projecting only the draws they examine, and the one Gram-Schmidt
 reproduces the loops it replaced."""
 
 import numpy as np
@@ -29,7 +31,14 @@ from qlag.immersion import (
     torus_metric,
 )
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
-from qlag.quadric import CONVERGED, QuadricSystem, gauss_newton, orthonormalize, sample_points
+from qlag.quadric import (
+    CONVERGED,
+    QuadricSystem,
+    gauss_newton,
+    orthonormalize,
+    sample_points,
+    sample_stratum_points,
+)
 from qlag.quotient import orbit, same_orbit
 
 SYSTEMS = {
@@ -163,21 +172,134 @@ def _reference_sample(system, count, seed=0, u_floor=None):
         ("sphere_cone(5)", 30, 2, None),
         ("clifford_cone(5)", 25, 4, 0.1),
         ("ellipsoid([1,2,3])", 33, 5, 1e-6),
+        # the benchmark workloads' sampler calls
+        ("ellipse", 1000, 0, None),
+        ("ellipse", 1000, 0, 0.05),
+        ("klein_bottle_cone", 1000, 0, None),
+        ("klein_bottle_cone", 1000, 0, 0.05),
+        ("clifford_cone(5)", 96, 0, 1e-6),
+        ("clifford_cone(5)", 231, 0, 1e-6),
+        ("product_torus([1,2,3])", 120, 0, None),
+        # three chunks, the last scaled by the acceptance seen so far
+        ("ellipse", 20, 0, 0.1),
+        # a lone leftover row joins the chunk before it, and a quota of one
+        # still projects two rows
+        ("sphere_cone(5)", 25, 3, 0.1),
+        ("sphere_cone(5)", 1, 0, None),
     ],
 )
-def test_sampler_matches_per_point_loop(name, count, seed, u_floor):
+def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch):
     system = SYSTEMS[name]()
     expected = _reference_sample(system, count, seed=seed, u_floor=u_floor)
+    calls = _count_gauss_newton(monkeypatch)
     assert np.array_equal(sample_points(system, count, seed=seed, u_floor=u_floor), expected)
+    assert min(calls) >= 2
 
 
-def test_sampler_exhaustion_reports_same_rejections():
+def _count_gauss_newton(monkeypatch):
+    """Rows of each gauss_newton call the samplers make, in call order."""
+    calls = []
+
+    def counted(system, guesses, polish=False, original=quadric.gauss_newton):
+        calls.append(len(guesses))
+        return original(system, guesses, polish)
+
+    monkeypatch.setattr(quadric, "gauss_newton", counted)
+    return calls
+
+
+def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
+    # the first chunk is the quota; with nothing accepted, each chunk after
+    # it is the rest of its batch, so every draw is projected once in one
+    # call more than one per batch
     empty = QuadricSystem([[1], [2]], [-1.0])
-    with pytest.raises(SamplingExhausted) as expected:
-        _reference_sample(empty, 2, seed=0)
-    with pytest.raises(SamplingExhausted) as got:
-        sample_points(empty, 2, seed=0)
-    assert str(got.value) == str(expected.value)
+    for count, batches, draws in ((2, 32, 2048), (96, 200, 38400)):
+        with pytest.raises(SamplingExhausted) as expected:
+            _reference_sample(empty, count, seed=0)
+        calls = _count_gauss_newton(monkeypatch)
+        with pytest.raises(SamplingExhausted, match=f"after {draws} draws") as got:
+            sample_points(empty, count, seed=0)
+        monkeypatch.undo()
+        assert str(got.value) == str(expected.value)
+        assert (len(calls), sum(calls)) == (batches + 1, draws)
+
+
+def _reference_stratum_sample(system, zero_index, count, seed=0):
+    """The stratum loop with one gauss_newton call per batch."""
+    rng = np.random.default_rng(seed)
+    others = np.arange(system.n) != zero_index
+    accepted = [np.zeros((0, system.n))]
+    have = attempts = 0
+    cap = max(500, 100 * count)
+    while have < count and attempts < cap:
+        size = min(max(64, 2 * count), cap - attempts)
+        guesses = np.zeros((size, system.n))
+        guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
+        attempts += size
+        points, status = gauss_newton(system, guesses)
+        good = points[status == CONVERGED]
+        take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]
+        accepted.append(take)
+        have += len(take)
+    return np.concatenate(accepted)
+
+
+@pytest.mark.parametrize("name", ["sphere_cone(5)", "clifford_cone(5)"])
+@pytest.mark.parametrize("count", [1, 8, 20])
+def test_stratum_sampler_matches_per_batch_loop(name, count):
+    # u5 = 0 on sphere_cone(5) is empty: every draw is projected and none kept
+    system = SYSTEMS[name]()
+    for j in range(system.n):
+        expected = _reference_stratum_sample(system, j, count, seed=j)
+        got = sample_stratum_points(system, j, count, seed=j)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "klein_bottle_cone"])
+@pytest.mark.parametrize("u_floor", [None, 0.05])
+def test_sampler_projects_about_the_draws_it_examines(name, u_floor, monkeypatch):
+    system = SYSTEMS[name]()
+    # one batch of 2000 draws; the last sample is the draw that fills the quota
+    points, _ = gauss_newton(system, np.random.default_rng(0).normal(0.0, 1.0, size=(2000, system.n)))
+    calls = _count_gauss_newton(monkeypatch)
+    got = sample_points(system, 1000, seed=0, u_floor=u_floor)
+    examined = 1 + np.flatnonzero(np.all(points == got[-1], axis=1))[0]
+    assert sum(calls) <= 1.2 * examined
+    assert min(calls) >= 2
+
+
+def test_stratum_sampler_projects_its_quota(monkeypatch):
+    cone = clifford_cone(5)
+    calls = _count_gauss_newton(monkeypatch)
+    for j in range(cone.n):
+        assert len(sample_stratum_points(cone, j, 8, seed=j)) == 8
+    assert calls == [8] * cone.n  # not 5 x 64 rows
+
+
+def test_empty_stratum_makes_one_call_more_than_one_per_batch(monkeypatch):
+    calls = _count_gauss_newton(monkeypatch)
+    assert len(sample_stratum_points(sphere_cone(5), 4, 8, seed=4)) == 0
+    assert (len(calls), sum(calls)) == (13 + 1, 800)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_gauss_newton_rows_independent_of_cuts_of_two_or_more(name):
+    # Cuts of one row are the exception: the residual (u * u) @ E of a
+    # (1, n) batch goes through a BLAS matrix-vector product, whose last bit
+    # differs from the matrix-matrix one on about half the rows of
+    # sphere_cone(5) and weighted_cone([1,1,1,3]).  The samplers never
+    # project a chunk of one row.
+    system = SYSTEMS[name]()
+    rng = np.random.default_rng(5)
+    guesses = rng.normal(0.0, 1.0, size=(96, system.n))
+    guesses[::7, 0] = 0.0  # rows that start on a coordinate stratum
+    whole = gauss_newton(system, guesses)
+    bounds = np.unique(np.r_[0, 96, rng.choice(np.arange(2, 95, 2), 12, replace=False)])
+    for cuts in (np.arange(0, 97, 2), np.arange(0, 97, 3), bounds):
+        parts = [gauss_newton(system, guesses[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        for k in range(2):
+            assert np.array_equal(np.concatenate([part[k] for part in parts]), whole[k])
 
 
 # -- one Gauss-Newton call per finite-difference stencil ------------------------------

@@ -22,6 +22,7 @@ from qlag.projective import (
     link_tangent_frame,
     projective_angle,
     projective_angle_fiber_defect,
+    pushforward_to_chart,
     to_affine_chart,
 )
 from qlag.pipeline import InstanceConfig, report_passed, run_analyze
@@ -103,6 +104,22 @@ def test_hopf_clifford_equator():
     pts = sample_points(cone, 20, seed=1)
     w = to_affine_chart(_sphere_point(cone, pts, np.full((20, 1), 0.3)), 0)
     assert np.max(np.abs(np.abs(w[:, 0]) - 1.0)) <= 1e-10
+
+
+def test_vanishing_chart_coordinate_names_its_sample():
+    from qlag.errors import ChartFailure
+
+    # rows 1 and 2 both fail; the first is named, with its own chart
+    z = np.array([[1.0, 0.5, 0.2], [1e-9, 1.0, 0.3], [0.4, 1e-10, 1.0]])
+    chart = np.array([0, 0, 1])
+    message = "coordinate 0 vanishes at sample 1; chart unusable"
+    with pytest.raises(ChartFailure, match=message):
+        to_affine_chart(z, chart)
+    with pytest.raises(ChartFailure, match=message):
+        pushforward_to_chart(z[:, None, :], z[:, None, :], chart[:, None])
+    # a chart index per stencil point, as the projective oracle passes it
+    with pytest.raises(ChartFailure, match=message):
+        to_affine_chart(np.repeat(z[:, None, :], 3, axis=1), chart[:, None])
 
 
 # -- horizontality ----------------------------------------------------------------
