@@ -3,6 +3,9 @@
 Validation, residuals, normal frames, tangent spaces, Gauss-Newton
 projection onto M and seeded rejection sampling.  Everything is a pure
 function of immutable inputs; samplers are deterministic per (seed, count).
+Every Gauss-Newton call pays the whole iteration loop, so the samplers
+keep their calls few: sample_points projects chunks of at least MIN_BATCH
+rows, and the strata share one call per round.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
@@ -59,6 +62,9 @@ class QuadricSystem:
         matrix = np.array(exponents.rows, dtype=float)
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
+        constants = np.array(self.constants)
+        constants.setflags(write=False)
+        object.__setattr__(self, "_constants", constants)
 
     @property
     def n(self) -> int:
@@ -83,7 +89,7 @@ class QuadricSystem:
     def residual(self, u: Sequence[float]) -> np.ndarray:
         """Component j is sum_i E[i,j] u_i^2 - d_j."""
         u = np.asarray(u, dtype=float)
-        return (u * u) @ self.matrix - np.asarray(self.constants)
+        return (u * u) @ self.matrix - self._constants
 
     def normals(self, u: Sequence[float]) -> np.ndarray:
         """The codim half-gradient rows n_j = (E[1,j] u_1, ..., E[n,j] u_n).
@@ -92,10 +98,6 @@ class QuadricSystem:
         """
         u = np.asarray(u, dtype=float)
         return self.matrix.T * u[..., None, :]
-
-    def jacobian(self, u: Sequence[float]) -> np.ndarray:
-        """Jacobian of the residual: twice the normal frame."""
-        return 2.0 * self.normals(u)
 
     def smoothness_rank(self, u: np.ndarray) -> np.ndarray:
         """Numerical rank of the normal frame at each point of a (N, n) batch,
@@ -177,47 +179,67 @@ def gauss_newton(
     lower its residual, for callers that feed the result into finite
     differences.  Returns (best iterate per row, status per row): CONVERGED,
     NO_CONVERGENCE, or SINGULAR (rank-deficient Jacobian, non-finite step).
+
+    The rows still stepping are kept as a shrinking index.  The residual
+    is evaluated over the whole batch, so no row's bits depend on how many
+    others are still stepping.
     """
     tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
     patience = 3 if polish else 0
     u = np.array(guesses, dtype=float)
     best_u = u.copy()
     best = np.full(len(u), np.inf)
-    stale = np.zeros(len(u), dtype=int)
     singular = np.zeros(len(u), dtype=bool)
-    active = np.ones(len(u), dtype=bool)
+    # the stepping rows, their best residuals so far (written back to best
+    # as they leave) and, when polishing, evaluations since their best
+    idx = np.arange(len(u))
+    low = best.copy()
+    stale = np.zeros(len(u), dtype=int)
     for it in range(max_iter + 1):
-        r = system.residual(u)
-        rmax = np.max(np.abs(r), axis=1)
-        better = rmax < best
-        np.copyto(best_u, u, where=better[:, None])
-        np.copyto(best, rmax, where=better)
-        stale = np.where(better, 0, stale + 1)
-        active &= ~singular & ((best > tol) | (stale < patience))
-        if it == max_iter or not active.any():
+        r = system.residual(u)[idx]
+        rmax = np.abs(r).max(axis=1)
+        better = rmax < low
+        low = np.where(better, rmax, low)
+        rows = idx[better]
+        best_u[rows] = u[rows]
+        going = low > tol
+        if patience:
+            stale = np.where(better, 0, stale + 1)
+            going |= stale < patience
+        if not going.all():
+            best[idx] = low
+            idx, r, low, stale = idx[going], r[going], low[going], stale[going]
+        if it == max_iter or not len(idx):
             break
-        idx = np.nonzero(active)[0]
-        J = system.jacobian(u[idx])
-        JJt = J @ J.transpose(0, 2, 1)
-        rhs = r[idx][:, :, None]
-        try:
-            steps = np.linalg.solve(JJt, rhs)
-        except np.linalg.LinAlgError:
-            # fall back row by row, zero-stepping (and flagging) singular rows
-            steps = np.zeros_like(rhs)
-            for b, i in enumerate(idx):
-                try:
-                    steps[b] = np.linalg.solve(JJt[b], rhs[b])
-                except np.linalg.LinAlgError:
-                    singular[i] = True
-        delta = (J.transpose(0, 2, 1) @ steps)[:, :, 0]
-        bad = ~np.all(np.isfinite(delta), axis=1)
-        singular[idx[bad]] = True
-        delta[bad] = 0.0
-        u[idx] -= delta
+        v = u[idx]
+        J = 2.0 * system.normals(v)
+        Jt = J.transpose(0, 2, 1)
+        delta = (Jt @ _solve(J @ Jt, r[:, :, None]))[:, :, 0]
+        if not np.isfinite(delta).all():
+            ok = np.isfinite(delta).all(axis=1)
+            singular[idx[~ok]] = True
+            best[idx] = low
+            idx, low, stale, v, delta = idx[ok], low[ok], stale[ok], v[ok], delta[ok]
+        u[idx] = v - delta
+    best[idx] = low
     status = np.where(singular, SINGULAR, NO_CONVERGENCE)
     status[best <= tol] = CONVERGED
     return best_u, status
+
+
+def _solve(JJt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The stacked solve of JJt x = rhs; where LAPACK finds a zero pivot,
+    row by row, with a NaN step for each singular row."""
+    try:
+        return np.linalg.solve(JJt, rhs)
+    except np.linalg.LinAlgError:
+        steps = np.full_like(rhs, np.nan)
+        for b in range(len(JJt)):
+            try:
+                steps[b] = np.linalg.solve(JJt[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def newton_project(
@@ -241,16 +263,24 @@ def newton_project(
     return points
 
 
-def _chunk_end(start: int, size: int, need: int, tried: int, have: int) -> int:
+# the samplers' smallest batch of draws, and the smallest chunk of a batch
+# that sample_points projects, which bounds its gauss_newton calls: on one
+# equation a 64-row call costs little more than an 8-row one, on
+# clifford_cone(5) about twice as much
+MIN_BATCH = 64
+
+
+def _chunk_end(start: int, size: int, need: int, tried: int, have: int, floor: int) -> int:
     """End of the next Gauss-Newton chunk of a batch of ``size`` ordered
     draws from ``start``, for a sampler that still needs ``need`` points and
     has accepted ``have`` of the ``tried`` draws it has projected.
 
     The first chunk is ``need`` rows; later ones scale the shortfall by the
     acceptance seen so far, and take the rest of the batch while nothing
-    has been accepted.  A chunk never holds one row: the residual of a
-    (1, n) batch takes another BLAS path, whose last bit can differ, so a
-    lone leftover row joins the chunk before it.
+    has been accepted.  A chunk holds at least ``floor`` (2 or more) rows,
+    or the rest of the batch, and never one row: the residual of a (1, n)
+    batch takes another BLAS path, whose last bit can differ, so a lone
+    leftover row joins the chunk before it.
     """
     if not tried:
         rows = need
@@ -258,7 +288,7 @@ def _chunk_end(start: int, size: int, need: int, tried: int, have: int) -> int:
         rows = -(-need * tried // have)
     else:
         rows = size
-    stop = min(start + max(2, rows), size)
+    stop = min(start + max(floor, rows), size)
     return size if stop == size - 1 else stop
 
 
@@ -275,8 +305,9 @@ def sample_points(
     returned samples are safe for chart-based verification.  Raises
     SamplingExhausted when the acceptance rate is too low (e.g. an empty or
     unbounded variety at unit scale).  Each batch of draws is projected in
-    quota-sized chunks, in draw order, until the quota fills; the samples
-    and rejection counts do not depend on the chunking.
+    quota-sized chunks of at least MIN_BATCH rows, in draw order, until the
+    quota fills; the samples and rejection counts do not depend on the
+    chunking.
     """
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
@@ -287,7 +318,7 @@ def sample_points(
     have = attempts = tried = 0
     rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
     cap = max(2000, 400 * count)
-    batch = start = max(64, 2 * count)
+    batch = start = max(MIN_BATCH, 2 * count)
     while have < count:
         if start == batch:
             if attempts >= cap:
@@ -299,7 +330,7 @@ def sample_points(
             guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
             attempts += batch
             start = 0
-        stop = _chunk_end(start, batch, count - have, tried, have)
+        stop = _chunk_end(start, batch, count - have, tried, have, MIN_BATCH)
         points, status = gauss_newton(system, guesses[start:stop])
         tried, start = tried + stop - start, stop
         ok = status == CONVERGED
@@ -327,19 +358,42 @@ def sample_points(
 
 def sample_stratum_points(
     system: QuadricSystem,
-    zero_index: int,
     count: int,
     seed: int = 0,
-) -> np.ndarray:
-    """Points of M with u[zero_index] = 0 exactly (may be empty).
+) -> list[np.ndarray]:
+    """Points of M on each coordinate stratum u_j = 0 exactly: one array of
+    up to ``count`` points per j, empty where the stratum is infeasible.
 
     Used by the self-intersection scanner, which must probe the strata
-    where identifications can occur.  Guesses start on the stratum, which
-    Gauss-Newton never leaves.  Returns up to ``count`` points; an
-    infeasible stratum yields an empty array instead of raising.  Batches
-    are projected in quota-sized chunks as in sample_points, and the points
-    do not depend on the chunking.
+    where identifications can occur.  Stratum j draws its guesses on the
+    stratum, which Gauss-Newton never leaves, from default_rng(seed + j).
+    Every stratum is sampled as if alone, in quota-sized chunks as in
+    sample_points; one gauss_newton call per round projects the next chunk
+    of each stratum still sampling, and the points do not depend on which
+    chunks share a call.
     """
+    found = [None] * system.n
+    strata = {j: _stratum_sampler(system, j, count, seed + j) for j in range(system.n)}
+    projected = dict.fromkeys(strata)
+    while strata:
+        chunks = {}
+        for j, sampler in list(strata.items()):
+            try:
+                chunks[j] = sampler.send(projected[j])
+            except StopIteration as done:
+                found[j] = done.value
+                del strata[j]
+        if chunks:
+            points, status = gauss_newton(system, np.concatenate(list(chunks.values())))
+            ends = np.cumsum([len(chunk) for chunk in chunks.values()])[:-1]
+            projected = dict(zip(chunks, zip(np.split(points, ends), np.split(status, ends))))
+    return found
+
+
+def _stratum_sampler(system: QuadricSystem, zero_index: int, count: int, seed: int):
+    """The sampler of one stratum of sample_stratum_points: yields each
+    chunk of guesses, is sent its gauss_newton (points, status), and
+    returns the accepted points."""
     rng = np.random.default_rng(seed)
     others = np.arange(system.n) != zero_index
     accepted = [np.zeros((0, system.n))]
@@ -347,13 +401,13 @@ def sample_stratum_points(
     cap = max(500, 100 * count)
     while have < count and (start < size or attempts < cap):
         if start == size:
-            size = min(max(64, 2 * count), cap - attempts)
+            size = min(max(MIN_BATCH, 2 * count), cap - attempts)
             guesses = np.zeros((size, system.n))
             guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
             attempts += size
             start = 0
-        stop = _chunk_end(start, size, count - have, tried, have)
-        points, status = gauss_newton(system, guesses[start:stop])
+        stop = _chunk_end(start, size, count - have, tried, have, 2)
+        points, status = yield guesses[start:stop]
         tried, start = tried + stop - start, stop
         good = points[status == CONVERGED]
         take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]

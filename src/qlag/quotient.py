@@ -137,8 +137,7 @@ def scan_samples(
     if n_strata and system.k >= 1:
         per_axis = max(8, n_strata // system.n)
         box = torus_box(system.exponents)
-        for j in range(system.n):
-            pts = sample_stratum_points(system, j, 8, seed=seed + j)
+        for pts in sample_stratum_points(system, 8, seed=seed):
             if not len(pts):
                 continue
             pts = np.vstack([pts, -pts])

@@ -3,8 +3,8 @@ same bits however the batch is cut into blocks, one-row blocks included
 (the finite-difference curvature oracles to rounding noise), Gauss-Newton
 does for blocks of two rows or more, the chunked samplers reproduce the
 per-point accept loop and the one-call-per-batch stratum loop while
-projecting only the draws they examine, and the one Gram-Schmidt
-reproduces the loops it replaced."""
+projecting little past the draws they examine (the strata all in one
+call), and the one Gram-Schmidt reproduces the loops it replaced."""
 
 import numpy as np
 import pytest
@@ -180,12 +180,15 @@ def _reference_sample(system, count, seed=0, u_floor=None):
         ("clifford_cone(5)", 96, 0, 1e-6),
         ("clifford_cone(5)", 231, 0, 1e-6),
         ("product_torus([1,2,3])", 120, 0, None),
-        # three chunks, the last scaled by the acceptance seen so far
+        # a 20-point quota projects one MIN_BATCH chunk, not three chunks
         ("ellipse", 20, 0, 0.1),
-        # a lone leftover row joins the chunk before it, and a quota of one
-        # still projects two rows
+        # a quota that runs into a second batch, and a quota of one, which
+        # still projects a MIN_BATCH chunk
         ("sphere_cone(5)", 25, 3, 0.1),
         ("sphere_cone(5)", 1, 0, None),
+        # a floored chunk that ends one row short of its batch, so the lone
+        # leftover row joins it (test_sampler_joins_lone_leftover_row)
+        ("ellipse", 65, 0, 0.3),
     ],
 )
 def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch):
@@ -194,6 +197,43 @@ def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch)
     calls = _count_gauss_newton(monkeypatch)
     assert np.array_equal(sample_points(system, count, seed=seed, u_floor=u_floor), expected)
     assert min(calls) >= 2
+    # a chunk holds MIN_BATCH rows or more, or the rest of its batch
+    batch = max(quadric.MIN_BATCH, 2 * count)
+    assert all(rows >= quadric.MIN_BATCH or end % batch == 0
+               for rows, end in zip(calls, np.cumsum(calls)))
+    # so a quota filled within its first batch takes at most two calls: the
+    # first chunk and one scaled by the acceptance it saw.  The scaled chunk
+    # has no margin, and on the two 1000-sample cases at u_floor 0.05 it
+    # falls short by a few points, which takes a third call
+    if sum(calls) <= batch:
+        assert len(calls) <= (3 if (count, u_floor) == (1000, 0.05) else 2)
+
+
+def test_sampler_joins_lone_leftover_row(monkeypatch):
+    # the ellipse case of test_sampler_matches_per_point_loop at u_floor 0.3:
+    # 36 of its first 65 draws are accepted, so the next chunk scales to 53
+    # rows, is floored to 64 and would end at draw 129 of 130, and the lone
+    # leftover row joins it
+    calls = _count_gauss_newton(monkeypatch)
+    sample_points(ellipse(), 65, seed=0, u_floor=0.3)
+    assert calls == [65, quadric.MIN_BATCH + 1]
+
+
+def test_chunk_end_rule():
+    # (start, size, need, tried, have, floor) -> end of the next chunk
+    cases = [
+        ((0, 100, 50, 0, 0, 64), 64),  # the first chunk: the quota, floored
+        ((0, 2000, 1000, 0, 0, 64), 1000),
+        ((1000, 2000, 100, 1000, 900, 64), 1112),  # ceil(100 * 1000 / 900) rows
+        ((1000, 2000, 10, 1000, 990, 64), 1064),  # 11 rows, floored
+        ((64, 100, 10, 64, 40, 64), 100),  # the rest of the batch is smaller
+        ((64, 192, 96, 96, 0, 64), 192),  # nothing accepted: the rest of the batch
+        ((0, 65, 20, 0, 0, 64), 65),  # a lone leftover row joins the chunk
+        ((0, 8, 1, 0, 0, 2), 2),  # the strata's floor of two rows
+        ((0, 64, 63, 0, 0, 2), 64),
+    ]
+    for args, end in cases:
+        assert quadric._chunk_end(*args) == end, args
 
 
 def _count_gauss_newton(monkeypatch):
@@ -209,11 +249,12 @@ def _count_gauss_newton(monkeypatch):
 
 
 def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
-    # the first chunk is the quota; with nothing accepted, each chunk after
-    # it is the rest of its batch, so every draw is projected once in one
-    # call more than one per batch
+    # the first chunk is the quota, or MIN_BATCH rows when that is more;
+    # with nothing accepted, each chunk after it is the rest of its batch,
+    # so every draw is projected once: one call per 64-draw batch at count
+    # 2, one call more than one per 192-draw batch at count 96
     empty = QuadricSystem([[1], [2]], [-1.0])
-    for count, batches, draws in ((2, 32, 2048), (96, 200, 38400)):
+    for count, ncalls, draws in ((2, 32, 2048), (96, 201, 38400)):
         with pytest.raises(SamplingExhausted) as expected:
             _reference_sample(empty, count, seed=0)
         calls = _count_gauss_newton(monkeypatch)
@@ -221,7 +262,7 @@ def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
             sample_points(empty, count, seed=0)
         monkeypatch.undo()
         assert str(got.value) == str(expected.value)
-        assert (len(calls), sum(calls)) == (batches + 1, draws)
+        assert (len(calls), sum(calls)) == (ncalls, draws)
 
 
 def _reference_stratum_sample(system, zero_index, count, seed=0):
@@ -247,11 +288,13 @@ def _reference_stratum_sample(system, zero_index, count, seed=0):
 @pytest.mark.parametrize("name", ["sphere_cone(5)", "clifford_cone(5)"])
 @pytest.mark.parametrize("count", [1, 8, 20])
 def test_stratum_sampler_matches_per_batch_loop(name, count):
-    # u5 = 0 on sphere_cone(5) is empty: every draw is projected and none kept
+    # u5 = 0 on sphere_cone(5) is empty: every draw is projected and none
+    # kept, in the calls it shares with the other strata until they fill
     system = SYSTEMS[name]()
-    for j in range(system.n):
+    strata = sample_stratum_points(system, count, seed=0)
+    assert len(strata) == system.n
+    for j, got in enumerate(strata):
         expected = _reference_stratum_sample(system, j, count, seed=j)
-        got = sample_stratum_points(system, j, count, seed=j)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
@@ -272,15 +315,78 @@ def test_sampler_projects_about_the_draws_it_examines(name, u_floor, monkeypatch
 def test_stratum_sampler_projects_its_quota(monkeypatch):
     cone = clifford_cone(5)
     calls = _count_gauss_newton(monkeypatch)
-    for j in range(cone.n):
-        assert len(sample_stratum_points(cone, j, 8, seed=j)) == 8
-    assert calls == [8] * cone.n  # not 5 x 64 rows
+    assert [len(pts) for pts in sample_stratum_points(cone, 8, seed=0)] == [8] * cone.n
+    assert calls == [8 * cone.n]  # one call for every stratum, not 5 x 64 rows
 
 
 def test_empty_stratum_makes_one_call_more_than_one_per_batch(monkeypatch):
+    # the four feasible strata fill in the first call, which the empty
+    # u5 = 0 shares; its 800 draws take 13 batches and 14 calls
     calls = _count_gauss_newton(monkeypatch)
-    assert len(sample_stratum_points(sphere_cone(5), 4, 8, seed=4)) == 0
-    assert (len(calls), sum(calls)) == (13 + 1, 800)
+    strata = sample_stratum_points(sphere_cone(5), 8, seed=0)
+    assert [len(pts) for pts in strata] == [8, 8, 8, 8, 0]
+    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 800)
+
+
+def _reference_gauss_newton(system, guesses, polish=False):
+    """The masked loop gauss_newton ran before its lean rewrite: the active
+    rows rebuilt from five full-batch arrays at every step, and each row's
+    step from its own np.linalg.solve."""
+    tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
+    patience = 3 if polish else 0
+    u = np.array(guesses, dtype=float)
+    best_u = u.copy()
+    best = np.full(len(u), np.inf)
+    stale = np.zeros(len(u), dtype=int)
+    singular = np.zeros(len(u), dtype=bool)
+    active = np.ones(len(u), dtype=bool)
+    for it in range(max_iter + 1):
+        r = system.residual(u)
+        rmax = np.max(np.abs(r), axis=1)
+        better = rmax < best
+        np.copyto(best_u, u, where=better[:, None])
+        np.copyto(best, rmax, where=better)
+        stale = np.where(better, 0, stale + 1)
+        active &= ~singular & ((best > tol) | (stale < patience))
+        if it == max_iter or not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        J = 2.0 * system.normals(u[idx])
+        JJt = J @ J.transpose(0, 2, 1)
+        rhs = r[idx][:, :, None]
+        steps = np.zeros_like(rhs)
+        for b, i in enumerate(idx):
+            try:
+                steps[b] = np.linalg.solve(JJt[b], rhs[b])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        delta = (J.transpose(0, 2, 1) @ steps)[:, :, 0]
+        bad = ~np.all(np.isfinite(delta), axis=1)
+        singular[idx[bad]] = True
+        delta[bad] = 0.0
+        u[idx] -= delta
+    status = np.where(singular, quadric.SINGULAR, quadric.NO_CONVERGENCE)
+    status[best <= tol] = CONVERGED
+    return best_u, status
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_gauss_newton_matches_masked_solve_loop(name):
+    # every value and sign bit, polished or not, at magnitudes from 1e-150
+    # to 1e150 and on rows that start at the origin, on a stratum or at NaN
+    system = SYSTEMS[name]()
+    rng = np.random.default_rng(8)
+    guesses = rng.normal(size=(60, system.n))
+    guesses[::2] *= 10.0 ** rng.uniform(-150.0, 150.0, size=(30, 1))
+    guesses[::7, 0] = 0.0
+    guesses[::11] = 0.0
+    guesses[5, -1] = np.nan
+    for polish in (False, True):
+        with np.errstate(all="ignore"):
+            points, status = gauss_newton(system, guesses, polish)
+            expected_points, expected_status = _reference_gauss_newton(system, guesses, polish)
+        assert np.array_equal(points.view(np.int64), expected_points.view(np.int64))
+        assert np.array_equal(status, expected_status)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -1,6 +1,8 @@
 """Variety-side checks: residuals, normals, tangent frames, projection and
 sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ def test_gauss_newton_keeps_zero_coordinate():
         assert np.max(np.abs(system.residual(points))) <= 1e-12
 
 
+def test_origin_row_ends_singular_alone():
+    # at the origin JJ^T = 0: LAPACK finds a zero pivot, the row gets a NaN
+    # step with no warning, and the other rows keep the bits they have
+    # without it
+    guesses = np.random.default_rng(2).normal(size=(40, 2))
+    with_origin = np.insert(guesses, 17, 0.0, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        points, status = gauss_newton(ellipse(), with_origin)
+    expected_points, expected_status = gauss_newton(ellipse(), guesses)
+    assert status[17] == SINGULAR
+    assert np.array_equal(np.delete(status, 17), expected_status)
+    assert np.array_equal(np.delete(points, 17, axis=0).view(np.int64),
+                          expected_points.view(np.int64))
+
+
 def _reference_stratum(system, zero_index, count, seed=0):
     """The per-draw loop sample_stratum_points ran before the batched
     Gauss-Newton: Newton on the other coordinates, one draw at a time."""
@@ -177,7 +195,7 @@ def _reference_stratum(system, zero_index, count, seed=0):
             if np.max(np.abs(r)) <= system.tolerances.residual:
                 converged = True
                 break
-            J = system.jacobian(u)[:, others]
+            J = 2.0 * system.normals(u)[:, others]
             try:
                 step = J.T @ np.linalg.solve(J @ J.T, r)
             except np.linalg.LinAlgError:
@@ -196,9 +214,10 @@ def _reference_stratum(system, zero_index, count, seed=0):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_stratum_sampler_matches_per_draw_loop(make, seed):
     system = make()
-    for j in range(system.n):
+    strata = sample_stratum_points(system, 8, seed=seed)
+    assert len(strata) == system.n
+    for j, got in enumerate(strata):
         expected = _reference_stratum(system, j, 8, seed=seed + j)
-        got = sample_stratum_points(system, j, 8, seed=seed + j)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15
         assert np.all(got[:, j] == 0.0)
@@ -232,7 +251,7 @@ def test_sampling_exhausts_on_empty_variety():
 
 
 def test_stratum_sampler_hits_stratum():
-    pts = sample_stratum_points(ellipse(), 0, 4, seed=0)
+    pts = sample_stratum_points(ellipse(), 4, seed=0)[0]
     assert len(pts) > 0
     assert np.allclose(pts[:, 0], 0.0)
     assert np.max(np.abs((pts * pts) @ ellipse().matrix - 1.0)) <= 1e-12
@@ -240,7 +259,7 @@ def test_stratum_sampler_hits_stratum():
 
 def test_stratum_sampler_empty_for_infeasible():
     # u3 = 0 forces u1 = u2 = 0 on the sphere&cone system: not a smooth point
-    pts = sample_stratum_points(sphere_cone(3), 2, 4, seed=0)
+    pts = sample_stratum_points(sphere_cone(3), 4, seed=0)[2]
     assert len(pts) == 0
 
 
