@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigInvalid, QlagError
+from .errors import ConfigInvalid, DimensionUnsupported, NotACone, QlagError
 from .pipeline import (
     VERIFY_TOLERANCES,
     InstanceConfig,
@@ -141,30 +141,33 @@ def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
     target = config.mesh_target
     nx, ny = config.mesh_resolution
     out = out_path or "qlag-mesh.obj"
-    if target == "cpn":
-        if system.n == 2:
-            pts, line = meshing.build_projective_polyline(system, max(nx, ny))
-            with _writing(out):
-                meshing.write_obj(out, pts, polyline=line)
-        elif system.n == 3:
-            if not out.endswith(".csv"):
-                out = os.path.splitext(out)[0] + ".csv"
-            with _writing(out):
-                meshing.write_projective_cloud(out, system, nx, ny)
+    try:
+        if target == "cpn":
+            if system.n == 2:
+                pts, line = meshing.build_projective_polyline(system, max(nx, ny))
+                with _writing(out):
+                    meshing.write_obj(out, pts, polyline=line)
+            elif system.n == 3:
+                if not out.endswith(".csv"):
+                    out = os.path.splitext(out)[0] + ".csv"
+                with _writing(out):
+                    meshing.write_projective_cloud(out, system, nx, ny)
+            else:
+                raise ConfigInvalid(
+                    ["mesh.target: cpn meshes support n=2 (polyline) and n=3 (cloud)"]
+                )
         else:
-            raise ConfigInvalid(
-                ["mesh.target: cpn meshes support n=2 (polyline) and n=3 (cloud)"]
+            mesh = meshing.build_surface_mesh(system, nx, ny)
+            vertices = meshing.project_vertices(mesh.vertices, config.mesh_projection)
+            with _writing(out):
+                meshing.write_obj(out, vertices, mesh.faces)
+            chi = mesh.euler_characteristic()
+            sys.stdout.write(
+                "mesh: %d vertices, %d faces, euler_characteristic %d, closed %s\n"
+                % (mesh.vertex_count, len(mesh.faces), chi, str(mesh.is_closed()).lower())
             )
-    else:
-        mesh = meshing.build_surface_mesh(system, nx, ny)
-        vertices = meshing.project_vertices(mesh.vertices, config.mesh_projection)
-        with _writing(out):
-            meshing.write_obj(out, vertices, mesh.faces)
-        chi = mesh.euler_characteristic()
-        sys.stdout.write(
-            "mesh: %d vertices, %d faces, euler_characteristic %d, closed %s\n"
-            % (mesh.vertex_count, len(mesh.faces), chi, str(mesh.is_closed()).lower())
-        )
+    except (DimensionUnsupported, NotACone) as exc:  # ChartUnavailable included
+        raise ConfigInvalid([f"mesh.target: {exc}"]) from None
     sys.stdout.write(f"wrote {out}\n")
     return 0
 

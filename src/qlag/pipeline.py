@@ -8,7 +8,6 @@ module errors are recorded per property instead of aborting the run.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -252,6 +251,25 @@ def _guard(report: dict, key: str, fn) -> None:
         report[key] = {"error": f"{type(exc).__name__}: {exc}", "pass": False}
 
 
+def _once(fn):
+    """fn, run at most once: later calls return its value or raise its
+    error again, which functools.cache would not keep."""
+    result = []
+
+    def call():
+        if not result:
+            try:
+                result.append((fn(), None))
+            except QlagError as exc:
+                result.append((None, exc))
+        value, exc = result[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
 def _lattice_section(system: QuadricSystem) -> dict:
     basis, dual, group = lattice_data(system.exponents)
     signs, _ = action_table(system.exponents)
@@ -293,9 +311,12 @@ def _frame_checks(system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> tuple:
 
 
 def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
+    # the samples are drawn by the first entry that reads them, inside its
+    # guard, so a failed draw is an error entry and not an aborted run
     section: dict[str, Any] = {}
-    U, Y = sample_immersion(system, config.samples, seed=config.seed)
-    checks = functools.cache(functools.partial(_frame_checks, system, U, Y))
+    checks = _once(lambda: _frame_checks(
+        system, *sample_immersion(system, config.samples, seed=config.seed)
+    ))
 
     def lagrangian():
         defects = checks()[0]
@@ -305,23 +326,22 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         )
 
     def cross_block():
-        return _entry(checks()[1], config.verify_tolerance("cross_block"), len(U))
+        return _entry(checks()[1], config.verify_tolerance("cross_block"), config.samples)
 
     def metric_block():
-        return _entry(checks()[2], config.verify_tolerance("metric_block"), len(U))
+        return _entry(checks()[2], config.verify_tolerance("metric_block"), config.samples)
 
     _guard(section, "lagrangian_defect", lagrangian)
     _guard(section, "frame_cross_block", cross_block)
     _guard(section, "torus_metric_form", metric_block)
 
     e = sum_vector(system.exponents)
-    nsub = min(config.curvature_samples, len(U))
-    Uc, Yc = sample_immersion(system, nsub, seed=config.seed + 1, u_floor=0.1)
-
-    h_fd = functools.cache(functools.partial(mean_curvature_fd, system, Uc, Yc))
+    nsub = min(config.curvature_samples, config.samples)
+    sub = _once(lambda: sample_immersion(system, nsub, seed=config.seed + 1, u_floor=0.1))
+    h_fd = _once(lambda: mean_curvature_fd(system, *sub()))
 
     def curvature_match():
-        h_closed = mean_curvature(system, Uc, Yc)
+        h_closed = mean_curvature(system, *sub())
         rel = np.linalg.norm(h_closed - h_fd(), axis=-1) / (
             1.0 + np.linalg.norm(h_closed, axis=-1)
         )
@@ -373,9 +393,9 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         require_cone(system)
     except QlagError as exc:
         return {"skipped": f"projective sweep needs a cone: {exc}"}
-    U, Y = sample_immersion(system, config.samples, seed=config.seed + 2, u_floor=0.05)
 
     def lagrangian():
+        U, Y = sample_immersion(system, config.samples, seed=config.seed + 2, u_floor=0.05)
         worst = 0.0
         for start in range(0, len(U), FRAME_BLOCK):
             block = slice(start, start + FRAME_BLOCK)
@@ -385,18 +405,18 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     _guard(section, "projective_lagrangian_defect", lagrangian)
 
     e = sum_vector(system.exponents)
-    nsub = min(config.curvature_samples, len(U))
-    Uc, Yc = sample_immersion(system, nsub, seed=config.seed + 3, u_floor=0.1)
+    nsub = min(config.curvature_samples, config.samples)
+    sub = _once(lambda: sample_immersion(system, nsub, seed=config.seed + 3, u_floor=0.1))
 
     if all(c == 0 for c in e):
         def minimal_curvature():
-            worst = np.max(projective_mean_curvature(system, Uc, Yc)[1])
+            worst = np.max(projective_mean_curvature(system, *sub())[1])
             return _entry(worst, config.verify_tolerance("projective_curvature"), nsub)
 
         _guard(section, "projective_minimal_curvature", minimal_curvature)
 
     def fiber_angle():
-        worst = np.max(projective_angle_fiber_defect(system, Yc))
+        worst = np.max(projective_angle_fiber_defect(system, sub()[1]))
         return _entry(worst, config.verify_tolerance("fiber_angle"), nsub)
 
     _guard(section, "angle_fiber_invariance", fiber_angle)

@@ -4,8 +4,8 @@ Validation, residuals, normal frames, tangent spaces, Gauss-Newton
 projection onto M and seeded rejection sampling.  Everything is a pure
 function of immutable inputs; samplers are deterministic per (seed, count).
 Every Gauss-Newton call pays the whole iteration loop, so the samplers
-keep their calls few: sample_points projects chunks of at least MIN_BATCH
-rows, and the strata share one call per round.
+keep their calls few: each draws a chunk of guesses as it projects it,
+sample_points MIN_BATCH rows or more, and the strata share each call.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
@@ -263,33 +263,24 @@ def newton_project(
     return points
 
 
-# the samplers' smallest batch of draws, and the smallest chunk of a batch
-# that sample_points projects, which bounds its gauss_newton calls: on one
-# equation a 64-row call costs little more than an 8-row one, on
-# clifford_cone(5) about twice as much
+# the smallest chunk that sample_points projects, which bounds its
+# gauss_newton calls: on one equation a 64-row call costs little more than
+# an 8-row one, on clifford_cone(5) about twice as much
 MIN_BATCH = 64
 
 
-def _chunk_end(start: int, size: int, need: int, tried: int, have: int, floor: int) -> int:
-    """End of the next Gauss-Newton chunk of a batch of ``size`` ordered
-    draws from ``start``, for a sampler that still needs ``need`` points and
-    has accepted ``have`` of the ``tried`` draws it has projected.
-
-    The first chunk is ``need`` rows; later ones scale the shortfall by the
-    acceptance seen so far, and take the rest of the batch while nothing
-    has been accepted.  A chunk holds at least ``floor`` (2 or more) rows,
-    or the rest of the batch, and never one row: the residual of a (1, n)
-    batch takes another BLAS path, whose last bit can differ, so a lone
-    leftover row joins the chunk before it.
-    """
+def _chunk(need: int, tried: int, have: int, batch: int) -> int:
+    """Rows of the next Gauss-Newton chunk for a sampler that needs
+    ``need`` more points and has accepted ``have`` of ``tried`` draws: the
+    quota first, then the shortfall scaled by the acceptance so far, or,
+    while nothing is accepted, the draws up to the next multiple of
+    ``batch``.  Callers floor it at two rows or more, as a (1, n) residual
+    takes another BLAS path whose last bit can differ."""
     if not tried:
-        rows = need
-    elif have:
-        rows = -(-need * tried // have)
-    else:
-        rows = size
-    stop = min(start + max(floor, rows), size)
-    return size if stop == size - 1 else stop
+        return need
+    if have:
+        return -(-need * tried // have)
+    return batch - tried % batch
 
 
 def sample_points(
@@ -304,10 +295,10 @@ def sample_points(
     Points with min_i |u_i| <= u_floor or norm > r_max are rejected, so the
     returned samples are safe for chart-based verification.  Raises
     SamplingExhausted when the acceptance rate is too low (e.g. an empty or
-    unbounded variety at unit scale).  Each batch of draws is projected in
-    quota-sized chunks of at least MIN_BATCH rows, in draw order, until the
-    quota fills; the samples and rejection counts do not depend on the
-    chunking.
+    unbounded variety at unit scale).  Each chunk of at least MIN_BATCH
+    guesses is drawn from the seeded generator as it is projected, in draw
+    order, until the quota fills or the draws reach the cap; the samples
+    and rejection counts do not depend on the chunking.
     """
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
@@ -315,24 +306,20 @@ def sample_points(
         return np.zeros((0, system.n))
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
-    have = attempts = tried = 0
+    have = tried = 0
     rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
     cap = max(2000, 400 * count)
-    batch = start = max(MIN_BATCH, 2 * count)
+    batch = max(MIN_BATCH, 2 * count)
     while have < count:
-        if start == batch:
-            if attempts >= cap:
-                # a dominant "unbounded" count suggests M escapes the radius cap
-                raise SamplingExhausted(
-                    f"accepted {have}/{count} after {attempts} draws "
-                    f"(rejections: {rejected})"
-                )
-            guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
-            attempts += batch
-            start = 0
-        stop = _chunk_end(start, batch, count - have, tried, have, MIN_BATCH)
-        points, status = gauss_newton(system, guesses[start:stop])
-        tried, start = tried + stop - start, stop
+        if tried >= cap:
+            # a dominant "unbounded" count suggests M escapes the radius cap
+            raise SamplingExhausted(
+                f"accepted {have}/{count} after {tried} draws "
+                f"(rejections: {rejected})"
+            )
+        rows = max(MIN_BATCH, _chunk(count - have, tried, have, batch))
+        points, status = gauss_newton(system, rng.normal(0.0, 1.0, size=(rows, system.n)))
+        tried += rows
         ok = status == CONVERGED
         # verdict per draw: the index in `rejected` of its first failed test,
         # -1 when accepted; diverged draws may be non-finite, so the later
@@ -366,54 +353,36 @@ def sample_stratum_points(
 
     Used by the self-intersection scanner, which must probe the strata
     where identifications can occur.  Stratum j draws its guesses on the
-    stratum, which Gauss-Newton never leaves, from default_rng(seed + j).
-    Every stratum is sampled as if alone, in quota-sized chunks as in
-    sample_points; one gauss_newton call per round projects the next chunk
-    of each stratum still sampling, and the points do not depend on which
-    chunks share a call.
+    stratum, which Gauss-Newton never leaves, from default_rng(seed + j),
+    in chunks of two rows or more sized as in sample_points, until its
+    quota fills or its draws reach the cap.  Each round makes one
+    gauss_newton call, of the next chunk of every stratum still sampling;
+    the points do not depend on which chunks share a call.
     """
-    found = [None] * system.n
-    strata = {j: _stratum_sampler(system, j, count, seed + j) for j in range(system.n)}
-    projected = dict.fromkeys(strata)
-    while strata:
-        chunks = {}
-        for j, sampler in list(strata.items()):
-            try:
-                chunks[j] = sampler.send(projected[j])
-            except StopIteration as done:
-                found[j] = done.value
-                del strata[j]
-        if chunks:
-            points, status = gauss_newton(system, np.concatenate(list(chunks.values())))
-            ends = np.cumsum([len(chunk) for chunk in chunks.values()])[:-1]
-            projected = dict(zip(chunks, zip(np.split(points, ends), np.split(status, ends))))
-    return found
-
-
-def _stratum_sampler(system: QuadricSystem, zero_index: int, count: int, seed: int):
-    """The sampler of one stratum of sample_stratum_points: yields each
-    chunk of guesses, is sent its gauss_newton (points, status), and
-    returns the accepted points."""
-    rng = np.random.default_rng(seed)
-    others = np.arange(system.n) != zero_index
-    accepted = [np.zeros((0, system.n))]
-    have = attempts = tried = size = start = 0
+    n = system.n
     cap = max(500, 100 * count)
-    while have < count and (start < size or attempts < cap):
-        if start == size:
-            size = min(max(MIN_BATCH, 2 * count), cap - attempts)
-            guesses = np.zeros((size, system.n))
-            guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
-            attempts += size
-            start = 0
-        stop = _chunk_end(start, size, count - have, tried, have, 2)
-        points, status = yield guesses[start:stop]
-        tried, start = tried + stop - start, stop
-        good = points[status == CONVERGED]
-        take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]
-        accepted.append(take)
-        have += len(take)
-    return np.concatenate(accepted)
+    batch = max(MIN_BATCH, 2 * count)
+    rngs = [np.random.default_rng(seed + j) for j in range(n)]
+    found = [[np.zeros((0, n))] for _ in range(n)]
+    have, tried = [0] * n, [0] * n
+    going = list(range(n)) if count else []
+    while going:
+        chunks = []
+        for j in going:
+            rows = max(2, _chunk(count - have[j], tried[j], have[j], batch))
+            guesses = np.zeros((rows, n))
+            guesses[:, np.arange(n) != j] = rngs[j].normal(0.0, 1.0, size=(rows, n - 1))
+            chunks.append(guesses)
+            tried[j] += rows
+        points, status = gauss_newton(system, np.concatenate(chunks))
+        ends = np.cumsum([len(chunk) for chunk in chunks])[:-1]
+        for j, p, s in zip(going, np.split(points, ends), np.split(status, ends)):
+            good = p[s == CONVERGED]
+            take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have[j]]
+            found[j].append(take)
+            have[j] += len(take)
+        going = [j for j in going if have[j] < count and tried[j] < cap]
+    return [np.concatenate(points) for points in found]
 
 
 def definite(column: Sequence[int], d: float) -> bool:

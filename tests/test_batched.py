@@ -186,8 +186,8 @@ def _reference_sample(system, count, seed=0, u_floor=None):
         # still projects a MIN_BATCH chunk
         ("sphere_cone(5)", 25, 3, 0.1),
         ("sphere_cone(5)", 1, 0, None),
-        # a floored chunk that ends one row short of its batch, so the lone
-        # leftover row joins it (test_sampler_joins_lone_leftover_row)
+        # a floored second chunk that ends one draw short of the 130-draw
+        # mark, where a whole-batch sampler's first batch would end
         ("ellipse", 65, 0, 0.3),
     ],
 )
@@ -196,44 +196,32 @@ def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch)
     expected = _reference_sample(system, count, seed=seed, u_floor=u_floor)
     calls = _count_gauss_newton(monkeypatch)
     assert np.array_equal(sample_points(system, count, seed=seed, u_floor=u_floor), expected)
-    assert min(calls) >= 2
-    # a chunk holds MIN_BATCH rows or more, or the rest of its batch
-    batch = max(quadric.MIN_BATCH, 2 * count)
-    assert all(rows >= quadric.MIN_BATCH or end % batch == 0
-               for rows, end in zip(calls, np.cumsum(calls)))
+    # every chunk holds MIN_BATCH rows or more
+    assert min(calls) >= quadric.MIN_BATCH
     # so a quota filled within its first batch takes at most two calls: the
     # first chunk and one scaled by the acceptance it saw.  The scaled chunk
     # has no margin, and on the two 1000-sample cases at u_floor 0.05 it
     # falls short by a few points, which takes a third call
-    if sum(calls) <= batch:
+    if sum(calls) <= max(quadric.MIN_BATCH, 2 * count):
         assert len(calls) <= (3 if (count, u_floor) == (1000, 0.05) else 2)
 
 
-def test_sampler_joins_lone_leftover_row(monkeypatch):
-    # the ellipse case of test_sampler_matches_per_point_loop at u_floor 0.3:
-    # 36 of its first 65 draws are accepted, so the next chunk scales to 53
-    # rows, is floored to 64 and would end at draw 129 of 130, and the lone
-    # leftover row joins it
-    calls = _count_gauss_newton(monkeypatch)
-    sample_points(ellipse(), 65, seed=0, u_floor=0.3)
-    assert calls == [65, quadric.MIN_BATCH + 1]
-
-
-def test_chunk_end_rule():
-    # (start, size, need, tried, have, floor) -> end of the next chunk
+def test_chunk_rule():
+    # (need, tried, have, batch) -> rows of the next chunk, before the
+    # caller's floor
     cases = [
-        ((0, 100, 50, 0, 0, 64), 64),  # the first chunk: the quota, floored
-        ((0, 2000, 1000, 0, 0, 64), 1000),
-        ((1000, 2000, 100, 1000, 900, 64), 1112),  # ceil(100 * 1000 / 900) rows
-        ((1000, 2000, 10, 1000, 990, 64), 1064),  # 11 rows, floored
-        ((64, 100, 10, 64, 40, 64), 100),  # the rest of the batch is smaller
-        ((64, 192, 96, 96, 0, 64), 192),  # nothing accepted: the rest of the batch
-        ((0, 65, 20, 0, 0, 64), 65),  # a lone leftover row joins the chunk
-        ((0, 8, 1, 0, 0, 2), 2),  # the strata's floor of two rows
-        ((0, 64, 63, 0, 0, 2), 64),
+        ((50, 0, 0, 100), 50),  # the first chunk: the quota
+        ((1000, 0, 0, 2000), 1000),
+        ((100, 1000, 900, 2000), 112),  # ceil(100 * 1000 / 900)
+        ((10, 1000, 990, 2000), 11),
+        ((10, 64, 40, 100), 16),  # a scaled chunk may cross a multiple of batch
+        ((96, 96, 0, 192), 96),  # nothing accepted: up to the next multiple
+        ((96, 192, 0, 192), 192),
+        ((2, 64, 0, 64), 64),
+        ((1, 0, 0, 64), 1),  # floored by the caller: MIN_BATCH or two rows
     ]
-    for args, end in cases:
-        assert quadric._chunk_end(*args) == end, args
+    for args, rows in cases:
+        assert quadric._chunk(*args) == rows, args
 
 
 def _count_gauss_newton(monkeypatch):
@@ -250,9 +238,9 @@ def _count_gauss_newton(monkeypatch):
 
 def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
     # the first chunk is the quota, or MIN_BATCH rows when that is more;
-    # with nothing accepted, each chunk after it is the rest of its batch,
-    # so every draw is projected once: one call per 64-draw batch at count
-    # 2, one call more than one per 192-draw batch at count 96
+    # with nothing accepted, each chunk after it runs to the next multiple
+    # of the batch, max(MIN_BATCH, 2 * count) draws: one call per 64 draws
+    # at count 2, one call more than one per 192 draws at count 96
     empty = QuadricSystem([[1], [2]], [-1.0])
     for count, ncalls, draws in ((2, 32, 2048), (96, 201, 38400)):
         with pytest.raises(SamplingExhausted) as expected:
@@ -263,6 +251,52 @@ def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
         monkeypatch.undo()
         assert str(got.value) == str(expected.value)
         assert (len(calls), sum(calls)) == (ncalls, draws)
+
+
+# every sampler call of the benchmark workloads at seed 0: each analyze
+# sweep's samples and curvature subsample, and the collision scan's generic
+# points
+WORKLOAD_CALLS = [
+    ("ellipse", 1000, 0, None), ("ellipse", 20, 1, 0.1),
+    ("klein_bottle_cone", 1000, 0, None), ("klein_bottle_cone", 20, 1, 0.1),
+    ("klein_bottle_cone", 1000, 2, 0.05), ("klein_bottle_cone", 20, 3, 0.1),
+    ("clifford_cone(5)", 96, 0, None), ("clifford_cone(5)", 8, 1, 0.1),
+    ("clifford_cone(5)", 96, 2, 0.05), ("clifford_cone(5)", 8, 3, 0.1),
+    ("clifford_cone(5)", 96, 4, None), ("clifford_cone(5)", 231, 5, 1e-6),
+    ("product_torus([1,2,3])", 120, 0, None), ("product_torus([1,2,3])", 20, 1, 0.1),
+]
+
+
+def _count_draws(monkeypatch):
+    """Rows of each normal draw from the generators the samplers make."""
+    drawn = []
+
+    class Counted:
+        def __init__(self, seed, make=np.random.default_rng):
+            self.rng = make(seed)
+
+        def normal(self, loc, scale, size):
+            drawn.append(size[0])
+            return self.rng.normal(loc, scale, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return drawn
+
+
+@pytest.mark.parametrize("name, count, seed, u_floor", WORKLOAD_CALLS)
+def test_sampler_draws_only_the_rows_it_projects(name, count, seed, u_floor, monkeypatch):
+    drawn, calls = _count_draws(monkeypatch), _count_gauss_newton(monkeypatch)
+    sample_points(SYSTEMS[name](), count, seed=seed, u_floor=u_floor)
+    assert drawn == calls
+
+
+@pytest.mark.parametrize("name, seed", [("sphere_cone(5)", 0), ("clifford_cone(5)", 5)])
+def test_strata_draw_only_the_rows_they_project(name, seed, monkeypatch):
+    # every stratum, the empty u5 = 0 of sphere_cone(5) included; the
+    # collision scan of clifford_cone(5) samples its strata at seed 5
+    drawn, calls = _count_draws(monkeypatch), _count_gauss_newton(monkeypatch)
+    sample_stratum_points(SYSTEMS[name](), 8, seed=seed)
+    assert sum(drawn) == sum(calls)
 
 
 def _reference_stratum_sample(system, zero_index, count, seed=0):
@@ -321,11 +355,12 @@ def test_stratum_sampler_projects_its_quota(monkeypatch):
 
 def test_empty_stratum_makes_one_call_more_than_one_per_batch(monkeypatch):
     # the four feasible strata fill in the first call, which the empty
-    # u5 = 0 shares; its 800 draws take 13 batches and 14 calls
+    # u5 = 0 shares; it stops at the first chunk boundary at or past its
+    # 800-draw cap, 13 batches of 64 draws in 14 calls
     calls = _count_gauss_newton(monkeypatch)
     strata = sample_stratum_points(sphere_cone(5), 8, seed=0)
     assert [len(pts) for pts in strata] == [8, 8, 8, 8, 0]
-    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 800)
+    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 13 * 64)
 
 
 def _reference_gauss_newton(system, guesses, polish=False):

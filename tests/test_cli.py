@@ -58,6 +58,10 @@ CONFIGS = sorted(
 )
 
 
+def _shipped(name):
+    return next(path for path in CONFIGS if os.path.basename(path) == name)
+
+
 def test_configs_are_shipped():
     assert CONFIGS
 
@@ -182,8 +186,7 @@ def test_invalid_field_is_config_error(tmp_path, capsys, patch, field):
 
 
 def test_verify_cpn_on_a_non_cone_is_config_error(capsys):
-    ellipse = next(path for path in CONFIGS if os.path.basename(path) == "ellipse.json")
-    assert main(["verify-cpn", ellipse]) == 2
+    assert main(["verify-cpn", _shipped("ellipse.json")]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         "config error: sweeps: the report checks nothing (sweeps run: cpn)"
@@ -306,6 +309,35 @@ def test_mesh_resolution_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        ("klein_cone.json", "surface meshes require n=2, k=1"),
+        ({"n": 2, "k": 1, "rows": [[1], [-1]], "constants": [0.0]},
+         "surface charts need a compact conic (ellipse)"),
+        (dict(ELLIPSE, mesh={"target": "cpn"}), "constants (1.0,) are not all zero"),
+        ({"n": 3, "k": 2, "rows": [[1], [1], [1]], "constants": [1.0],
+          "mesh": {"target": "cpn"}}, "constants (1.0,) are not all zero"),
+        ({"n": 3, "k": 1, "rows": [[1, 0], [0, 1], [-1, -1]], "constants": [0.0, 0.0],
+          "mesh": {"target": "cpn"}}, "link charts are built for n=3 single-equation cones"),
+        ({"n": 2, "k": 1, "rows": [[1], [1]], "constants": [0.0],
+          "mesh": {"target": "cpn"}}, "n=2 cone needs opposite signs"),
+    ],
+    ids=["klein-cone-cn", "line-pair-cone-cn", "ellipse-cpn", "ellipsoid-cpn",
+         "clifford-cone-3-cpn", "point-cone-cpn"],
+)
+def test_mesh_of_an_unmeshable_instance_is_a_config_error(config, reason, tmp_path, capsys):
+    # mesh checks nothing, so an instance it cannot mesh is not a failed check
+    cfg = _shipped(config) if isinstance(config, str) else _write(tmp_path, config)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["mesh", cfg, "--out", str(out / "m.obj")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: mesh.target: {reason}"]
+    assert not any(out.iterdir())
+
+
 OUT_TARGETS = {
     "analyze": ("analyze", ELLIPSE),
     "surface": ("mesh", dict(ELLIPSE, mesh={"resolution": [16, 8]})),
@@ -353,6 +385,44 @@ def test_run_analyze_errors_recorded_not_fatal():
     assert "skipped" in report["cpn"]
     text = serialize_report(report)
     assert "skipped" in text
+
+
+@pytest.mark.parametrize(
+    "config, failed",
+    [
+        # the curvature subsample's u_floor 0.1 is past the semi-axis 1/sqrt(200)
+        ({"n": 2, "k": 1, "rows": [[1], [200]], "constants": [1.0], "samples": 50},
+         {"curvature_match": "accepted 0/20 after 8000 draws"}),
+        # the empty variety: every entry that reads a sample
+        ({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [-1.0], "samples": 2,
+          "sweeps": {"cn": True}},
+         dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
+                        "curvature_match"], "accepted 0/2 after 2048 draws")),
+    ],
+    ids=["thin-ellipse", "empty-variety"],
+)
+def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
+    from qlag import pipeline
+
+    draws = []
+
+    def counted(*args, original=pipeline.sample_immersion, **kwargs):
+        draws.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_immersion", counted)
+    assert main(["analyze", _write(tmp_path, config)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    for key, entry in report["cn"].items():
+        if key in failed:
+            assert entry["pass"] is False
+            assert entry["error"].startswith(f"SamplingExhausted: {failed[key]} ")
+        else:
+            assert "error" not in entry
+    # each draw runs once, however many entries read it: the cn samples,
+    # the curvature subsample and, with the quotient sweep, the orbit check's
+    samples = config["samples"]
+    assert draws == [samples, min(20, samples)] + [samples] * ("quotient" in report)
 
 
 def test_instance_config_field_messages():
