@@ -5,7 +5,8 @@ projection onto M and seeded rejection sampling.  Everything is a pure
 function of immutable inputs; samplers are deterministic per (seed, count).
 Every Gauss-Newton call pays the whole iteration loop, so the samplers
 keep their calls few: each draws a chunk of guesses as it projects it,
-sample_points MIN_BATCH rows or more, and the strata share each call.
+sample_points MIN_BATCH rows or the rest of a batch, and the strata
+share each call.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
@@ -269,18 +270,20 @@ def newton_project(
 MIN_BATCH = 64
 
 
-def _chunk(need: int, tried: int, have: int, batch: int) -> int:
+def _chunk(need: int, tried: int, have: int, rest: int, floor: int) -> int:
     """Rows of the next Gauss-Newton chunk for a sampler that needs
-    ``need`` more points and has accepted ``have`` of ``tried`` draws: the
-    quota first, then the shortfall scaled by the acceptance so far, or,
-    while nothing is accepted, the draws up to the next multiple of
-    ``batch``.  Callers floor it at two rows or more, as a (1, n) residual
-    takes another BLAS path whose last bit can differ."""
-    if not tried:
-        return need
+    ``need`` more points, has accepted ``have`` of ``tried`` draws and has
+    ``rest`` left in its batch: the quota, then the shortfall scaled by the
+    acceptance so far, or the rest while nothing is accepted.  A chunk holds
+    ``floor`` rows (2 or more) or the rest, and neither crosses the batch
+    end nor leaves one row before it: the residual of a (1, n) batch takes
+    another BLAS path, whose last bit can differ."""
     if have:
-        return -(-need * tried // have)
-    return batch - tried % batch
+        rows = -(-need * tried // have)
+    else:
+        rows = rest if tried else need
+    rows = max(floor, rows)
+    return rest if rows >= rest - 1 else rows
 
 
 def sample_points(
@@ -295,10 +298,11 @@ def sample_points(
     Points with min_i |u_i| <= u_floor or norm > r_max are rejected, so the
     returned samples are safe for chart-based verification.  Raises
     SamplingExhausted when the acceptance rate is too low (e.g. an empty or
-    unbounded variety at unit scale).  Each chunk of at least MIN_BATCH
-    guesses is drawn from the seeded generator as it is projected, in draw
-    order, until the quota fills or the draws reach the cap; the samples
-    and rejection counts do not depend on the chunking.
+    unbounded variety at unit scale).  Each chunk of guesses, MIN_BATCH or
+    the rest of a batch of max(MIN_BATCH, 2 * count) draws, is drawn from
+    the seeded generator as it is projected, in draw order, until the quota
+    fills or a batch ends at or past the cap; the samples and rejection
+    counts do not depend on the chunking.
     """
     tol = system.tolerances
     floor = tol.u_floor if u_floor is None else u_floor
@@ -317,7 +321,7 @@ def sample_points(
                 f"accepted {have}/{count} after {tried} draws "
                 f"(rejections: {rejected})"
             )
-        rows = max(MIN_BATCH, _chunk(count - have, tried, have, batch))
+        rows = _chunk(count - have, tried, have, batch - tried % batch, MIN_BATCH)
         points, status = gauss_newton(system, rng.normal(0.0, 1.0, size=(rows, system.n)))
         tried += rows
         ok = status == CONVERGED
@@ -354,10 +358,10 @@ def sample_stratum_points(
     Used by the self-intersection scanner, which must probe the strata
     where identifications can occur.  Stratum j draws its guesses on the
     stratum, which Gauss-Newton never leaves, from default_rng(seed + j),
-    in chunks of two rows or more sized as in sample_points, until its
-    quota fills or its draws reach the cap.  Each round makes one
-    gauss_newton call, of the next chunk of every stratum still sampling;
-    the points do not depend on which chunks share a call.
+    in chunks sized as in sample_points but of two rows or more, until its
+    quota fills or its draws reach the cap, where its last batch ends.
+    Each round makes one gauss_newton call, of the next chunk of every
+    stratum still sampling; the points do not depend on the calls.
     """
     n = system.n
     cap = max(500, 100 * count)
@@ -369,7 +373,8 @@ def sample_stratum_points(
     while going:
         chunks = []
         for j in going:
-            rows = max(2, _chunk(count - have[j], tried[j], have[j], batch))
+            rest = min(batch - tried[j] % batch, cap - tried[j])
+            rows = _chunk(count - have[j], tried[j], have[j], rest, 2)
             guesses = np.zeros((rows, n))
             guesses[:, np.arange(n) != j] = rngs[j].normal(0.0, 1.0, size=(rows, n - 1))
             chunks.append(guesses)

@@ -34,6 +34,7 @@ from qlag.projective import link_tangent_frame, projective_lagrangian_defect
 from qlag.quadric import (
     CONVERGED,
     QuadricSystem,
+    Tolerances,
     gauss_newton,
     orthonormalize,
     sample_points,
@@ -186,8 +187,8 @@ def _reference_sample(system, count, seed=0, u_floor=None):
         # still projects a MIN_BATCH chunk
         ("sphere_cone(5)", 25, 3, 0.1),
         ("sphere_cone(5)", 1, 0, None),
-        # a floored second chunk that ends one draw short of the 130-draw
-        # mark, where a whole-batch sampler's first batch would end
+        # a floored chunk that ends one row short of its batch, so the lone
+        # leftover row joins it (test_sampler_joins_lone_leftover_row)
         ("ellipse", 65, 0, 0.3),
     ],
 )
@@ -196,29 +197,63 @@ def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch)
     expected = _reference_sample(system, count, seed=seed, u_floor=u_floor)
     calls = _count_gauss_newton(monkeypatch)
     assert np.array_equal(sample_points(system, count, seed=seed, u_floor=u_floor), expected)
-    # every chunk holds MIN_BATCH rows or more
-    assert min(calls) >= quadric.MIN_BATCH
+    assert min(calls) >= 2
+    # a chunk holds MIN_BATCH rows or more, or the rest of its batch
+    batch = max(quadric.MIN_BATCH, 2 * count)
+    assert all(rows >= quadric.MIN_BATCH or end % batch == 0
+               for rows, end in zip(calls, np.cumsum(calls)))
     # so a quota filled within its first batch takes at most two calls: the
     # first chunk and one scaled by the acceptance it saw.  The scaled chunk
     # has no margin, and on the two 1000-sample cases at u_floor 0.05 it
     # falls short by a few points, which takes a third call
-    if sum(calls) <= max(quadric.MIN_BATCH, 2 * count):
+    if sum(calls) <= batch:
         assert len(calls) <= (3 if (count, u_floor) == (1000, 0.05) else 2)
 
 
+@pytest.mark.parametrize(
+    "count, seed, u_floor", [(5, 3, 0.57), (10, 2, 0.565), (10, 3, 0.572), (33, 0, 0.57)]
+)
+def test_sampler_exhausts_where_per_point_loop_does(count, seed, u_floor, monkeypatch):
+    # min_i |u_i| > u_floor holds on little of the unit sphere, whose points
+    # have min_i |u_i| <= 1/sqrt(3) ~ 0.577: a few draws are kept, the
+    # chunks scaled by them run past the first batch, and the cap is reached
+    # at a batch end, after the draws the per-point loop makes
+    sphere = ellipsoid([1, 1, 1])
+    with pytest.raises(SamplingExhausted) as expected:
+        _reference_sample(sphere, count, seed=seed, u_floor=u_floor)
+    assert not str(expected.value).startswith("accepted 0/")
+    calls = _count_gauss_newton(monkeypatch)
+    with pytest.raises(SamplingExhausted) as got:
+        sample_points(sphere, count, seed=seed, u_floor=u_floor)
+    assert str(got.value) == str(expected.value)
+    # no call holds more than a batch
+    assert max(calls) <= max(quadric.MIN_BATCH, 2 * count)
+
+
+def test_sampler_joins_lone_leftover_row(monkeypatch):
+    # the ellipse case of test_sampler_matches_per_point_loop at u_floor 0.3:
+    # 36 of its first 65 draws are accepted, so the next chunk scales to 53
+    # rows, is floored to 64 and would end at draw 129 of 130, and the lone
+    # leftover row joins it
+    calls = _count_gauss_newton(monkeypatch)
+    sample_points(ellipse(), 65, seed=0, u_floor=0.3)
+    assert calls == [65, quadric.MIN_BATCH + 1]
+
+
 def test_chunk_rule():
-    # (need, tried, have, batch) -> rows of the next chunk, before the
-    # caller's floor
+    # (need, tried, have, rest, floor) -> rows of the next chunk
     cases = [
-        ((50, 0, 0, 100), 50),  # the first chunk: the quota
-        ((1000, 0, 0, 2000), 1000),
-        ((100, 1000, 900, 2000), 112),  # ceil(100 * 1000 / 900)
-        ((10, 1000, 990, 2000), 11),
-        ((10, 64, 40, 100), 16),  # a scaled chunk may cross a multiple of batch
-        ((96, 96, 0, 192), 96),  # nothing accepted: up to the next multiple
-        ((96, 192, 0, 192), 192),
-        ((2, 64, 0, 64), 64),
-        ((1, 0, 0, 64), 1),  # floored by the caller: MIN_BATCH or two rows
+        ((50, 0, 0, 100, 64), 64),  # the first chunk: the quota, floored
+        ((1000, 0, 0, 2000, 64), 1000),
+        ((100, 1000, 900, 1000, 64), 112),  # ceil(100 * 1000 / 900) rows
+        ((10, 1000, 990, 1000, 64), 64),  # 11 rows, floored
+        ((10, 64, 40, 36, 64), 36),  # the rest of the batch is smaller
+        ((999, 1000, 1, 1000, 64), 1000),  # 999000 rows, clipped to the batch
+        ((96, 96, 0, 96, 64), 96),  # nothing accepted: the rest of the batch
+        ((20, 0, 0, 65, 64), 65),  # a lone leftover row joins the chunk
+        ((1, 0, 0, 64, 2), 2),  # the strata's floor of two rows
+        ((63, 0, 0, 64, 2), 64),
+        ((8, 768, 0, 32, 2), 32),  # a stratum's last batch, cut at its cap
     ]
     for args, rows in cases:
         assert quadric._chunk(*args) == rows, args
@@ -267,9 +302,11 @@ WORKLOAD_CALLS = [
 ]
 
 
-def _count_draws(monkeypatch):
-    """Rows of each normal draw from the generators the samplers make."""
-    drawn = []
+def _draws_per_call(monkeypatch):
+    """Two lists: for each gauss_newton call the samplers make, the rows
+    drawn from their generators since the call before and the rows it
+    projects; and the rows of each draw since the last call."""
+    pairs, drawn = [], []
 
     class Counted:
         def __init__(self, seed, make=np.random.default_rng):
@@ -279,24 +316,32 @@ def _count_draws(monkeypatch):
             drawn.append(size[0])
             return self.rng.normal(loc, scale, size=size)
 
+    def counted(system, guesses, polish=False, original=quadric.gauss_newton):
+        pairs.append((sum(drawn), len(guesses)))
+        drawn.clear()
+        return original(system, guesses, polish)
+
     monkeypatch.setattr(np.random, "default_rng", Counted)
-    return drawn
+    monkeypatch.setattr(quadric, "gauss_newton", counted)
+    return pairs, drawn
 
 
 @pytest.mark.parametrize("name, count, seed, u_floor", WORKLOAD_CALLS)
 def test_sampler_draws_only_the_rows_it_projects(name, count, seed, u_floor, monkeypatch):
-    drawn, calls = _count_draws(monkeypatch), _count_gauss_newton(monkeypatch)
+    pairs, after = _draws_per_call(monkeypatch)
     sample_points(SYSTEMS[name](), count, seed=seed, u_floor=u_floor)
-    assert drawn == calls
+    assert pairs and all(drawn == rows for drawn, rows in pairs)
+    assert after == []
 
 
 @pytest.mark.parametrize("name, seed", [("sphere_cone(5)", 0), ("clifford_cone(5)", 5)])
 def test_strata_draw_only_the_rows_they_project(name, seed, monkeypatch):
     # every stratum, the empty u5 = 0 of sphere_cone(5) included; the
     # collision scan of clifford_cone(5) samples its strata at seed 5
-    drawn, calls = _count_draws(monkeypatch), _count_gauss_newton(monkeypatch)
+    pairs, after = _draws_per_call(monkeypatch)
     sample_stratum_points(SYSTEMS[name](), 8, seed=seed)
-    assert sum(drawn) == sum(calls)
+    assert pairs and all(drawn == rows for drawn, rows in pairs)
+    assert after == []
 
 
 def _reference_stratum_sample(system, zero_index, count, seed=0):
@@ -355,12 +400,23 @@ def test_stratum_sampler_projects_its_quota(monkeypatch):
 
 def test_empty_stratum_makes_one_call_more_than_one_per_batch(monkeypatch):
     # the four feasible strata fill in the first call, which the empty
-    # u5 = 0 shares; it stops at the first chunk boundary at or past its
-    # 800-draw cap, 13 batches of 64 draws in 14 calls
+    # u5 = 0 shares; its 800-draw cap is 12 batches of 64 and one of 32
     calls = _count_gauss_newton(monkeypatch)
     strata = sample_stratum_points(sphere_cone(5), 8, seed=0)
     assert [len(pts) for pts in strata] == [8, 8, 8, 8, 0]
-    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 13 * 64)
+    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 12 * 64 + 32)
+
+
+def test_stratum_sampler_keeps_few_draws_within_its_cap():
+    # about one draw in a thousand projects within r_max = 0.01 of the
+    # origin on the klein cone's u1 = 0 and u2 = 0 strata: they keep a few
+    # points, but do not fill within the 800 draws of their cap
+    cone = klein_bottle_cone()
+    system = QuadricSystem(cone.exponents, cone.constants, Tolerances(r_max=0.01))
+    strata = sample_stratum_points(system, 8, seed=0)
+    assert [len(pts) for pts in strata] == [1, 4, 8]
+    for j, got in enumerate(strata):
+        assert np.array_equal(got, _reference_stratum_sample(system, j, 8, seed=j))
 
 
 def _reference_gauss_newton(system, guesses, polish=False):
