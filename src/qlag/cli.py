@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands:
+Commands (options may come before or after them, and -h lists them):
   analyze             full verification report for an instance config
   verify-cn           complex-space property suite only
   verify-cpn          projective property suite only (cones)
@@ -33,9 +33,8 @@ from .pipeline import (
     serialize_report,
 )
 
-TOL_FLAGS = sorted(
-    name.replace("_", "-") for name in VERIFY_TOLERANCES
-) + ["residual", "rank", "u-floor", "fd-step"]
+# the tolerance keys a --tol-<key> flag sets, with dashes for underscores
+TOL_FLAGS = sorted(VERIFY_TOLERANCES) + ["residual", "rank", "u_floor", "fd_step"]
 
 # name -> (help, the sweeps it runs); analyze runs the config's own sweeps
 # and mesh writes geometry instead of a report
@@ -55,23 +54,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build and numerically certify Lagrangian immersions "
         "from integer quadric systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to the instance config (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument(
-            "--samples", type=int, default=None, help="override sample count"
-        )
-        p.add_argument("--out", default=None, help="also write the output to a file")
-        for flag in TOL_FLAGS:
-            p.add_argument(
-                f"--tol-{flag}",
-                type=float,
-                default=None,
-                dest=f"tol_{flag.replace('-', '_')}",
-                help=f"override tolerance {flag}",
-            )
+    parser.add_argument(
+        "command",
+        choices=COMMANDS,
+        help="; ".join(f"{name}: {help_text}" for name, (help_text, _) in COMMANDS.items()),
+    )
+    parser.add_argument("config", help="path to the instance config (JSON)")
+    parser.add_argument("--seed", type=int, help="override RNG seed")
+    parser.add_argument("--samples", type=int, help="override sample count")
+    parser.add_argument("--out", help="also write the output to a file")
+    for key in TOL_FLAGS:
+        parser.add_argument(f"--tol-{key.replace('_', '-')}", type=float, dest=key,
+                            help=f"override tolerance {key}")
     return parser
 
 
@@ -93,10 +87,10 @@ def _load_config(args) -> InstanceConfig:
     if not isinstance(tolerances, dict):
         raise ConfigInvalid(["tolerances: must be an object"])
     tolerances = dict(tolerances)
-    for flag in TOL_FLAGS:
-        value = getattr(args, f"tol_{flag.replace('-', '_')}", None)
+    for key in TOL_FLAGS:
+        value = getattr(args, key)
         if value is not None:
-            tolerances[flag.replace("-", "_")] = value
+            tolerances[key] = value
     raw["tolerances"] = tolerances
     return InstanceConfig.from_dict(raw)
 

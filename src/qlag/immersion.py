@@ -434,10 +434,7 @@ def chart_mesh(
         u_nodes = point(t)  # (Nt, n)
         v_nodes = velocity(t)
         gx = np.sum(v_nodes * v_nodes, axis=-1)  # (Nt,)
-        E = system.matrix
-        usq = u_nodes * u_nodes  # (Nt, n)
-        gy_nodes = np.pi**2 * np.einsum("ia,ti,ib->tab", E, usq, E)
-        gy_nodes = box @ gy_nodes @ box.T  # pull back to unit torus coords
+        gy_nodes = box @ torus_metric(system, u_nodes) @ box.T  # in unit torus coords
         mx = np.zeros(shape[:1] + (dim, dim))
         mx[:, 0, 0] = gx
         mx[:, 1:, 1:] = gy_nodes

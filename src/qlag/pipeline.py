@@ -232,13 +232,15 @@ class InstanceConfig:
         return float(self.tolerances.get(name, VERIFY_TOLERANCES[name]))
 
 
-def _entry(value: float, tolerance: float, count: int, mean: float | None = None) -> dict:
-    out = {"max": float(value)}
-    if mean is not None:
-        out["mean"] = float(mean)
-    out["count"] = int(count)
+def _entry(values, tolerance: float, count: int | None = None, mean: bool = False) -> dict:
+    """The max of values (and, with mean, their mean) judged against
+    tolerance; count defaults to the number of values, one per sample."""
+    out = {"max": float(np.max(values))}
+    if mean:
+        out["mean"] = float(np.mean(values))
+    out["count"] = int(len(values) if count is None else count)
     out["tolerance"] = float(tolerance)
-    out["pass"] = bool(value <= tolerance)
+    out["pass"] = bool(out["max"] <= tolerance)
     return out
 
 
@@ -297,39 +299,46 @@ def _budget_resolution(cap: int, budget: int, dim: int) -> int:
     return r
 
 
-def _frame_checks(system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> tuple:
-    """(Lagrangian defect per sample, worst cross block, worst metric block),
-    all read off one batched frame bundle per block of FRAME_BLOCK samples."""
-    defects, cross, metric = [], 0.0, 0.0
-    for start in range(0, len(U), FRAME_BLOCK):
-        u, y = U[start:start + FRAME_BLOCK], Y[start:start + FRAME_BLOCK]
-        fb = frame_at(system, u, y)
-        defects.append(fb.symplectic_defect())
-        cross = max(cross, np.max(fb.cross_defect()))
-        metric = max(metric, np.max(np.abs(fb.metric_y - torus_metric(system, u))))
-    return np.concatenate(defects), cross, metric
+def _blockwise(check, system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """check(system, u, y) over blocks of FRAME_BLOCK samples, its per-sample
+    values joined along the last axis."""
+    return np.concatenate([
+        check(system, U[start:start + FRAME_BLOCK], Y[start:start + FRAME_BLOCK])
+        for start in range(0, len(U), FRAME_BLOCK)
+    ], axis=-1)
+
+
+def _frame_checks(system: QuadricSystem, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lagrangian defect, cross block and torus metric block error, (3, N)
+    for N samples, read off one batched frame bundle."""
+    fb = frame_at(system, u, y)
+    metric = np.max(np.abs(fb.metric_y - torus_metric(system, u)), axis=(-2, -1))
+    return np.stack([fb.symplectic_defect(), fb.cross_defect(), metric])
+
+
+def _subsample(system: QuadricSystem, draw, count: int, seed: int):
+    """The curvature subsample, at u_floor min(0.1, m / 2) with m the largest
+    min_i |u_i| over draw()'s points, so it can be drawn where every point
+    has a coordinate below 0.1; a failed draw() fails it with its message."""
+    m = np.max(np.min(np.abs(draw()[0]), axis=-1))
+    return sample_immersion(system, count, seed=seed, u_floor=min(0.1, float(m) / 2))
 
 
 def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     # the samples are drawn by the first entry that reads them, inside its
     # guard, so a failed draw is an error entry and not an aborted run
     section: dict[str, Any] = {}
-    checks = _once(lambda: _frame_checks(
-        system, *sample_immersion(system, config.samples, seed=config.seed)
-    ))
+    draw = _once(lambda: sample_immersion(system, config.samples, seed=config.seed))
+    checks = _once(lambda: _blockwise(_frame_checks, system, *draw()))
 
     def lagrangian():
-        defects = checks()[0]
-        return _entry(
-            np.max(defects), config.verify_tolerance("lagrangian"), len(defects),
-            mean=float(np.mean(defects)),
-        )
+        return _entry(checks()[0], config.verify_tolerance("lagrangian"), mean=True)
 
     def cross_block():
-        return _entry(checks()[1], config.verify_tolerance("cross_block"), config.samples)
+        return _entry(checks()[1], config.verify_tolerance("cross_block"))
 
     def metric_block():
-        return _entry(checks()[2], config.verify_tolerance("metric_block"), config.samples)
+        return _entry(checks()[2], config.verify_tolerance("metric_block"))
 
     _guard(section, "lagrangian_defect", lagrangian)
     _guard(section, "frame_cross_block", cross_block)
@@ -337,7 +346,7 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     e = sum_vector(system.exponents)
     nsub = min(config.curvature_samples, config.samples)
-    sub = _once(lambda: sample_immersion(system, nsub, seed=config.seed + 1, u_floor=0.1))
+    sub = _once(lambda: _subsample(system, draw, nsub, config.seed + 1))
     h_fd = _once(lambda: mean_curvature_fd(system, *sub()))
 
     def curvature_match():
@@ -345,14 +354,14 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
         rel = np.linalg.norm(h_closed - h_fd(), axis=-1) / (
             1.0 + np.linalg.norm(h_closed, axis=-1)
         )
-        return _entry(np.max(rel), config.verify_tolerance("curvature_match"), nsub)
+        return _entry(rel, config.verify_tolerance("curvature_match"))
 
     _guard(section, "curvature_match", curvature_match)
 
     if all(c == 0 for c in e):
         def minimal_curvature():
-            worst = np.max(np.linalg.norm(h_fd(), axis=-1))
-            return _entry(worst, config.verify_tolerance("minimal_curvature"), nsub)
+            norms = np.linalg.norm(h_fd(), axis=-1)
+            return _entry(norms, config.verify_tolerance("minimal_curvature"))
 
         _guard(section, "minimal_curvature", minimal_curvature)
 
@@ -394,30 +403,29 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     except QlagError as exc:
         return {"skipped": f"projective sweep needs a cone: {exc}"}
 
+    draw = _once(lambda: sample_immersion(system, config.samples, seed=config.seed + 2,
+                                          u_floor=0.05))
+
     def lagrangian():
-        U, Y = sample_immersion(system, config.samples, seed=config.seed + 2, u_floor=0.05)
-        worst = 0.0
-        for start in range(0, len(U), FRAME_BLOCK):
-            block = slice(start, start + FRAME_BLOCK)
-            worst = max(worst, projective_lagrangian_defect(system, U[block], Y[block]))
-        return _entry(worst, config.verify_tolerance("projective_lagrangian"), len(U))
+        defects = _blockwise(projective_lagrangian_defect, system, *draw())
+        return _entry(defects, config.verify_tolerance("projective_lagrangian"))
 
     _guard(section, "projective_lagrangian_defect", lagrangian)
 
     e = sum_vector(system.exponents)
     nsub = min(config.curvature_samples, config.samples)
-    sub = _once(lambda: sample_immersion(system, nsub, seed=config.seed + 3, u_floor=0.1))
+    sub = _once(lambda: _subsample(system, draw, nsub, config.seed + 3))
 
     if all(c == 0 for c in e):
         def minimal_curvature():
-            worst = np.max(projective_mean_curvature(system, *sub())[1])
-            return _entry(worst, config.verify_tolerance("projective_curvature"), nsub)
+            norms = projective_mean_curvature(system, *sub())[1]
+            return _entry(norms, config.verify_tolerance("projective_curvature"))
 
         _guard(section, "projective_minimal_curvature", minimal_curvature)
 
     def fiber_angle():
-        worst = np.max(projective_angle_fiber_defect(system, sub()[1]))
-        return _entry(worst, config.verify_tolerance("fiber_angle"), nsub)
+        defects = projective_angle_fiber_defect(system, sub()[1])
+        return _entry(defects, config.verify_tolerance("fiber_angle"))
 
     _guard(section, "angle_fiber_invariance", fiber_angle)
 

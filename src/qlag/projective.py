@@ -135,29 +135,15 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     return p, frame
 
 
-def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> float:
-    """Largest Fubini-Study symplectic pairing among pushed-forward link
-    frames over matched (N, n) and (N, m) sample arrays U, Y."""
-    if not len(U):
-        return 0.0
+def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> np.ndarray:
+    """Largest Fubini-Study symplectic pairing among the pushed-forward link
+    frame rows, one value per sample of matched (N, n) and (N, m) arrays U, Y."""
     p, frame = link_tangent_frame(system, U, Y)
     # the strict upper triangle: Im of the computed Gram is not exactly
     # antisymmetric, so the lower one could differ in its last bits
     upper = np.triu_indices(p.shape[-1] - 1, 1)
     omega = np.imag(chart_gram(p, frame))[:, upper[0], upper[1]]
-    return float(np.max(np.abs(omega), initial=0.0))
-
-
-def projective_angle(system: QuadricSystem, y):
-    """Lagrangian angle of the projected immersion at torus angles y (one
-    per row of a (N, m) batch).
-
-    The angle downstairs equals the ambient angle at the spherical lift,
-    which depends on y only, so this is the plain angle evaluation guarded
-    by the cone requirement.
-    """
-    require_cone(system)
-    return lagrangian_angle(system, y)
+    return np.max(np.abs(omega), axis=-1, initial=0.0)
 
 
 def fiber_phase_shifts(system: QuadricSystem) -> np.ndarray:
@@ -183,11 +169,15 @@ def projective_angle_fiber_defect(system: QuadricSystem, y) -> np.ndarray:
     even n that is a full turn.  For odd n the holomorphic volume form
     changes sign, Omega(-z) = -Omega(z), so the angle downstairs is defined
     only mod pi, and the change is reduced mod pi.  Zero up to rounding.
+
+    The projected angle is the ambient Lagrangian angle at the spherical
+    lift, which depends on y only, so on a cone it is lagrangian_angle.
     """
+    require_cone(system)
     y = np.asarray(y, dtype=float)
     period = np.pi if system.n % 2 else TWO_PI
-    base = projective_angle(system, y)
-    shifted = projective_angle(system, y[..., None, :] + fiber_phase_shifts(system))
+    base = lagrangian_angle(system, y)
+    shifted = lagrangian_angle(system, y[..., None, :] + fiber_phase_shifts(system))
     diff = (shifted - base[..., None]) % period
     return np.max(np.minimum(diff, period - diff), axis=-1, initial=0.0)
 

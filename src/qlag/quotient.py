@@ -56,11 +56,12 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
     never = size * stride
     order = np.arange(size)
     first = np.where(leaves, order[:, None] * stride, never).min(axis=0)
+    # translates i and j of any sample differ on the torus by shifts[i] - shifts[j]
+    dy = torus_distance(system.exponents, shifts[:, None] - shifts)
     for i in range(size - 1):
         du = np.max(np.abs(TU[i] - TU[i + 1:]), axis=-1)
-        dy = torus_distance(system.exponents, TY[i] - TY[i + 1:])
         events = i * stride + order[i + 1:, None] + 1
-        hits = np.where(np.maximum(du, dy) <= tol, events, never)
+        hits = np.where(np.maximum(du, dy[i, i + 1:, None]) <= tol, events, never)
         first = np.minimum(first, hits.min(axis=0))
     failed = np.flatnonzero(first < never)
     if len(failed):

@@ -88,9 +88,8 @@ def test_batched_frames_equal_single_point_calls(name, blockwise):
     if system.is_cone():
         U, Y = sample_immersion(system, 40, seed=22, u_floor=0.05)
         blockwise(lambda rows: link_tangent_frame(system, U[rows], Y[rows]), len(U), seed=4)
-        per_row = max(projective_lagrangian_defect(system, U[i:i + 1], Y[i:i + 1])
-                      for i in range(len(U)))
-        assert projective_lagrangian_defect(system, U, Y) == per_row
+        blockwise(lambda rows: (projective_lagrangian_defect(system, U[rows], Y[rows]),),
+                  len(U), seed=5)
 
 
 def test_batch_mixing_seed_skip_paths(blockwise):
@@ -770,8 +769,9 @@ def test_frame_grams_built_once_per_block(monkeypatch):
     monkeypatch.setattr(pipeline, "FRAME_BLOCK", 16)
     cone = clifford_cone(5)
     U, Y = sample_immersion(cone, 40, seed=41, u_floor=0.05)
-    defects, cross, metric = pipeline._frame_checks(cone, U, Y)
-    assert len(defects) == 40 and cross <= 1e-10 and metric <= 1e-12
+    defects, cross, metric = pipeline._blockwise(pipeline._frame_checks, cone, U, Y)
+    assert len(defects) == len(cross) == len(metric) == 40
+    assert np.max(cross) <= 1e-10 and np.max(metric) <= 1e-12
     assert calls == [(16,)] * 4 + [(8,)] * 2  # two per block of 16, 16 and 8 samples
     del calls[:]
     link_tangent_frame(cone, U, Y)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from qlag.cli import main
+from qlag.cli import COMMANDS, TOL_FLAGS, main
 from qlag.pipeline import InstanceConfig, run_analyze, serialize_report
 from qlag.errors import ConfigInvalid
 
@@ -236,6 +236,31 @@ def test_tolerance_override_forces_failure(tmp_path, capsys):
     assert report["instance"]["verify_tolerances"]["lagrangian"] == 1e-30
 
 
+@pytest.mark.parametrize("key", TOL_FLAGS)
+def test_every_tol_flag_sets_its_tolerance(key, tmp_path, capsys):
+    cfg = _write(tmp_path, dict(ELLIPSE, sweeps=["quotient"]))
+    main(["classify", cfg, f"--tol-{key.replace('_', '-')}", "0.375"])
+    instance = json.loads(capsys.readouterr().out)["instance"]
+    tolerances = {**instance["verify_tolerances"], **instance["numeric_tolerances"]}
+    assert tolerances[key] == 0.375
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    cfg = _write(tmp_path, ELLIPSE)
+    assert main(["analyze", cfg, "--seed", "5"]) == 0
+    after = capsys.readouterr()
+    assert main(["--seed", "5", "analyze", cfg]) == 0
+    assert capsys.readouterr() == after
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in COMMANDS)
+
+
 def test_seed_override_changes_then_reproduces(tmp_path, capsys):
     cfg = _write(tmp_path, ELLIPSE)
     main(["analyze", cfg, "--seed", "5"])
@@ -390,16 +415,14 @@ def test_run_analyze_errors_recorded_not_fatal():
 @pytest.mark.parametrize(
     "config, failed",
     [
-        # the curvature subsample's u_floor 0.1 is past the semi-axis 1/sqrt(200)
-        ({"n": 2, "k": 1, "rows": [[1], [200]], "constants": [1.0], "samples": 50},
-         {"curvature_match": "accepted 0/20 after 8000 draws"}),
-        # the empty variety: every entry that reads a sample
+        # the empty variety: every entry that reads a sample, the curvature
+        # subsample's with the message of the draw its floor comes from
         ({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [-1.0], "samples": 2,
           "sweeps": {"cn": True}},
          dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
                         "curvature_match"], "accepted 0/2 after 2048 draws")),
     ],
-    ids=["thin-ellipse", "empty-variety"],
+    ids=["empty-variety"],
 )
 def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
     from qlag import pipeline
@@ -419,10 +442,18 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
             assert entry["error"].startswith(f"SamplingExhausted: {failed[key]} ")
         else:
             assert "error" not in entry
-    # each draw runs once, however many entries read it: the cn samples,
-    # the curvature subsample and, with the quotient sweep, the orbit check's
-    samples = config["samples"]
-    assert draws == [samples, min(20, samples)] + [samples] * ("quotient" in report)
+    # each draw runs once, however many entries read it, and a failed one
+    # leaves the curvature subsample undrawn
+    assert draws == [config["samples"]]
+
+
+def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):
+    # every point has a coordinate below the semi-axis 1/sqrt(200) < 0.1, so
+    # the subsample's floor comes down to half the largest one drawn
+    config = {"n": 2, "k": 1, "rows": [[1], [200]], "constants": [1.0], "samples": 50}
+    assert main(["analyze", _write(tmp_path, config)]) == 0
+    entry = json.loads(capsys.readouterr().out)["cn"]["curvature_match"]
+    assert entry["pass"] is True and entry["count"] == 20
 
 
 def test_instance_config_field_messages():

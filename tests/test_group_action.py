@@ -208,7 +208,7 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
     counts = {}
     for n in (10, 50):
         U, Y = sample_immersion(system, n, seed=3)
-        seen = {"action_table": 0, "phi": 0}
+        seen = {"action_table": 0, "phi": 0, "torus_distance": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -218,11 +218,15 @@ def test_orbit_distinctness_makes_no_per_sample_calls():
 
         with mock.patch(
             "qlag.quotient.action_table", counted("action_table", qlag.quotient.action_table)
-        ), mock.patch("qlag.quotient.phi", counted("phi", qlag.quotient.phi)):
+        ), mock.patch("qlag.quotient.phi", counted("phi", qlag.quotient.phi)), mock.patch(
+            "qlag.quotient.torus_distance",
+            counted("torus_distance", qlag.quotient.torus_distance),
+        ):
             assert orbit_distinctness(system, (U, Y)) == 16
         counts[n] = seen
     assert counts[10] == counts[50]
-    assert counts[10]["action_table"] == 1
+    # one translate-distance table per orbit call, not one call per image
+    assert counts[10]["action_table"] == counts[10]["torus_distance"] == 1
 
 
 # -- collision scan -----------------------------------------------------------------
