@@ -32,6 +32,7 @@ from .pipeline import (
     run_analyze,
     serialize_report,
 )
+from .quadric import moment_polytope
 
 # the tolerance keys a --tol-<key> flag sets, with dashes for underscores
 TOL_FLAGS = sorted(VERIFY_TOLERANCES) + ["residual", "rank", "u_floor", "fd_step"]
@@ -171,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        if not len(moment_polytope(config.system())[0]):
+            raise ConfigInvalid(["constants: the variety is empty: its moment polytope "
+                                 "(for a cone, the link's) has no vertex"])
         if args.command == "mesh":
             return _run_mesh(config, args.out)
         sweeps = COMMANDS[args.command][1]

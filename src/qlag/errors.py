@@ -34,7 +34,7 @@ class NoConvergence(QlagError):
 
 
 class SamplingExhausted(QlagError):
-    """Rejection sampler hit its attempt cap before filling the quota."""
+    """No point of the variety has every |u_i| above the sampler's floor."""
 
 
 class NotACone(QlagError):

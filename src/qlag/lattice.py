@@ -10,7 +10,9 @@ orbits and the mesh seam read them from the table torus.action_table.
 All arithmetic here is exact: integers for L, fractions.Fraction for L*.
 Parity statements must never pass through floating point.  Linear algebra
 over Q is one Gauss-Jordan inverse per LatticeBasis, which rejects a
-singular basis and gives both the dual basis and coordinates.
+singular basis and gives both the dual basis and coordinates, and one per
+square column basis of a polyhedron {v >= 0 : A v = b}, whose vertices and
+rays the samplers mix.
 """
 
 from __future__ import annotations
@@ -230,6 +232,36 @@ def pairing_parity(gamma: Sequence, e_row: Sequence[int]) -> int:
     if value.denominator != 1:
         raise ValueError(f"pairing {value} is not an integer; gamma not in L*")
     return value.numerator % 2
+
+
+def polyhedron(
+    rows: Sequence[Sequence], rhs: Sequence, columns: Sequence[int]
+) -> tuple[tuple[FracVector, ...], tuple[FracVector, ...]]:
+    """The vertices and the extreme rays of {v >= 0 : A v = b, v_i = 0 off
+    ``columns``}, A's rows ``rows`` and b ``rhs``, exact.
+
+    The vertices are the points B^-1 b >= 0 of the square column bases B
+    of A among ``columns``, in itertools.combinations order without
+    repeats; a basis that raises SingularBasis is skipped, so columns of
+    rank below len(rows) give none.  The rays, scaled to sum 1, are the
+    vertices of {r >= 0 : A r = 0, sum r = 1} found the same way.
+    """
+    n = len(rows[0])
+    found: tuple[dict, dict] = ({}, {})
+    systems = ((rows, rhs), ([*rows, (1,) * n], [0] * len(rows) + [1]))
+    for out, (a, b) in zip(found, systems):
+        for basis in itertools.combinations(columns, len(a)):
+            try:
+                inverse = _inverse([[Fraction(row[c]) for c in basis] for row in a])
+            except SingularBasis:
+                continue
+            x = [sum((p * q for p, q in zip(row, b)), Fraction(0)) for row in inverse]
+            if min(x) >= 0:
+                v = [Fraction(0)] * n
+                for c, value in zip(basis, x):
+                    v[c] = value
+                out[tuple(v)] = None
+    return tuple(found[0]), tuple(found[1])
 
 
 def sum_vector(exponents: ExponentMatrix) -> IntVector:

@@ -1,12 +1,9 @@
 """The solution variety M = { u in R^n : sum_i E[i,j] u_i^2 = d_j }.
 
 Validation, residuals, normal frames, tangent spaces, Gauss-Newton
-projection onto M and seeded rejection sampling.  Everything is a pure
-function of immutable inputs; samplers are deterministic per (seed, count).
-Every Gauss-Newton call pays the whole iteration loop, so the samplers
-keep their calls few: each draws a chunk of guesses as it projects it,
-sample_points MIN_BATCH rows or the rest of a batch, and the strata
-share each call.
+projection onto M and seeded sampling.  Everything is a pure function of
+immutable inputs.  M is the set of u with u^2 in the moment polytope P, so
+the samplers return u = eps sqrt(v) for v drawn from P, with no projection.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
@@ -16,6 +13,7 @@ numeric knobs: its fields name them, their defaults give their types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +25,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .lattice import ExponentMatrix
+from .lattice import ExponentMatrix, polyhedron
 
 
 @dataclass(frozen=True)
@@ -180,10 +178,8 @@ def gauss_newton(
     lower its residual, for callers that feed the result into finite
     differences.  Returns (best iterate per row, status per row): CONVERGED,
     NO_CONVERGENCE, or SINGULAR (rank-deficient Jacobian, non-finite step).
-
-    The rows still stepping are kept as a shrinking index.  The residual
-    is evaluated over the whole batch, so no row's bits depend on how many
-    others are still stepping.
+    The residual is evaluated over the whole batch, so no row's bits depend
+    on how many others are still stepping.
     """
     tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
     patience = 3 if polish else 0
@@ -264,130 +260,54 @@ def newton_project(
     return points
 
 
-# the smallest chunk that sample_points projects, which bounds its
-# gauss_newton calls: on one equation a 64-row call costs little more than
-# an 8-row one, on clifford_cone(5) about twice as much
-MIN_BATCH = 64
+def moment_polytope(system: QuadricSystem, floor=0.0, zero=None) -> list[np.ndarray]:
+    """Float (V, n) vertices, less floor^2, and (R, n) rays of the exact
+    lattice.polyhedron of P = {v >= 0 : E^T v = d} (a cone's link
+    P ∩ {sum v = 1}) cut to v >= floor^2, or with ``zero`` of its face v_zero = 0."""
+    rows, rhs = [*zip(*system.exponents.rows)], [Fraction(c) for c in system.constants]
+    if system.is_cone():
+        rows, rhs = [*rows, (1,) * system.n], [*rhs, Fraction(1)]
+    rhs = [b - Fraction(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
+    found = polyhedron(rows, rhs, [i for i in range(system.n) if i != zero])
+    return [np.array(part, dtype=float).reshape(-1, system.n) for part in found]
 
 
-def _chunk(need: int, tried: int, have: int, rest: int, floor: int) -> int:
-    """Rows of the next Gauss-Newton chunk for a sampler that needs
-    ``need`` more points, has accepted ``have`` of ``tried`` draws and has
-    ``rest`` left in its batch: the quota, then the shortfall scaled by the
-    acceptance so far, or the rest while nothing is accepted.  A chunk holds
-    ``floor`` rows (2 or more) or the rest, and neither crosses the batch
-    end nor leaves one row before it: the residual of a (1, n) batch takes
-    another BLAS path, whose last bit can differ."""
-    if have:
-        rows = -(-need * tried // have)
-    else:
-        rows = rest if tried else need
-    rows = max(floor, rows)
-    return rest if rows >= rest - 1 else rows
+def _draw(system: QuadricSystem, count: int, seed: int, floor=0.0, zero=None) -> np.ndarray:
+    """``count`` points u = eps sqrt(v), v = floor^2 + a uniform simplex mix
+    of moment_polytope's vertices + unit exponential weights on its rays, a
+    cone's u scaled by a radius in [1, 2).  Before any draw, a face with no
+    vertex gives no points, and a cut P on which some v_i never exceeds
+    floor^2 raises SamplingExhausted."""
+    vertices, rays = moment_polytope(system, floor, zero)
+    if zero is None and not np.all(np.any(vertices > 0, axis=0) | np.any(rays > 0, axis=0)):
+        raise SamplingExhausted(f"no point of the moment polytope has every v_i > {floor}^2")
+    if not len(vertices):
+        return np.zeros((0, system.n))
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=(count, len(vertices)))
+    v = floor * floor + (weights / weights.sum(axis=1, keepdims=True)) @ vertices
+    v += rng.exponential(size=(count, len(rays))) @ rays
+    u = np.sqrt(v) * rng.choice([-1.0, 1.0], size=v.shape)
+    if system.is_cone():
+        u *= rng.uniform(1.0, 2.0, size=(count, 1))
+    return u
 
 
 def sample_points(
-    system: QuadricSystem,
-    count: int,
-    seed: int = 0,
-    u_floor: float | None = None,
+    system: QuadricSystem, count: int, seed: int = 0, u_floor: float | None = None
 ) -> np.ndarray:
-    """Deterministic rejection sampler: Gaussian ambient draws projected
-    onto M, keeping smooth points off the coordinate strata.
-
-    Points with min_i |u_i| <= u_floor or norm > r_max are rejected, so the
-    returned samples are safe for chart-based verification.  Raises
-    SamplingExhausted when the acceptance rate is too low (e.g. an empty or
-    unbounded variety at unit scale).  Each chunk of guesses, MIN_BATCH or
-    the rest of a batch of max(MIN_BATCH, 2 * count) draws, is drawn from
-    the seeded generator as it is projected, in draw order, until the quota
-    fills or a batch ends at or past the cap; the samples and rejection
-    counts do not depend on the chunking.
-    """
-    tol = system.tolerances
-    floor = tol.u_floor if u_floor is None else u_floor
-    if count == 0:
-        return np.zeros((0, system.n))
-    rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    have = tried = 0
-    rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
-    cap = max(2000, 400 * count)
-    batch = max(MIN_BATCH, 2 * count)
-    while have < count:
-        if tried >= cap:
-            # a dominant "unbounded" count suggests M escapes the radius cap
-            raise SamplingExhausted(
-                f"accepted {have}/{count} after {tried} draws "
-                f"(rejections: {rejected})"
-            )
-        rows = _chunk(count - have, tried, have, batch - tried % batch, MIN_BATCH)
-        points, status = gauss_newton(system, rng.normal(0.0, 1.0, size=(rows, system.n)))
-        tried += rows
-        ok = status == CONVERGED
-        # verdict per draw: the index in `rejected` of its first failed test,
-        # -1 when accepted; diverged draws may be non-finite, so the later
-        # tests see converged draws only, and the rank test only the draws
-        # that passed the others
-        good = points[ok]
-        code = np.where(np.min(np.abs(good), axis=1) <= floor, 1, -1)
-        code[(code < 0) & (np.linalg.norm(good, axis=1) > tol.r_max)] = 2
-        rest = np.nonzero(code < 0)[0]
-        if len(rest):
-            code[rest[~system.is_smooth_point(good[rest])]] = 3
-        verdict = np.zeros(len(points), dtype=int)
-        verdict[ok] = code
-        take = np.nonzero(verdict < 0)[0][: count - have]
-        # draws after the one that fills the quota are never examined
-        seen = take[-1] + 1 if have + len(take) == count else len(points)
-        for index, reason in enumerate(rejected):
-            rejected[reason] += int(np.count_nonzero(verdict[:seen] == index))
-        accepted.append(points[take])
-        have += len(take)
-    return np.concatenate(accepted)
+    """``count`` points of M with every |u_i| > u_floor (tolerances.u_floor
+    by default), deterministic per (seed, count), as _draw draws them."""
+    floor = system.tolerances.u_floor if u_floor is None else u_floor
+    return _draw(system, count, seed, floor)
 
 
 def sample_stratum_points(
-    system: QuadricSystem,
-    count: int,
-    seed: int = 0,
+    system: QuadricSystem, count: int, seed: int = 0
 ) -> list[np.ndarray]:
-    """Points of M on each coordinate stratum u_j = 0 exactly: one array of
-    up to ``count`` points per j, empty where the stratum is infeasible.
-
-    Used by the self-intersection scanner, which must probe the strata
-    where identifications can occur.  Stratum j draws its guesses on the
-    stratum, which Gauss-Newton never leaves, from default_rng(seed + j),
-    in chunks sized as in sample_points but of two rows or more, until its
-    quota fills or its draws reach the cap, where its last batch ends.
-    Each round makes one gauss_newton call, of the next chunk of every
-    stratum still sampling; the points do not depend on the calls.
-    """
-    n = system.n
-    cap = max(500, 100 * count)
-    batch = max(MIN_BATCH, 2 * count)
-    rngs = [np.random.default_rng(seed + j) for j in range(n)]
-    found = [[np.zeros((0, n))] for _ in range(n)]
-    have, tried = [0] * n, [0] * n
-    going = list(range(n)) if count else []
-    while going:
-        chunks = []
-        for j in going:
-            rest = min(batch - tried[j] % batch, cap - tried[j])
-            rows = _chunk(count - have[j], tried[j], have[j], rest, 2)
-            guesses = np.zeros((rows, n))
-            guesses[:, np.arange(n) != j] = rngs[j].normal(0.0, 1.0, size=(rows, n - 1))
-            chunks.append(guesses)
-            tried[j] += rows
-        points, status = gauss_newton(system, np.concatenate(chunks))
-        ends = np.cumsum([len(chunk) for chunk in chunks])[:-1]
-        for j, p, s in zip(going, np.split(points, ends), np.split(status, ends)):
-            good = p[s == CONVERGED]
-            take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have[j]]
-            found[j].append(take)
-            have[j] += len(take)
-        going = [j for j in going if have[j] < count and tried[j] < cap]
-    return [np.concatenate(points) for points in found]
+    """Points of M on each coordinate stratum u_j = 0 exactly: for each j,
+    ``count`` points drawn from the face v_j = 0 at seed + j, or none."""
+    return [_draw(system, count, seed + j, zero=j) for j in range(system.n)]
 
 
 def definite(column: Sequence[int], d: float) -> bool:

@@ -1,10 +1,8 @@
 """Batched (N, n) geometry: every sample-wise routine gives each row the
 same bits however the batch is cut into blocks, one-row blocks included
 (the finite-difference curvature oracles to rounding noise), Gauss-Newton
-does for blocks of two rows or more, the chunked samplers reproduce the
-per-point accept loop and the one-call-per-batch stratum loop while
-projecting little past the draws they examine (the strata all in one
-call), and the one Gram-Schmidt reproduces the loops it replaced."""
+does for blocks of two rows or more, and the one Gram-Schmidt reproduces
+the loops it replaced."""
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from qlag.catalog import (
     product_torus,
     sphere_cone,
 )
-from qlag.errors import SamplingExhausted, SingularPoint
+from qlag.errors import SingularPoint
 from qlag.immersion import (
     TWO_PI,
     frame_at,
@@ -33,12 +31,9 @@ from qlag.immersion import (
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
 from qlag.quadric import (
     CONVERGED,
-    QuadricSystem,
-    Tolerances,
     gauss_newton,
     orthonormalize,
     sample_points,
-    sample_stratum_points,
 )
 from qlag.quotient import orbit, same_orbit
 
@@ -122,302 +117,6 @@ def test_batch_rank_and_smoothness_shapes():
     assert system.smoothness_rank(U[:0]).shape == (0,)
 
 
-# -- the masked sampler against the per-point accept loop ----------------------------
-
-
-def _reference_sample(system, count, seed=0, u_floor=None):
-    """The per-point accept loop over gauss_newton output."""
-    tol = system.tolerances
-    floor = tol.u_floor if u_floor is None else u_floor
-    rng = np.random.default_rng(seed)
-    accepted = []
-    attempts = 0
-    rejected = {"diverged": 0, "near_axis": 0, "unbounded": 0, "singular": 0}
-    cap = max(2000, 400 * count)
-    batch = max(64, 2 * count)
-    while len(accepted) < count:
-        if attempts >= cap:
-            raise SamplingExhausted(
-                f"accepted {len(accepted)}/{count} after {attempts} draws "
-                f"(rejections: {rejected})"
-            )
-        guesses = rng.normal(0.0, 1.0, size=(batch, system.n))
-        attempts += batch
-        points, status = gauss_newton(system, guesses)
-        for p, good in zip(points, status == CONVERGED):
-            if not good:
-                rejected["diverged"] += 1
-                continue
-            if np.min(np.abs(p)) <= floor:
-                rejected["near_axis"] += 1
-                continue
-            if np.linalg.norm(p) > tol.r_max:
-                rejected["unbounded"] += 1
-                continue
-            if not system.is_smooth_point(p[None])[0]:
-                rejected["singular"] += 1
-                continue
-            accepted.append(p)
-            if len(accepted) == count:
-                break
-    return np.array(accepted)
-
-
-@pytest.mark.parametrize(
-    "name, count, seed, u_floor",
-    [
-        ("ellipse", 50, 0, None),
-        ("ellipse", 7, 3, 0.5),
-        ("klein_bottle_cone", 40, 1, 0.05),
-        ("sphere_cone(5)", 30, 2, None),
-        ("clifford_cone(5)", 25, 4, 0.1),
-        ("ellipsoid([1,2,3])", 33, 5, 1e-6),
-        # the benchmark workloads' sampler calls
-        ("ellipse", 1000, 0, None),
-        ("ellipse", 1000, 0, 0.05),
-        ("klein_bottle_cone", 1000, 0, None),
-        ("klein_bottle_cone", 1000, 0, 0.05),
-        ("clifford_cone(5)", 96, 0, 1e-6),
-        ("clifford_cone(5)", 231, 0, 1e-6),
-        ("product_torus([1,2,3])", 120, 0, None),
-        # a 20-point quota projects one MIN_BATCH chunk, not three chunks
-        ("ellipse", 20, 0, 0.1),
-        # a quota that runs into a second batch, and a quota of one, which
-        # still projects a MIN_BATCH chunk
-        ("sphere_cone(5)", 25, 3, 0.1),
-        ("sphere_cone(5)", 1, 0, None),
-        # a floored chunk that ends one row short of its batch, so the lone
-        # leftover row joins it (test_sampler_joins_lone_leftover_row)
-        ("ellipse", 65, 0, 0.3),
-    ],
-)
-def test_sampler_matches_per_point_loop(name, count, seed, u_floor, monkeypatch):
-    system = SYSTEMS[name]()
-    expected = _reference_sample(system, count, seed=seed, u_floor=u_floor)
-    calls = _count_gauss_newton(monkeypatch)
-    assert np.array_equal(sample_points(system, count, seed=seed, u_floor=u_floor), expected)
-    assert min(calls) >= 2
-    # a chunk holds MIN_BATCH rows or more, or the rest of its batch
-    batch = max(quadric.MIN_BATCH, 2 * count)
-    assert all(rows >= quadric.MIN_BATCH or end % batch == 0
-               for rows, end in zip(calls, np.cumsum(calls)))
-    # so a quota filled within its first batch takes at most two calls: the
-    # first chunk and one scaled by the acceptance it saw.  The scaled chunk
-    # has no margin, and on the two 1000-sample cases at u_floor 0.05 it
-    # falls short by a few points, which takes a third call
-    if sum(calls) <= batch:
-        assert len(calls) <= (3 if (count, u_floor) == (1000, 0.05) else 2)
-
-
-@pytest.mark.parametrize(
-    "count, seed, u_floor", [(5, 3, 0.57), (10, 2, 0.565), (10, 3, 0.572), (33, 0, 0.57)]
-)
-def test_sampler_exhausts_where_per_point_loop_does(count, seed, u_floor, monkeypatch):
-    # min_i |u_i| > u_floor holds on little of the unit sphere, whose points
-    # have min_i |u_i| <= 1/sqrt(3) ~ 0.577: a few draws are kept, the
-    # chunks scaled by them run past the first batch, and the cap is reached
-    # at a batch end, after the draws the per-point loop makes
-    sphere = ellipsoid([1, 1, 1])
-    with pytest.raises(SamplingExhausted) as expected:
-        _reference_sample(sphere, count, seed=seed, u_floor=u_floor)
-    assert not str(expected.value).startswith("accepted 0/")
-    calls = _count_gauss_newton(monkeypatch)
-    with pytest.raises(SamplingExhausted) as got:
-        sample_points(sphere, count, seed=seed, u_floor=u_floor)
-    assert str(got.value) == str(expected.value)
-    # no call holds more than a batch
-    assert max(calls) <= max(quadric.MIN_BATCH, 2 * count)
-
-
-def test_sampler_joins_lone_leftover_row(monkeypatch):
-    # the ellipse case of test_sampler_matches_per_point_loop at u_floor 0.3:
-    # 36 of its first 65 draws are accepted, so the next chunk scales to 53
-    # rows, is floored to 64 and would end at draw 129 of 130, and the lone
-    # leftover row joins it
-    calls = _count_gauss_newton(monkeypatch)
-    sample_points(ellipse(), 65, seed=0, u_floor=0.3)
-    assert calls == [65, quadric.MIN_BATCH + 1]
-
-
-def test_chunk_rule():
-    # (need, tried, have, rest, floor) -> rows of the next chunk
-    cases = [
-        ((50, 0, 0, 100, 64), 64),  # the first chunk: the quota, floored
-        ((1000, 0, 0, 2000, 64), 1000),
-        ((100, 1000, 900, 1000, 64), 112),  # ceil(100 * 1000 / 900) rows
-        ((10, 1000, 990, 1000, 64), 64),  # 11 rows, floored
-        ((10, 64, 40, 36, 64), 36),  # the rest of the batch is smaller
-        ((999, 1000, 1, 1000, 64), 1000),  # 999000 rows, clipped to the batch
-        ((96, 96, 0, 96, 64), 96),  # nothing accepted: the rest of the batch
-        ((20, 0, 0, 65, 64), 65),  # a lone leftover row joins the chunk
-        ((1, 0, 0, 64, 2), 2),  # the strata's floor of two rows
-        ((63, 0, 0, 64, 2), 64),
-        ((8, 768, 0, 32, 2), 32),  # a stratum's last batch, cut at its cap
-    ]
-    for args, rows in cases:
-        assert quadric._chunk(*args) == rows, args
-
-
-def _count_gauss_newton(monkeypatch):
-    """Rows of each gauss_newton call the samplers make, in call order."""
-    calls = []
-
-    def counted(system, guesses, polish=False, original=quadric.gauss_newton):
-        calls.append(len(guesses))
-        return original(system, guesses, polish)
-
-    monkeypatch.setattr(quadric, "gauss_newton", counted)
-    return calls
-
-
-def test_sampler_exhaustion_reports_same_rejections(monkeypatch):
-    # the first chunk is the quota, or MIN_BATCH rows when that is more;
-    # with nothing accepted, each chunk after it runs to the next multiple
-    # of the batch, max(MIN_BATCH, 2 * count) draws: one call per 64 draws
-    # at count 2, one call more than one per 192 draws at count 96
-    empty = QuadricSystem([[1], [2]], [-1.0])
-    for count, ncalls, draws in ((2, 32, 2048), (96, 201, 38400)):
-        with pytest.raises(SamplingExhausted) as expected:
-            _reference_sample(empty, count, seed=0)
-        calls = _count_gauss_newton(monkeypatch)
-        with pytest.raises(SamplingExhausted, match=f"after {draws} draws") as got:
-            sample_points(empty, count, seed=0)
-        monkeypatch.undo()
-        assert str(got.value) == str(expected.value)
-        assert (len(calls), sum(calls)) == (ncalls, draws)
-
-
-# every sampler call of the benchmark workloads at seed 0: each analyze
-# sweep's samples and curvature subsample, and the collision scan's generic
-# points
-WORKLOAD_CALLS = [
-    ("ellipse", 1000, 0, None), ("ellipse", 20, 1, 0.1),
-    ("klein_bottle_cone", 1000, 0, None), ("klein_bottle_cone", 20, 1, 0.1),
-    ("klein_bottle_cone", 1000, 2, 0.05), ("klein_bottle_cone", 20, 3, 0.1),
-    ("clifford_cone(5)", 96, 0, None), ("clifford_cone(5)", 8, 1, 0.1),
-    ("clifford_cone(5)", 96, 2, 0.05), ("clifford_cone(5)", 8, 3, 0.1),
-    ("clifford_cone(5)", 96, 4, None), ("clifford_cone(5)", 231, 5, 1e-6),
-    ("product_torus([1,2,3])", 120, 0, None), ("product_torus([1,2,3])", 20, 1, 0.1),
-]
-
-
-def _draws_per_call(monkeypatch):
-    """Two lists: for each gauss_newton call the samplers make, the rows
-    drawn from their generators since the call before and the rows it
-    projects; and the rows of each draw since the last call."""
-    pairs, drawn = [], []
-
-    class Counted:
-        def __init__(self, seed, make=np.random.default_rng):
-            self.rng = make(seed)
-
-        def normal(self, loc, scale, size):
-            drawn.append(size[0])
-            return self.rng.normal(loc, scale, size=size)
-
-    def counted(system, guesses, polish=False, original=quadric.gauss_newton):
-        pairs.append((sum(drawn), len(guesses)))
-        drawn.clear()
-        return original(system, guesses, polish)
-
-    monkeypatch.setattr(np.random, "default_rng", Counted)
-    monkeypatch.setattr(quadric, "gauss_newton", counted)
-    return pairs, drawn
-
-
-@pytest.mark.parametrize("name, count, seed, u_floor", WORKLOAD_CALLS)
-def test_sampler_draws_only_the_rows_it_projects(name, count, seed, u_floor, monkeypatch):
-    pairs, after = _draws_per_call(monkeypatch)
-    sample_points(SYSTEMS[name](), count, seed=seed, u_floor=u_floor)
-    assert pairs and all(drawn == rows for drawn, rows in pairs)
-    assert after == []
-
-
-@pytest.mark.parametrize("name, seed", [("sphere_cone(5)", 0), ("clifford_cone(5)", 5)])
-def test_strata_draw_only_the_rows_they_project(name, seed, monkeypatch):
-    # every stratum, the empty u5 = 0 of sphere_cone(5) included; the
-    # collision scan of clifford_cone(5) samples its strata at seed 5
-    pairs, after = _draws_per_call(monkeypatch)
-    sample_stratum_points(SYSTEMS[name](), 8, seed=seed)
-    assert pairs and all(drawn == rows for drawn, rows in pairs)
-    assert after == []
-
-
-def _reference_stratum_sample(system, zero_index, count, seed=0):
-    """The stratum loop with one gauss_newton call per batch."""
-    rng = np.random.default_rng(seed)
-    others = np.arange(system.n) != zero_index
-    accepted = [np.zeros((0, system.n))]
-    have = attempts = 0
-    cap = max(500, 100 * count)
-    while have < count and attempts < cap:
-        size = min(max(64, 2 * count), cap - attempts)
-        guesses = np.zeros((size, system.n))
-        guesses[:, others] = rng.normal(0.0, 1.0, size=(size, system.n - 1))
-        attempts += size
-        points, status = gauss_newton(system, guesses)
-        good = points[status == CONVERGED]
-        take = good[np.linalg.norm(good, axis=1) <= system.tolerances.r_max][: count - have]
-        accepted.append(take)
-        have += len(take)
-    return np.concatenate(accepted)
-
-
-@pytest.mark.parametrize("name", ["sphere_cone(5)", "clifford_cone(5)"])
-@pytest.mark.parametrize("count", [1, 8, 20])
-def test_stratum_sampler_matches_per_batch_loop(name, count):
-    # u5 = 0 on sphere_cone(5) is empty: every draw is projected and none
-    # kept, in the calls it shares with the other strata until they fill
-    system = SYSTEMS[name]()
-    strata = sample_stratum_points(system, count, seed=0)
-    assert len(strata) == system.n
-    for j, got in enumerate(strata):
-        expected = _reference_stratum_sample(system, j, count, seed=j)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("name", ["ellipse", "klein_bottle_cone"])
-@pytest.mark.parametrize("u_floor", [None, 0.05])
-def test_sampler_projects_about_the_draws_it_examines(name, u_floor, monkeypatch):
-    system = SYSTEMS[name]()
-    # one batch of 2000 draws; the last sample is the draw that fills the quota
-    points, _ = gauss_newton(system, np.random.default_rng(0).normal(0.0, 1.0, size=(2000, system.n)))
-    calls = _count_gauss_newton(monkeypatch)
-    got = sample_points(system, 1000, seed=0, u_floor=u_floor)
-    examined = 1 + np.flatnonzero(np.all(points == got[-1], axis=1))[0]
-    assert sum(calls) <= 1.2 * examined
-    assert min(calls) >= 2
-
-
-def test_stratum_sampler_projects_its_quota(monkeypatch):
-    cone = clifford_cone(5)
-    calls = _count_gauss_newton(monkeypatch)
-    assert [len(pts) for pts in sample_stratum_points(cone, 8, seed=0)] == [8] * cone.n
-    assert calls == [8 * cone.n]  # one call for every stratum, not 5 x 64 rows
-
-
-def test_empty_stratum_makes_one_call_more_than_one_per_batch(monkeypatch):
-    # the four feasible strata fill in the first call, which the empty
-    # u5 = 0 shares; its 800-draw cap is 12 batches of 64 and one of 32
-    calls = _count_gauss_newton(monkeypatch)
-    strata = sample_stratum_points(sphere_cone(5), 8, seed=0)
-    assert [len(pts) for pts in strata] == [8, 8, 8, 8, 0]
-    assert (len(calls), sum(calls)) == (13 + 1, 4 * 8 + 12 * 64 + 32)
-
-
-def test_stratum_sampler_keeps_few_draws_within_its_cap():
-    # about one draw in a thousand projects within r_max = 0.01 of the
-    # origin on the klein cone's u1 = 0 and u2 = 0 strata: they keep a few
-    # points, but do not fill within the 800 draws of their cap
-    cone = klein_bottle_cone()
-    system = QuadricSystem(cone.exponents, cone.constants, Tolerances(r_max=0.01))
-    strata = sample_stratum_points(system, 8, seed=0)
-    assert [len(pts) for pts in strata] == [1, 4, 8]
-    for j, got in enumerate(strata):
-        assert np.array_equal(got, _reference_stratum_sample(system, j, 8, seed=j))
-
-
 def _reference_gauss_newton(system, guesses, polish=False):
     """The masked loop gauss_newton ran before its lean rewrite: the active
     rows rebuilt from five full-batch arrays at every step, and each row's
@@ -484,8 +183,7 @@ def test_gauss_newton_rows_independent_of_cuts_of_two_or_more(name):
     # Cuts of one row are the exception: the residual (u * u) @ E of a
     # (1, n) batch goes through a BLAS matrix-vector product, whose last bit
     # differs from the matrix-matrix one on about half the rows of
-    # sphere_cone(5) and weighted_cone([1,1,1,3]).  The samplers never
-    # project a chunk of one row.
+    # sphere_cone(5) and weighted_cone([1,1,1,3]).
     system = SYSTEMS[name]()
     rng = np.random.default_rng(5)
     guesses = rng.normal(0.0, 1.0, size=(96, system.n))

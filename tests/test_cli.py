@@ -32,6 +32,9 @@ BALANCED_CONE = {
     "curvature_samples": 4,
     "sweeps": {"cn": True, "cpn": True, "quotient": True},
 }
+# the one line an empty variety, or a cone that is its apex alone, prints
+EMPTY_VARIETY = ("constants: the variety is empty: its moment polytope (for a cone, the "
+                 "link's) has no vertex")
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -337,16 +340,19 @@ def test_mesh_resolution_validation(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, reason",
     [
-        ("klein_cone.json", "surface meshes require n=2, k=1"),
+        ("klein_cone.json", "mesh.target: surface meshes require n=2, k=1"),
         ({"n": 2, "k": 1, "rows": [[1], [-1]], "constants": [0.0]},
-         "surface charts need a compact conic (ellipse)"),
-        (dict(ELLIPSE, mesh={"target": "cpn"}), "constants (1.0,) are not all zero"),
+         "mesh.target: surface charts need a compact conic (ellipse)"),
+        (dict(ELLIPSE, mesh={"target": "cpn"}),
+         "mesh.target: constants (1.0,) are not all zero"),
         ({"n": 3, "k": 2, "rows": [[1], [1], [1]], "constants": [1.0],
-          "mesh": {"target": "cpn"}}, "constants (1.0,) are not all zero"),
+          "mesh": {"target": "cpn"}}, "mesh.target: constants (1.0,) are not all zero"),
         ({"n": 3, "k": 1, "rows": [[1, 0], [0, 1], [-1, -1]], "constants": [0.0, 0.0],
-          "mesh": {"target": "cpn"}}, "link charts are built for n=3 single-equation cones"),
+          "mesh": {"target": "cpn"}},
+         "mesh.target: link charts are built for n=3 single-equation cones"),
+        # the cone u1^2 + u2^2 = 0 is its apex alone, which is found first
         ({"n": 2, "k": 1, "rows": [[1], [1]], "constants": [0.0],
-          "mesh": {"target": "cpn"}}, "n=2 cone needs opposite signs"),
+          "mesh": {"target": "cpn"}}, EMPTY_VARIETY),
     ],
     ids=["klein-cone-cn", "line-pair-cone-cn", "ellipse-cpn", "ellipsoid-cpn",
          "clifford-cone-3-cpn", "point-cone-cpn"],
@@ -359,7 +365,7 @@ def test_mesh_of_an_unmeshable_instance_is_a_config_error(config, reason, tmp_pa
     assert main(["mesh", cfg, "--out", str(out / "m.obj")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"config error: mesh.target: {reason}"]
+    assert captured.err.splitlines() == [f"config error: {reason}"]
     assert not any(out.iterdir())
 
 
@@ -415,14 +421,17 @@ def test_run_analyze_errors_recorded_not_fatal():
 @pytest.mark.parametrize(
     "config, failed",
     [
-        # the empty variety: every entry that reads a sample, the curvature
-        # subsample's with the message of the draw its floor comes from
-        ({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [-1.0], "samples": 2,
-          "sweeps": {"cn": True}},
+        # a floor above every point of the ellipse, where min(|u1|, |u2|) is
+        # at most 1/sqrt(3): every entry that reads a sample fails, the
+        # curvature subsample's with the message of the draw its floor comes
+        # from
+        ({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [1.0], "samples": 2,
+          "tolerances": {"u_floor": 0.8}, "sweeps": {"cn": True}},
          dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
-                        "curvature_match"], "accepted 0/2 after 2048 draws")),
+                        "curvature_match"],
+                       "no point of the moment polytope has every v_i > 0.8^2")),
     ],
-    ids=["empty-variety"],
+    ids=["unreachable-floor"],
 )
 def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
     from qlag import pipeline
@@ -439,12 +448,36 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
     for key, entry in report["cn"].items():
         if key in failed:
             assert entry["pass"] is False
-            assert entry["error"].startswith(f"SamplingExhausted: {failed[key]} ")
+            assert entry["error"] == f"SamplingExhausted: {failed[key]}"
         else:
             assert "error" not in entry
     # each draw runs once, however many entries read it, and a failed one
     # leaves the curvature subsample undrawn
     assert draws == [config["samples"]]
+
+
+# [-1.0]: u1^2 + 2 u2^2 = -1 has no point; [0.0]: the cone u1^2 + 2 u2^2 = 0
+# is its apex alone
+@pytest.mark.parametrize("constants", [[-1.0], [0.0]], ids=["empty-variety", "apex-cone"])
+@pytest.mark.parametrize("command", ["analyze", "classify", "mesh"])
+def test_empty_variety_is_a_config_error(command, constants, tmp_path, capsys, monkeypatch):
+    # decided from the moment polytope before any command runs: nothing is
+    # sampled, projected or written
+    from qlag import quadric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty variety is not sampled")
+
+    monkeypatch.setattr(quadric, "_draw", refuse)
+    monkeypatch.setattr(quadric, "gauss_newton", refuse)
+    config = {"n": 2, "k": 1, "rows": [[1], [2]], "constants": constants}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, _write(tmp_path, config), "--out", str(out / "m.obj")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: {EMPTY_VARIETY}"]
+    assert not any(out.iterdir())
 
 
 def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):

@@ -347,3 +347,27 @@ def test_dual_rows_pair_with_basis_rows_to_delta(rows):
     for i, b in enumerate(basis.rows):
         for j, d in enumerate(dual.rows):
             assert sum(x * y for x, y in zip(b, d)) == (1 if i == j else 0)
+
+
+def _fractions(*rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def test_polyhedron_vertices_and_rays():
+    from qlag.lattice import polyhedron
+
+    F = Fraction
+    # the hyperbola's v1 - 2 v2 = 1: one vertex and one ray
+    assert polyhedron([(1, -2)], [F(1)], [0, 1]) == (
+        _fractions((1, 0)), _fractions((F(2, 3), F(1, 3))))
+    # the klein cone's link v1 + 2 v2 - 3 v3 = 0, sum v = 1: two vertices, no ray
+    link = [(1, 2, -3), (1, 1, 1)]
+    assert polyhedron(link, [F(0), F(1)], [0, 1, 2]) == (
+        _fractions((F(3, 4), 0, F(1, 4)), (0, F(3, 5), F(2, 5))), ())
+    # held at v3 = 0, no point remains; held at v1 = 0, one vertex
+    assert polyhedron(link, [F(0), F(1)], [0, 1]) == ((), ())
+    assert polyhedron(link, [F(0), F(1)], [1, 2]) == (_fractions((0, F(3, 5), F(2, 5))), ())
+    # v1 + v2 + v3 = 1 with v1 = 1: the degenerate vertex of bases {1, 2}
+    # and {1, 3} is listed once, and the singular basis {2, 3} is skipped
+    assert polyhedron([(1, 1, 1), (1, 0, 0)], [F(1), F(1)], [0, 1, 2]) == (
+        _fractions((1, 0, 0)), ())

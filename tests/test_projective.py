@@ -343,12 +343,15 @@ def test_projective_curvature_nonzero_for_unmatched_weights():
 
 
 def test_link_frame_near_apex_keeps_rank():
-    # samples 29 and 288 sit at |u| ~ 0.09: normalizing to the sphere scales
-    # the Newton residual by 1/|u|^2, and the collapsed frame row keeps ~1e-10
+    # points at |u| = 0.09 that meet the cone to 7e-13, as a Newton
+    # projection may: normalizing to the sphere scales the residual by
+    # 1/|u|^2, and the collapsed frame row keeps ~1e-10
     cone = clifford_cone(3)
     U, Y = sample_immersion(cone, 300, seed=5, u_floor=0.05)
+    U = 0.09 * U / np.linalg.norm(U, axis=1)[:, None]
+    U[:, 0] += 3.5e-13 / U[:, 0]
+    assert np.all(np.abs(cone.residual(U)[:, 0]) > 6e-13)
     for i in (29, 288):
-        assert np.linalg.norm(U[i]) < 0.1
         p, frame = link_tangent_frame(cone, U[i:i + 1], Y[i:i + 1])
         assert frame.shape == (1, 2, 3)
         assert np.max(projective_lagrangian_defect(cone, U[i:i + 1], Y[i:i + 1])) <= 1e-8

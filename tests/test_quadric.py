@@ -17,7 +17,16 @@ from qlag import (
     sample_points,
     with_unit_sphere,
 )
-from qlag.catalog import ellipse, ellipsoid, klein_bottle_cone, sphere_cone, weighted_cone
+from qlag.catalog import (
+    clifford_cone,
+    ellipse,
+    ellipsoid,
+    ellipsoid_cone,
+    klein_bottle_cone,
+    product_torus,
+    sphere_cone,
+    weighted_cone,
+)
 from qlag.quadric import (
     CONVERGED,
     NO_CONVERGENCE,
@@ -177,50 +186,123 @@ def test_origin_row_ends_singular_alone():
                           expected_points.view(np.int64))
 
 
-def _reference_stratum(system, zero_index, count, seed=0):
-    """The per-draw loop sample_stratum_points ran before the batched
-    Gauss-Newton: Newton on the other coordinates, one draw at a time."""
-    rng = np.random.default_rng(seed)
-    others = [i for i in range(system.n) if i != zero_index]
-    accepted = []
-    attempts = 0
-    cap = max(500, 100 * count)
-    while len(accepted) < count and attempts < cap:
-        attempts += 1
-        u = np.zeros(system.n)
-        u[others] = rng.normal(0.0, 1.0, size=len(others))
-        converged = False
-        for _ in range(system.tolerances.max_iter):
-            r = system.residual(u)
-            if np.max(np.abs(r)) <= system.tolerances.residual:
-                converged = True
-                break
-            J = 2.0 * system.normals(u)[:, others]
-            try:
-                step = J.T @ np.linalg.solve(J @ J.T, r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            u = u.copy()
-            u[others] -= step
-        if converged and np.linalg.norm(u) <= system.tolerances.r_max:
-            accepted.append(u)
-    return np.array(accepted).reshape(-1, system.n)
+# the samplers' systems: one and two equations, cones (drawn from their
+# links), a diagonal torus, and the hyperbola, whose polytope has a ray
+SAMPLED = {
+    "ellipse": ellipse,
+    "ellipsoid([1,2,3])": lambda: ellipsoid([1, 2, 3]),
+    "sphere_cone(5)": lambda: sphere_cone(5),
+    "ellipsoid_cone": ellipsoid_cone,
+    "klein_bottle_cone": klein_bottle_cone,
+    "weighted_cone([1,1,1,3])": lambda: weighted_cone([1, 1, 1, 3]),
+    "clifford_cone(5)": lambda: clifford_cone(5),
+    "product_torus([1,2,3])": lambda: product_torus([1, 2, 3]),
+    "hyperbola": lambda: QuadricSystem([[1], [-2]], [1.0]),
+}
 
 
-@pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
-                         ids=["sphere_cone(5)", "weighted_cone([1,1,1,3])"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_stratum_sampler_matches_per_draw_loop(make, seed):
-    system = make()
-    strata = sample_stratum_points(system, 8, seed=seed)
-    assert len(strata) == system.n
-    for j, got in enumerate(strata):
-        expected = _reference_stratum(system, j, 8, seed=seed + j)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15
-        assert np.all(got[:, j] == 0.0)
+def _relative_residual(system, U):
+    """Per row, the largest |sum_i E[i,j] u_i^2 - d_j| over its rounding
+    scale sum_i |E[i,j]| u_i^2 + |d_j|."""
+    scale = (U * U) @ np.abs(system.matrix) + np.abs(np.array(system.constants))
+    return np.max(np.abs(system.residual(U)) / scale, axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_samples_meet_the_quadrics_to_rounding(name):
+    # the Gauss-Newton sampler met them to its 1e-12 residual tolerance
+    system = SAMPLED[name]()
+    U = sample_points(system, 1000, seed=3, u_floor=0.01)
+    assert U.shape == (1000, system.n)
+    assert np.max(_relative_residual(system, U)) <= 1e-14
+    assert np.min(np.abs(U)) > 0.01
+    if system.is_cone():  # the link, scaled by a radius in [1, 2)
+        norms = np.linalg.norm(U, axis=1)
+        assert np.all((norms > 1.0 - 1e-12) & (norms < 2.0))
+    for j, pts in enumerate(sample_stratum_points(system, 50, seed=3)):
+        assert pts.shape in {(0, system.n), (50, system.n)}
+        assert np.all(pts[:, j] == 0.0)
+        assert np.max(_relative_residual(system, pts), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["ellipse", "klein_bottle_cone", "clifford_cone(5)"])
+def test_every_sign_pattern_occurs(name):
+    system = SAMPLED[name]()
+    patterns = np.unique(sample_points(system, 2000, seed=1) > 0, axis=0)
+    assert len(patterns) == 2 ** system.n
+
+
+@pytest.mark.parametrize("name", ["ellipse", "clifford_cone(5)", "hyperbola"])
+def test_draws_are_deterministic_per_seed_and_count(name):
+    system = SAMPLED[name]()
+    U = sample_points(system, 100, seed=9)
+    assert np.array_equal(U, sample_points(system, 100, seed=9))
+    assert not np.array_equal(U, sample_points(system, 100, seed=10))
+    again = sample_stratum_points(system, 8, seed=9)
+    for got, want in zip(sample_stratum_points(system, 8, seed=9), again):
+        assert np.array_equal(got, want)
+
+
+def test_samplers_make_no_projection_and_no_rank_test(monkeypatch):
+    import qlag.quadric as quadric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the samplers project nothing")
+
+    monkeypatch.setattr(quadric, "gauss_newton", refuse)
+    monkeypatch.setattr(quadric, "newton_project", refuse)
+    monkeypatch.setattr(QuadricSystem, "smoothness_rank", refuse)
+    for make in SAMPLED.values():
+        system = make()
+        sample_points(system, 50, seed=0, u_floor=0.01)
+        sample_stratum_points(system, 8, seed=0)
+
+
+def _count_generators(monkeypatch):
+    seeds = []
+
+    def counted(seed, make=np.random.default_rng):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return seeds
+
+
+def test_empty_face_returns_no_points_without_drawing(monkeypatch):
+    # u5 = 0 on sphere_cone(5) asks sum_{i<5} v_i to be 1 and 0 at once;
+    # clifford_cone(5) has v = 1/5 at every point of its link, so none of its
+    # strata meets it, and the apex is not a stratum point
+    seeds = _count_generators(monkeypatch)
+    strata = sample_stratum_points(sphere_cone(5), 8, seed=10)
+    assert [pts.shape for pts in strata] == [(8, 5)] * 4 + [(0, 5)]
+    assert seeds == [10, 11, 12, 13]
+    seeds.clear()
+    assert [len(pts) for pts in sample_stratum_points(clifford_cone(5), 8, seed=0)] == [0] * 5
+    assert seeds == []
+
+
+def test_exhaustion_is_exact_at_its_boundary(monkeypatch):
+    # v1 + 200 v2 = 1 has a point with v1, v2 > f exactly when f < 1/201,
+    # and sqrt(1/201) = 0.070535...
+    thin = QuadricSystem([[1], [200]], [1.0])
+    U = sample_points(thin, 100, seed=0, u_floor=0.0705)
+    assert np.min(np.abs(U)) > 0.0705
+    seeds = _count_generators(monkeypatch)
+    with pytest.raises(SamplingExhausted, match=r"v_i > 0\.0706\^2"):
+        sample_points(thin, 100, seed=0, u_floor=0.0706)
+    assert seeds == []  # decided before any draw
+
+
+def test_exhaustion_needs_every_coordinate_off_zero():
+    # v1 + v2 = 1 and v1 + v2 + v3 = 1: P is not empty, but v3 = 0 on all of
+    # it, so no floor leaves a point with every |u_i| above it.  Its face
+    # v3 = 0 is all of P, but columns 1 and 2 of E^T have rank 1, so M is
+    # singular there and that stratum has no vertex
+    flat = QuadricSystem([[1, 1], [1, 1], [0, 1]], [1.0, 1.0])
+    with pytest.raises(SamplingExhausted):
+        sample_points(flat, 5, seed=0, u_floor=0.0)
+    assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [4, 4, 0]
 
 
 def test_sampling_deterministic_and_feasible():

@@ -283,12 +283,12 @@ def _reference_classify(system):
 # -- comparisons on the catalog -----------------------------------------------------
 
 
-# (sample count, seed) per tolerance: the reference takes seconds on the
-# thousands of near-apex pairs the cones report at 1e-6
+# (sample count, seed) per tolerance
 SCAN_SETS = {1e-8: [(384, 0), (600, 27)], 1e-6: [(384, 27)]}
-# instances whose scans report pairs, so the comparison covers them
-NONEMPTY = {(1e-8, "ellipse"), (1e-6, "ellipse"), (1e-6, "klein_bottle_cone"),
-            (1e-6, "clifford_cone(5)")}
+# instances whose scans report pairs, so the comparison covers them: the
+# ellipse's identified circles.  The cones' strata hold no apex points, so
+# they report none
+NONEMPTY = {(1e-8, "ellipse"), (1e-6, "ellipse")}
 
 
 @pytest.mark.parametrize("tol", sorted(SCAN_SETS))
@@ -308,11 +308,17 @@ def test_scan_equals_the_reference_scan(name, tol):
         assert len(report) > 0 or (tol, name) not in NONEMPTY
 
 
-# 160 and 30,180 close pairs: blocks of 7 and 4,099 leave a ragged last one
-@pytest.mark.parametrize("name, tol, block", [("ellipse", 1e-8, 7), ("clifford_cone(5)", 1e-6, 4099)])
+# (system, scan sample count): 160 and 1,920 close pairs, which blocks of 7
+# and 409 cut with a ragged last one
+BLOCK_SCANS = {"ellipse": (catalog.ellipse, 384),
+               "ellipse(2,3)": (lambda: catalog.ellipse(2, 3), 2400)}
+
+
+@pytest.mark.parametrize("name, tol, block", [("ellipse", 1e-8, 7), ("ellipse(2,3)", 1e-6, 409)])
 def test_scan_blocks_do_not_change_the_report(name, tol, block, monkeypatch):
-    system = CATALOG[name]()
-    U, Y = scan_samples(system, 384, seed=27)
+    make, count = BLOCK_SCANS[name]
+    system = make()
+    U, Y = scan_samples(system, count, seed=27)
     whole = scan_self_intersections(system, U, Y, tol=tol)
     sizes = []
     real_same_orbit = quotient.same_orbit
