@@ -55,3 +55,39 @@ def blockwise():
                     assert np.array_equal(got, expected)
 
     return check
+
+
+@pytest.fixture
+def per_point_draw():
+    """The samplers' polytope draw built one point at a time, a reference
+    for their batched arithmetic.
+
+    ``draw(system, count, seed, floor, zero)`` takes the vertices and rays
+    of quadric.moment_polytope and the generator's streams in the samplers'
+    order (simplex weights, ray weights, signs, a cone's radius), then
+    builds each point alone, term by term:
+    v_i = floor^2 + sum_k (w_k / sum w) V_ki + sum_r s_r R_ri and
+    u_i = eps_i r sqrt(v_i).  A face with no vertex gives no points.
+    """
+    from qlag.quadric import moment_polytope
+
+    def draw(system, count, seed, floor=0.0, zero=None):
+        vertices, rays = moment_polytope(system, floor, zero)
+        if not len(vertices):
+            return np.zeros((0, system.n))
+        rng = np.random.default_rng(seed)
+        weights = rng.exponential(size=(count, len(vertices)))
+        ray_weights = rng.exponential(size=(count, len(rays)))
+        signs = rng.choice([-1.0, 1.0], size=(count, system.n))
+        radii = rng.uniform(1.0, 2.0, size=(count, 1)) if system.is_cone() else np.ones((count, 1))
+        points = np.zeros((count, system.n))
+        for p in range(count):
+            total = weights[p].sum()
+            for i in range(system.n):
+                v = floor * floor + sum(w / total * vertex[i]
+                                        for w, vertex in zip(weights[p], vertices))
+                v += sum(s * ray[i] for s, ray in zip(ray_weights[p], rays))
+                points[p, i] = np.sqrt(v) * signs[p, i] * radii[p, 0]
+        return points
+
+    return draw

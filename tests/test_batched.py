@@ -117,6 +117,53 @@ def test_batch_rank_and_smoothness_shapes():
     assert system.smoothness_rank(U[:0]).shape == (0,)
 
 
+# -- the batched polytope draw against a per-point loop ------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, count, seed, u_floor",
+    [
+        ("ellipse", 50, 0, None),
+        ("ellipse", 7, 3, 0.5),
+        ("klein_bottle_cone", 40, 1, 0.05),
+        ("sphere_cone(5)", 30, 2, None),
+        ("clifford_cone(5)", 25, 4, 0.1),
+        ("ellipsoid([1,2,3])", 33, 5, 1e-6),
+        # the benchmark workloads' sampler calls
+        ("ellipse", 1000, 0, None),
+        ("ellipse", 1000, 0, 0.05),
+        ("klein_bottle_cone", 1000, 0, None),
+        ("klein_bottle_cone", 1000, 0, 0.05),
+        ("clifford_cone(5)", 96, 0, 1e-6),
+        ("clifford_cone(5)", 231, 0, 1e-6),
+        ("product_torus([1,2,3])", 120, 0, None),
+        # small quotas, a quota of one, and floors up to 0.5 on the
+        # ellipse, whose largest is 1/sqrt(3)
+        ("ellipse", 20, 0, 0.1),
+        ("sphere_cone(5)", 25, 3, 0.1),
+        ("sphere_cone(5)", 1, 0, None),
+        ("ellipse", 65, 0, 0.3),
+    ],
+)
+def test_sampler_matches_per_point_loop(name, count, seed, u_floor, per_point_draw,
+                                        monkeypatch):
+    system = SYSTEMS[name]()
+    floor = system.tolerances.u_floor if u_floor is None else u_floor
+    expected = per_point_draw(system, count, seed, floor)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler projects nothing")
+
+    monkeypatch.setattr(quadric, "gauss_newton", refuse)
+    got = sample_points(system, count, seed=seed, u_floor=u_floor)
+    assert got.shape == expected.shape == (count, system.n)
+    # equal to rounding: the batched mix sums its vertices in a matrix
+    # product, the loop one term at a time
+    assert np.all(np.abs(got - expected) <= 4.0 * np.finfo(float).eps * np.abs(expected))
+    assert np.all(np.sign(got) == np.sign(expected))
+    assert np.min(np.abs(got)) > floor
+
+
 def _reference_gauss_newton(system, guesses, polish=False):
     """The masked loop gauss_newton ran before its lean rewrite: the active
     rows rebuilt from five full-batch arrays at every step, and each row's

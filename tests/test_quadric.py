@@ -305,6 +305,24 @@ def test_exhaustion_needs_every_coordinate_off_zero():
     assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [4, 4, 0]
 
 
+@pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
+                         ids=["sphere_cone(5)", "weighted_cone([1,1,1,3])"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stratum_sampler_matches_per_draw_loop(make, seed, per_point_draw):
+    # each stratum j is drawn from its face v_j = 0 at seed + j.  On both
+    # systems v_n = 0 leaves sum_{i<n} v_i = 0 by the cone equation, which
+    # misses sum v = 1 (sphere_cone's sphere, the weighted cone's link), so
+    # that stratum has no points
+    system = make()
+    strata = sample_stratum_points(system, 8, seed=seed)
+    assert len(strata) == system.n
+    for j, got in enumerate(strata):
+        expected = per_point_draw(system, 8, seed + j, zero=j)
+        assert got.shape == expected.shape == ((0 if j == system.n - 1 else 8), system.n)
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-15
+        assert np.all(got[:, j] == 0.0)
+
+
 def test_sampling_deterministic_and_feasible():
     sys1 = ellipse()
     a = sample_points(sys1, 100, seed=9)
