@@ -25,7 +25,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .lattice import ExponentMatrix, polyhedron
+from .lattice import ExponentMatrix, hermite_normal_form, polyhedron
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class Tolerances:
     rank: float = 1e-9
     u_floor: float = 1e-3
     max_iter: int = 100
-    r_max: float = 1e3
     fd_step: float = 1e-5
 
 
@@ -260,29 +259,23 @@ def newton_project(
     return points
 
 
-def moment_polytope(system: QuadricSystem, floor=0.0, zero=None) -> list[np.ndarray]:
+def moment_polytope(system: QuadricSystem, floor=0.0) -> list[np.ndarray]:
     """Float (V, n) vertices, less floor^2, and (R, n) rays of the exact
     lattice.polyhedron of P = {v >= 0 : E^T v = d} (a cone's link
-    P ∩ {sum v = 1}) cut to v >= floor^2, or with ``zero`` of its face v_zero = 0."""
+    P ∩ {sum v = 1}) cut to v >= floor^2."""
     rows, rhs = [*zip(*system.exponents.rows)], [Fraction(c) for c in system.constants]
     if system.is_cone():
         rows, rhs = [*rows, (1,) * system.n], [*rhs, Fraction(1)]
     rhs = [b - Fraction(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
-    found = polyhedron(rows, rhs, [i for i in range(system.n) if i != zero])
-    return [np.array(part, dtype=float).reshape(-1, system.n) for part in found]
+    return [np.array(part, dtype=float).reshape(-1, system.n) for part in polyhedron(rows, rhs)]
 
 
-def _draw(system: QuadricSystem, count: int, seed: int, floor=0.0, zero=None) -> np.ndarray:
+def _draw(
+    system: QuadricSystem, count: int, seed: int, vertices, rays, floor=0.0
+) -> np.ndarray:
     """``count`` points u = eps sqrt(v), v = floor^2 + a uniform simplex mix
-    of moment_polytope's vertices + unit exponential weights on its rays, a
-    cone's u scaled by a radius in [1, 2).  Before any draw, a face with no
-    vertex gives no points, and a cut P on which some v_i never exceeds
-    floor^2 raises SamplingExhausted."""
-    vertices, rays = moment_polytope(system, floor, zero)
-    if zero is None and not np.all(np.any(vertices > 0, axis=0) | np.any(rays > 0, axis=0)):
-        raise SamplingExhausted(f"no point of the moment polytope has every v_i > {floor}^2")
-    if not len(vertices):
-        return np.zeros((0, system.n))
+    of the (V, n) ``vertices`` + unit exponential weights on the (R, n)
+    ``rays``, a cone's u scaled by a radius in [1, 2)."""
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=(count, len(vertices)))
     v = floor * floor + (weights / weights.sum(axis=1, keepdims=True)) @ vertices
@@ -294,20 +287,42 @@ def _draw(system: QuadricSystem, count: int, seed: int, floor=0.0, zero=None) ->
 
 
 def sample_points(
-    system: QuadricSystem, count: int, seed: int = 0, u_floor: float | None = None
+    system: QuadricSystem,
+    count: int,
+    seed: int = 0,
+    u_floor: float | None = None,
 ) -> np.ndarray:
     """``count`` points of M with every |u_i| > u_floor (tolerances.u_floor
-    by default), deterministic per (seed, count), as _draw draws them."""
+    by default), deterministic per (seed, count): _draw over the vertices
+    and rays of P cut to v >= u_floor^2.  Before any draw, a cut P on which
+    some v_i never exceeds u_floor^2 raises SamplingExhausted."""
     floor = system.tolerances.u_floor if u_floor is None else u_floor
-    return _draw(system, count, seed, floor)
+    vertices, rays = moment_polytope(system, floor)
+    if not np.all(np.any(np.vstack([vertices, rays]) > 0, axis=0)):
+        raise SamplingExhausted(f"no point of the moment polytope has every v_i > {floor}^2")
+    return _draw(system, count, seed, vertices, rays, floor)
 
 
 def sample_stratum_points(
-    system: QuadricSystem, count: int, seed: int = 0
+    system: QuadricSystem,
+    count: int,
+    seed: int = 0,
 ) -> list[np.ndarray]:
     """Points of M on each coordinate stratum u_j = 0 exactly: for each j,
-    ``count`` points drawn from the face v_j = 0 at seed + j, or none."""
-    return [_draw(system, count, seed + j, zero=j) for j in range(system.n)]
+    ``count`` points drawn at seed + j from the face v_j = 0 of P, whose
+    vertices and rays are P's with v_j = 0.  A face gives none, undrawn,
+    when it has no vertex or when M is singular on it: the rows of E on
+    its support (the coordinates that some vertex or ray makes nonzero)
+    have rank below codim."""
+    vertices, rays = moment_polytope(system)
+    strata = []
+    for j in range(system.n):
+        face = vertices[vertices[:, j] == 0], rays[rays[:, j] == 0]
+        support = np.any(np.vstack(face) > 0, axis=0)
+        rows = np.array(system.exponents.rows)[support]
+        smooth = len(face[0]) and len(hermite_normal_form(rows)) == system.codim
+        strata.append(_draw(system, count, seed + j, *face) if smooth else np.zeros((0, system.n)))
+    return strata
 
 
 def definite(column: Sequence[int], d: float) -> bool:

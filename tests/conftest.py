@@ -63,16 +63,19 @@ def per_point_draw():
     for their batched arithmetic.
 
     ``draw(system, count, seed, floor, zero)`` takes the vertices and rays
-    of quadric.moment_polytope and the generator's streams in the samplers'
-    order (simplex weights, ray weights, signs, a cone's radius), then
-    builds each point alone, term by term:
+    of quadric.moment_polytope, those with v_zero = 0 when ``zero`` is
+    given, and the generator's streams in the samplers' order (simplex
+    weights, ray weights, signs, a cone's radius), then builds each point
+    alone, term by term:
     v_i = floor^2 + sum_k (w_k / sum w) V_ki + sum_r s_r R_ri and
     u_i = eps_i r sqrt(v_i).  A face with no vertex gives no points.
     """
     from qlag.quadric import moment_polytope
 
     def draw(system, count, seed, floor=0.0, zero=None):
-        vertices, rays = moment_polytope(system, floor, zero)
+        vertices, rays = moment_polytope(system, floor)
+        if zero is not None:
+            vertices, rays = vertices[vertices[:, zero] == 0], rays[rays[:, zero] == 0]
         if not len(vertices):
             return np.zeros((0, system.n))
         rng = np.random.default_rng(seed)

@@ -158,6 +158,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         ({"samples": -3}, "samples"),
         ({"seed": -1}, "seed"),
         ({"tolerances": {"lagrangain": 1e-10}}, "tolerances.lagrangain"),
+        # the samplers' radius bound, gone with the rejection sampler
+        ({"tolerances": {"r_max": 1e3}}, "tolerances.r_max"),
         ({"tolerances": [1e-10]}, "tolerances"),
         ({"mesh": {"target": "xyz"}}, "mesh.target"),
         ({"mesh": {"resolution": 5}}, "mesh.resolution"),

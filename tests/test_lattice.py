@@ -2,6 +2,8 @@
 parity pairings, and the report's freeness verdict read off the action
 table.  Everything here must hold with rational equality."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -358,16 +360,68 @@ def test_polyhedron_vertices_and_rays():
 
     F = Fraction
     # the hyperbola's v1 - 2 v2 = 1: one vertex and one ray
-    assert polyhedron([(1, -2)], [F(1)], [0, 1]) == (
-        _fractions((1, 0)), _fractions((F(2, 3), F(1, 3))))
+    assert polyhedron([(1, -2)], [F(1)]) == (_fractions((1, 0)), _fractions((F(2, 3), F(1, 3))))
     # the klein cone's link v1 + 2 v2 - 3 v3 = 0, sum v = 1: two vertices, no ray
     link = [(1, 2, -3), (1, 1, 1)]
-    assert polyhedron(link, [F(0), F(1)], [0, 1, 2]) == (
+    assert polyhedron(link, [F(0), F(1)]) == (
         _fractions((F(3, 4), 0, F(1, 4)), (0, F(3, 5), F(2, 5))), ())
-    # held at v3 = 0, no point remains; held at v1 = 0, one vertex
-    assert polyhedron(link, [F(0), F(1)], [0, 1]) == ((), ())
-    assert polyhedron(link, [F(0), F(1)], [1, 2]) == (_fractions((0, F(3, 5), F(2, 5))), ())
     # v1 + v2 + v3 = 1 with v1 = 1: the degenerate vertex of bases {1, 2}
     # and {1, 3} is listed once, and the singular basis {2, 3} is skipped
-    assert polyhedron([(1, 1, 1), (1, 0, 0)], [F(1), F(1)], [0, 1, 2]) == (
-        _fractions((1, 0, 0)), ())
+    assert polyhedron([(1, 1, 1), (1, 0, 0)], [F(1), F(1)]) == (_fractions((1, 0, 0)), ())
+    # the planes cone's link v1 - v2 = 0, sum v = 1: its vertex (0, 0, 1) is
+    # found from the basis {2, 3}, degenerate, though E's row 3 is zero
+    assert polyhedron([(1, -1, 0), (1, 1, 1)], [F(0), F(1)]) == (
+        _fractions((F(1, 2), F(1, 2), 0), (0, 0, 1)), ())
+
+
+def _every_basis_solved_exactly(rows, rhs):
+    """polyhedron's reference: every square column basis inverted over Q."""
+    from qlag.lattice import _inverse
+
+    n = len(rows[0])
+    found = ({}, {})
+    for out, (a, b) in zip(found, ((rows, rhs), ([*rows, (1,) * n], [0] * len(rows) + [1]))):
+        for basis in itertools.combinations(range(n), len(a)):
+            try:
+                inverse = _inverse([[Fraction(row[c]) for c in basis] for row in a])
+            except SingularBasis:
+                continue
+            x = [sum((p * q for p, q in zip(row, b)), Fraction(0)) for row in inverse]
+            if min(x) >= 0:
+                v = [Fraction(0)] * n
+                for c, value in zip(basis, x):
+                    v[c] = value
+                out[tuple(v)] = None
+    return tuple(found[0]), tuple(found[1])
+
+
+@pytest.mark.parametrize("n, m, seed", [(8, 4, 3), (9, 3, 2)])
+@pytest.mark.parametrize("affine", [True, False], ids=["v=1 in P", "b=0"])
+def test_polyhedron_inverts_only_its_float_candidates(n, m, seed, affine, monkeypatch):
+    # the float pass keeps every vertex and ray that solving all bases
+    # exactly finds, in the same order; with v = 1 in P it leaves under a
+    # third of the bases to invert, while b = 0 makes 0 a vertex of every
+    # regular basis
+    import numpy as np
+
+    import qlag.lattice as lattice
+
+    rng = np.random.default_rng(seed)
+    while True:
+        E = rng.integers(-2, 3, size=(n, m))
+        if np.linalg.matrix_rank(E) == m:
+            break
+    rows = [tuple(int(x) for x in col) for col in E.T]
+    rhs = [Fraction(int(d) if affine else 0) for d in E.sum(axis=0)]
+    expected = _every_basis_solved_exactly(rows, rhs)
+    inverted = []
+
+    def counted(block, inverse=lattice._inverse):
+        inverted.append(block)
+        return inverse(block)
+
+    monkeypatch.setattr(lattice, "_inverse", counted)
+    assert lattice.polyhedron(rows, rhs) == expected
+    assert len(expected[0]) > 1 if affine else expected[0] == ((0,) * n,)
+    if affine:
+        assert len(inverted) < (math.comb(n, m) + math.comb(n, m + 1)) / 3

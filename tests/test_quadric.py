@@ -280,6 +280,12 @@ def test_empty_face_returns_no_points_without_drawing(monkeypatch):
     seeds.clear()
     assert [len(pts) for pts in sample_stratum_points(clifford_cone(5), 8, seed=0)] == [0] * 5
     assert seeds == []
+    # the planes cone u1^2 = u2^2: its faces v1 = 0 and v2 = 0 are the link's
+    # vertex (0, 0, 1), the u3 axis, where the one row of E on the support
+    # is zero and M is singular; only u3 = 0 is drawn
+    planes = QuadricSystem([[1], [-1], [0]], [0.0])
+    assert [len(pts) for pts in sample_stratum_points(planes, 8, seed=0)] == [0, 0, 8]
+    assert seeds == [2]
 
 
 def test_exhaustion_is_exact_at_its_boundary(monkeypatch):
@@ -296,13 +302,13 @@ def test_exhaustion_is_exact_at_its_boundary(monkeypatch):
 
 def test_exhaustion_needs_every_coordinate_off_zero():
     # v1 + v2 = 1 and v1 + v2 + v3 = 1: P is not empty, but v3 = 0 on all of
-    # it, so no floor leaves a point with every |u_i| above it.  Its face
-    # v3 = 0 is all of P, but columns 1 and 2 of E^T have rank 1, so M is
-    # singular there and that stratum has no vertex
+    # it, so no floor leaves a point with every |u_i| above it.  Every face
+    # lies in v3 = 0, where rows 1 and 2 of E have rank 1: M is singular on
+    # all of them, so no stratum is drawn
     flat = QuadricSystem([[1, 1], [1, 1], [0, 1]], [1.0, 1.0])
     with pytest.raises(SamplingExhausted):
         sample_points(flat, 5, seed=0, u_floor=0.0)
-    assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [4, 4, 0]
+    assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
