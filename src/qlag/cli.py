@@ -26,6 +26,7 @@ from dataclasses import replace
 
 from .errors import ConfigInvalid, DimensionUnsupported, NotACone, QlagError
 from .pipeline import (
+    NUMERIC_TOLERANCES,
     VERIFY_TOLERANCES,
     InstanceConfig,
     report_passed,
@@ -35,7 +36,7 @@ from .pipeline import (
 from .quadric import moment_polytope
 
 # the tolerance keys a --tol-<key> flag sets, with dashes for underscores
-TOL_FLAGS = sorted(VERIFY_TOLERANCES) + ["residual", "rank", "u_floor", "fd_step"]
+TOL_FLAGS = sorted(VERIFY_TOLERANCES) + list(NUMERIC_TOLERANCES)
 
 # name -> (help, the sweeps it runs); analyze runs the config's own sweeps
 # and mesh writes geometry instead of a report

@@ -11,15 +11,16 @@ All arithmetic here is exact: integers for L, fractions.Fraction for L*.
 Parity statements must never pass through floating point.  Linear algebra
 over Q is one Gauss-Jordan inverse per LatticeBasis, which rejects a
 singular basis and gives both the dual basis and coordinates, and one per
-candidate square column basis of a polyhedron {v >= 0 : A v = b}, whose
-vertices and rays the samplers mix; one float solve of every basis picks
-the candidates and decides nothing else.
+candidate square column basis of a polyhedron {v >= 0 : A v = b}, cached
+across calls, whose vertices and rays the samplers mix; one float solve of
+every basis picks the candidates and decides nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -237,6 +238,17 @@ def pairing_parity(gamma: Sequence, e_row: Sequence[int]) -> int:
     return value.numerator % 2
 
 
+@lru_cache(maxsize=None)
+def _basis_inverse(rows: tuple[IntVector, ...], basis: IntVector) -> tuple[FracVector, ...] | None:
+    """The exact inverse of the square column basis ``basis`` of the integer
+    ``rows``, or None where it is singular; cached, since the samplers ask
+    for the same bases at every floor."""
+    try:
+        return _inverse([[Fraction(row[c]) for c in basis] for row in rows])
+    except SingularBasis:
+        return None
+
+
 def polyhedron(
     rows: Sequence[Sequence[int]], rhs: Sequence
 ) -> tuple[tuple[FracVector, ...], tuple[FracVector, ...]]:
@@ -247,10 +259,11 @@ def polyhedron(
     of A, in itertools.combinations order without repeats.  One float solve
     of every basis picks the candidates: |det B|, an integer, exceeds 1/2,
     and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
-    exactly, and one that raises SingularBasis is skipped.  The rays,
-    scaled to sum 1, are the vertices of {r >= 0 : A r = 0, sum r = 1}
-    found the same way.  The float pass holds C(n, m) blocks of m x m
-    floats, m = len(rows) + 1: 7 MB at n = 16, m = 9.
+    exactly by _basis_inverse, once per (A, B) in a process, and a singular
+    one is skipped.  The rays, scaled to sum 1, are the vertices of
+    {r >= 0 : A r = 0, sum r = 1} found the same way.  The float pass
+    holds C(n, m) blocks of m x m floats, m = len(rows) + 1: 7 MB at
+    n = 16, m = 9.
     """
     n = len(rows[0])
     found: tuple[dict, dict] = ({}, {})
@@ -262,10 +275,10 @@ def polyhedron(
         regular = np.abs(np.linalg.det(blocks)) > 0.5
         guess = np.linalg.solve(blocks[regular], np.array(b, dtype=float)[:, None])[..., 0]
         near = guess.min(axis=1) >= -1e-6 * np.abs(guess).max(axis=1, initial=1.0)
+        key = tuple(map(tuple, a))
         for basis in bases[regular][near].tolist():
-            try:
-                inverse = _inverse([[Fraction(row[c]) for c in basis] for row in a])
-            except SingularBasis:
+            inverse = _basis_inverse(key, tuple(basis))
+            if inverse is None:
                 continue
             x = [sum((p * q for p, q in zip(row, b)), Fraction(0)) for row in inverse]
             if min(x) >= 0:

@@ -7,7 +7,7 @@ the samplers return u = eps sqrt(v) for v drawn from P, with no projection.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
-numeric knobs: its fields name them, their defaults give their types.
+numeric knobs: its fields name them.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ class Tolerances:
     """Numerical knobs, defaults sized well below verification tolerances."""
 
     residual: float = 1e-12
-    rank: float = 1e-9
     u_floor: float = 1e-3
-    max_iter: int = 100
     fd_step: float = 1e-5
 
 
@@ -97,17 +95,16 @@ class QuadricSystem:
         u = np.asarray(u, dtype=float)
         return self.matrix.T * u[..., None, :]
 
-    def smoothness_rank(self, u: np.ndarray) -> np.ndarray:
-        """Numerical rank of the normal frame at each point of a (N, n) batch,
-        from one stacked SVD; a point is smooth iff its rank equals codim."""
-        nf = self.normals(u)
-        if not nf.size:
-            return np.zeros(nf.shape[:-2], dtype=int)
-        s = np.linalg.svd(nf, compute_uv=False)
-        return np.sum(s > self.tolerances.rank * np.maximum(1.0, s[..., :1]), axis=-1)
-
     def is_smooth_point(self, u: np.ndarray) -> np.ndarray:
-        return self.smoothness_rank(u) == self.codim
+        """Whether M is smooth at each point of a (N, n) batch: the rows of E
+        on the point's support (its nonzero coordinates) have rank codim,
+        decided exactly, once per distinct support."""
+        support = np.asarray(u, dtype=float) != 0
+        patterns, inverse = np.unique(support, axis=0, return_inverse=True)
+        rows = self.exponents.rows
+        smooth = [len(hermite_normal_form([r for r, on in zip(rows, p) if on])) == self.codim
+                  for p in patterns]
+        return np.array(smooth, dtype=bool)[inverse.reshape(-1)]
 
     def tangent_basis(self, u: np.ndarray) -> np.ndarray:
         """k orthonormal vectors orthogonal to every normal at each point of a
@@ -116,7 +113,8 @@ class QuadricSystem:
         orthonormalize runs the standard basis seeds e_1, e_2, ... in order
         against the orthonormal normal frame, so the result depends only on
         u (no randomness, no SVD sign ambiguity).  Each point drops the
-        seeds whose residual norm is at most 1e-8.
+        seeds whose residual norm is at most 1e-8 and must keep exactly k: a
+        normal frame lost to float underflow leaves k + 1.
         """
         u = np.asarray(u, dtype=float)
         singular = np.nonzero(~self.is_smooth_point(u))[0]
@@ -126,7 +124,7 @@ class QuadricSystem:
         seeds = np.broadcast_to(np.eye(self.n), (len(u), self.n, self.n))
         normal = orthonormalize(self.normals(u))[0]
         tangents, kept = orthonormalize(seeds, self.k, 1e-8, against=normal)
-        short = np.nonzero(kept < self.k)[0]
+        short = np.nonzero(kept != self.k)[0]
         if len(short):
             raise SingularPoint(f"could not complete tangent basis at sample {short[0]}")
         return tangents
@@ -161,8 +159,9 @@ def orthonormalize(
     return frame[:, :count], kept
 
 
-# gauss_newton row status
+# gauss_newton row status, and its step cap
 CONVERGED, NO_CONVERGENCE, SINGULAR = 0, 1, 2
+MAX_ITER = 100
 
 
 def gauss_newton(
@@ -180,7 +179,7 @@ def gauss_newton(
     The residual is evaluated over the whole batch, so no row's bits depend
     on how many others are still stepping.
     """
-    tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
+    tol = system.tolerances.residual
     patience = 3 if polish else 0
     u = np.array(guesses, dtype=float)
     best_u = u.copy()
@@ -191,7 +190,7 @@ def gauss_newton(
     idx = np.arange(len(u))
     low = best.copy()
     stale = np.zeros(len(u), dtype=int)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         r = system.residual(u)[idx]
         rmax = np.abs(r).max(axis=1)
         better = rmax < low
@@ -205,7 +204,7 @@ def gauss_newton(
         if not going.all():
             best[idx] = low
             idx, r, low, stale = idx[going], r[going], low[going], stale[going]
-        if it == max_iter or not len(idx):
+        if it == MAX_ITER or not len(idx):
             break
         v = u[idx]
         J = 2.0 * system.normals(v)
@@ -253,7 +252,7 @@ def newton_project(
             raise SingularJacobian(f"rank-deficient Jacobian or non-finite step from {where}")
         raise NoConvergence(
             f"residual {np.max(np.abs(system.residual(points[i]))):.3e} > "
-            f"{system.tolerances.residual:.3e} after {system.tolerances.max_iter} "
+            f"{system.tolerances.residual:.3e} after {MAX_ITER} "
             f"iterations from {where}"
         )
     return points
@@ -311,16 +310,15 @@ def sample_stratum_points(
     """Points of M on each coordinate stratum u_j = 0 exactly: for each j,
     ``count`` points drawn at seed + j from the face v_j = 0 of P, whose
     vertices and rays are P's with v_j = 0.  A face gives none, undrawn,
-    when it has no vertex or when M is singular on it: the rows of E on
-    its support (the coordinates that some vertex or ray makes nonzero)
-    have rank below codim."""
+    when it has no vertex or when M is singular on it: is_smooth_point
+    fails at its support, the coordinates that some vertex or ray makes
+    nonzero."""
     vertices, rays = moment_polytope(system)
     strata = []
     for j in range(system.n):
         face = vertices[vertices[:, j] == 0], rays[rays[:, j] == 0]
         support = np.any(np.vstack(face) > 0, axis=0)
-        rows = np.array(system.exponents.rows)[support]
-        smooth = len(face[0]) and len(hermite_normal_form(rows)) == system.codim
+        smooth = len(face[0]) and system.is_smooth_point(support[None])[0]
         strata.append(_draw(system, count, seed + j, *face) if smooth else np.zeros((0, system.n)))
     return strata
 

@@ -142,7 +142,7 @@ def scan_samples(
             if not len(pts):
                 continue
             pts = np.vstack([pts, -pts])
-            pts = np.unique(np.round(pts / 1e-9) * 1e-9, axis=0)
+            pts = np.unique(pts, axis=0)
             grid = max(4, per_axis // len(pts))
             grid += (-grid) % 4
             ts = np.arange(grid)[:, None] / grid

@@ -109,12 +109,23 @@ def test_batch_with_singular_sample_names_it():
         frame_at(cone, U, np.zeros((3, 1)))
 
 
-def test_batch_rank_and_smoothness_shapes():
+def test_batch_smoothness_shapes():
     system = ellipse()
     U = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert system.smoothness_rank(U).tolist() == [1, 0]
     assert system.is_smooth_point(U).tolist() == [True, False]
-    assert system.smoothness_rank(U[:0]).shape == (0,)
+    assert system.is_smooth_point(U[:0]).shape == (0,)
+
+
+def test_torus_metric_error_is_relative_to_the_block():
+    # the thin ellipse's metric entries are near 2e3, so rounding alone put
+    # the absolute error at 1.1e-12 on this draw, over metric_block = 1e-12
+    thin = quadric.QuadricSystem([[1], [200]], [1.0])
+    U, Y = sample_immersion(thin, 1000, seed=3)
+    closed = torus_metric(thin, U)
+    metric = pipeline._frame_checks(thin, U, Y)[2]
+    absolute = metric * np.max(np.abs(closed), axis=(-2, -1))
+    assert np.max(absolute) > pipeline.VERIFY_TOLERANCES["metric_block"]
+    assert np.max(metric) <= 1e-14
 
 
 # -- the batched polytope draw against a per-point loop ------------------------------
@@ -168,7 +179,7 @@ def _reference_gauss_newton(system, guesses, polish=False):
     """The masked loop gauss_newton ran before its lean rewrite: the active
     rows rebuilt from five full-batch arrays at every step, and each row's
     step from its own np.linalg.solve."""
-    tol, max_iter = system.tolerances.residual, system.tolerances.max_iter
+    tol, max_iter = system.tolerances.residual, quadric.MAX_ITER
     patience = 3 if polish else 0
     u = np.array(guesses, dtype=float)
     best_u = u.copy()

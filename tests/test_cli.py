@@ -160,6 +160,10 @@ def test_config_error_exit_code(tmp_path, capsys):
         ({"tolerances": {"lagrangain": 1e-10}}, "tolerances.lagrangain"),
         # the samplers' radius bound, gone with the rejection sampler
         ({"tolerances": {"r_max": 1e3}}, "tolerances.r_max"),
+        # the SVD rank cut, gone with the SVD, and the Gauss-Newton step cap,
+        # now the constant quadric.MAX_ITER
+        ({"tolerances": {"rank": 1e-9}}, "tolerances.rank"),
+        ({"tolerances": {"max_iter": 100}}, "tolerances.max_iter"),
         ({"tolerances": [1e-10]}, "tolerances"),
         ({"mesh": {"target": "xyz"}}, "mesh.target"),
         ({"mesh": {"resolution": 5}}, "mesh.resolution"),
@@ -248,6 +252,13 @@ def test_every_tol_flag_sets_its_tolerance(key, tmp_path, capsys):
     instance = json.loads(capsys.readouterr().out)["instance"]
     tolerances = {**instance["verify_tolerances"], **instance["numeric_tolerances"]}
     assert tolerances[key] == 0.375
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-max-iter"])
+def test_removed_numeric_knob_flags_exit_2(flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", _write(tmp_path, ELLIPSE), flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_options_may_come_before_the_command(tmp_path, capsys):

@@ -414,6 +414,7 @@ def test_polyhedron_inverts_only_its_float_candidates(n, m, seed, affine, monkey
     rows = [tuple(int(x) for x in col) for col in E.T]
     rhs = [Fraction(int(d) if affine else 0) for d in E.sum(axis=0)]
     expected = _every_basis_solved_exactly(rows, rhs)
+    lattice._basis_inverse.cache_clear()  # both cases share the rows
     inverted = []
 
     def counted(block, inverse=lattice._inverse):
@@ -425,3 +426,31 @@ def test_polyhedron_inverts_only_its_float_candidates(n, m, seed, affine, monkey
     assert len(expected[0]) > 1 if affine else expected[0] == ((0,) * n,)
     if affine:
         assert len(inverted) < (math.comb(n, m) + math.comb(n, m + 1)) / 3
+
+
+def test_polytope_bases_are_inverted_once_across_floors(monkeypatch):
+    # the floor moves only b, so a second enumeration at another floor
+    # reuses every exact inverse and still equals a cold one
+    import qlag.lattice as lattice
+    from qlag.catalog import sphere_cone
+    from qlag.quadric import moment_polytope
+
+    system = sphere_cone(5)
+    inverted = []
+
+    def counted(block, inverse=lattice._inverse):
+        inverted.append(block)
+        return inverse(block)
+
+    monkeypatch.setattr(lattice, "_inverse", counted)
+    lattice._basis_inverse.cache_clear()
+    moment_polytope(system, 0.1)
+    assert inverted
+    inverted.clear()
+    warm = moment_polytope(system, 0.2)
+    assert inverted == []
+    lattice._basis_inverse.cache_clear()
+    cold = moment_polytope(system, 0.2)
+    assert inverted
+    assert len(warm) == len(cold) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))

@@ -74,16 +74,81 @@ def test_normals_match_finite_difference_gradient():
     del rng
 
 
-def test_smoothness_rank():
+def test_is_smooth_point():
     sys1 = ellipse()
-    assert sys1.smoothness_rank([[1.0, 0.0], [0.0, 0.0]]).tolist() == [1, 0]
+    assert sys1.is_smooth_point([[1.0, 0.0], [0.0, 0.0]]).tolist() == [True, False]
     sys3 = sphere_cone(3)
     u = sample_points(sys3, 1, seed=1)
-    assert sys3.smoothness_rank(u).tolist() == [2]
+    assert sys3.is_smooth_point(u).tolist() == [True]
     # explicit feasible point (1,0,1)/sqrt(2): both normals independent
     explicit = np.array([[1.0, 0.0, 1.0]]) / np.sqrt(2.0)
     assert np.allclose(sys3.residual(explicit), 0.0)
-    assert sys3.smoothness_rank(explicit).tolist() == [2]
+    assert sys3.is_smooth_point(explicit).tolist() == [True]
+    # the planes cone u1^2 = u2^2 on its u3 axis: the one row of E on the
+    # support is zero
+    planes = QuadricSystem([[1], [-1], [0]], [0.0])
+    assert planes.is_smooth_point([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]).tolist() == [False, True]
+    assert sys1.is_smooth_point(np.zeros((0, 2))).shape == (0,)
+
+
+def test_smoothness_does_not_depend_on_scale():
+    # a normal of norm 1e-12 fell below an SVD's absolute rank cut; the
+    # support decides, so the point is smooth and has its tangent
+    sys1 = ellipse()
+    u = np.array([[1e-12, 0.0]])
+    assert sys1.is_smooth_point(u).tolist() == [True]
+    assert np.array_equal(sys1.tangent_basis(u), [[[0.0, 1.0]]])
+
+
+def test_tangent_basis_rejects_an_underflowed_normal_frame():
+    # a cone point at 1e-170 is smooth, but its normals' norms underflow to
+    # 0, so the seeds keep k + 1 directions, the normal among them
+    cone = klein_bottle_cone()
+    u = sample_points(cone, 1, seed=0) * 1e-170
+    assert cone.is_smooth_point(u).tolist() == [True]
+    with pytest.raises(SingularPoint, match="could not complete tangent basis at sample 0"):
+        cone.tangent_basis(u)
+
+
+# the systems of the exact rule's agreement test, sampled and on random
+# points with coordinates zeroed
+SMOOTHNESS = {
+    "ellipse": ellipse,
+    "ellipsoid([1,2,3])": lambda: ellipsoid([1, 2, 3]),
+    "sphere_cone(3)": lambda: sphere_cone(3),
+    "sphere_cone(5)": lambda: sphere_cone(5),
+    "ellipsoid_cone": ellipsoid_cone,
+    "klein_bottle_cone": klein_bottle_cone,
+    "weighted_cone([1,1,1,3])": lambda: weighted_cone([1, 1, 1, 3]),
+    "clifford_cone(3)": lambda: clifford_cone(3),
+    "clifford_cone(5)": lambda: clifford_cone(5),
+    "product_torus([1,2,3])": lambda: product_torus([1, 2, 3]),
+}
+
+
+def _svd_is_smooth(system, U, rank=1e-9):
+    """The stacked-SVD test the exact rule replaced: the normal frame's
+    singular values above rank * max(1, s_1) number codim."""
+    s = np.linalg.svd(system.normals(U), compute_uv=False)
+    return np.sum(s > rank * np.maximum(1.0, s[..., :1]), axis=-1) == system.codim
+
+
+def test_exact_smoothness_agrees_with_the_svd_test():
+    # 500 samples, the 50-point strata and 2000 random points with 40 % of
+    # their coordinates zeroed, on each system: 25,900 points in all
+    total = 0
+    for make in SMOOTHNESS.values():
+        system = make()
+        rng = np.random.default_rng(0)
+        random = rng.normal(size=(2000, system.n))
+        random[rng.random(random.shape) < 0.4] = 0.0
+        U = np.vstack([sample_points(system, 500, seed=0),
+                       *sample_stratum_points(system, 50, seed=0), random])
+        smooth = system.is_smooth_point(U)
+        assert np.array_equal(smooth, _svd_is_smooth(system, U))
+        assert not smooth.all()
+        total += len(U)
+    assert total == 25900
 
 
 def test_tangent_basis_hand_values():
@@ -247,11 +312,11 @@ def test_samplers_make_no_projection_and_no_rank_test(monkeypatch):
     import qlag.quadric as quadric
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the samplers project nothing")
+        raise AssertionError("the samplers project nothing and take no SVD")
 
     monkeypatch.setattr(quadric, "gauss_newton", refuse)
     monkeypatch.setattr(quadric, "newton_project", refuse)
-    monkeypatch.setattr(QuadricSystem, "smoothness_rank", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     for make in SAMPLED.values():
         system = make()
         sample_points(system, 50, seed=0, u_floor=0.01)

@@ -308,6 +308,22 @@ def test_scan_equals_the_reference_scan(name, tol):
         assert len(report) > 0 or (tol, name) not in NONEMPTY
 
 
+@pytest.mark.parametrize("make", [
+    catalog.ellipse,
+    lambda: catalog.ellipsoid([1, 2, 3]),
+    lambda: catalog.sphere_cone(5),
+    lambda: catalog.ellipse(2, 3, 2),
+], ids=["ellipse", "ellipsoid([1,2,3])", "sphere_cone(5)", "ellipse(2,3,2)"])
+def test_scan_samples_meet_the_quadrics_to_rounding(make):
+    # stratum points and their mirrors are exact draws, deduplicated as they
+    # are, not rounded to a 1e-9 grid
+    system = make()
+    U, _ = scan_samples(system, 480, seed=5)
+    scale = (U * U) @ np.abs(system.matrix) + np.abs(np.array(system.constants))
+    assert np.max(np.abs(system.residual(U)) / scale) <= 1e-14
+    assert np.any(U == 0.0)
+
+
 # (system, scan sample count): 160 and 1,920 close pairs, which blocks of 7
 # and 409 cut with a ragged last one
 BLOCK_SCANS = {"ellipse": (catalog.ellipse, 384),
