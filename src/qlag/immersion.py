@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ChartFailure,
     ChartUnavailable,
     CrossCheckFailed,
     DimensionUnsupported,
@@ -46,6 +47,7 @@ from .quadric import (
     QuadricSystem,
     definite,
     lone_sign,
+    moment_polytope,
     newton_project,
     sample_points,
 )
@@ -220,7 +222,7 @@ class ImmersionChart:
         u = self.u0[:, None]
         if k:
             u = u + xi[..., :k] @ self.tangent
-            u = newton_project(self.variety, u.reshape(-1, n), polish=True).reshape(u.shape)
+            u = newton_project(self.variety, u.reshape(-1, n)).reshape(u.shape)
         z = self.ambient(phi(self.system, u, self.y0[:, None] + xi[..., k:]))
         return np.concatenate([z.real, z.imag], axis=-1)
 
@@ -441,7 +443,10 @@ def chart_mesh(
         metric = mx.reshape(shape[:1] + (1,) * (dim - 1) + (dim, dim))
         grad = np.concatenate([[0.0], np.pi * (box @ e)])
     else:
-        u0 = newton_project(system, np.ones((1, system.n)))[0]
+        vertices = moment_polytope(system)[0]
+        if not len(vertices):
+            raise ChartFailure("no torus chart: the moment polytope has no vertex")
+        u0 = np.sqrt(vertices[0])
         gy = torus_metric(system, u0)
         gy = box @ gy @ box.T
         metric = gy.reshape((1,) * dim + (dim, dim))

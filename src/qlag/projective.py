@@ -195,7 +195,7 @@ class ProjectiveChart(ImmersionChart):
         require_cone(system)
         link = with_unit_sphere(system)
         u0 = np.asarray(u0, dtype=float)
-        u0 = newton_project(link, u0 / np.linalg.norm(u0, axis=-1, keepdims=True), polish=True)
+        u0 = newton_project(link, u0 / np.linalg.norm(u0, axis=-1, keepdims=True))
         super().__init__(system, u0, y0, variety=link)
         self.chart = affine_chart_index(phi(system, self.u0, self.y0))
 

@@ -159,34 +159,33 @@ def orthonormalize(
     return frame[:, :count], kept
 
 
-# gauss_newton row status, and its step cap
-CONVERGED, NO_CONVERGENCE, SINGULAR = 0, 1, 2
+# Gauss-Newton's step cap, and the evaluations a row that has met the
+# residual tolerance may go without lowering its residual
 MAX_ITER = 100
+PATIENCE = 3
 
 
-def gauss_newton(
-    system: QuadricSystem, guesses: np.ndarray, polish: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton least-norm projection of a (N, n) batch onto the variety.
+def newton_project(system: QuadricSystem, guesses: np.ndarray) -> np.ndarray:
+    """Gauss-Newton least-norm projection of a (N, n) batch onto the variety,
+    raising on the first failed row.
 
     Each step is the least-norm solution of J du = r, so a coordinate at
-    exactly 0 stays 0 (its Jacobian column is zero).  A row stops once it
-    meets the residual tolerance, unchanged if it starts there.  A
-    ``polish`` row that has met it goes on until 3 steps in a row fail to
-    lower its residual, for callers that feed the result into finite
-    differences.  Returns (best iterate per row, status per row): CONVERGED,
-    NO_CONVERGENCE, or SINGULAR (rank-deficient Jacobian, non-finite step).
-    The residual is evaluated over the whole batch, so no row's bits depend
-    on how many others are still stepping.
+    exactly 0 stays 0 (its Jacobian column is zero).  For the finite
+    differences that read it, a row that has met the residual tolerance goes
+    on until PATIENCE steps in a row fail to lower its residual, and ends at
+    its best iterate.  A row whose best residual stays above the tolerance
+    fails: SingularJacobian if its Jacobian lost rank or its step was not
+    finite, NoConvergence otherwise.  The residual is evaluated over the
+    whole batch, so no row's bits depend on how many others are stepping.
     """
     tol = system.tolerances.residual
-    patience = 3 if polish else 0
-    u = np.array(guesses, dtype=float)
+    guesses = np.asarray(guesses, dtype=float)
+    u = guesses.copy()
     best_u = u.copy()
     best = np.full(len(u), np.inf)
     singular = np.zeros(len(u), dtype=bool)
     # the stepping rows, their best residuals so far (written back to best
-    # as they leave) and, when polishing, evaluations since their best
+    # as they leave) and evaluations since their best
     idx = np.arange(len(u))
     low = best.copy()
     stale = np.zeros(len(u), dtype=int)
@@ -197,10 +196,8 @@ def gauss_newton(
         low = np.where(better, rmax, low)
         rows = idx[better]
         best_u[rows] = u[rows]
-        going = low > tol
-        if patience:
-            stale = np.where(better, 0, stale + 1)
-            going |= stale < patience
+        stale = np.where(better, 0, stale + 1)
+        going = (low > tol) | (stale < PATIENCE)
         if not going.all():
             best[idx] = low
             idx, r, low, stale = idx[going], r[going], low[going], stale[going]
@@ -217,9 +214,18 @@ def gauss_newton(
             idx, low, stale, v, delta = idx[ok], low[ok], stale[ok], v[ok], delta[ok]
         u[idx] = v - delta
     best[idx] = low
-    status = np.where(singular, SINGULAR, NO_CONVERGENCE)
-    status[best <= tol] = CONVERGED
-    return best_u, status
+    failed = np.nonzero(best > tol)[0]
+    if len(failed):
+        i = failed[0]
+        where = f"row {i} ({guesses[i]})"
+        if singular[i]:
+            raise SingularJacobian(f"rank-deficient Jacobian or non-finite step from {where}")
+        raise NoConvergence(
+            f"residual {np.max(np.abs(system.residual(best_u[i]))):.3e} > "
+            f"{tol:.3e} after {MAX_ITER} "
+            f"iterations from {where}"
+        )
+    return best_u
 
 
 def _solve(JJt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -235,27 +241,6 @@ def _solve(JJt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
         return steps
-
-
-def newton_project(
-    system: QuadricSystem, guesses: np.ndarray, polish: bool = False
-) -> np.ndarray:
-    """gauss_newton on a (N, n) batch, raising on the first failed row:
-    SingularJacobian or NoConvergence."""
-    guesses = np.asarray(guesses, dtype=float)
-    points, status = gauss_newton(system, guesses, polish)
-    failed = np.nonzero(status != CONVERGED)[0]
-    if len(failed):
-        i = failed[0]
-        where = f"row {i} ({guesses[i]})"
-        if status[i] == SINGULAR:
-            raise SingularJacobian(f"rank-deficient Jacobian or non-finite step from {where}")
-        raise NoConvergence(
-            f"residual {np.max(np.abs(system.residual(points[i]))):.3e} > "
-            f"{system.tolerances.residual:.3e} after {MAX_ITER} "
-            f"iterations from {where}"
-        )
-    return points
 
 
 def moment_polytope(system: QuadricSystem, floor=0.0) -> list[np.ndarray]:

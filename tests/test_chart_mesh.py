@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import qlag.immersion as immersion
+from qlag import QuadricSystem
 from qlag.catalog import ellipse, klein_bottle_cone, product_torus
+from qlag.errors import ChartFailure, DimensionUnsupported
 from qlag.immersion import (
     ChartMesh,
     TrigPolynomial,
@@ -17,7 +19,9 @@ from qlag.immersion import (
     hamiltonian_variation,
     laplace_beltrami_defect,
     random_trig_polynomial,
+    torus_metric,
 )
+from qlag.torus import torus_box
 from qlag.pipeline import InstanceConfig, _budget_resolution, report_passed, run_analyze
 
 
@@ -83,6 +87,29 @@ def test_node_grids_are_sparse():
 
 
 # -- regression guards: no dense per-node tensors, one gradient per axis ----------
+
+
+def test_torus_chart_is_based_at_the_polytope_vertex(monkeypatch):
+    # a k = 0 variety is one torus orbit, through the square root of the
+    # moment polytope's one vertex, so no point is projected
+    def refuse(*args, **kwargs):
+        raise AssertionError("the torus chart projects nothing")
+
+    monkeypatch.setattr(immersion, "newton_project", refuse)
+    system = product_torus([1, 2, 3])
+    box = torus_box(system.exponents)
+    expected = box @ torus_metric(system, np.array([1.0, 2.0, 3.0])) @ box.T
+    assert np.array_equal(chart_mesh(system, 8).metric.reshape(3, 3), expected)
+    # u1^2 = 1, -u2^2 = 1 has no point: an error, recorded as one, not a skip
+    empty = QuadricSystem([[1, 0], [0, -1]], [1.0, 1.0])
+    with pytest.raises(ChartFailure, match="no vertex") as err:
+        chart_mesh(empty, 8)
+    assert not isinstance(err.value, DimensionUnsupported)
+    config = InstanceConfig.from_dict({"n": 2, "k": 0, "rows": [[1, 0], [0, -1]],
+                                       "constants": [1.0, 1.0], "sweeps": {"cn": True}})
+    entry = run_analyze(config)["cn"]["angle_harmonicity"]
+    assert entry == {"error": "ChartFailure: no torus chart: the moment polytope has no vertex",
+                     "pass": False}
 
 
 def test_torus_metric_is_one_matrix():

@@ -476,13 +476,16 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
 def test_empty_variety_is_a_config_error(command, constants, tmp_path, capsys, monkeypatch):
     # decided from the moment polytope before any command runs: nothing is
     # sampled, projected or written
-    from qlag import quadric
+    from qlag import immersion, projective, quadric
 
     def refuse(*args, **kwargs):
         raise AssertionError("an empty variety is not sampled")
 
     monkeypatch.setattr(quadric, "_draw", refuse)
-    monkeypatch.setattr(quadric, "gauss_newton", refuse)
+    # the names the charts call: patching quadric.newton_project reaches
+    # neither
+    monkeypatch.setattr(immersion, "newton_project", refuse)
+    monkeypatch.setattr(projective, "newton_project", refuse)
     config = {"n": 2, "k": 1, "rows": [[1], [2]], "constants": constants}
     out = tmp_path / "out"
     out.mkdir()
