@@ -257,8 +257,9 @@ def polyhedron(
 
     The vertices are the points B^-1 b >= 0 of the square column bases B
     of A, in itertools.combinations order without repeats.  One float solve
-    of every basis picks the candidates: |det B|, an integer, exceeds 1/2,
-    and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
+    of every basis, for b scaled exactly by its largest |entry| so that no
+    entry overflows, picks the candidates: |det B|, an integer, exceeds
+    1/2, and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
     exactly by _basis_inverse, once per (A, B) in a process, and a singular
     one is skipped.  The rays, scaled to sum 1, are the vertices of
     {r >= 0 : A r = 0, sum r = 1} found the same way.  The float pass
@@ -273,7 +274,9 @@ def polyhedron(
         bases = bases.reshape(-1, len(a))
         blocks = np.array(a, dtype=float)[:, bases].transpose(1, 0, 2)
         regular = np.abs(np.linalg.det(blocks)) > 0.5
-        guess = np.linalg.solve(blocks[regular], np.array(b, dtype=float)[:, None])[..., 0]
+        top = max(map(abs, b)) or 1
+        scaled = np.array([Fraction(x) / top for x in b], dtype=float)
+        guess = np.linalg.solve(blocks[regular], scaled[:, None])[..., 0]
         near = guess.min(axis=1) >= -1e-6 * np.abs(guess).max(axis=1, initial=1.0)
         key = tuple(map(tuple, a))
         for basis in bases[regular][near].tolist():

@@ -9,6 +9,7 @@ module errors are recorded per property instead of aborting the run.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
@@ -89,8 +90,9 @@ def _is_count(x, low: int) -> bool:
 
 
 def _is_real(x) -> bool:
-    """A finite number (not a bool)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and bool(np.isfinite(x))
+    """A finite float64 number (not a bool): an int compares with the
+    largest float exactly, where np.isfinite would raise on a large one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ class InstanceConfig:
             for i, row in enumerate(rows):
                 if not isinstance(row, (list, tuple)) or len(row) != codim:
                     errors.append(f"rows[{i}]: expected a list of length {codim}, got {row!r}")
-                elif not all(_is_real(x) and int(x) == x for x in row):
-                    errors.append(f"rows[{i}]: entries must be integers")
+                elif not all(_is_real(x) and int(x) == x and abs(x) <= 2 ** 53 for x in row):
+                    # E is used as float64, exact to 2**53
+                    errors.append(f"rows[{i}]: entries must be integers of magnitude at most 2**53")
         if not isinstance(constants, (list, tuple)) or len(constants) != codim:
             errors.append(f"constants: expected a list of {codim} values, got {constants!r}")
         elif not all(_is_real(c) for c in constants):
@@ -230,10 +233,13 @@ class InstanceConfig:
 
 def _entry(values, tolerance: float, count: int | None = None, mean: bool = False) -> dict:
     """The max of values (and, with mean, their mean) judged against
-    tolerance; count defaults to the number of values, one per sample."""
+    tolerance; count defaults to the number of values, one per sample.  A
+    non-finite max or mean raises, for _guard to record."""
     out = {"max": float(np.max(values))}
     if mean:
         out["mean"] = float(np.mean(values))
+    if not np.isfinite(list(out.values())).all():
+        raise QlagError("the check gave a non-finite value")
     out["count"] = int(len(values) if count is None else count)
     out["tolerance"] = float(tolerance)
     out["pass"] = bool(out["max"] <= tolerance)

@@ -54,15 +54,13 @@ def orbit(system: QuadricSystem, u, y, tol: float = 1e-9) -> list[tuple[np.ndarr
     # pair (i, j) is i * stride + j + 1
     stride = size + 1
     never = size * stride
-    order = np.arange(size)
-    first = np.where(leaves, order[:, None] * stride, never).min(axis=0)
-    # translates i and j of any sample differ on the torus by shifts[i] - shifts[j]
+    first = np.where(leaves, np.arange(size)[:, None] * stride, never).min(axis=0)
+    # translates i and j of any sample differ on the torus by shifts[i] -
+    # shifts[j], so only pairs within tol there are compared on u
     dy = torus_distance(system.exponents, shifts[:, None] - shifts)
-    for i in range(size - 1):
-        du = np.max(np.abs(TU[i] - TU[i + 1:]), axis=-1)
-        events = i * stride + order[i + 1:, None] + 1
-        hits = np.where(np.maximum(du, dy[i, i + 1:, None]) <= tol, events, never)
-        first = np.minimum(first, hits.min(axis=0))
+    for i, j in zip(*np.nonzero(np.triu(dy <= tol, 1))):
+        du = np.max(np.abs(TU[i] - TU[j]), axis=-1)
+        first = np.minimum(first, np.where(du <= tol, i * stride + j + 1, never))
     failed = np.flatnonzero(first < never)
     if len(failed):
         i, j = divmod(int(first[failed[0]]), stride)

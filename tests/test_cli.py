@@ -152,6 +152,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     [
         ({"rows": 5}, "rows"),
         ({"rows": [["a"], [2]]}, "rows[0]"),
+        # beyond 2**53, where float64 E is no longer exact, and beyond int64
+        # and float64
+        ({"rows": [[10 ** 21], [2]]}, "rows[0]"),
+        pytest.param({"rows": [[10 ** 400], [2]]}, "rows[0]", id="rows-10**400"),
         ({"constants": ["x"]}, "constants"),
         ({"constants": [float("nan")]}, "constants"),
         ({"samples": 0}, "samples"),
@@ -443,8 +447,16 @@ def test_run_analyze_errors_recorded_not_fatal():
          dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
                         "curvature_match"],
                        "no point of the moment polytope has every v_i > 0.8^2")),
+        # floors whose square, times a row sum, is beyond float64: the
+        # moment polytope is enumerated exactly all the same
+        *[({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [1.0], "samples": 2,
+            "tolerances": {"u_floor": floor}, "sweeps": {"cn": True}},
+           dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
+                          "curvature_match"],
+                         f"no point of the moment polytope has every v_i > {floor}^2"))
+          for floor in (1e154, 1e300)],
     ],
-    ids=["unreachable-floor"],
+    ids=["unreachable-floor", "floor-1e154", "floor-1e300"],
 )
 def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
     from qlag import pipeline
@@ -494,6 +506,19 @@ def test_empty_variety_is_a_config_error(command, constants, tmp_path, capsys, m
     assert captured.out == ""
     assert captured.err.splitlines() == [f"config error: {EMPTY_VARIETY}"]
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("constant", [1e300, 1e200, 1e-200, 1e-300])
+def test_non_finite_check_value_is_a_recorded_error(constant, tmp_path, capsys):
+    # the chart metric's determinant overflows or underflows, so the
+    # harmonicity defect is NaN: the entry records an error and the report
+    # is still written
+    config = {"n": 2, "k": 1, "rows": [[1], [2]], "constants": [constant],
+              "sweeps": {"cn": True}}
+    with pytest.warns(RuntimeWarning, match="encountered in"):
+        assert main(["analyze", _write(tmp_path, config)]) == 1
+    entry = json.loads(capsys.readouterr().out)["cn"]["angle_harmonicity"]
+    assert entry == {"error": "QlagError: the check gave a non-finite value", "pass": False}
 
 
 def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):

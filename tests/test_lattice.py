@@ -361,6 +361,9 @@ def test_polyhedron_vertices_and_rays():
     F = Fraction
     # the hyperbola's v1 - 2 v2 = 1: one vertex and one ray
     assert polyhedron([(1, -2)], [F(1)]) == (_fractions((1, 0)), _fractions((F(2, 3), F(1, 3))))
+    # and at a b beyond float range, which the float pass scales down exactly
+    assert polyhedron([(1, -2)], [F(10 ** 400)]) == (
+        _fractions((10 ** 400, 0)), _fractions((F(2, 3), F(1, 3))))
     # the klein cone's link v1 + 2 v2 - 3 v3 = 0, sum v = 1: two vertices, no ray
     link = [(1, 2, -3), (1, 1, 1)]
     assert polyhedron(link, [F(0), F(1)]) == (
