@@ -11,15 +11,15 @@ coordinates.
 Each mesh is built as arrays.  A SurfaceMesh holds read-only views of its
 vertices and faces and computes its edge table once, on first use; the
 Euler characteristic and the closedness test both read it.  The writers
-format BLOCK rows per % operation, with the same %.17g / %d conversion per
-value as a per-line writer, so the files are byte for byte the same while
-the string built per block stays bounded.
+lay out BLOCK rows at a time as one byte matrix: ints as %d, and floats with
+1e-6 < |x| < 1e17 as %.17g, from their exact 17 digits; other floats go
+through % one at a time.  The files are those of a per-line % writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ DEFAULT_PROJECTION = np.array(
     ]
 )
 
-BLOCK = 4096  # rows formatted per % operation by the writers
+BLOCK = 1024  # rows formatted at a time by the writers, bounding their memory
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,14 @@ class SurfaceMesh:
 
     @cached_property
     def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # one table serves every reader; read-only, since callers share it
-        pairs = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, counts = np.unique(pairs[:, 0] * self.vertex_count + pairs[:, 1],
-                                 return_counts=True)
+        # one table serves every reader; read-only, since callers share it.
+        # Keys are built in place: two face-sized arrays at most.
+        ends = self.faces[:, [1, 2, 0]]
+        first = np.minimum(self.faces, ends)
+        first *= self.vertex_count
+        first += np.maximum(self.faces, ends, out=ends)
+        del ends
+        keys, counts = np.unique(first.ravel(), return_counts=True)
         keys.flags.writeable = counts.flags.writeable = False
         return keys, counts
 
@@ -149,23 +153,117 @@ def project_vertices(vertices: np.ndarray, projection=None) -> np.ndarray:
     return vertices @ proj.T
 
 
-def _write_rows(fh, fmt: str, table: np.ndarray) -> None:
-    """Write each row of a 2-D table through fmt, BLOCK rows per % operation."""
+WORD = np.dtype("<u4")  # text is built four bytes at a time, first byte lowest
+
+
+@cache
+def _tables() -> tuple:
+    """Built on first use: 4-digit groups as ASCII WORDs, and their trailing
+    zeros; the doubles nearest 10**E, E = -6..22; "e-06".."e+16"; and by
+    code 36 (E + 6) + 2 digits + negative the bytes %.17g keeps of "\\0\\0-0",
+    ".000", 20 integer digits, "\\0\\0." and the first digit, 16 digits, "e+XX"."""
+    d = np.arange(10000)
+    quads = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], -1) + 48).astype(np.uint8)
+    trailing = (sum(d % 10**k == 0 for k in (1, 2, 3)) + (d == 0)).astype(np.uint8)
+    # a >= floors[E + 6] is 10**E <= a for any double a in (1e-6, 1e17): only
+    # the double nearest 10**-6 lies below 10**-6, and it is 1e-6 itself
+    floors = np.array([float(f"1e{E}") for E in range(-6, 23)])
+    E, nd, neg = np.indices((23, 18, 2)).reshape(3, -1, 1) - np.reshape([6, 0, 0], (3, 1, 1))
+    fixed = E >= -4  # the %g rule at precision 17, as E < 17
+    point = np.where(fixed, np.maximum(E + 1, 0), 1)  # digits before the "."
+    q, pad = np.arange(20), np.zeros((len(E), 2), dtype=bool)
+    keep = np.uint8(255) * np.hstack([
+        pad, neg == 1, q[:5] < np.where(fixed & (E < 0), 1 - E, 0), q < point, pad,
+        (nd > point) & (point > 0), (q[:17] >= point) & (q[:17] < nd), np.repeat(~fixed, 4, 1)])
+    exponents = np.frombuffer(b"".join(b"e%+03d" % E for E in range(-6, 17)), WORD)
+    return quads.view(WORD)[:, 0], trailing, floors, exponents, keep
+
+
+def _digit_groups(n: np.ndarray, count: int) -> list[np.ndarray]:
+    """Base-10**4 digits of a non-negative int array, most significant first."""
+    groups = []
+    for _ in range(count - 1):
+        q = n // 10000
+        groups, n = [n - q * 10000, *groups], q
+    return [n, *groups]
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """The %.17g of each value in a row of bytes, zero where unused.  For
+    1e-6 < |x| < 1e17, the digits are |x| 10**(16 - E) rounded half-even,
+    10**E <= |x| < 10**(E + 1): as 10**(16 - E) is an exact double, Dekker's
+    product gives |x| 10**(16 - E) = p + e exactly.  Others go through %."""
+    quads, trailing, floors, exponents, keep = _tables()
+    ax = np.where(np.isfinite(x), np.abs(x), 0.0)  # no nan is compared
+    fast = (ax > 1e-6) & (ax < 1e17)
+    a = np.where(fast, ax, 1.0)
+    E = np.searchsorted(floors, a, side="right") - 7
+    b = floors.take(22 - E)  # 10**(16 - E), exact
+    p = a * b
+    (ah, al), (bh, bl) = [(h, v - h) for v in (a, b)  # Veltkamp's halves
+                          for h in [134217729.0 * v - (134217729.0 * v - v)]]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a b - p, exactly
+    # p is even, so this is half-even; no double here rounds up to 10**(E + 1)
+    groups = _digit_groups(p.astype(np.int64) + np.rint(e).astype(np.int64), 5)
+    zeros, whole = 0, True
+    for g in groups[:0:-1]:  # from the last group on; the leading digit is never 0
+        zeros, whole = zeros + whole * trailing.take(g), whole & (g == 0)
+    n = (int(E.max(initial=0)) + 4) // 4  # WORDs for the most integer digits
+    Q = [((groups[0] + 48) << 24).astype(WORD), *map(quads.take, groups[1:]), 0]  # from byte 3
+    text = np.stack(np.broadcast_arrays(
+        *np.frombuffer(b"\0\0-0.000", WORD), *((Q[j] >> 24) | (Q[j + 1] << 8) for j in range(n)),
+        Q[0] | (ord(".") << 16), *Q[1:5], exponents.take(E + 6)), -1).astype(WORD, copy=False)
+    keep = np.delete(keep, np.s_[8 + 4 * n:28], axis=1).view(WORD)  # n WORDs of integer digits
+    text &= keep.take(36 * (E + 6) + 2 * (17 - zeros) + np.signbit(x), axis=0)
+    text = text.view(np.uint8)
+    rest = np.nonzero(~fast)
+    spelled = np.array(["%.17g" % v for v in x[rest].tolist()], dtype=f"S{text.shape[-1]}")
+    text[rest] = spelled.view(np.uint8).reshape(-1, text.shape[-1])
+    return text
+
+
+def _int_text(x: np.ndarray) -> np.ndarray:
+    """The %d of each value, right-aligned in a row of bytes with the first
+    left for the sign, zero where unused."""
+    width = 4 * (len(str(max(int(x.max(initial=0)), -int(x.min(initial=0))))) // 4 + 1)
+    mag = np.abs(x).astype(np.uint64)  # -2**63 wraps to itself, then 2**63
+    text = np.stack([_tables()[0].take(g) for g in _digit_groups(mag, width // 4)], -1)
+    start = width - 1 - sum(mag >= np.uint64(10**k) for k in range(1, width - 1))
+    slots = np.arange(width)
+    text &= (np.uint8(255) * (slots >= slots[:, None])).view(WORD).take(start, axis=0)
+    text = text.view(np.uint8)
+    neg = np.nonzero(x < 0)
+    text[neg + (start[neg] - 1,)] = ord("-")
+    return text
+
+
+def _write_rows(fh, table: np.ndarray, head: str, sep: str, end: str) -> None:
+    """Write each row of a 2-D table as head, its values joined by sep, and
+    end, BLOCK rows at a time, each float as %.17g and each int as %d would
+    write it.  A block is laid out as one byte matrix, row by row, and the
+    zero bytes its values leave unused are dropped."""
+    text = _int_text if table.dtype.kind in "iu" else _float_text
     for lo in range(0, len(table), BLOCK):
-        block = table[lo:lo + BLOCK]
-        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        block = text(table[lo:lo + BLOCK])
+        rows, cols, width = block.shape
+        line = np.frombuffer((head + (sep + "\0" * width) * cols + end).encode(), np.uint8)
+        chars = np.empty((rows, len(line)), dtype=np.uint8)
+        chars[:] = line
+        fields = chars[:, len(head):len(line) - len(end)].reshape(rows, cols, len(sep) + width)
+        fields[..., len(sep):] = block
+        fields[:, :1, :len(sep)] = 0  # no sep before the first value
+        fh.write(chars.tobytes().translate(None, b"\0").decode())
 
 
 def write_obj(path, vertices3: np.ndarray, faces: np.ndarray | None = None,
               polyline: Sequence[int] | None = None) -> None:
     """Minimal OBJ writer: v records plus f (triangles) or l (polyline)."""
     with open(path, "w") as fh:
-        _write_rows(fh, "v %.17g %.17g %.17g\n", np.asarray(vertices3))
+        _write_rows(fh, np.asarray(vertices3), "v ", " ", "\n")
         if faces is not None:
-            _write_rows(fh, "f %d %d %d\n", np.asarray(faces) + 1)
+            _write_rows(fh, np.asarray(faces) + 1, "f ", " ", "\n")
         if polyline is not None:
-            chain = " ".join(str(i + 1) for i in polyline)
-            fh.write(f"l {chain}\n")
+            _write_rows(fh, np.asarray(polyline, dtype=np.int64)[None] + 1, "l ", " ", "\n")
 
 
 def riemann_sphere(z: np.ndarray) -> np.ndarray:
@@ -243,7 +341,6 @@ def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 
     ys = (np.arange(ny) / ny)[:, None] * box[0]  # (ny, m)
     coords = projector_coordinates(phi(system, point(ts)[:, None, :], ys))  # (nt, ny, 9)
     table = np.column_stack([np.repeat(ts, ny), np.tile(ys[:, 0], nt), coords.reshape(-1, 9)])
-    row = ",".join(["%.17g"] * 11) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, row, table)
+        _write_rows(fh, table, "", ",", "\r\n")

@@ -278,10 +278,13 @@ def sample_points(
 ) -> np.ndarray:
     """``count`` points of M with every |u_i| > u_floor (tolerances.u_floor
     by default), deterministic per (seed, count): _draw over the vertices
-    and rays of P cut to v >= u_floor^2.  Before any draw, a cut P on which
-    some v_i never exceeds u_floor^2 raises SamplingExhausted."""
+    and rays of P cut to v >= u_floor^2.  A cut P beyond float64, or on which
+    some v_i never exceeds u_floor^2, raises SamplingExhausted before any draw."""
     floor = system.tolerances.u_floor if u_floor is None else u_floor
-    vertices, rays = moment_polytope(system, floor)
+    try:
+        vertices, rays = moment_polytope(system, floor)
+    except OverflowError:  # from the float conversion of an exact vertex or ray
+        raise SamplingExhausted(f"the moment polytope cut at {floor}^2 is beyond float64") from None
     if not np.all(np.any(np.vstack([vertices, rays]) > 0, axis=0)):
         raise SamplingExhausted(f"no point of the moment polytope has every v_i > {floor}^2")
     return _draw(system, count, seed, vertices, rays, floor)

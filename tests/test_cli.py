@@ -455,8 +455,17 @@ def test_run_analyze_errors_recorded_not_fatal():
                           "curvature_match"],
                          f"no point of the moment polytope has every v_i > {floor}^2"))
           for floor in (1e154, 1e300)],
+        # the hyperbola u1^2 - 2 u2^2 = 1, whose cut moment polytope has a
+        # ray and an exact vertex beyond float64 at these floors
+        *[({"n": 2, "k": 1, "rows": [[1], [-2]], "constants": [1.0], "samples": 2,
+            "tolerances": {"u_floor": floor}, "sweeps": {"cn": True}},
+           dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
+                          "curvature_match"],
+                         f"the moment polytope cut at {floor}^2 is beyond float64"))
+          for floor in (1e155, 1e300)],
     ],
-    ids=["unreachable-floor", "floor-1e154", "floor-1e300"],
+    ids=["unreachable-floor", "floor-1e154", "floor-1e300", "hyperbola-floor-1e155",
+         "hyperbola-floor-1e300"],
 )
 def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
     from qlag import pipeline

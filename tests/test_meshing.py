@@ -1,5 +1,9 @@
 """Mesh assembly, seam welding, Euler characteristics and file export."""
 
+import io
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,3 +370,56 @@ def test_surface_mesh_closed_with_zero_euler_characteristic(half_nx, ny, a, b):
     mesh = build_surface_mesh(ellipse(a, b), 2 * half_nx, ny)
     assert mesh.is_closed()
     assert mesh.euler_characteristic() == 0
+
+
+# -- the array formatter against % itself ----------------------------------
+#
+# _write_rows lays every value out as %.17g (floats) or %d (ints) would
+# write it; the references are those % conversions, one value at a time.
+
+
+def _written(table):
+    """The lines _write_rows writes for table, with " " between values."""
+    fh = io.StringIO(newline="")
+    meshing._write_rows(fh, np.asarray(table), "", " ", "\n")
+    return fh.getvalue().split("\n")[:-1]
+
+
+def _below(power):
+    """The largest double below power, a Fraction."""
+    f = float(power)
+    return math.nextafter(f, 0.0) if f >= power else f
+
+
+FLOAT_EDGES = [
+    *(1 + np.arange(1, 2**17, 2) / 2**17),  # 17-digit ties, rounded half-even
+    *(np.arange(1, 2**17, 2) / 2**17),
+    *(_below(Fraction(10) ** k) for k in range(-6, 18)),  # 17 nines, no carry
+    *(float(f"1e{k}") for k in range(-6, 18)),
+    *(math.nextafter(x, d) for x in (1e-6, 1e17) for d in (0.0, math.inf)),
+    1e-6, 1e17, 9.9999999999999995e-05, 1e-4, 1e16,
+    float(2**53 - 1), float(2**53), math.nextafter(2.0**53, math.inf),
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308, math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 11])
+def test_float_edges_match_percent(cols):
+    values = np.array(FLOAT_EDGES + [-x for x in FLOAT_EDGES])
+    table = np.resize(values, (-(-len(values) // cols), cols))
+    assert _written(table) == [" ".join("%.17g" % v for v in row) for row in table.tolist()]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_text_matches_percent(values):
+    # st.floats() draws nan, inf, subnormals and both zeros too
+    assert _written(np.array(values)[:, None]) == ["%.17g" % v for v in values]
+
+
+def test_int_edges_match_percent():
+    edges = [0, 1, -1, 2**53 - 1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63), -(2**63) + 1,
+             *(s * (10**k + d) for k in range(1, 19) for d in (-1, 0, 1) for s in (1, -1))]
+    for table in (np.array(edges)[:, None], np.resize(np.array(edges), (len(edges) // 3, 3)),
+                  np.array([[3, 14, 159]]), np.array([[-7, 0, 9999]])):
+        assert _written(table) == [" ".join("%d" % v for v in row) for row in table.tolist()]
