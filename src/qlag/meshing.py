@@ -209,7 +209,8 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     for g in groups[:0:-1]:  # from the last group on; the leading digit is never 0
         zeros, whole = zeros + whole * trailing.take(g), whole & (g == 0)
     n = (int(E.max(initial=0)) + 4) // 4  # WORDs for the most integer digits
-    Q = [((groups[0] + 48) << 24).astype(WORD), *map(quads.take, groups[1:]), 0]  # from byte 3
+    # the 17 digits, from byte 3 of Q[0] on
+    Q = [((groups[0] + 48) << 24).astype(WORD), *map(quads.take, groups[1:]), 0]
     text = np.stack(np.broadcast_arrays(
         *np.frombuffer(b"\0\0-0.000", WORD), *((Q[j] >> 24) | (Q[j + 1] << 8) for j in range(n)),
         Q[0] | (ord(".") << 16), *Q[1:5], exponents.take(E + 6)), -1).astype(WORD, copy=False)
@@ -229,8 +230,7 @@ def _int_text(x: np.ndarray) -> np.ndarray:
     mag = np.abs(x).astype(np.uint64)  # -2**63 wraps to itself, then 2**63
     text = np.stack([_tables()[0].take(g) for g in _digit_groups(mag, width // 4)], -1)
     start = width - 1 - sum(mag >= np.uint64(10**k) for k in range(1, width - 1))
-    slots = np.arange(width)
-    text &= (np.uint8(255) * (slots >= slots[:, None])).view(WORD).take(start, axis=0)
+    text &= (np.uint8(255) * ~np.tri(width, k=-1, dtype=bool)).view(WORD).take(start, axis=0)
     text = text.view(np.uint8)
     neg = np.nonzero(x < 0)
     text[neg + (start[neg] - 1,)] = ord("-")
