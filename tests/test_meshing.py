@@ -386,7 +386,7 @@ def _written(table):
 
 
 def _below(power):
-    """The largest double below power, a Fraction."""
+    """The largest double below the Fraction power."""
     f = float(power)
     return math.nextafter(f, 0.0) if f >= power else f
 
