@@ -85,15 +85,10 @@ def _load_config(args) -> InstanceConfig:
         raw["seed"] = args.seed
     if args.samples is not None:
         raw["samples"] = args.samples
+    overrides = {key: getattr(args, key) for key in TOL_FLAGS if getattr(args, key) is not None}
     tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigInvalid(["tolerances: must be an object"])
-    tolerances = dict(tolerances)
-    for key in TOL_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            tolerances[key] = value
-    raw["tolerances"] = tolerances
+    if isinstance(tolerances, dict):  # from_dict reports any other value
+        raw["tolerances"] = {**tolerances, **overrides}
     return InstanceConfig.from_dict(raw)
 
 

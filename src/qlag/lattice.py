@@ -120,8 +120,6 @@ class LatticeBasis:
         return all(c.denominator == 1 for c in self.coordinates(v))
 
     def as_float_array(self):
-        import numpy as np
-
         return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
 
 

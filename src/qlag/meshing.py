@@ -91,18 +91,16 @@ class SurfaceMesh:
 def _sign_index_map(signs: Sequence[float], nx: int) -> np.ndarray:
     """Index action of a coordinate sign pair on the conic angle grid.
 
-    cos/sin pick up the signs (s1, s2) through theta -> {theta, 1/2-theta,
-    -theta, 1/2+theta}; all four maps preserve a uniform grid of even size.
+    cos/sin pick up the signs (s1, s2) through two reflections, theta -> 1/2 -
+    theta if s1 < 0, then theta -> -theta if s2 < 0: both keep an even grid.
     """
     s1, s2 = signs
     i = np.arange(nx)
-    if s1 > 0 and s2 > 0:
-        return i
-    if s1 < 0 and s2 > 0:
-        return (nx // 2 - i) % nx
-    if s1 > 0 and s2 < 0:
-        return (-i) % nx
-    return (nx // 2 + i) % nx
+    if s1 < 0:
+        i = nx // 2 - i
+    if s2 < 0:
+        i = -i
+    return i % nx
 
 
 def build_surface_mesh(system: QuadricSystem, nx: int = 128, ny: int = 64) -> SurfaceMesh:

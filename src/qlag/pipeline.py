@@ -161,7 +161,7 @@ class InstanceConfig:
                 errors.append(f"tolerances.{key}: must be a finite number >= 0")
             elif key == "fd_step" and value == 0:
                 errors.append("tolerances.fd_step: must be > 0")
-        sweeps = raw.get("sweeps", {"cn": True, "quotient": True})
+        sweeps = raw.get("sweeps", cls.sweeps)
         if isinstance(sweeps, dict):
             for key, value in sweeps.items():
                 if key not in SWEEPS:
@@ -182,15 +182,15 @@ class InstanceConfig:
             errors.append("mesh: must be an object")
             mesh = {}
         errors.extend(f"mesh.{key}: unknown key" for key in mesh if key not in MESH_KEYS)
-        resolution = mesh.get("resolution", (128, 64))
+        resolution = mesh.get("resolution", cls.mesh_resolution)
         if not isinstance(resolution, (list, tuple)) or len(resolution) != 2 or not all(
             _is_count(r, 1) for r in resolution
         ):
             errors.append("mesh.resolution: need two positive integers")
-        target = mesh.get("target", "cn")
+        target = mesh.get("target", cls.mesh_target)
         if target not in ("cn", "cpn"):
             errors.append(f'mesh.target: must be "cn" or "cpn", got {target!r}')
-        projection = mesh.get("projection")
+        projection = mesh.get("projection", cls.mesh_projection)
         if projection is not None and not (
             isinstance(projection, list)
             and all(isinstance(r, list) and all(_is_real(x) for x in r) for r in projection)
@@ -209,9 +209,9 @@ class InstanceConfig:
             k=k,
             rows=tuple(tuple(int(x) for x in r) for r in rows),
             constants=tuple(float(c) for c in constants),
-            samples=raw.get("samples", 200),
-            seed=raw.get("seed", 0),
-            curvature_samples=raw.get("curvature_samples", 20),
+            samples=raw.get("samples", cls.samples),
+            seed=raw.get("seed", cls.seed),
+            curvature_samples=raw.get("curvature_samples", cls.curvature_samples),
             sweeps=tuple(order),
             tolerances=dict(tolerances),
             mesh_resolution=tuple(resolution),
@@ -322,15 +322,16 @@ def _frame_checks(system: QuadricSystem, u: np.ndarray, y: np.ndarray) -> np.nda
     return np.stack([fb.symplectic_defect(), fb.cross_defect(), metric])
 
 
-def _subsample(system: QuadricSystem, draw, count: int, seed: int):
-    """The curvature subsample, at u_floor min(0.1, m / 2) with m the largest
-    min_i |u_i| over draw()'s points, so it can be drawn where every point
-    has a coordinate below 0.1; a failed draw() fails it with its message."""
+def _subsample(config: InstanceConfig, system: QuadricSystem, draw, seed: int):
+    """min(curvature_samples, samples) points at u_floor min(0.1, m / 2), m the
+    largest min_i |u_i| over draw()'s points, so they can be drawn where every
+    point has a coordinate below 0.1; a failed draw() fails them with its message."""
+    count = min(config.curvature_samples, config.samples)
     m = np.max(np.min(np.abs(draw()[0]), axis=-1))
     return sample_immersion(system, count, seed=seed, u_floor=min(0.1, float(m) / 2))
 
 
-def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
+def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -> dict:
     # the samples are drawn by the first entry that reads them, inside its
     # guard, so a failed draw is an error entry and not an aborted run
     section: dict[str, Any] = {}
@@ -350,9 +351,7 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     _guard(section, "frame_cross_block", cross_block)
     _guard(section, "torus_metric_form", metric_block)
 
-    e = sum_vector(system.exponents)
-    nsub = min(config.curvature_samples, config.samples)
-    sub = _once(lambda: _subsample(system, draw, nsub, config.seed + 1))
+    sub = _once(lambda: _subsample(config, system, draw, config.seed + 1))
     h_fd = _once(lambda: mean_curvature_fd(system, *sub()))
 
     def curvature_match():
@@ -364,7 +363,7 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     _guard(section, "curvature_match", curvature_match)
 
-    if all(c == 0 for c in e):
+    if minimal:
         def minimal_curvature():
             norms = np.linalg.norm(h_fd(), axis=-1)
             return _entry(norms, config.verify_tolerance("minimal_curvature"))
@@ -402,7 +401,7 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     return section
 
 
-def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
+def _cpn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -> dict:
     section: dict[str, Any] = {}
     try:
         require_cone(system)
@@ -418,11 +417,9 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem) -> dict:
 
     _guard(section, "projective_lagrangian_defect", lagrangian)
 
-    e = sum_vector(system.exponents)
-    nsub = min(config.curvature_samples, config.samples)
-    sub = _once(lambda: _subsample(system, draw, nsub, config.seed + 3))
+    sub = _once(lambda: _subsample(config, system, draw, config.seed + 3))
 
-    if all(c == 0 for c in e):
+    if minimal:
         def minimal_curvature():
             norms = projective_mean_curvature(system, *sub())[1]
             return _entry(norms, config.verify_tolerance("projective_curvature"))
@@ -497,6 +494,7 @@ def run_analyze(config: InstanceConfig) -> dict:
     """Run the configured sweeps and assemble the verification report."""
     system = config.system()
     e = sum_vector(system.exponents)
+    minimal = all(c == 0 for c in e)  # the paper's minimality criterion, e = 0
     report: dict[str, Any] = {
         "instance": {
             "n": config.n,
@@ -514,14 +512,14 @@ def run_analyze(config: InstanceConfig) -> dict:
         "lattice": _lattice_section(system),
         "minimality": {
             "sum_vector": list(e),
-            "is_zero": bool(all(c == 0 for c in e)),
+            "is_zero": minimal,
             "is_cone": system.is_cone(),
         },
     }
     if "cn" in config.sweeps:
-        report["cn"] = _cn_section(config, system)
+        report["cn"] = _cn_section(config, system, minimal)
     if "cpn" in config.sweeps:
-        report["cpn"] = _cpn_section(config, system)
+        report["cpn"] = _cpn_section(config, system, minimal)
     if "quotient" in config.sweeps:
         report["quotient"] = _quotient_section(config, system)
     report["meta"] = {"package": "qlag", "version": __version__, "seed": config.seed}

@@ -3,9 +3,9 @@ self-intersection scanning, orientation characters, and pattern-matched
 classification of the quotient for the recognized instance families.
 Orbits, the collision scan, the orientation characters and the labels read
 the action from the cached sign/translation table torus.action_table, over
-batches of points and all group elements at once.  The family recognizers
-read each equation's sign pattern through quadric.definite and
-quadric.lone_sign, so the rule for an ellipsoid and a cone axis is written once.
+batches of points and all group elements at once.  One family reader,
+_family, names the family and axis that the characters and the labels branch
+on, reading each equation's sign pattern through quadric.definite and lone_sign.
 
 Topology here is honest about its scope: labels are only emitted for
 instance shapes whose quotient is understood case by case; everything else
@@ -234,39 +234,28 @@ class TopologyLabel:
 UNKNOWN = TopologyLabel("Unknown")
 
 
-def _single_equation_positive(system: QuadricSystem) -> bool:
-    """One equation cutting out a compact ellipsoid."""
-    return system.codim == 1 and definite(system.exponents.column(0), system.constants[0])
-
-
-def _cone_signature(system: QuadricSystem) -> int | None:
-    """Index of the single negative coefficient of a (+,...,+,-) cone."""
-    if system.codim != 1 or not system.is_cone():
-        return None
-    return lone_sign(system.exponents.column(0))
-
-
-def _sphere_cone_axis(system: QuadricSystem) -> int | None:
-    """Recognize the two-equation family: a compact positive equation plus
-    a cone whose single negative coordinate is the gluing axis."""
-    if system.codim != 2 or system.n < 3:
-        return None
+def _family(system: QuadricSystem) -> tuple[str | None, int | None]:
+    """The instance's family and axis: ("torus", None) for k = 0, a diagonal E
+    and feasible constants; ("sphere", None) for one compact equation;
+    ("sphere_cone", gluing axis) for a compact equation plus a cone; ("cone",
+    axis) for one (+,...,+,-) cone equation; else (None, None).  The axis is
+    the cone's lone-sign coordinate."""
     E, d = system.exponents, system.constants
-    for pos, cone in ((0, 1), (1, 0)):
-        if d[cone] == 0 and definite(E.column(pos), d[pos]):
-            return lone_sign(E.column(cone))
-    return None
-
-
-def _is_diagonal_torus(system: QuadricSystem) -> bool:
-    """k = 0 with a diagonal exponent matrix and feasible constants: the
-    quotient is a plain torus."""
-    if system.k != 0:
-        return False
-    E = system.matrix
-    if not np.array_equal(E != 0, np.eye(system.n, dtype=bool)):
-        return False
-    return all(definite((e,), d) for e, d in zip(np.diag(E), system.constants))
+    if system.k == 0 and np.array_equal(system.matrix != 0, np.eye(system.n, dtype=bool)):
+        if all(definite((e,), c) for e, c in zip(np.diag(system.matrix), d)):
+            return "torus", None
+    family = cone = None
+    if system.codim == 1:
+        if definite(E.column(0), d[0]):
+            return "sphere", None
+        if system.is_cone():
+            family, cone = "cone", 0
+    elif system.codim == 2 and system.n >= 3 and 0 in d:
+        cone = d.index(0)  # the other equation must be compact
+        if definite(E.column(1 - cone), d[1 - cone]):
+            family = "sphere_cone"
+    axis = None if family is None else lone_sign(E.column(cone))
+    return (None, None) if axis is None else (family, axis)
 
 
 def orientation_character(system: QuadricSystem) -> tuple[int, ...] | None:
@@ -280,11 +269,11 @@ def orientation_character(system: QuadricSystem) -> tuple[int, ...] | None:
     the characters of their 0-sphere factors, which is again the full
     product.  Returns None (unsupported) outside these families.
     """
+    family, axis = _family(system)
+    if family not in ("torus", "sphere", "sphere_cone"):
+        return None
     signs, _ = action_table(system.exponents)
-    if not (_single_equation_positive(system) or _is_diagonal_torus(system)):
-        axis = _sphere_cone_axis(system)
-        if axis is None:
-            return None
+    if family == "sphere_cone":
         signs = np.delete(signs, axis, axis=1)
     return tuple(int(c) for c in np.prod(signs, axis=1))
 
@@ -305,12 +294,12 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
     Everything else is Unknown.
     """
     n = system.n
-    signs, _ = action_table(system.exponents)  # row 0 is the identity
+    family, axis = _family(system)
 
-    if _is_diagonal_torus(system):
+    if family == "torus":
         return TopologyLabel("Torus", n, "T^%d" % n)
 
-    if _single_equation_positive(system):
+    if family == "sphere":
         # the orientation character of the nonzero class
         if orientation_character(system)[1] > 0:
             return TopologyLabel("SphereTimesCircle", n, f"S^{n-1} x S^1")
@@ -319,8 +308,8 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
     if system.is_cone() and system.k == 1:
         return TopologyLabel("Torus", n - 1, f"T^{n-1} (projective)")
 
-    axis = _sphere_cone_axis(system)
-    if axis is not None:
+    signs, _ = action_table(system.exponents)  # row 0 is the identity
+    if family == "sphere_cone":
         # the residual involution acts within a component: the first nonzero
         # class that keeps the sign of the gluing axis
         residual = 1 + np.flatnonzero(signs[1:, axis] > 0)
@@ -330,12 +319,11 @@ def classify_quotient(system: QuadricSystem) -> TopologyLabel:
             return TopologyLabel("SphereTimesTorus", n, f"S^{n-2} x S^1 x S^1")
         return TopologyLabel("KleinTimesCircle", n, f"K^{n-1} x S^1")
 
-    cone_axis = _cone_signature(system)
-    if cone_axis is not None:
+    if family == "cone":
         # projective quotient of the link sphere: normalize the sign map to
         # fix the cone axis, then take the degree on the link sphere
-        normalized = signs[1] * signs[1, cone_axis]
-        if np.prod(np.delete(normalized, cone_axis)) > 0:
+        normalized = signs[1] * signs[1, axis]
+        if np.prod(np.delete(normalized, axis)) > 0:
             return TopologyLabel(
                 "SphereTimesCircle", n - 1, f"S^{n-2} x S^1 (projective)"
             )
