@@ -148,6 +148,8 @@ def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
                     ["mesh.target: cpn meshes support n=2 (polyline) and n=3 (cloud)"]
                 )
         else:
+            if config.mesh_projection is not None:  # before the mesh is built
+                meshing.validate_projection(config.mesh_projection)
             mesh = meshing.build_surface_mesh(system, nx, ny)
             vertices = meshing.project_vertices(mesh.vertices, config.mesh_projection)
             with _writing(out):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, determinism, exit codes, meshes."""
 
+import dataclasses
 import errno
 import glob
 import json
@@ -537,6 +538,48 @@ def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):
     assert main(["analyze", _write(tmp_path, config)]) == 0
     entry = json.loads(capsys.readouterr().out)["cn"]["curvature_match"]
     assert entry["pass"] is True and entry["count"] == 20
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol-lagrangian", "1e-3"]])
+def test_tolerances_not_an_object_is_reported_with_the_other_errors(flags, tmp_path, capsys):
+    # from_dict is the one validator of the tolerances object; the CLI only
+    # merges --tol-* flags into one that is an object
+    cfg = _write(tmp_path, dict(ELLIPSE, samples=0, tolerances=[1e-10]))
+    assert main(["analyze", cfg, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: samples: must be an integer >= 1",
+        "config error: tolerances: must be an object",
+    ]
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e200])
+def test_huge_projection_entry_is_a_config_error(entry, tmp_path, capsys, monkeypatch):
+    # the Gram product of such a row overflows; the entry is rejected before
+    # it, and before a mesh is built
+    from qlag import meshing
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built for an invalid projection")
+
+    monkeypatch.setattr(meshing, "build_surface_mesh", no_mesh)
+    projection = [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    cfg = _write(tmp_path, dict(ELLIPSE, mesh={"projection": projection}))
+    out = tmp_path / "m.obj"
+    assert main(["mesh", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["config error: projection rows must be orthonormal"]
+    assert not out.exists()
+
+
+def test_library_defaults_equal_config_defaults():
+    parsed = InstanceConfig.from_dict({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [1.0]})
+    direct = InstanceConfig(2, 1, ((1,), (2,)), (1.0,))
+    for f in dataclasses.fields(InstanceConfig):
+        value, default = getattr(parsed, f.name), getattr(direct, f.name)
+        assert (type(value), value) == (type(default), default), f.name
 
 
 def test_instance_config_field_messages():

@@ -60,6 +60,11 @@ def test_surface_mesh_guards():
 def test_projection_validation():
     with pytest.raises(ConfigInvalid):
         validate_projection(np.ones((3, 4)))
+    # an entry too large for the Gram product is rejected before it, and a
+    # row the Gram test accepts near 1 passes the entry bound too
+    with pytest.raises(ConfigInvalid):
+        validate_projection([[1e308, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    validate_projection([[1 + 4e-6, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     proj = validate_projection(np.eye(4)[:3])
     assert proj.shape == (3, 4)
     mesh = build_surface_mesh(ellipse(), 16, 8)
