@@ -89,11 +89,9 @@ class SurfaceMesh:
 
 
 def _sign_index_map(signs: Sequence[float], nx: int) -> np.ndarray:
-    """Index action of a coordinate sign pair on the conic angle grid.
-
-    cos/sin pick up the signs (s1, s2) through two reflections, theta -> 1/2 -
-    theta if s1 < 0, then theta -> -theta if s2 < 0: both keep an even grid.
-    """
+    """Index action of the sign pair (s1, s2) on the conic angle grid: cos and
+    sin pick up the signs through theta -> 1/2 - theta if s1 < 0, then theta
+    -> -theta if s2 < 0, two reflections that keep a uniform grid of even size."""
     s1, s2 = signs
     i = np.arange(nx)
     if s1 < 0:
@@ -140,7 +138,7 @@ def validate_projection(matrix) -> np.ndarray:
     proj = np.asarray(matrix, dtype=float)
     if proj.shape != (3, 4):
         raise ConfigInvalid(f"projection must be 3x4, got {proj.shape}")
-    # an entry failing the Gram test on its own square goes first: it may overflow it
+    # an entry over 1 + 1e-5 fails alone; testing it first keeps huge ones from overflowing
     if np.max(np.abs(proj)) > 1 + 1e-5 or not np.allclose(proj @ proj.T, np.eye(3), atol=1e-8):
         raise ConfigInvalid("projection rows must be orthonormal")
     return proj

@@ -235,11 +235,9 @@ UNKNOWN = TopologyLabel("Unknown")
 
 
 def _family(system: QuadricSystem) -> tuple[str | None, int | None]:
-    """The instance's family and axis: ("torus", None) for k = 0, a diagonal E
-    and feasible constants; ("sphere", None) for one compact equation;
-    ("sphere_cone", gluing axis) for a compact equation plus a cone; ("cone",
-    axis) for one (+,...,+,-) cone equation; else (None, None).  The axis is
-    the cone's lone-sign coordinate."""
+    """The family of classify_quotient's list the instance is in, "torus",
+    "sphere", "sphere_cone" or "cone", with the cone's lone-sign coordinate
+    as the axis of the last two (the gluing axis of "sphere_cone"); else (None, None)."""
     E, d = system.exponents, system.constants
     if system.k == 0 and np.array_equal(system.matrix != 0, np.eye(system.n, dtype=bool)):
         if all(definite((e,), c) for e, c in zip(np.diag(system.matrix), d)):
