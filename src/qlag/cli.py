@@ -33,7 +33,7 @@ from .pipeline import (
     run_analyze,
     serialize_report,
 )
-from .quadric import moment_polytope
+from .quadric import QuadricSystem, moment_polytope
 
 # the tolerance keys a --tol-<key> flag sets, with dashes for underscores
 TOL_FLAGS = sorted(VERIFY_TOLERANCES) + list(NUMERIC_TOLERANCES)
@@ -115,8 +115,8 @@ def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _run_report(config: InstanceConfig, out_path: str | None) -> int:
-    report = run_analyze(config)
+def _run_report(config: InstanceConfig, system: QuadricSystem, out_path: str | None) -> int:
+    report = run_analyze(config, system)
     passed = report_passed(report)
     if passed is None:
         sweeps = ", ".join(config.sweeps) or "none"
@@ -125,10 +125,9 @@ def _run_report(config: InstanceConfig, out_path: str | None) -> int:
     return 0 if passed else 1
 
 
-def _run_mesh(config: InstanceConfig, out_path: str | None) -> int:
+def _run_mesh(config: InstanceConfig, system: QuadricSystem, out_path: str | None) -> int:
     from . import meshing
 
-    system = config.system()
     target = config.mesh_target
     nx, ny = config.mesh_resolution
     out = out_path or "qlag-mesh.obj"
@@ -170,15 +169,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        if not len(moment_polytope(config.system())[0]):
+        system = config.system()  # one per call: its memo serves every reader
+        if not len(moment_polytope(system)[0]):
             raise ConfigInvalid(["constants: the variety is empty: its moment polytope "
                                  "(for a cone, the link's) has no vertex"])
         if args.command == "mesh":
-            return _run_mesh(config, args.out)
+            return _run_mesh(config, system, args.out)
         sweeps = COMMANDS[args.command][1]
         if sweeps is not None:
             config = replace(config, sweeps=sweeps)
-        return _run_report(config, args.out)
+        return _run_report(config, system, args.out)
     except ConfigInvalid as exc:
         for message in exc.messages:
             sys.stderr.write(f"config error: {message}\n")

@@ -12,8 +12,9 @@ Parity statements must never pass through floating point.  Linear algebra
 over Q is one Gauss-Jordan inverse per LatticeBasis, which rejects a
 singular basis and gives both the dual basis and coordinates, and one per
 candidate square column basis of a polyhedron {v >= 0 : A v = b}, cached
-across calls, whose vertices and rays the samplers mix; one float solve of
-every basis picks the candidates and decides nothing else.
+across calls; one float solve of every basis picks the candidates and
+decides nothing else.  polyhedron itself keeps nothing: each QuadricSystem
+keeps the vertices and rays of its moment polytope and of each cut of it.
 """
 
 from __future__ import annotations
@@ -248,10 +249,10 @@ def _basis_inverse(rows: tuple[IntVector, ...], basis: IntVector) -> tuple[FracV
 
 
 def polyhedron(
-    rows: Sequence[Sequence[int]], rhs: Sequence
+    rows: Sequence[Sequence[int]], rhs: Sequence, rays: bool = True
 ) -> tuple[tuple[FracVector, ...], tuple[FracVector, ...]]:
-    """The vertices and the extreme rays of {v >= 0 : A v = b}, A's integer
-    rows ``rows`` and b ``rhs``, exact.
+    """The vertices and the extreme rays (none, without ``rays``) of
+    {v >= 0 : A v = b}, A's integer rows ``rows`` and b ``rhs``, exact.
 
     The vertices are the points B^-1 b >= 0 of the square column bases B
     of A, in itertools.combinations order without repeats.  One float solve
@@ -260,13 +261,13 @@ def polyhedron(
     1/2, and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
     exactly by _basis_inverse, once per (A, B) in a process, and a singular
     one is skipped.  The rays, scaled to sum 1, are the vertices of
-    {r >= 0 : A r = 0, sum r = 1} found the same way.  The float pass
-    holds C(n, m) blocks of m x m floats, m = len(rows) + 1: 7 MB at
-    n = 16, m = 9.
+    {r >= 0 : A r = 0, sum r = 1} found the same way, whatever b is.  The
+    float pass holds C(n, m) blocks of m x m floats, m = len(rows) + 1: 7 MB
+    at n = 16, m = 9.
     """
     n = len(rows[0])
     found: tuple[dict, dict] = ({}, {})
-    systems = ((rows, rhs), ([*rows, (1,) * n], [0] * len(rows) + [1]))
+    systems = ((rows, rhs), ([*rows, (1,) * n], [0] * len(rows) + [1]))[:1 + rays]
     for out, (a, b) in zip(found, systems):
         bases = np.array([*itertools.combinations(range(n), len(a))], dtype=int)
         bases = bases.reshape(-1, len(a))

@@ -37,7 +37,7 @@ from .projective import (
     projective_lagrangian_defect,
     projective_mean_curvature,
 )
-from .quadric import QuadricSystem, Tolerances, require_cone
+from .quadric import QuadricSystem, Tolerances, once, require_cone
 from .quotient import (
     classify_quotient,
     orbit_distinctness,
@@ -255,25 +255,6 @@ def _guard(report: dict, key: str, fn) -> None:
         report[key] = {"error": f"{type(exc).__name__}: {exc}", "pass": False}
 
 
-def _once(fn):
-    """fn, run at most once: later calls return its value or raise its
-    error again, which functools.cache would not keep."""
-    result = []
-
-    def call():
-        if not result:
-            try:
-                result.append((fn(), None))
-            except QlagError as exc:
-                result.append((None, exc))
-        value, exc = result[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return call
-
-
 def _lattice_section(system: QuadricSystem) -> dict:
     basis, dual, group = lattice_data(system.exponents)
     signs, _ = action_table(system.exponents)
@@ -335,8 +316,8 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) ->
     # the samples are drawn by the first entry that reads them, inside its
     # guard, so a failed draw is an error entry and not an aborted run
     section: dict[str, Any] = {}
-    draw = _once(lambda: sample_immersion(system, config.samples, seed=config.seed))
-    checks = _once(lambda: _blockwise(_frame_checks, system, *draw()))
+    draw = once(lambda: sample_immersion(system, config.samples, seed=config.seed))
+    checks = once(lambda: _blockwise(_frame_checks, system, *draw()))
 
     def lagrangian():
         return _entry(checks()[0], config.verify_tolerance("lagrangian"), mean=True)
@@ -351,8 +332,8 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) ->
     _guard(section, "frame_cross_block", cross_block)
     _guard(section, "torus_metric_form", metric_block)
 
-    sub = _once(lambda: _subsample(config, system, draw, config.seed + 1))
-    h_fd = _once(lambda: mean_curvature_fd(system, *sub()))
+    sub = once(lambda: _subsample(config, system, draw, config.seed + 1))
+    h_fd = once(lambda: mean_curvature_fd(system, *sub()))
 
     def curvature_match():
         h_closed = mean_curvature(system, *sub())
@@ -408,8 +389,8 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -
     except QlagError as exc:
         return {"skipped": f"projective sweep needs a cone: {exc}"}
 
-    draw = _once(lambda: sample_immersion(system, config.samples, seed=config.seed + 2,
-                                          u_floor=0.05))
+    draw = once(lambda: sample_immersion(system, config.samples, seed=config.seed + 2,
+                                         u_floor=0.05))
 
     def lagrangian():
         defects = _blockwise(projective_lagrangian_defect, system, *draw())
@@ -417,7 +398,7 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -
 
     _guard(section, "projective_lagrangian_defect", lagrangian)
 
-    sub = _once(lambda: _subsample(config, system, draw, config.seed + 3))
+    sub = once(lambda: _subsample(config, system, draw, config.seed + 3))
 
     if minimal:
         def minimal_curvature():
@@ -490,9 +471,10 @@ def _quotient_section(config: InstanceConfig, system: QuadricSystem) -> dict:
     return section
 
 
-def run_analyze(config: InstanceConfig) -> dict:
-    """Run the configured sweeps and assemble the verification report."""
-    system = config.system()
+def run_analyze(config: InstanceConfig, system: QuadricSystem | None = None) -> dict:
+    """Run the configured sweeps on system (config's own by default) and
+    assemble the verification report."""
+    system = system or config.system()
     e = sum_vector(system.exponents)
     minimal = all(c == 0 for c in e)  # the paper's minimality criterion, e = 0
     report: dict[str, Any] = {

@@ -2,8 +2,10 @@
 
 Validation, residuals, normal frames, tangent spaces, Gauss-Newton
 projection onto M and seeded sampling.  Everything is a pure function of
-immutable inputs.  M is the set of u with u^2 in the moment polytope P, so
-the samplers return u = eps sqrt(v) for v drawn from P, with no projection.
+immutable inputs; a QuadricSystem keeps the exact facts it decides (the cuts
+of its moment polytope P, smoothness per support) for its life.  M is the
+set of u with u^2 in P, so the samplers return u = eps sqrt(v) for v drawn
+from P, with no projection.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NotACone,
+    QlagError,
     SamplingExhausted,
     SingularJacobian,
     SingularPoint,
@@ -35,6 +38,30 @@ class Tolerances:
     residual: float = 1e-12
     u_floor: float = 1e-3
     fd_step: float = 1e-5
+
+
+def once(fn):
+    """fn, run at most once: later calls return its value or raise its
+    error again, which functools.cache would not keep."""
+    result = []
+
+    def call():
+        if not result:
+            try:
+                result.append((fn(), None))
+            except QlagError as exc:
+                result.append((None, exc))
+        value, exc = result[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return call
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -55,12 +82,13 @@ class QuadricSystem:
             raise ValueError(
                 f"{len(self.constants)} constants for {exponents.codim} equations"
             )
-        matrix = np.array(exponents.rows, dtype=float)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
-        constants = np.array(self.constants)
-        constants.setflags(write=False)
-        object.__setattr__(self, "_constants", constants)
+        object.__setattr__(self, "_matrix", _frozen(np.array(exponents.rows, dtype=float)))
+        object.__setattr__(self, "_constants", _frozen(np.array(self.constants)))
+        object.__setattr__(self, "_memo", {})  # not a field: eq, hash and repr skip it
+
+    def _fact(self, key, build):
+        """build(), run once per key in the system's life (see once)."""
+        return self._memo.setdefault(key, once(build))()
 
     @property
     def n(self) -> int:
@@ -98,13 +126,16 @@ class QuadricSystem:
     def is_smooth_point(self, u: np.ndarray) -> np.ndarray:
         """Whether M is smooth at each point of a (N, n) batch: the rows of E
         on the point's support (its nonzero coordinates) have rank codim,
-        decided exactly, once per distinct support."""
+        decided exactly, once per support in the system's life.  The batch
+        is grouped by its supports packed into byte codes."""
         support = np.asarray(u, dtype=float) != 0
-        patterns, inverse = np.unique(support, axis=0, return_inverse=True)
-        rows = self.exponents.rows
-        smooth = [len(hermite_normal_form([r for r, on in zip(rows, p) if on])) == self.codim
-                  for p in patterns]
-        return np.array(smooth, dtype=bool)[inverse.reshape(-1)]
+        packed = np.packbits(support, axis=-1)
+        codes, first, inverse = np.unique(packed.view(f"V{packed.shape[-1]}").ravel(),
+                                          return_index=True, return_inverse=True)
+        smooth = [self._fact(("support", code.tobytes()), lambda on=support[i]: len(hermite_normal_form(
+            [r for r, bit in zip(self.exponents.rows, on) if bit])) == self.codim)
+            for code, i in zip(codes, first)]
+        return np.array(smooth, dtype=bool)[inverse]
 
     def tangent_basis(self, u: np.ndarray) -> np.ndarray:
         """k orthonormal vectors orthogonal to every normal at each point of a
@@ -244,14 +275,26 @@ def _solve(JJt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def moment_polytope(system: QuadricSystem, floor=0.0) -> list[np.ndarray]:
-    """Float (V, n) vertices, less floor^2, and (R, n) rays of the exact
-    lattice.polyhedron of P = {v >= 0 : E^T v = d} (a cone's link
-    P ∩ {sum v = 1}) cut to v >= floor^2."""
+    """Read-only float (V, n) vertices, less floor^2, and (R, n) rays of the
+    exact lattice.polyhedron of P = {v >= 0 : E^T v = d} (a cone's link
+    P ∩ {sum v = 1}) cut to v >= floor^2, from the system's facts, each
+    enumerated once: P with its rays, which every cut shares, and each other
+    cut's vertices.  A cut beyond float64 raises SamplingExhausted."""
     rows, rhs = [*zip(*system.exponents.rows)], [Fraction(c) for c in system.constants]
     if system.is_cone():
         rows, rhs = [*rows, (1,) * system.n], [*rhs, Fraction(1)]
-    rhs = [b - Fraction(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
-    return [np.array(part, dtype=float).reshape(-1, system.n) for part in polyhedron(rows, rhs)]
+    exact = system._fact("P", lambda: polyhedron(rows, rhs))
+    cut = [b - Fraction(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
+
+    def floats(part):
+        try:  # an exact vertex may be beyond float64
+            return _frozen(np.array(part, dtype=float).reshape(-1, system.n))
+        except OverflowError:
+            raise SamplingExhausted(f"the moment polytope cut at {floor}^2 is beyond float64") from None
+
+    return [system._fact(("cut", floor), lambda: floats(
+        exact[0] if cut == rhs else polyhedron(rows, cut, False)[0])),
+        system._fact("rays", lambda: floats(exact[1]))]
 
 
 def _draw(
@@ -281,10 +324,7 @@ def sample_points(
     and rays of P cut to v >= u_floor^2.  A cut P beyond float64, or on which
     some v_i never exceeds u_floor^2, raises SamplingExhausted before any draw."""
     floor = system.tolerances.u_floor if u_floor is None else u_floor
-    try:
-        vertices, rays = moment_polytope(system, floor)
-    except OverflowError:  # from the float conversion of an exact vertex or ray
-        raise SamplingExhausted(f"the moment polytope cut at {floor}^2 is beyond float64") from None
+    vertices, rays = moment_polytope(system, floor)
     if not np.all(np.any(np.vstack([vertices, rays]) > 0, axis=0)):
         raise SamplingExhausted(f"no point of the moment polytope has every v_i > {floor}^2")
     return _draw(system, count, seed, vertices, rays, floor)

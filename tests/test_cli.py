@@ -518,6 +518,18 @@ def test_empty_variety_is_a_config_error(command, constants, tmp_path, capsys, m
     assert not any(out.iterdir())
 
 
+def test_moment_polytope_beyond_float64_is_an_error_line(tmp_path, capsys):
+    # v1 + v3 = d1, v2 - v3 = d2 at d = 1.7e308 has the vertex (0, 3.4e308,
+    # 1.7e308): the variety is not empty, but no sampler can draw from it
+    config = {"n": 3, "k": 1, "rows": [[1, 0], [0, 1], [1, -1]],
+              "constants": [1.7e308, 1.7e308], "samples": 20}
+    assert main(["analyze", _write(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: SamplingExhausted: the moment polytope cut at 0.0^2 is beyond float64"]
+
+
 @pytest.mark.parametrize("constant", [1e300, 1e200, 1e-200, 1e-300])
 def test_non_finite_check_value_is_a_recorded_error(constant, tmp_path, capsys):
     # the chart metric's determinant overflows or underflows, so the

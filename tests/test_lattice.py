@@ -433,12 +433,12 @@ def test_polyhedron_inverts_only_its_float_candidates(n, m, seed, affine, monkey
 
 def test_polytope_bases_are_inverted_once_across_floors(monkeypatch):
     # the floor moves only b, so a second enumeration at another floor
-    # reuses every exact inverse and still equals a cold one
+    # reuses every exact inverse and still equals a cold one; each call
+    # takes a fresh system, whose memo has enumerated nothing
     import qlag.lattice as lattice
     from qlag.catalog import sphere_cone
     from qlag.quadric import moment_polytope
 
-    system = sphere_cone(5)
     inverted = []
 
     def counted(block, inverse=lattice._inverse):
@@ -447,13 +447,13 @@ def test_polytope_bases_are_inverted_once_across_floors(monkeypatch):
 
     monkeypatch.setattr(lattice, "_inverse", counted)
     lattice._basis_inverse.cache_clear()
-    moment_polytope(system, 0.1)
+    moment_polytope(sphere_cone(5), 0.1)
     assert inverted
     inverted.clear()
-    warm = moment_polytope(system, 0.2)
+    warm = moment_polytope(sphere_cone(5), 0.2)
     assert inverted == []
     lattice._basis_inverse.cache_clear()
-    cold = moment_polytope(system, 0.2)
+    cold = moment_polytope(sphere_cone(5), 0.2)
     assert inverted
     assert len(warm) == len(cold) == 2
     assert all(np.array_equal(a, b) for a, b in zip(warm, cold))

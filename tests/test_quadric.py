@@ -1,6 +1,8 @@
 """Variety-side checks: residuals, normals, tangent frames, projection and
 sampling."""
 
+import json
+import os
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from qlag.catalog import (
     weighted_cone,
 )
 from qlag.quadric import (
+    moment_polytope,
     require_cone,
     sample_stratum_points,
 )
@@ -145,6 +148,47 @@ def test_exact_smoothness_agrees_with_the_svd_test():
         assert not smooth.all()
         total += len(U)
     assert total == 25900
+
+
+def _hnf_is_smooth(system, U):
+    """The smoothness rule one row at a time: the rows of E on the row's
+    support have rank codim."""
+    from qlag.lattice import hermite_normal_form
+
+    rows = system.exponents.rows
+    return np.array([len(hermite_normal_form([r for r, x in zip(rows, u) if x != 0]))
+                     == system.codim for u in U], dtype=bool)
+
+
+@pytest.mark.parametrize("make", [
+    ellipse, klein_bottle_cone, lambda: clifford_cone(5),
+    # n > 8: each support code spans two bytes
+    lambda: sphere_cone(9), lambda: clifford_cone(10), lambda: product_torus(range(1, 10)),
+], ids=["ellipse", "klein_bottle_cone", "clifford_cone(5)", "sphere_cone(9)",
+        "clifford_cone(10)", "product_torus(1..9)"])
+def test_packed_smoothness_equals_the_per_row_rule(make, monkeypatch):
+    # full supports, the strata, random zeroed coordinates and the zero row,
+    # shuffled; then an empty batch; a second pass decides nothing again
+    import qlag.quadric as quadric
+
+    system = make()
+    rng = np.random.default_rng(1)
+    random = rng.normal(size=(300, system.n))
+    random[rng.random(random.shape) < 0.4] = 0.0
+    U = np.vstack([sample_points(system, 100, seed=0),
+                   *sample_stratum_points(system, 10, seed=0), random, np.zeros((1, system.n))])
+    U = U[rng.permutation(len(U))]
+    expected = _hnf_is_smooth(system, U)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(system.is_smooth_point(U), expected)
+    assert system.is_smooth_point(U[:0]).shape == (0,)
+    decided = []
+    monkeypatch.setattr(quadric, "hermite_normal_form",
+                        lambda rows: decided.append(rows) or (None,) * system.codim)
+    assert np.array_equal(system.is_smooth_point(U[::-1]), expected[::-1])
+    assert decided == []
+    assert np.array_equal(make().is_smooth_point(U), [True] * len(U))  # a fresh memo
+    assert decided
 
 
 def test_tangent_basis_hand_values():
@@ -368,6 +412,81 @@ def test_exhaustion_needs_every_coordinate_off_zero():
     with pytest.raises(SamplingExhausted):
         sample_points(flat, 5, seed=0, u_floor=0.0)
     assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [0, 0, 0]
+
+
+def _count_enumerations(monkeypatch):
+    """The (b, rays) of each lattice.polyhedron call of the samplers."""
+    import qlag.quadric as quadric
+
+    calls = []
+
+    def counted(rows, rhs, rays=True, enumerate=quadric.polyhedron):
+        calls.append((tuple(rhs), rays))
+        return enumerate(rows, rhs, rays)
+
+    monkeypatch.setattr(quadric, "polyhedron", counted)
+    return calls
+
+
+def _config_file(tmp_path, system, sweeps):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "n": system.n, "k": system.k, "rows": [list(r) for r in system.exponents.rows],
+        "constants": list(system.constants), "samples": 120, "sweeps": sweeps}))
+    return str(path)
+
+
+# the enumerations of one analyze, each cut with its own ray pass, were
+# 6, 8, 8 and 8 before the system kept them
+@pytest.mark.parametrize("instance, cuts", [
+    ("ellipse.json", 4),
+    ("klein_cone.json", 5),
+    ((lambda: clifford_cone(5), ["cn", "cpn", "quotient"]), 5),
+    ((lambda: product_torus([1, 2, 3]), ["cn"]), 3),
+], ids=["ellipse.json", "klein_cone.json", "clifford_cone(5)", "product_torus([1,2,3])"])
+def test_analyze_enumerates_each_cut_once_and_the_rays_once(instance, cuts, tmp_path,
+                                                           monkeypatch, capsys):
+    from qlag.cli import main
+
+    if isinstance(instance, str):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", instance)
+    else:
+        path = _config_file(tmp_path, instance[0](), instance[1])
+    calls = _count_enumerations(monkeypatch)
+    assert main(["analyze", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == cuts
+    assert len({rhs for rhs, _ in calls}) == cuts
+    assert [rays for _, rays in calls].count(True) == 1
+
+
+def test_polytope_arrays_are_read_only_and_kept():
+    # the hyperbola u1^2 - 2 u2^2 = 1 has a vertex and a ray at every floor
+    hyperbola = QuadricSystem([[1], [-2]], [1.0])
+    vertices, rays = moment_polytope(hyperbola, 0.5)
+    for array in (vertices, rays):
+        assert array.shape == (1, 2)
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    again = moment_polytope(hyperbola, 0.5)
+    assert again[0] is vertices and again[1] is rays
+    assert moment_polytope(hyperbola)[1] is rays  # every cut shares P's rays
+
+
+@pytest.mark.parametrize("make, floor, message", [
+    (ellipse, 0.8, "no point of the moment polytope has every v_i > 0.8^2"),
+    (ellipse, 1e300, "no point of the moment polytope has every v_i > 1e+300^2"),
+    (lambda: QuadricSystem([[1], [-2]], [1.0]), 1e155,
+     "the moment polytope cut at 1e+155^2 is beyond float64"),
+], ids=["ellipse-0.8", "ellipse-1e300", "hyperbola-1e155"])
+def test_a_failed_cut_fails_alike_at_every_read(make, floor, message, monkeypatch):
+    system = make()
+    calls = _count_enumerations(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(SamplingExhausted) as info:
+            sample_points(system, 2, seed=0, u_floor=floor)
+        assert str(info.value) == message
+    assert [rays for _, rays in calls] == [True, False]  # P and its rays, then the cut
 
 
 @pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
