@@ -188,7 +188,8 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     """The %.17g of each value in a row of bytes, zero where unused.  For
     1e-6 < |x| < 1e17, the digits are |x| 10**(16 - E) rounded half-even,
     10**E <= |x| < 10**(E + 1): as 10**(16 - E) is an exact double, Dekker's
-    product gives |x| 10**(16 - E) = p + e exactly.  Others go through %."""
+    product gives |x| 10**(16 - E) = p + e exactly.  ±0 is laid out as 1
+    with the digit 0, giving 0 and -0.  Others go through %."""
     quads, trailing, floors, exponents, keep = _tables()
     ax = np.where(np.isfinite(x), np.abs(x), 0.0)  # no nan is compared
     fast = (ax > 1e-6) & (ax < 1e17)
@@ -200,9 +201,9 @@ def _float_text(x: np.ndarray) -> np.ndarray:
                           for h in [134217729.0 * v - (134217729.0 * v - v)]]
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a b - p, exactly
     # p is even, so this is half-even; no double here rounds up to 10**(E + 1)
-    groups = _digit_groups(p.astype(np.int64) + np.rint(e).astype(np.int64), 5)
+    groups = _digit_groups((p.astype(np.int64) + np.rint(e).astype(np.int64)) * (x != 0), 5)
     zeros, whole = 0, True
-    for g in groups[:0:-1]:  # from the last group on; the leading digit is never 0
+    for g in groups[:0:-1]:  # from the last group on; the leading digit shows, 0 or not
         zeros, whole = zeros + whole * trailing.take(g), whole & (g == 0)
     n = (int(E.max(initial=0)) + 4) // 4  # WORDs for the most integer digits
     # the 17 digits, from byte 3 of Q[0] on
@@ -213,7 +214,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     keep = np.delete(keep, np.s_[8 + 4 * n:28], axis=1).view(WORD)  # n WORDs of integer digits
     text &= keep.take(36 * (E + 6) + 2 * (17 - zeros) + np.signbit(x), axis=0)
     text = text.view(np.uint8)
-    rest = np.nonzero(~fast)
+    rest = np.nonzero(~fast & (x != 0))
     spelled = np.array(["%.17g" % v for v in x[rest].tolist()], dtype=f"S{text.shape[-1]}")
     text[rest] = spelled.view(np.uint8).reshape(-1, text.shape[-1])
     return text

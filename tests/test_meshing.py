@@ -415,6 +415,15 @@ def test_float_edges_match_percent(cols):
     assert _written(table) == [" ".join("%.17g" % v for v in row) for row in table.tolist()]
 
 
+def test_signed_zeros_match_percent():
+    # ±0 take the array path, as 0 and -0, beside values of every kind
+    table = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [2.5e-7, 0.0, -1e17],
+                      [-0.0, 123456.75, math.nan], [5e-324, -0.0, 0.0]])
+    assert _written(table) == [" ".join("%.17g" % v for v in row) for row in table.tolist()]
+    assert _written(np.zeros((2, 3))) == ["0 0 0"] * 2
+    assert _written(-np.zeros((1, 2))) == ["-0 -0"]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_float_text_matches_percent(values):
