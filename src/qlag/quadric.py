@@ -132,8 +132,9 @@ class QuadricSystem:
         packed = np.packbits(support, axis=-1)
         codes, first, inverse = np.unique(packed.view(f"V{packed.shape[-1]}").ravel(),
                                           return_index=True, return_inverse=True)
-        smooth = [self._fact(("support", code.tobytes()), lambda on=support[i]: len(hermite_normal_form(
-            [r for r, bit in zip(self.exponents.rows, on) if bit])) == self.codim)
+        rows = self.exponents.rows
+        smooth = [self._fact(("support", code.tobytes()), lambda on=support[i]: len(
+            hermite_normal_form([r for r, bit in zip(rows, on) if bit])) == self.codim)
             for code, i in zip(codes, first)]
         return np.array(smooth, dtype=bool)[inverse]
 
