@@ -42,15 +42,18 @@ class Tolerances:
 
 def once(fn):
     """fn, run at most once: later calls return its value or raise its
-    error again, which functools.cache would not keep."""
+    error again, which functools.cache would not keep.  fn is let go once
+    it has run, with all it refers to."""
     result = []
 
     def call():
+        nonlocal fn
         if not result:
             try:
                 result.append((fn(), None))
             except QlagError as exc:
                 result.append((None, exc))
+            fn = None
         value, exc = result[0]
         if exc is not None:
             raise exc

@@ -473,6 +473,25 @@ def test_polytope_arrays_are_read_only_and_kept():
     assert moment_polytope(hyperbola)[1] is rays  # every cut shares P's rays
 
 
+def test_a_system_with_facts_is_freed_without_the_cycle_collector():
+    # each fact lets go of the closure that built it, which refers to the
+    # system, so the memo makes no reference cycle
+    import gc
+    import weakref
+
+    system = clifford_cone(5)
+    U = sample_points(system, 20, seed=0)
+    sample_stratum_points(system, 4, seed=0)
+    system.tangent_basis(U)
+    freed = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("make, floor, message", [
     (ellipse, 0.8, "no point of the moment polytope has every v_i > 0.8^2"),
     (ellipse, 1e300, "no point of the moment polytope has every v_i > 1e+300^2"),
