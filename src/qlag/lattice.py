@@ -261,34 +261,31 @@ def polyhedron(
     1/2, and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
     exactly by _basis_inverse, once per (A, B) in a process, and a singular
     one is skipped.  The rays, scaled to sum 1, are the vertices of
-    {r >= 0 : A r = 0, sum r = 1} found the same way, whatever b is.  The
-    float pass holds C(n, m) blocks of m x m floats, m = len(rows) + 1: 7 MB
+    {r >= 0 : A r = 0, sum r = 1}, whatever b is.  The float pass holds
+    C(n, m) blocks of m x m floats, m = len(rows) (+ 1 for the rays): 7 MB
     at n = 16, m = 9.
     """
-    n = len(rows[0])
-    found: tuple[dict, dict] = ({}, {})
-    systems = ((rows, rhs), ([*rows, (1,) * n], [0] * len(rows) + [1]))[:1 + rays]
-    for out, (a, b) in zip(found, systems):
-        bases = np.array([*itertools.combinations(range(n), len(a))], dtype=int)
-        bases = bases.reshape(-1, len(a))
-        blocks = np.array(a, dtype=float)[:, bases].transpose(1, 0, 2)
-        regular = np.abs(np.linalg.det(blocks)) > 0.5
-        top = max(map(abs, b)) or 1
-        scaled = np.array([Fraction(x) / top for x in b], dtype=float)
-        guess = np.linalg.solve(blocks[regular], scaled[:, None])[..., 0]
-        near = guess.min(axis=1) >= -1e-6 * np.abs(guess).max(axis=1, initial=1.0)
-        key = tuple(map(tuple, a))
-        for basis in bases[regular][near].tolist():
-            inverse = _basis_inverse(key, tuple(basis))
-            if inverse is None:
-                continue
-            x = [sum((p * q for p, q in zip(row, b)), Fraction(0)) for row in inverse]
-            if min(x) >= 0:
-                v = [Fraction(0)] * n
-                for c, value in zip(basis, x):
-                    v[c] = value
-                out[tuple(v)] = None
-    return tuple(found[0]), tuple(found[1])
+    n, m = len(rows[0]), len(rows)
+    bases = np.array([*itertools.combinations(range(n), m)], dtype=int).reshape(-1, m)
+    blocks = np.array(rows, dtype=float)[:, bases].transpose(1, 0, 2)
+    regular = np.abs(np.linalg.det(blocks)) > 0.5
+    top = max(map(abs, rhs)) or 1
+    scaled = np.array([Fraction(x) / top for x in rhs], dtype=float)
+    guess = np.linalg.solve(blocks[regular], scaled[:, None])[..., 0]
+    near = guess.min(axis=1) >= -1e-6 * np.abs(guess).max(axis=1, initial=1.0)
+    key = tuple(map(tuple, rows))
+    found = {}
+    for basis in bases[regular][near].tolist():
+        inverse = _basis_inverse(key, tuple(basis))
+        if inverse is None:
+            continue
+        x = [sum((p * q for p, q in zip(row, rhs)), Fraction(0)) for row in inverse]
+        if min(x) >= 0:
+            v = [Fraction(0)] * n
+            for c, value in zip(basis, x):
+                v[c] = value
+            found[tuple(v)] = None
+    return tuple(found), polyhedron([*rows, (1,) * n], [0] * m + [1], False)[0] if rays else ()
 
 
 def sum_vector(exponents: ExponentMatrix) -> IntVector:
