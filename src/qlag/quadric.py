@@ -14,6 +14,7 @@ numeric knobs: its fields name them.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -41,9 +42,9 @@ class Tolerances:
 
 
 def once(fn):
-    """fn, run at most once: later calls return its value or raise its
-    error again, which functools.cache would not keep.  fn is let go once
-    it has run, with all it refers to."""
+    """fn, run at most once: later calls return its value or raise a fresh
+    copy of its error, which functools.cache would not keep.  The copy kept
+    has no traceback or context, so it holds no frame; fn is let go too."""
     result = []
 
     def call():
@@ -52,11 +53,11 @@ def once(fn):
             try:
                 result.append((fn(), None))
             except QlagError as exc:
-                result.append((None, exc))
+                result.append((None, copy.copy(exc)))
             fn = None
         value, exc = result[0]
         if exc is not None:
-            raise exc
+            raise copy.copy(exc)
         return value
 
     return call
