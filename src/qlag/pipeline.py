@@ -3,7 +3,8 @@
 A report is a plain nested dict (str keys, deterministic order) so that
 serialization is byte-stable for a fixed (config, seed) pair.  Every
 defect entry carries the tolerance it was judged against and a pass flag;
-module errors are recorded per property instead of aborting the run.
+module errors are recorded per property instead of aborting the run.  No
+draw reads another: each is at u_floor, or at _capped_draw's floor from P.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .projective import (
     projective_lagrangian_defect,
     projective_mean_curvature,
 )
-from .quadric import QuadricSystem, Tolerances, once, require_cone
+from .quadric import QuadricSystem, Tolerances, moment_polytope, once, require_cone
 from .quotient import (
     classify_quotient,
     orbit_distinctness,
@@ -303,21 +304,25 @@ def _frame_checks(system: QuadricSystem, u: np.ndarray, y: np.ndarray) -> np.nda
     return np.stack([fb.symplectic_defect(), fb.cross_defect(), metric])
 
 
-def _subsample(config: InstanceConfig, system: QuadricSystem, draw, seed: int):
-    """min(curvature_samples, samples) points at u_floor min(0.1, m / 2), m the
-    largest min_i |u_i| over draw()'s points, so they can be drawn where every
-    point has a coordinate below 0.1; a failed draw() fails them with its message."""
-    count = min(config.curvature_samples, config.samples)
-    m = np.max(np.min(np.abs(draw()[0]), axis=-1))
-    return sample_immersion(system, count, seed=seed, u_floor=min(0.1, float(m) / 2))
+def _capped_draw(config: InstanceConfig, system: QuadricSystem, seed: int, cap: float,
+                 count: int | None = None):
+    """sample_immersion of count points (a curvature subsample of
+    min(curvature_samples, samples) by default) at u_floor raised to min(cap,
+    sqrt(min_i c_i) / 2), c the mean of P's vertices plus the sum of its rays:
+    c is a point of P, so that floor is reachable whatever P's scale."""
+    vertices, rays = moment_polytope(system)
+    c = vertices.sum(axis=0) / max(len(vertices), 1) + rays.sum(axis=0)
+    floor = max(system.tolerances.u_floor, min(cap, float(np.sqrt(np.min(c))) / 2))
+    count = min(config.curvature_samples, config.samples) if count is None else count
+    return sample_immersion(system, count, seed=seed, u_floor=floor)
 
 
 def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -> dict:
     # the samples are drawn by the first entry that reads them, inside its
     # guard, so a failed draw is an error entry and not an aborted run
     section: dict[str, Any] = {}
-    draw = once(lambda: sample_immersion(system, config.samples, seed=config.seed))
-    checks = once(lambda: _blockwise(_frame_checks, system, *draw()))
+    checks = once(lambda: _blockwise(_frame_checks, system, *sample_immersion(
+        system, config.samples, seed=config.seed)))
 
     def lagrangian():
         return _entry(checks()[0], config.verify_tolerance("lagrangian"), mean=True)
@@ -332,7 +337,7 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) ->
     _guard(section, "frame_cross_block", cross_block)
     _guard(section, "torus_metric_form", metric_block)
 
-    sub = once(lambda: _subsample(config, system, draw, config.seed + 1))
+    sub = once(lambda: _capped_draw(config, system, config.seed + 1, 0.1))
     h_fd = once(lambda: mean_curvature_fd(system, *sub()))
 
     def curvature_match():
@@ -389,16 +394,14 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -
     except QlagError as exc:
         return {"skipped": f"projective sweep needs a cone: {exc}"}
 
-    draw = once(lambda: sample_immersion(system, config.samples, seed=config.seed + 2,
-                                         u_floor=0.05))
-
     def lagrangian():
-        defects = _blockwise(projective_lagrangian_defect, system, *draw())
+        draw = _capped_draw(config, system, config.seed + 2, 0.05, config.samples)
+        defects = _blockwise(projective_lagrangian_defect, system, *draw)
         return _entry(defects, config.verify_tolerance("projective_lagrangian"))
 
     _guard(section, "projective_lagrangian_defect", lagrangian)
 
-    sub = once(lambda: _subsample(config, system, draw, config.seed + 3))
+    sub = once(lambda: _capped_draw(config, system, config.seed + 3, 0.1))
 
     if minimal:
         def minimal_curvature():

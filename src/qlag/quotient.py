@@ -121,9 +121,9 @@ def scan_samples(
     count: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample set for collision scanning: generic points plus 40% placed
-    exactly on the coordinate strata u_j = 0, where identifications can
-    hide.
+    """Sample set for collision scanning: generic points at the system's
+    u_floor plus 40% placed exactly on the coordinate strata u_j = 0, where
+    identifications can hide.
 
     Stratum points come with their sign mirrors and carry torus angles on a
     uniform grid whose size is a multiple of 4, so half-period phase
@@ -131,7 +131,7 @@ def scan_samples(
     """
     n_strata = max(0, int(count * 0.4))
     n_generic = count - n_strata
-    U_parts = [sample_points(system, n_generic, seed=seed, u_floor=1e-6)]
+    U_parts = [sample_points(system, n_generic, seed=seed)]
     Y_parts = [sample_torus_angles(system, n_generic, seed=seed)]
     if n_strata and system.k >= 1:
         per_axis = max(8, n_strata // system.n)

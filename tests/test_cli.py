@@ -441,8 +441,7 @@ def test_run_analyze_errors_recorded_not_fatal():
     [
         # a floor above every point of the ellipse, where min(|u1|, |u2|) is
         # at most 1/sqrt(3): every entry that reads a sample fails, the
-        # curvature subsample's with the message of the draw its floor comes
-        # from
+        # curvature subsample's at the same floor, which is above its cap
         ({"n": 2, "k": 1, "rows": [[1], [2]], "constants": [1.0], "samples": 2,
           "tolerances": {"u_floor": 0.8}, "sweeps": {"cn": True}},
          dict.fromkeys(["lagrangian_defect", "frame_cross_block", "torus_metric_form",
@@ -469,15 +468,20 @@ def test_run_analyze_errors_recorded_not_fatal():
          "hyperbola-floor-1e300"],
 )
 def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, monkeypatch):
-    from qlag import pipeline
+    from qlag import pipeline, quadric
 
-    draws = []
+    draws, cuts = [], []
 
     def counted(*args, original=pipeline.sample_immersion, **kwargs):
-        draws.append(args[1])
+        draws.append((args[1], kwargs.get("u_floor")))
         return original(*args, **kwargs)
 
+    def enumerated(rows, rhs, rays=True, original=quadric.polyhedron):
+        cuts.append(tuple(rhs))
+        return original(rows, rhs, rays)
+
     monkeypatch.setattr(pipeline, "sample_immersion", counted)
+    monkeypatch.setattr(quadric, "polyhedron", enumerated)
     assert main(["analyze", _write(tmp_path, config)]) == 1
     report = json.loads(capsys.readouterr().out)
     for key, entry in report["cn"].items():
@@ -486,9 +490,12 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
             assert entry["error"] == f"SamplingExhausted: {failed[key]}"
         else:
             assert "error" not in entry
-    # each draw runs once, however many entries read it, and a failed one
-    # leaves the curvature subsample undrawn
-    assert draws == [config["samples"]]
+    # each draw runs once, however many entries read it: the main draw at
+    # the system's floor and the curvature subsample, drawn on its own, at
+    # that floor too, which reads the one enumeration of its cut
+    floor = config["tolerances"]["u_floor"]
+    assert draws == [(config["samples"], None), (config["samples"], floor)]
+    assert len(cuts) == len(set(cuts))
 
 
 # [-1.0]: u1^2 + 2 u2^2 = -1 has no point; [0.0]: the cone u1^2 + 2 u2^2 = 0
@@ -545,11 +552,30 @@ def test_non_finite_check_value_is_a_recorded_error(constant, tmp_path, capsys):
 
 def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):
     # every point has a coordinate below the semi-axis 1/sqrt(200) < 0.1, so
-    # the subsample's floor comes down to half the largest one drawn
+    # the subsample's floor comes down to sqrt(min_i c_i) / 2 = 0.025, c =
+    # (1/2, 1/400) the mean of the moment polytope's two vertices
     config = {"n": 2, "k": 1, "rows": [[1], [200]], "constants": [1.0], "samples": 50}
     assert main(["analyze", _write(tmp_path, config)]) == 0
     entry = json.loads(capsys.readouterr().out)["cn"]["curvature_match"]
     assert entry["pass"] is True and entry["count"] == 20
+
+
+@pytest.mark.parametrize("w", [200, 400, 1000])
+@pytest.mark.parametrize("constants", [[1.0], [0.0]], ids=["ellipse", "cone"])
+def test_thin_varieties_are_drawn_by_every_sweep(constants, w, tmp_path, capsys):
+    # |u2| is at most 1/sqrt(w) on the ellipse u1^2 + w u2^2 = 1 and
+    # 1/sqrt(w + 1) on the link of the cone u1^2 + w u2^2 = u3^2: below the
+    # subsamples' cap of 0.1 and, from w = 400, the projective draw's 0.05,
+    # so those draws come down to a floor read off the moment polytope.
+    # The thinnest may still fail a curvature check
+    rows = [[1], [w]] if constants == [1.0] else [[1], [w], [-1]]
+    config = {"n": len(rows), "k": len(rows) - 1, "rows": rows, "constants": constants,
+              "samples": 120, "sweeps": {"cn": True, "cpn": True, "quotient": True}}
+    assert main(["analyze", _write(tmp_path, config)]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    errors = [entry.get("error", "") for section in ("cn", "cpn", "quotient")
+              for entry in report[section].values() if isinstance(entry, dict)]
+    assert errors and not any("SamplingExhausted" in e for e in errors)
 
 
 @pytest.mark.parametrize("flags", [[], ["--tol-lagrangian", "1e-3"]])
