@@ -309,7 +309,7 @@ def _capped_draw(config: InstanceConfig, system: QuadricSystem, seed: int, cap: 
     """sample_immersion of count points (a curvature subsample of
     min(curvature_samples, samples) by default) at u_floor raised to min(cap,
     sqrt(min_i c_i) / 2), c the mean of P's vertices plus the sum of its rays:
-    c is a point of P, so that floor is reachable whatever P's scale."""
+    a point of P (0 if P is empty), so that floor is reachable at any scale."""
     vertices, rays = moment_polytope(system)
     c = vertices.sum(axis=0) / max(len(vertices), 1) + rays.sum(axis=0)
     floor = max(system.tolerances.u_floor, min(cap, float(np.sqrt(np.min(c))) / 2))
