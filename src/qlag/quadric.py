@@ -146,24 +146,38 @@ class QuadricSystem:
         """k orthonormal vectors orthogonal to every normal at each point of a
         (N, n) batch, (N, k, n), deterministic.
 
-        orthonormalize runs the standard basis seeds e_1, e_2, ... in order
-        against the orthonormal normal frame, so the result depends only on
-        u (no randomness, no SVD sign ambiguity).  Each point drops the
-        seeds whose residual norm is at most 1e-8 and must keep exactly k: a
-        normal frame lost to float underflow leaves k + 1.
+        One Householder QR of the (n, codim) transposed normals per point:
+        reflector j maps column j, below its first j entries, onto a
+        coordinate axis, with the sign that avoids cancellation, and the
+        reflectors applied in reverse order to [0; I_k] give the last k
+        columns of Q.  So the result depends only on u, and it is orthonormal
+        and orthogonal to the normals to rounding.  Every product is summed
+        along an axis, never through BLAS, so no row's bits depend on its
+        block.  A reflector that is zero or not finite (a cone point scaled
+        by 1e-170, whose normals' squares underflow) raises SingularPoint.
         """
         u = np.asarray(u, dtype=float)
         singular = np.nonzero(~self.is_smooth_point(u))[0]
         if len(singular):
             i = singular[0]
             raise SingularPoint(f"normal frame rank < {self.codim} at sample {i} ({u[i]})")
-        seeds = np.broadcast_to(np.eye(self.n), (len(u), self.n, self.n))
-        normal = orthonormalize(self.normals(u))[0]
-        tangents, kept = orthonormalize(seeds, self.k, 1e-8, against=normal)
-        short = np.nonzero(kept != self.k)[0]
-        if len(short):
-            raise SingularPoint(f"could not complete tangent basis at sample {short[0]}")
-        return tangents
+        a = self.normals(u)  # row j is column j of the matrix to factor
+        reflectors = []
+        for j in range(self.codim):
+            v = a[:, j, j:].copy()
+            v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
+            norm = np.sqrt((v * v).sum(-1))
+            bad = np.nonzero(~(np.isfinite(norm) & (norm > 0)))[0]
+            if len(bad):
+                raise SingularPoint(f"could not complete tangent basis at sample {bad[0]}")
+            v /= norm[:, None]
+            a[:, j + 1:, j:] -= 2 * (a[:, j + 1:, j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
+            reflectors.append(v)
+        basis = np.zeros((len(u), self.k, self.n))
+        basis[:, :, self.codim:] = np.eye(self.k)
+        for j, v in reversed(list(enumerate(reflectors))):
+            basis[..., j:] -= 2 * (basis[..., j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
+        return basis
 
 
 def orthonormalize(
