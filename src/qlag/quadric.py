@@ -153,8 +153,9 @@ class QuadricSystem:
         columns of Q.  So the result depends only on u, and it is orthonormal
         and orthogonal to the normals to rounding.  Every product is summed
         along an axis, never through BLAS, so no row's bits depend on its
-        block.  A reflector that is zero or not finite (a cone point scaled
-        by 1e-170, whose normals' squares underflow) raises SingularPoint.
+        block.  A reflector that is not finite, or whose column's square
+        norm is zero or below the least normal float (a cone point scaled by
+        1e-160, whose normals' squares underflow), raises SingularPoint.
         """
         u = np.asarray(u, dtype=float)
         singular = np.nonzero(~self.is_smooth_point(u))[0]
@@ -165,9 +166,11 @@ class QuadricSystem:
         reflectors = []
         for j in range(self.codim):
             v = a[:, j, j:].copy()
-            v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
+            square = (v * v).sum(-1)
+            v[:, 0] += np.copysign(np.sqrt(square), v[:, 0])
             norm = np.sqrt((v * v).sum(-1))
-            bad = np.nonzero(~(np.isfinite(norm) & (norm > 0)))[0]
+            # a column whose square is below the least normal float has lost digits
+            bad = np.nonzero(~((square >= np.finfo(float).tiny) & (norm < np.inf)))[0]
             if len(bad):
                 raise SingularPoint(f"could not complete tangent basis at sample {bad[0]}")
             v /= norm[:, None]
