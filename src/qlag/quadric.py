@@ -153,9 +153,9 @@ class QuadricSystem:
         columns of Q.  So the result depends only on u, and it is orthonormal
         and orthogonal to the normals to rounding.  Every product is summed
         along an axis, never through BLAS, so no row's bits depend on its
-        block.  A reflector that is not finite, or whose column's square
-        norm is zero or below the least normal float (a cone point scaled by
-        1e-160, whose normals' squares underflow), raises SingularPoint.
+        block.  A column whose square norm is below the least normal float
+        (a cone point scaled by 1e-160, whose normals' squares underflow), or
+        whose reflector is not finite, raises SingularPoint.
         """
         u = np.asarray(u, dtype=float)
         singular = np.nonzero(~self.is_smooth_point(u))[0]

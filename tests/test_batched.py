@@ -488,6 +488,8 @@ def test_tangent_basis_equals_the_seed_loop_it_replaces(name):
     projector = np.swapaxes(basis, 1, 2) @ basis
     gap = np.max(np.abs(projector - np.swapaxes(reference, 1, 2) @ reference), axis=(1, 2))
     assert np.all(gap <= 4.0 * (own_error + np.finfo(float).eps))
+    if system.codim == 1:  # one normal: both projectors are I - n n^T to rounding
+        assert np.max(gap, initial=0.0) <= 8.0 * np.finfo(float).eps
 
 
 def test_tangent_basis_singular_messages_unchanged(monkeypatch):
