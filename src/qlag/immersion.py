@@ -9,9 +9,9 @@ tangent frames, checks the symplectic pullback, evaluates the Lagrangian
 angle (closed form, and measured off the frame), and the two independent
 mean-curvature routes, discretizes the angle's Laplace-Beltrami operator,
 runs Hamiltonian variation quadratures, and assembles product systems.
-A frame is one pass: frame_at evaluates the phases once and checks the
-torus Gram block, and the one Hermitian Gram of the frame rows, which the
-Lagrangian and cross-block checks read, is built on first read.
+A frame is one pass: frame_at evaluates the phases once, and the one
+Hermitian Gram of the frame rows, which the Lagrangian, cross-block and
+torus metric checks read, is built on first read.
 Its chart, ImmersionChart, takes the variety that stencil points are
 projected onto and a map to ambient coordinates, so the projective
 oracle reuses it on the link.  Every sample-wise routine takes (N, n)
@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     ChartFailure,
     ChartUnavailable,
-    CrossCheckFailed,
     DimensionUnsupported,
     MeshTooCoarse,
 )
@@ -98,17 +97,21 @@ def torus_metric(system: QuadricSystem, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameBundle:
-    """Tangent frames at N immersion points: their rows, the torus metric
-    blocks frame_at checked, and the Hermitian Grams of the rows, built on
-    first read."""
+    """Tangent frames at N immersion points: their rows, how many of them are
+    variety rows, and the Hermitian Grams of the rows, built on first read."""
 
     rows: np.ndarray  # (N, k + m, n) complex: the variety rows X_s, then the torus rows Y_j
-    metric_y: np.ndarray  # (N, m, m) real Re<Y_i, Y_j>
+    k: int
 
     @cached_property
     def gram(self) -> np.ndarray:
         """<V_a, V_b> for every pair of rows, (N, k + m, k + m) complex."""
         return _pairings(self.rows, np.conjugate(self.rows))
+
+    @property
+    def metric_y(self) -> np.ndarray:
+        """The torus metric block Re<Y_i, Y_j>, (N, m, m), read off gram."""
+        return np.real(self.gram[..., self.k:, self.k:])
 
     def symplectic_defect(self) -> np.ndarray:
         """max |omega(V_a, V_b)| over all pairs of rows, per sample."""
@@ -117,26 +120,19 @@ class FrameBundle:
     def cross_defect(self) -> np.ndarray:
         """Largest |<Y_j, X_s>| per sample: zero in exact arithmetic for
         points on M."""
-        k = self.rows.shape[-2] - self.metric_y.shape[-1]
-        return np.max(np.abs(self.gram[..., k:, :k]), axis=(-2, -1), initial=0.0)
+        return np.max(np.abs(self.gram[..., self.k:, :self.k]), axis=(-2, -1), initial=0.0)
 
 
 def frame_at(system: QuadricSystem, u, y) -> FrameBundle:
     """Tangent frame, the variety rows X_s (the orthonormal tangent basis of
-    M twisted by the phases) then the torus rows Y_j; their torus Gram is
-    checked against its closed form on every call, at the samples of
+    M twisted by the phases) then the torus rows Y_j, at the samples of
     (N, n) and (N, m) batches u and y.
     """
     u = np.asarray(u, dtype=float)
     phases = torus_phases(system, y)
     Y = torus_tangents(system, u * phases)
     rows = np.concatenate([system.tangent_basis(u) * phases[..., None, :], Y], axis=-2)
-    gy = np.real(_pairings(Y, np.conjugate(Y)))
-    agrees = np.isclose(gy, torus_metric(system, u), rtol=1e-10, atol=1e-10)
-    off = np.nonzero(~agrees.all(axis=(-2, -1)))[0]
-    if len(off):
-        raise CrossCheckFailed(f"torus metric Gram disagrees with closed form at sample {off[0]}")
-    return FrameBundle(rows, gy)
+    return FrameBundle(rows, system.k)
 
 
 def lagrangian_defect(system: QuadricSystem, u, y) -> np.ndarray:

@@ -6,11 +6,11 @@ immersion into CP^(n-1) carrying the Fubini-Study form.  This module
 builds the link frame (the sphere point and its horizontal tangent rows),
 reads points and vectors in affine charts, checks the Lagrangian angle
 along the fibers, and measures the projective mean curvature with a chart
-oracle.  It builds on the C^n side: the link frame is the cone frame
-orthonormalized off the radial row, and the oracle's chart is the
-immersion chart on the link read in an affine chart.  One pushed
-Fubini-Study Gram, chart_gram, serves the Riemannian-submersion check and
-the Lagrangian check.
+oracle.  It builds on the C^n side: the link frame is the link's tangent
+basis twisted by the phases, then the torus rows orthonormalized by one
+Householder QR, and the oracle's chart is the immersion chart on the link
+read in an affine chart.  One pushed Fubini-Study Gram, chart_gram, serves
+the Riemannian-submersion check and the Lagrangian check.
 
 The Fubini-Study metric is normalized to holomorphic sectional curvature 4
 (the metric the unit-sphere submersion induces); in the affine chart w the
@@ -22,9 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ApexPoint, ChartFailure
-from .immersion import TWO_PI, ImmersionChart, _pairings, frame_at, lagrangian_angle, phi
+from .immersion import (
+    TWO_PI,
+    ImmersionChart,
+    _pairings,
+    lagrangian_angle,
+    phi,
+    torus_phases,
+    torus_tangents,
+)
 from .numdiff import mean_curvature_riemannian
-from .quadric import QuadricSystem, newton_project, orthonormalize, require_cone, with_unit_sphere
+from .quadric import QuadricSystem, householder, newton_project, require_cone, with_unit_sphere
 from .torus import action_table
 
 PHASE_FLOOR = 1e-8
@@ -105,13 +113,14 @@ def submersion_isometry_defect(p: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndarray]:
-    """(sphere point, n-1 orthonormal tangent vectors of the link).
+    """(sphere point p, n-1 orthonormal horizontal tangent rows of the link):
+    ((N, n), (N, n-1, n)) for (N, n) and (N, m) batches.
 
-    The immersed cone's tangent space contains the radial direction; the
-    link tangent space is its orthogonal complement inside the frame span,
-    automatically horizontal because the cone is Lagrangian.  For (N, n)
-    and (N, m) batches the result is ((N, n), (N, n-1, n)); each sample
-    skips the frame row the radial projection collapses.
+    The rows are two blocks, each orthogonal to p and i p in exact
+    arithmetic: the link's tangent basis at u/|u| twisted by the phases,
+    then the torus rows at p orthonormalized in R^(2n) by householder.  The
+    link is smooth at u/|u| exactly when the cone is smooth at u, so
+    tangent_basis decides the rank, and no rank cut is needed.
     """
     require_cone(system)
     u = np.asarray(u, dtype=float)
@@ -119,20 +128,12 @@ def link_tangent_frame(system: QuadricSystem, u, y) -> tuple[np.ndarray, np.ndar
     if np.any(norm == 0.0):
         raise ApexPoint("no link frame at the apex")
     un = u / norm[:, None]
-    p = phi(system, un, y)
-    rows = frame_at(system, un, y).rows
-    radial = p / np.linalg.norm(p, axis=-1)[:, None]
-    n = p.shape[-1]
-    # Newton meets the cone to an absolute residual at u; normalizing to the
-    # sphere scales it, and what the collapsed row keeps of it, by 1/|u|^2
-    cut = 1e-10 * np.maximum(1.0, 1.0 / (norm * norm))
-    frame, kept = orthonormalize(rows, n - 1, cut, against=radial[:, None, :])
-    bad = np.nonzero(kept != n - 1)[0]
-    if len(bad):
-        raise ChartFailure(
-            f"link frame has rank {kept[bad[0]]}, expected {n - 1} at sample {bad[0]}"
-        )
-    return p, frame
+    phases = torus_phases(system, y)
+    p = un * phases
+    torus = torus_tangents(system, p)
+    torus = householder(np.concatenate([torus.real, torus.imag], axis=-1), complement=False)
+    link = with_unit_sphere(system).tangent_basis(un) * phases[:, None, :]
+    return p, np.concatenate([link, torus[..., :system.n] + 1j * torus[..., system.n:]], axis=-2)
 
 
 def projective_lagrangian_defect(system: QuadricSystem, U, Y) -> np.ndarray:

@@ -144,72 +144,52 @@ class QuadricSystem:
 
     def tangent_basis(self, u: np.ndarray) -> np.ndarray:
         """k orthonormal vectors orthogonal to every normal at each point of a
-        (N, n) batch, (N, k, n), deterministic.
-
-        One Householder QR of the (n, codim) transposed normals per point:
-        reflector j maps column j, below its first j entries, onto a
-        coordinate axis, with the sign that avoids cancellation, and the
-        reflectors applied in reverse order to [0; I_k] give the last k
-        columns of Q.  So the result depends only on u, and it is orthonormal
-        and orthogonal to the normals to rounding.  Every product is summed
-        along an axis, never through BLAS, so no row's bits depend on its
-        block.  A column whose square norm is below the least normal float
-        (a cone point scaled by 1e-160, whose normals' squares underflow), or
-        whose reflector is not finite, raises SingularPoint.
+        (N, n) batch, (N, k, n), deterministic: the complement rows of one
+        householder QR of the normals, so the result depends only on u.  A
+        point where M is not smooth raises SingularPoint, as does (from
+        householder) a normal column that is zero or not finite.
         """
         u = np.asarray(u, dtype=float)
         singular = np.nonzero(~self.is_smooth_point(u))[0]
         if len(singular):
             i = singular[0]
             raise SingularPoint(f"normal frame rank < {self.codim} at sample {i} ({u[i]})")
-        a = self.normals(u)  # row j is column j of the matrix to factor
-        reflectors = []
-        for j in range(self.codim):
-            v = a[:, j, j:].copy()
-            square = (v * v).sum(-1)
-            v[:, 0] += np.copysign(np.sqrt(square), v[:, 0])
-            norm = np.sqrt((v * v).sum(-1))
-            # a column whose square is below the least normal float has lost digits
-            bad = np.nonzero(~((square >= np.finfo(float).tiny) & (norm < np.inf)))[0]
-            if len(bad):
-                raise SingularPoint(f"could not complete tangent basis at sample {bad[0]}")
-            v /= norm[:, None]
-            a[:, j + 1:, j:] -= 2 * (a[:, j + 1:, j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
-            reflectors.append(v)
-        basis = np.zeros((len(u), self.k, self.n))
-        basis[:, :, self.codim:] = np.eye(self.k)
-        for j, v in reversed(list(enumerate(reflectors))):
-            basis[..., j:] -= 2 * (basis[..., j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
-        return basis
+        return householder(self.normals(u), complement=True)
 
 
-def orthonormalize(
-    rows: np.ndarray, count: int | None = None, cut=0.0, against: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt in Re<a, b> over the rows of each (s, n) slice
-    of a (N, s, n) batch, real or complex.
+def householder(rows: np.ndarray, complement: bool) -> np.ndarray:
+    """Orthonormal rows spanning the c rows of each slice of a real (N, c, n)
+    batch, c <= n, as (N, c, n); or, with complement, spanning their
+    orthogonal complement, as (N, n - c, n).
 
-    Each row is projected off the orthonormal rows of ``against`` (N, a, n),
-    then off the rows kept so far, and skipped when its residual norm is at
-    most ``cut`` (a scalar or one value per slice).  Every row is examined.
-    Returns (frame, kept): the first ``count`` kept rows of each slice
-    (default s), normalized and zero-padded to (N, count, n), and the number
-    of rows each slice kept (its rank past the cut), which may exceed count.
+    One Householder QR of the (n, c) transposed rows per slice: reflector j
+    maps column j, below its first j entries, onto a coordinate axis, with
+    the sign that avoids cancellation, and the reflectors applied in reverse
+    order to the first c or the last n - c columns of I give those columns
+    of Q.  Each column is first scaled by the exact power of two that brings
+    its largest entry into [1/2, 1), so no square under- or overflows and
+    the reflector is the unscaled one.  The rows are orthonormal to rounding,
+    and span the given rows (or their complement) to rounding.  Every product
+    is summed along an axis, never through BLAS, so no slice's bits depend on
+    its block.  A column that is zero or not finite raises SingularPoint.
     """
-    N, s, n = rows.shape
-    frame = np.zeros((N, s, n), dtype=rows.dtype)
-    kept = np.zeros(N, dtype=int)
-    fixed = () if against is None else np.moveaxis(against, 1, 0)
-    for r in range(s):
-        v = rows[:, r, :]
-        # slots a slice has not filled are zero rows and subtract exact zeros
-        for q in [*fixed, *np.moveaxis(frame[:, :kept.max(initial=0)], 1, 0)]:
-            v = v - np.real(np.sum(v * np.conjugate(q), axis=-1))[:, None] * q
-        norm = np.linalg.norm(v, axis=-1)
-        keep = np.nonzero(norm > cut)[0]
-        frame[keep, kept[keep]] = v[keep] / norm[keep, None]
-        kept[keep] += 1
-    return frame[:, :count], kept
+    a = np.array(rows, dtype=float)  # row j is column j of the matrix to factor
+    N, c, n = a.shape
+    reflectors = []
+    for j in range(c):
+        top = np.max(np.abs(a[:, j, j:]), axis=-1)
+        bad = np.nonzero(~((top > 0) & (top < np.inf)))[0]
+        if len(bad):
+            raise SingularPoint(f"could not complete tangent basis at sample {bad[0]}")
+        v = np.ldexp(a[:, j, j:], -np.frexp(top)[1][:, None])
+        v[:, 0] += np.copysign(np.sqrt((v * v).sum(-1)), v[:, 0])
+        v /= np.sqrt((v * v).sum(-1))[:, None]
+        a[:, j + 1:, j:] -= 2 * (a[:, j + 1:, j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
+        reflectors.append(v)
+    basis = np.tile(np.eye(n)[c:] if complement else np.eye(n)[:c], (N, 1, 1))
+    for j, v in reversed(list(enumerate(reflectors))):
+        basis[..., j:] -= 2 * (basis[..., j:] * v[:, None]).sum(-1)[..., None] * v[:, None]
+    return basis
 
 
 # Gauss-Newton's step cap, and the evaluations a row that has met the
@@ -400,11 +380,11 @@ def require_cone(system: QuadricSystem) -> None:
 
 
 def with_unit_sphere(system: QuadricSystem) -> QuadricSystem:
-    """Augment the system with the unit-sphere equation sum u_i^2 = 1.
+    """The system with the unit-sphere equation sum u_i^2 = 1 added, built
+    once per system, so its own memo of smooth supports lasts as long.
 
     For cones this cuts out the link, reusing all variety machinery
     (residuals, Newton projection, tangent bases) unchanged.
     """
-    rows = [tuple(r) + (1,) for r in system.exponents.rows]
-    constants = tuple(system.constants) + (1.0,)
-    return QuadricSystem(ExponentMatrix(rows), constants, system.tolerances)
+    return system._fact("link", lambda: QuadricSystem(ExponentMatrix(
+        [(*r, 1) for r in system.exponents.rows]), (*system.constants, 1.0), system.tolerances))

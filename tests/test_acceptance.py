@@ -38,7 +38,6 @@ from qlag.immersion import (
 )
 from qlag.meshing import build_surface_mesh
 from qlag.projective import projective_mean_curvature, submersion_isometry_defect
-from qlag.quadric import orthonormalize
 from qlag.pipeline import InstanceConfig, run_analyze
 from qlag.quotient import (
     orbit_distinctness,
@@ -244,9 +243,12 @@ def test_criterion_6_hopf_fubini_study_consistency():
             p = rng.normal(size=n) + 1j * rng.normal(size=n)
             P.append(p / np.linalg.norm(p))
             R.append([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n - 1)])
+        # horizontal: orthonormal off the fiber directions p and i p, the
+        # last n - 1 columns of a QR of [p, i p, R] in the real representation
+        columns = np.concatenate([np.array(P)[:, None], 1j * np.array(P)[:, None], R], axis=1)
+        q = np.linalg.qr(np.swapaxes(np.concatenate([columns.real, columns.imag], -1), 1, 2))[0]
+        frames = np.swapaxes(q[:, :n, 2:] + 1j * q[:, n:, 2:], 1, 2)
         P = np.array(P)
-        # horizontal: orthonormal off the fiber directions p and i p
-        frames = orthonormalize(np.array(R), against=np.stack([P, 1j * P], axis=1))[0]
         worst = max(worst, np.max(submersion_isometry_defect(P, frames)))
     assert _verdict(
         "6 Hopf/Fubini-Study submersion identities (500 frames, n=2,3)",

@@ -1,8 +1,8 @@
 """Batched (N, n) geometry: every sample-wise routine gives each row the
 same bits however the batch is cut into blocks, one-row blocks included
 (the finite-difference curvature oracles to rounding noise), Gauss-Newton
-does for blocks of two rows or more, and the one Gram-Schmidt reproduces
-the loops it replaced."""
+does for blocks of two rows or more, and the one Householder QR spans what
+the loops it replaced spanned."""
 
 import numpy as np
 import pytest
@@ -30,8 +30,8 @@ from qlag.immersion import (
 )
 from qlag.projective import link_tangent_frame, projective_lagrangian_defect
 from qlag.quadric import (
+    householder,
     newton_project,
-    orthonormalize,
     sample_points,
     sample_stratum_points,
 )
@@ -379,7 +379,7 @@ def test_batched_oracles_equal_single_sample_calls(name, blockwise):
     blockwise(lambda rows: (projective_angle_fiber_defect(system, Y[rows]),), len(U))
 
 
-# -- one Gram-Schmidt: orthonormalize against the four loops it replaced -------------
+# -- one orthonormalization: Householder against the loops it replaced ----------------
 
 
 def _reference_normal_frame(rows):
@@ -445,7 +445,7 @@ def _reference_tangent_basis(system, u):
     N, n, k = len(U), system.n, system.k
     tangents = np.zeros((N, k, n))
     filled = np.zeros(N, dtype=int)
-    frame = quadric.orthonormalize(system.normals(U))[0]
+    frame = _reference_normal_frame(system.normals(U))
     for seed, e in enumerate(np.eye(n)):
         open_rows = filled < k
         if not open_rows.any():
@@ -479,7 +479,7 @@ def test_tangent_basis_equals_the_seed_loop_it_replaces(name):
     U = sample_points(system, 40, seed=33)
     basis, reference = system.tangent_basis(U), _reference_tangent_basis(system, U)
     assert basis.shape == reference.shape == (40, system.k, system.n)
-    normal = orthonormalize(system.normals(U))[0]
+    normal = _reference_normal_frame(system.normals(U))
     own_error = np.maximum(
         np.max(np.abs(reference @ np.swapaxes(normal, 1, 2)), axis=(1, 2), initial=0.0),
         np.max(np.abs(reference @ np.swapaxes(reference, 1, 2) - np.eye(system.k)),
@@ -518,12 +518,26 @@ def test_tangent_basis_singular_messages_unchanged(monkeypatch):
 ANGLE_NOISE = 4 * np.spacing(TWO_PI)
 
 
+ROUNDING = 16 * np.finfo(float).eps
+
+
+def _projector(frames):
+    """Orthogonal projector onto the span of each slice's rows, real or
+    complex rows read in R^n or R^(2n)."""
+    if np.iscomplexobj(frames):
+        frames = np.concatenate([frames.real, frames.imag], axis=-1)
+    return np.swapaxes(frames, -2, -1) @ frames
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_orthonormalize_equals_the_loops_it_replaces(name):
+    # Householder picks other bases than Gram-Schmidt did, of the same spans
     system = SYSTEMS[name]()
     U, Y = sample_immersion(system, 40, seed=31)
     normals = system.normals(U)
-    assert np.array_equal(orthonormalize(normals)[0], _reference_normal_frame(normals))
+    span = householder(normals, complement=False)
+    gap = _projector(span) - _projector(_reference_normal_frame(normals))
+    assert np.max(np.abs(gap)) <= ROUNDING
 
     angles = measured_lagrangian_angle(system, U, Y)
     assert angles.shape == (len(U),)
@@ -535,15 +549,22 @@ def test_orthonormalize_equals_the_loops_it_replaces(name):
         U, Y = sample_immersion(system, 40, seed=32, u_floor=0.05)
         p, frame = link_tangent_frame(system, U, Y)
         p_ref, frame_ref = _reference_link_frame(system, U, Y)
-        assert np.array_equal(p, p_ref) and np.array_equal(frame, frame_ref)
+        assert np.array_equal(p, p_ref)
+        assert np.max(np.abs(_projector(frame) - _projector(frame_ref))) <= ROUNDING
+        flat = np.concatenate([frame.real, frame.imag], axis=-1)
+        eye = np.eye(system.n - 1)
+        assert np.max(np.abs(flat @ np.swapaxes(flat, 1, 2) - eye)) <= ROUNDING
+        for fiber in (p, 1j * p):  # horizontal: Re<row, p> = Re<row, i p> = 0
+            pairs = np.real(np.sum(frame * np.conjugate(fiber[:, None, :]), axis=-1))
+            assert np.max(np.abs(pairs)) <= ROUNDING / 2
 
 
 # -- one frame pass: each frame's Gram blocks built once ------------------------------
 
 
 def test_frame_grams_built_once_per_block(monkeypatch):
-    # the report's cn frame checks read the torus block frame_at checks and
-    # the full Gram; a link frame, and the measured angle, only the torus block
+    # the report's cn frame checks read every block, the torus block too, off
+    # the one Hermitian Gram; a link frame and the measured angle build none
     calls = []
     pairings = immersion._pairings
 
@@ -559,71 +580,38 @@ def test_frame_grams_built_once_per_block(monkeypatch):
     defects, cross, metric = pipeline._blockwise(pipeline._frame_checks, cone, U, Y)
     assert len(defects) == len(cross) == len(metric) == 40
     assert np.max(cross) <= 1e-10 and np.max(metric) <= 1e-12
-    assert calls == [(16,)] * 4 + [(8,)] * 2  # two per block of 16, 16 and 8 samples
+    assert calls == [(16,), (16,), (8,)]  # one per block of 16, 16 and 8 samples
     del calls[:]
     link_tangent_frame(cone, U, Y)
     measured_lagrangian_angle(cone, U, Y)
-    assert calls == [(40,)] * 2
+    assert calls == []
 
 
 # -- random batches -------------------------------------------------------------------
 
 
-def _real_rank(rows, tol=1e-8):
-    """Rank over R of complex or real rows, as vectors of R^(2n) or R^n."""
-    flat = np.concatenate([rows.real, rows.imag], axis=-1) if np.iscomplexobj(rows) else rows
-    return np.linalg.matrix_rank(flat, tol=tol) if len(flat) else 0
-
-
-@st.composite
-def batches(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    complex_rows = draw(st.booleans())
-    N, s, n = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(2, 6))
-    a = draw(st.integers(0, n - 1))
-
-    def gauss(*shape):
-        x = rng.normal(size=shape)
-        return x + 1j * rng.normal(size=shape) if complex_rows else x
-
-    rows = gauss(N, s, n)
-    if s > 1 and draw(st.booleans()):
-        # a duplicated row in the first slice: its residual is rounding noise
-        rows[0, draw(st.integers(1, s - 1))] = rows[0, 0]
-    # `against` rows orthonormal in Re<a, b>: QR in the real representation
-    q = np.linalg.qr(rng.normal(size=(N, 2 * n if complex_rows else n, a)))[0]
-    against = np.swapaxes(q[:, :n] + 1j * q[:, n:] if complex_rows else q, 1, 2)
-    count = draw(st.integers(1, s))
-    return rows, against, count
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(batches())
-def test_orthonormalize_keeps_the_rank_past_the_cut(batch):
-    rows, against, count = batch
-    N, s, n = rows.shape
-    cut = np.full(N, 1e-9)
-    frame, kept = orthonormalize(rows, count, cut, against=against)
-    assert frame.shape == (N, count, n) and frame.dtype == rows.dtype
-    for i in range(N):
-        projected = rows[i] - np.real(rows[i] @ against[i].conj().T) @ against[i]
-        assert kept[i] == _real_rank(projected)
-        used = min(kept[i], count)
-        q = frame[i, :used]
-        assert np.max(np.abs(np.real(q @ q.conj().T) - np.eye(used)), initial=0.0) <= 1e-12
-        assert np.max(np.abs(np.real(q @ against[i].conj().T)), initial=0.0) <= 1e-12
-        assert not np.any(frame[i, used:])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.integers(0, 5),
+       st.sampled_from([1e-300, 1e-160, 1.0, 1e200]))
+def test_householder_spans_the_rows_and_their_complement(seed, N, n, drop, scale):
+    # Q = [span; complement] is orthogonal, and the rows lie in the span to
+    # rounding of their own size at any scale
+    draw = np.random.default_rng(seed).normal(size=(N, max(n - drop, 1), n))
+    rows, c = scale * draw, draw.shape[1]
+    span, complement = householder(rows, complement=False), householder(rows, complement=True)
+    assert span.shape == (N, c, n) and complement.shape == (N, n - c, n)
+    q = np.concatenate([span, complement], axis=1)
+    assert np.max(np.abs(q @ np.swapaxes(q, 1, 2) - np.eye(n))) <= ROUNDING
+    unit = draw / np.sqrt(np.sum(draw * draw, axis=-1))[..., None]
+    assert np.max(np.abs(complement @ np.swapaxes(unit, 1, 2)), initial=0.0) <= ROUNDING
 
 
-def test_orthonormalize_counts_past_count_and_skips_duplicates():
-    rng = np.random.default_rng(5)
-    rows = rng.normal(size=(2, 4, 5))
-    rows[0, 2] = rows[0, 1]  # slice 0 has rank 3
-    against = np.zeros((2, 1, 5))
-    against[:, 0, 0] = 1.0
-    frame, kept = orthonormalize(rows, 2, 1e-9, against=against)
-    assert kept.tolist() == [3, 4]  # both above count 2
-    assert np.max(np.abs(frame[..., 0])) <= 1e-15
-    frame, kept = orthonormalize(rows, 4, np.array([1e-9, 1e9]))
-    assert kept.tolist() == [3, 0]
-    assert not np.any(frame[0, 3]) and not np.any(frame[1])
+def test_householder_refuses_only_a_zero_or_non_finite_column():
+    # a subnormal column is scaled up exactly; the reflector's sign avoids
+    # cancellation, so each row comes out as minus its unit vector
+    rows = np.array([[[3.0, 4.0, 0.0]], [[1e-320, 0.0, 0.0]]])
+    assert np.allclose(householder(rows, complement=False), [[[-0.6, -0.8, 0]], [[-1, 0, 0]]])
+    for bad in (0.0, np.inf, np.nan):
+        rows[1] = bad
+        with pytest.raises(SingularPoint, match="could not complete tangent basis at sample 1"):
+            householder(rows, complement=True)

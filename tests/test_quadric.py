@@ -99,16 +99,23 @@ def test_smoothness_does_not_depend_on_scale():
     assert np.array_equal(sys1.tangent_basis(u), [[[0.0, 1.0]]])
 
 
-def test_tangent_basis_rejects_an_underflowed_normal_frame():
-    # a cone point at 1e-170 is smooth, but its normals' squares underflow
-    # to 0; at 1e-160 they are subnormal and have lost their digits, so a
-    # reflector built from them would not be orthogonal
-    cone = klein_bottle_cone()
-    for scale in (1e-160, 1e-170):
-        u = sample_points(cone, 1, seed=0) * scale
-        assert cone.is_smooth_point(u).tolist() == [True]
-        with pytest.raises(SingularPoint, match="could not complete tangent basis at sample 0"):
-            cone.tangent_basis(u)
+def test_tangent_basis_is_scale_free():
+    # at 1e-160 the normals' squares are subnormal and at 1e-170 they round
+    # to 0, and at 1e200 they overflow; each reflector column is scaled by a
+    # power of two first, so the basis is the tangent space of the point at
+    # scale 1, orthonormal and normal to rounding
+    bound = 8 * np.finfo(float).eps
+    for cone in (klein_bottle_cone(), sphere_cone(5)):
+        u = sample_points(cone, 100, seed=0)
+        projector = np.swapaxes(cone.tangent_basis(u), 1, 2) @ cone.tangent_basis(u)
+        normals = cone.normals(u)
+        unit = normals / np.sqrt(np.sum(normals * normals, axis=-1))[..., None]
+        for scale in (1e-160, 1e-170, 1e-300, 1e200):
+            assert cone.is_smooth_point(u * scale).all()
+            T = cone.tangent_basis(u * scale)
+            assert np.max(np.abs(T @ np.swapaxes(T, 1, 2) - np.eye(cone.k))) <= bound
+            assert np.max(np.abs(T @ np.swapaxes(unit, 1, 2))) <= bound
+            assert np.max(np.abs(np.swapaxes(T, 1, 2) @ T - projector)) <= bound
 
 
 # the systems of the exact rule's agreement test, sampled and on random
@@ -490,6 +497,7 @@ def test_a_system_with_facts_is_freed_without_the_cycle_collector():
     U = sample_points(system, 20, seed=0)
     sample_stratum_points(system, 4, seed=0)
     system.tangent_basis(U)
+    with_unit_sphere(system).tangent_basis(U / np.linalg.norm(U, axis=1)[:, None])
     # the hyperbola u1^2 - 2 u2^2 = 1 cut at 1e155^2 has a vertex beyond float64
     hyperbola = QuadricSystem([[1], [-2]], [1.0])
     lengths = []
@@ -604,3 +612,22 @@ def test_unit_sphere_augmentation():
     assert link.codim == 2 and link.k == 1
     u = sample_points(link, 3, seed=1)
     assert np.max(np.abs(np.sum(u * u, axis=1) - 1.0)) <= 1e-12
+
+
+def test_link_system_is_built_once_per_system(monkeypatch):
+    # every link frame reads one link system and its memo of smooth supports
+    import qlag.quadric as quadric
+    from qlag.projective import link_tangent_frame
+
+    cone = clifford_cone(5)
+    U, Y = sample_points(cone, 30, seed=2), np.zeros((30, 4))
+    assert with_unit_sphere(cone) is with_unit_sphere(cone)
+    decided = []
+    real = quadric.hermite_normal_form
+    monkeypatch.setattr(quadric, "hermite_normal_form",
+                        lambda rows: decided.append(rows) or real(rows))
+    link_tangent_frame(cone, U, Y)
+    assert decided  # the link's support is decided on the first frames ...
+    del decided[:]
+    link_tangent_frame(cone, U, Y)
+    assert decided == []  # ... and read from its memo after

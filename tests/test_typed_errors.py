@@ -3,7 +3,6 @@ report instead of an exception that aborts analyze."""
 
 import pytest
 
-import qlag.immersion
 import qlag.pipeline
 import qlag.quotient
 from qlag.catalog import ellipse
@@ -22,17 +21,17 @@ ELLIPSE = {
 
 
 def test_frame_gram_mismatch_is_recorded(monkeypatch):
-    closed_form = qlag.immersion.torus_metric
+    # the report's cn pass is the one judge of the torus block: a closed form
+    # off by 1e-6 fails that entry alone
+    closed_form = qlag.pipeline.torus_metric
     monkeypatch.setattr(
-        qlag.immersion, "torus_metric", lambda system, u: closed_form(system, u) + 1e-6
+        qlag.pipeline, "torus_metric", lambda system, u: closed_form(system, u) + 1e-6
     )
-    with pytest.raises(CrossCheckFailed):
-        qlag.immersion.frame_at(ellipse(), [[1.0, 0.0]], [[0.0]])
     report = run_analyze(InstanceConfig.from_dict(dict(ELLIPSE, sweeps={"cn": True})))
-    for key in ("lagrangian_defect", "frame_cross_block", "torus_metric_form"):
-        entry = report["cn"][key]
-        assert entry["pass"] is False
-        assert entry["error"].startswith("CrossCheckFailed")
+    assert report["cn"]["torus_metric_form"]["pass"] is False
+    assert "error" not in report["cn"]["torus_metric_form"]
+    for key in ("lagrangian_defect", "frame_cross_block"):
+        assert report["cn"][key]["pass"] is True
 
 
 def test_orbit_leaving_the_image_is_recorded(monkeypatch):
