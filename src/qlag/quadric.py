@@ -1,11 +1,11 @@
 """The solution variety M = { u in R^n : sum_i E[i,j] u_i^2 = d_j }.
 
-Validation, residuals, normal frames, tangent spaces, Gauss-Newton
-projection onto M and seeded sampling.  Everything is a pure function of
-immutable inputs; a QuadricSystem keeps the exact facts it decides (the cuts
-of its moment polytope P, smoothness per support) for its life.  M is the
-set of u with u^2 in P, so the samplers return u = eps sqrt(v) for v drawn
-from P, with no projection.
+Validation, residuals, normals, the one orthonormalization (householder),
+tangent spaces, Gauss-Newton projection onto M and seeded sampling.
+Everything is a pure function of immutable inputs; a QuadricSystem keeps the
+facts it decides (the cuts of its moment polytope P, smoothness per support,
+its link system) for its life.  M is the set of u with u^2 in P, so the
+samplers return u = eps sqrt(v) for v drawn from P, with no projection.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
 lone_sign (a cone's axis) alone.  Tolerances is the one record of the
