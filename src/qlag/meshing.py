@@ -11,9 +11,11 @@ coordinates.
 Each mesh is built as arrays.  A SurfaceMesh holds read-only views of its
 vertices and faces and computes its edge table once, on first use; the
 Euler characteristic and the closedness test both read it.  The writers
-lay out BLOCK rows at a time as one byte matrix: ints as %d, and floats with
-1e-6 < |x| < 1e17 as %.17g, from their exact 17 digits; other floats go
-through % one at a time.  The files are those of a per-line % writer.
+lay out BLOCK values at a time, in whole rows, as one byte matrix: ints as
+%d (face indices gathered from labels laid out once), and floats with
+1e-99 < |x| < 1e17 as %.17g, from their 17 digits where these are certain;
+other floats go through % one at a time.  The files are those of a per-line
+% writer.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ DEFAULT_PROJECTION = np.array(
     ]
 )
 
-BLOCK = 1024  # rows formatted at a time by the writers, bounding their memory
+BLOCK = 11264  # values formatted at a time by the writers, bounding their memory
 
 
 @dataclass(frozen=True)
@@ -155,15 +157,19 @@ WORD = np.dtype("<u4")  # text is built four bytes at a time, first byte lowest
 @cache
 def _tables() -> tuple:
     """Built on first use: 4-digit groups as ASCII WORDs, and their trailing
-    zeros; the doubles nearest 10**E, E = -6..22; "e-06".."e+16"; and by
-    code 36 (E + 6) + 2 digits + negative the bytes %.17g keeps of "\\0\\0-0",
-    ".000", 20 integer digits, "\\0\\0." and the first digit, 16 digits, "e+XX"."""
+    zeros; the doubles nearest 10**E, E = -99..16; 10**k, k = 0..115, as a
+    double-double hi + lo from exact ints (lo = 0 up to k = 22);
+    "e-99".."e+16"; and by code 36 (E + 6) + 2 digits + negative, E >= -6,
+    the bytes %.17g keeps of "\\0\\0-0", ".000", 20 integer digits, "\\0\\0."
+    and the first digit, 16 digits, "e+XX" (E < -6 lays out as E = -6)."""
     d = np.arange(10000)
     quads = (np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], -1) + 48).astype(np.uint8)
     trailing = (sum(d % 10**k == 0 for k in (1, 2, 3)) + (d == 0)).astype(np.uint8)
-    # a >= floors[E + 6] is 10**E <= a for any double a in (1e-6, 1e17): only
-    # the double nearest 10**-6 lies below 10**-6, and it is 1e-6 itself
-    floors = np.array([float(f"1e{E}") for E in range(-6, 23)])
+    # a >= floors[E + 99] is 10**E <= a for a double a in (1e-99, 1e17), but
+    # where the double nearest 10**E lies below it, as 1e-6 and 1e-7 do
+    floors = np.array([float(f"1e{E}") for E in range(-99, 17)])
+    hi = [float(10**k) for k in range(116)]
+    scales = np.array([hi, [float(10**k - int(h)) for k, h in enumerate(hi)]])
     E, nd, neg = np.indices((23, 18, 2)).reshape(3, -1, 1) - np.reshape([6, 0, 0], (3, 1, 1))
     fixed = E >= -4  # the %g rule at precision 17, as E < 17
     point = np.where(fixed, np.maximum(E + 1, 0), 1)  # digits before the "."
@@ -171,8 +177,8 @@ def _tables() -> tuple:
     keep = np.uint8(255) * np.hstack([
         pad, neg == 1, q[:5] < np.where(fixed & (E < 0), 1 - E, 0), q < point, pad,
         (nd > point) & (point > 0), (q[:17] >= point) & (q[:17] < nd), np.repeat(~fixed, 4, 1)])
-    exponents = np.frombuffer(b"".join(b"e%+03d" % E for E in range(-6, 17)), WORD)
-    return quads.view(WORD)[:, 0], trailing, floors, exponents, keep
+    exponents = np.frombuffer(b"".join(b"e%+03d" % E for E in range(-99, 17)), WORD)
+    return quads.view(WORD)[:, 0], trailing, floors, scales, exponents, keep
 
 
 def _digit_groups(n: np.ndarray, count: int) -> list[np.ndarray]:
@@ -184,24 +190,44 @@ def _digit_groups(n: np.ndarray, count: int) -> list[np.ndarray]:
     return [n, *groups]
 
 
-def _float_text(x: np.ndarray) -> np.ndarray:
-    """The %.17g of each value in a row of bytes, zero where unused.  For
-    1e-6 < |x| < 1e17, the digits are |x| 10**(16 - E) rounded half-even,
-    10**E <= |x| < 10**(E + 1): as 10**(16 - E) is an exact double, Dekker's
-    product gives |x| 10**(16 - E) = p + e exactly.  ±0 is laid out as 1
-    with the digit 0, giving 0 and -0.  Others go through %."""
-    quads, trailing, floors, exponents, keep = _tables()
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, N, slow): for 1e-99 < |x| < 1e17, 10**E <= |x| < 10**(E + 1) and
+    N = |x| 10**(16 - E) rounded half-even, its 17 digits.  Dekker's product
+    with hi gives |x| hi = p + e exactly; beyond 10**22, where 10**(16 - E) =
+    hi + lo is not a double, e takes |x| lo.  ±0 gives E = 0 and N = 0, and
+    slow marks the values whose digits are not certain, to go through %."""
+    floors, scales = _tables()[2:4]
     ax = np.where(np.isfinite(x), np.abs(x), 0.0)  # no nan is compared
-    fast = (ax > 1e-6) & (ax < 1e17)
+    fast = (ax > 1e-99) & (ax < 1e17)
     a = np.where(fast, ax, 1.0)
-    E = np.searchsorted(floors, a, side="right") - 7
-    b = floors.take(22 - E)  # 10**(16 - E), exact
+    E = np.searchsorted(floors, a, side="right") - 100
+    b = scales[0].take(16 - E)
     p = a * b
     (ah, al), (bh, bl) = [(h, v - h) for v in (a, b)  # Veltkamp's halves
                           for h in [134217729.0 * v - (134217729.0 * v - v)]]
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a b - p, exactly
-    # p is even, so this is half-even; no double here rounds up to 10**(E + 1)
-    groups = _digit_groups((p.astype(np.int64) + np.rint(e).astype(np.int64)) * (x != 0), 5)
+    tiny = np.nonzero(a <= 1e-6)
+    e[tiny] += a[tiny] * scales[1].take(16 - E[tiny])
+    # p is even, so this is half-even.  No double rounds up to 10**(E + 1):
+    # the largest below 10**k keeps 17 digits below it or takes E = k.  Above
+    # 1e-6 none lies below 10**E
+    N = (p.astype(np.int64) + np.rint(e).astype(np.int64)) * (x != 0)
+    slow = ~fast & (x != 0)
+    # one at most 1e-6 goes through % where it lies below 10**E, as 1e-7
+    # does, or where e is within 2**-40 of a tie: lo's truncation and the
+    # roundings of a lo and e + a lo total below 2**-47
+    et = e[tiny]
+    slow[tiny] = ((p[tiny] - 1e16) + et < 0) | (np.abs(et - np.rint(et)) > 0.5 - 2.0**-40)
+    return E, N, slow
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """The %.17g of each value in a row of bytes, zero where unused, laid
+    out from _digits (its locals die before the layout's); ±0 is laid out as
+    1 with the digit 0, giving 0 and -0.  Values it marks slow go through %."""
+    quads, trailing, _, _, exponents, keep = _tables()
+    E, N, slow = _digits(x)
+    groups = _digit_groups(N, 5)
     zeros, whole = 0, True
     for g in groups[:0:-1]:  # from the last group on; the leading digit shows, 0 or not
         zeros, whole = zeros + whole * trailing.take(g), whole & (g == 0)
@@ -210,11 +236,11 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     Q = [((groups[0] + 48) << 24).astype(WORD), *map(quads.take, groups[1:]), 0]
     text = np.stack(np.broadcast_arrays(
         *np.frombuffer(b"\0\0-0.000", WORD), *((Q[j] >> 24) | (Q[j + 1] << 8) for j in range(n)),
-        Q[0] | (ord(".") << 16), *Q[1:5], exponents.take(E + 6)), -1).astype(WORD, copy=False)
+        Q[0] | (ord(".") << 16), *Q[1:5], exponents.take(E + 99)), -1).astype(WORD, copy=False)
     keep = np.delete(keep, np.s_[8 + 4 * n:28], axis=1).view(WORD)  # n WORDs of integer digits
-    text &= keep.take(36 * (E + 6) + 2 * (17 - zeros) + np.signbit(x), axis=0)
+    text &= keep.take(36 * (np.maximum(E, -6) + 6) + 2 * (17 - zeros) + np.signbit(x), axis=0)
     text = text.view(np.uint8)
-    rest = np.nonzero(~fast & (x != 0))
+    rest = np.nonzero(slow)
     spelled = np.array(["%.17g" % v for v in x[rest].tolist()], dtype=f"S{text.shape[-1]}")
     text[rest] = spelled.view(np.uint8).reshape(-1, text.shape[-1])
     return text
@@ -234,14 +260,16 @@ def _int_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_rows(fh, table: np.ndarray, head: str, sep: str, end: str) -> None:
+def _write_rows(fh, table: np.ndarray, head: str, sep: str, end: str, text=None) -> None:
     """Write each row of a 2-D table as head, its values joined by sep, and
-    end, BLOCK rows at a time, each float as %.17g and each int as %d would
-    write it.  A block is laid out as one byte matrix, row by row, and the
-    zero bytes its values leave unused are dropped."""
-    text = _int_text if table.dtype.kind in "iu" else _float_text
-    for lo in range(0, len(table), BLOCK):
-        block = text(table[lo:lo + BLOCK])
+    end, BLOCK // columns rows at a time, each value as text lays it out (by
+    default each float as %.17g and each int as %d would write it).  A block
+    is laid out as one byte matrix, row by row, and the zero bytes its values
+    leave unused are dropped."""
+    text = text or (_int_text if table.dtype.kind in "iu" else _float_text)
+    step = max(BLOCK // max(table.shape[1], 1), 1)
+    for lo in range(0, len(table), step):
+        block = text(table[lo:lo + step])
         rows, cols, width = block.shape
         line = np.frombuffer((head + (sep + "\0" * width) * cols + end).encode(), np.uint8)
         chars = np.empty((rows, len(line)), dtype=np.uint8)
@@ -254,11 +282,19 @@ def _write_rows(fh, table: np.ndarray, head: str, sep: str, end: str) -> None:
 
 def write_obj(path, vertices3: np.ndarray, faces: np.ndarray | None = None,
               polyline: Sequence[int] | None = None) -> None:
-    """Minimal OBJ writer: v records plus f (triangles) or l (polyline)."""
+    """Minimal OBJ writer: v records plus f (triangles) or l (polyline).
+    Face labels 1..V are laid out once, and each face row gathers its own."""
+    vertices3 = np.asarray(vertices3)
+    if faces is not None:
+        faces = np.asarray(faces)
+        # a gather would wrap -1 to the last label
+        if faces.size and not 0 <= faces.min() <= faces.max() < len(vertices3):
+            raise ValueError(f"face indices must lie in [0, {len(vertices3)})")
     with open(path, "w") as fh:
-        _write_rows(fh, np.asarray(vertices3), "v ", " ", "\n")
+        _write_rows(fh, vertices3, "v ", " ", "\n")
         if faces is not None:
-            _write_rows(fh, np.asarray(faces) + 1, "f ", " ", "\n")
+            labels = _int_text(np.arange(1, len(vertices3) + 1))
+            _write_rows(fh, faces, "f ", " ", "\n", lambda block: labels.take(block, axis=0))
         if polyline is not None:
             _write_rows(fh, np.asarray(polyline, dtype=np.int64)[None] + 1, "l ", " ", "\n")
 

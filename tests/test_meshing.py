@@ -227,10 +227,10 @@ def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path, monke
     proj = np.linalg.qr(np.random.default_rng(nx).normal(size=(4, 3)))[0].T
     v3 = project_vertices(mesh.vertices, proj)
     _reference_obj(tmp_path / "old.obj", v3, faces)
-    # V vertex rows and 2V face rows against blocks one short of, at and
-    # one past V rows
+    # V vertex rows and 2V face rows, of 3 values each, against blocks one
+    # short of, at and one past V rows
     V = len(v3)
-    for block in (meshing.BLOCK, V - 1, V, V + 1):
+    for block in (meshing.BLOCK, 3 * (V - 1), 3 * V, 3 * (V + 1)):
         monkeypatch.setattr(meshing, "BLOCK", block)
         write_obj(tmp_path / "new.obj", v3, mesh.faces)
         assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
@@ -241,10 +241,10 @@ def test_surface_mesh_matches_loop_reference(make, args, nx, ny, tmp_path, monke
 def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path, monkeypatch):
     system = weighted_cone(weights)  # (1, 2, 3) is klein_bottle_cone
     _reference_cloud(tmp_path / "old.csv", system, nt, ny)
-    # nt * ny rows against blocks one short of, at and one past them, and
-    # against at least two full blocks and a partial one
+    # nt * ny rows of 11 values against blocks one short of, at and one past
+    # them, and against at least two full blocks and a partial one
     rows = nt * ny
-    for block in (meshing.BLOCK, rows - 1, rows, rows + 1, (rows - 1) // 2):
+    for block in (meshing.BLOCK, *(11 * r for r in (rows - 1, rows, rows + 1, (rows - 1) // 2))):
         monkeypatch.setattr(meshing, "BLOCK", block)
         write_projective_cloud(tmp_path / "new.csv", system, nt, ny)
         data = (tmp_path / "new.csv").read_bytes()
@@ -254,8 +254,8 @@ def test_projective_cloud_matches_loop_reference(weights, nt, ny, tmp_path, monk
 
 # -- block writers: patched block sizes against the per-line loops --------
 #
-# With BLOCK = 4, the row counts 0, 1, 3, 4, 5 and 9 are 0, 1, BLOCK - 1,
-# BLOCK, BLOCK + 1 and 2 * BLOCK + 1.
+# With BLOCK = 12 values, 4 rows of 3, the row counts 0, 1, 3, 4, 5 and 9
+# are 0, 1 and one short of, at, one past and two past 2 blocks of rows.
 
 
 ROW_COUNTS = [0, 1, 3, 4, 5, 9]
@@ -273,7 +273,7 @@ def _awkward_vertices(rows):
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_obj_blocks_match_loop_reference(rows, tmp_path, monkeypatch):
-    monkeypatch.setattr(meshing, "BLOCK", 4)
+    monkeypatch.setattr(meshing, "BLOCK", 3 * 4)
     v = _awkward_vertices(rows)
     faces = np.random.default_rng(rows).integers(0, max(rows, 1), size=(rows, 3))
     line = list(range(rows)) + [0]
@@ -285,6 +285,24 @@ def test_obj_blocks_match_loop_reference(rows, tmp_path, monkeypatch):
     assert sum(line.startswith(b"v ") for line in data.splitlines()) == rows
     if rows >= 3:  # the specials at the end overlap the first row below that
         assert data.startswith(b"v -0 9.9998886718268301e-321 1.0000000000000001e+300\n")
+
+
+def test_row_wider_than_a_block_matches_loop_reference(tmp_path, monkeypatch):
+    # a polyline of 10 values against blocks of 4 goes out as one row
+    monkeypatch.setattr(meshing, "BLOCK", 4)
+    v, line = _awkward_vertices(9), list(range(9)) + [0]
+    write_obj(tmp_path / "new.obj", v, polyline=line)
+    _reference_obj(tmp_path / "old.obj", v, polyline=line)
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+
+@pytest.mark.parametrize("index", [-1, 5])
+def test_face_index_out_of_range_is_rejected_before_writing(index, tmp_path):
+    # the labels gather would wrap -1 to the last label; 5 is one past it
+    path = tmp_path / "bad.obj"
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        write_obj(path, np.zeros((5, 3)), np.array([[0, 1, 2], [2, 3, index]]))
+    assert not path.exists()
 
 
 def test_projector_coordinates_batch_matches_single_vectors():
@@ -399,10 +417,15 @@ def _below(power):
 FLOAT_EDGES = [
     *(1 + np.arange(1, 2**17, 2) / 2**17),  # 17-digit ties, rounded half-even
     *(np.arange(1, 2**17, 2) / 2**17),
-    *(_below(Fraction(10) ** k) for k in range(-6, 18)),  # 17 nines, no carry
-    *(float(f"1e{k}") for k in range(-6, 18)),
+    *(_below(Fraction(10) ** k) for k in range(-99, 18)),  # 17 nines, no carry, or 1e-14 and
+    # the like, which lie below 10**k and carry from E = k - 1, taking E = k
+    *(float(f"1e{k}") for k in range(-99, 18)),  # 1e-7 lies 0.45 units below 10**-7
+    *(math.nextafter(float(f"1e{k}"), d) for k in range(-99, -6) for d in (0.0, math.inf)),
     *(math.nextafter(x, d) for x in (1e-6, 1e17) for d in (0.0, math.inf)),
-    1e-6, 1e17, 9.9999999999999995e-05, 1e-4, 1e16,
+    *(float(f"1.23456789012345675e{E}") for E in range(-99, -6)),  # 18-digit near-ties
+    1e-6, 1e17, 9.9999999999999995e-05, 1e-4, 1e16, 1e-99, 1e-100,
+    # the ties |x| 10**(16 - E) = n + 1/2 at E = -7 and -8, where lo is not 0
+    *(m * 2.0**-24 for m in range(3, 17, 2)), 2.0**-25, 3 * 2.0**-25,
     float(2**53 - 1), float(2**53), math.nextafter(2.0**53, math.inf),
     0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308, math.inf, math.nan,
 ]
@@ -429,6 +452,33 @@ def test_signed_zeros_match_percent():
 def test_float_text_matches_percent(values):
     # st.floats() draws nan, inf, subnormals and both zeros too
     assert _written(np.array(values)[:, None]) == ["%.17g" % v for v in values]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.floats(1e-99, 1e-6), min_size=1, max_size=40), st.booleans())
+def test_tiny_float_text_matches_percent(values, negative):
+    # the double-double scales 10**(16 - E) = hi + lo beyond 10**22
+    values = [-v if negative else v for v in values]
+    assert _written(np.array(values)[:, None]) == ["%.17g" % v for v in values]
+
+
+def test_export_cloud_takes_no_value_through_percent(tmp_path, monkeypatch):
+    # export-mesh's cloud: its tiny values, rounding residues of projector
+    # entries that vanish, take the array path too
+    slow = []
+    digits = meshing._digits
+
+    def counting_digits(x):
+        E, N, marks = digits(x)
+        slow.append(int(np.count_nonzero(marks)))
+        return E, N, marks
+
+    monkeypatch.setattr(meshing, "_digits", counting_digits)
+    write_projective_cloud(tmp_path / "cloud.csv", klein_bottle_cone(), 64, 64)
+    values = np.array([row.split(",") for row in
+                       (tmp_path / "cloud.csv").read_text().splitlines()[1:]], dtype=float)
+    assert np.count_nonzero((values != 0) & (np.abs(values) <= 1e-6)) == 2250
+    assert len(slow) == 4 and sum(slow) == 0
 
 
 def test_int_edges_match_percent():
