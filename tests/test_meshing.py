@@ -288,7 +288,7 @@ def test_obj_blocks_match_loop_reference(rows, tmp_path, monkeypatch):
 
 
 def test_row_wider_than_a_block_matches_loop_reference(tmp_path, monkeypatch):
-    # a polyline of 10 values against blocks of 4 goes out as one row
+    # a row of more values than BLOCK is a block of its own
     monkeypatch.setattr(meshing, "BLOCK", 4)
     v, line = _awkward_vertices(9), list(range(9)) + [0]
     write_obj(tmp_path / "new.obj", v, polyline=line)
@@ -417,8 +417,8 @@ def _below(power):
 FLOAT_EDGES = [
     *(1 + np.arange(1, 2**17, 2) / 2**17),  # 17-digit ties, rounded half-even
     *(np.arange(1, 2**17, 2) / 2**17),
-    *(_below(Fraction(10) ** k) for k in range(-99, 18)),  # 17 nines, no carry, or 1e-14 and
-    # the like, which lie below 10**k and carry from E = k - 1, taking E = k
+    # 17 nines, no carry; or, as for 1e-14, the double nearest 10**k, below it
+    *(_below(Fraction(10) ** k) for k in range(-99, 18)),
     *(float(f"1e{k}") for k in range(-99, 18)),  # 1e-7 lies 0.45 units below 10**-7
     *(math.nextafter(float(f"1e{k}"), d) for k in range(-99, -6) for d in (0.0, math.inf)),
     *(math.nextafter(x, d) for x in (1e-6, 1e17) for d in (0.0, math.inf)),
@@ -463,8 +463,8 @@ def test_tiny_float_text_matches_percent(values, negative):
 
 
 def test_export_cloud_takes_no_value_through_percent(tmp_path, monkeypatch):
-    # export-mesh's cloud: its tiny values, rounding residues of projector
-    # entries that vanish, take the array path too
+    # the klein cone's CP^2 cloud at [64, 64]: its tiny values, rounding
+    # residues of projector entries that vanish, take the array path too
     slow = []
     digits = meshing._digits
 
