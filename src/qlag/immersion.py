@@ -391,9 +391,13 @@ def chart_mesh(
     """Uniform mesh over a fundamental chart, with the induced metric.
 
     Supported charts: pure torus systems (k = 0, any dimension), plane
-    conics (n = 2), and unit-sphere links of n = 3 cones (on_link=True).
-    All chart axes are normalized to [0, 1); torus axes run over the full
-    period box so integrands of periodic functions telescope exactly.
+    conics (n = 2), and unit-sphere links of n = 3 cones (on_link=True);
+    others raise DimensionUnsupported.  All chart axes are normalized to
+    [0, 1); torus axes run over the full period box so integrands of
+    periodic functions telescope exactly.  An int resolution r is a budget
+    of r**3 nodes: r per axis up to three axes, else the most r' with
+    r'**dim <= r**3, and DimensionUnsupported where r' < 8 <= r.  Fewer
+    than 8 nodes on an axis raise MeshTooCoarse.
     """
     m = system.codim
     box = torus_box(system.exponents)
@@ -415,7 +419,15 @@ def chart_mesh(
 
     dim = curve_axes + m
     if isinstance(resolution, int):
-        shape = (resolution,) * dim
+        r = resolution
+        while r > 0 and r ** dim > resolution ** 3:
+            r -= 1
+        if r < 8 <= resolution:
+            raise DimensionUnsupported(
+                f"a {dim}-dimensional chart mesh gets {r} nodes per axis "
+                f"from the {resolution ** 3}-node budget, below the 8-node minimum"
+            )
+        shape = (r,) * dim
     else:
         shape = tuple(int(r) for r in resolution)
         if len(shape) != dim:
@@ -547,15 +559,9 @@ def hamiltonian_variation(
 
     For a Lagrangian immersion the integrand reduces to the metric pairing
     of grad(beta) with grad(f), so the quadrature vanishes exactly when the
-    angle is harmonic.  Supported on surface charts (n = 2) and pure torus
-    systems of dimension at most 4; other dimensions raise
-    DimensionUnsupported.
+    angle is harmonic.  chart_mesh picks the chart and its size from
+    resolution, and raises where it has none.
     """
-    total_dim = system.n
-    if not (total_dim == 2 or (system.k == 0 and total_dim <= 4)):
-        raise DimensionUnsupported(
-            f"variation quadrature needs n=2 or a torus system (n<=4), got n={total_dim}"
-        )
     mesh = chart_mesh(system, resolution)
     grids = mesh.node_grids()
     # periodic trapezoid sum: sample on the half-open grid. Torus axes of

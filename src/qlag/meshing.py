@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, DimensionUnsupported
 from .immersion import _conic_parametrization, _link_parametrization, phi
-from .quadric import QuadricSystem, require_cone
+from .quadric import QuadricSystem, lone_sign, require_cone
 from .torus import action_table, torus_box
 from .torus import gamma_signs  # noqa: F401  perfbench/tracing.py wraps it here
 
@@ -325,7 +325,7 @@ def build_projective_polyline(system: QuadricSystem, resolution: int = 256):
         raise ConfigInvalid("resolution must be at least 2")
     # one ray of the cone: pick u with u1 = 1 and solve the single equation
     (a,), (b,) = system.exponents.rows
-    if a * b >= 0:
+    if lone_sign((a, b)) is None:
         raise DimensionUnsupported("n=2 cone needs opposite signs")
     u = np.array([1.0, np.sqrt(-a / b)])
     u = u / np.linalg.norm(u)
@@ -361,11 +361,9 @@ def write_projective_cloud(path, system: QuadricSystem, nt: int = 96, ny: int = 
     a chart-free representation of CP^2 points.  Lines end in CRLF.
     """
     require_cone(system)
-    if system.n != 3:
-        raise DimensionUnsupported("projective clouds are built for n=3 cones")
+    point, _ = _link_parametrization(system)
     if nt < 2 or ny < 2:
         raise ConfigInvalid("resolution must be at least 2")
-    point, _ = _link_parametrization(system)
     box = torus_box(system.exponents)
     header = ["t", "y"] + [
         "p11", "p22", "p33", "re_p12", "im_p12", "re_p13", "im_p13", "re_p23", "im_p23"

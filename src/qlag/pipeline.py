@@ -79,11 +79,6 @@ SWEEPS = ("cn", "cpn", "quotient")
 # the Gram pairings, so peak memory stays flat in the sample count.
 FRAME_BLOCK = 256
 
-# Chart-mesh node budgets of the harmonicity and variation checks: charts of
-# dimension <= 3 get 64 and 32 nodes per axis, larger ones fewer.
-HARMONIC_NODE_BUDGET = 64 ** 3
-VARIATION_NODE_BUDGET = 32 ** 3
-
 
 def _is_count(x, low: int) -> bool:
     """An integer (not a bool) of at least ``low``."""
@@ -275,14 +270,6 @@ def _lattice_section(system: QuadricSystem) -> dict:
     }
 
 
-def _budget_resolution(cap: int, budget: int, dim: int) -> int:
-    """Largest r <= cap with r**dim <= budget, in integers."""
-    r = cap
-    while r ** dim > budget:
-        r -= 1
-    return r
-
-
 def _blockwise(check, system: QuadricSystem, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """check(system, u, y) over blocks of FRAME_BLOCK samples, its per-sample
     values joined along the last axis."""
@@ -356,16 +343,9 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) ->
 
         _guard(section, "minimal_curvature", minimal_curvature)
 
+    # chart_mesh sizes both chart checks, to at most 64**3 and 32**3 nodes
     def harmonicity():
-        # a cn chart has one axis per coordinate: n torus axes when k = 0,
-        # curve plus torus axis on a plane conic
-        resolution = _budget_resolution(64, HARMONIC_NODE_BUDGET, system.n)
-        if resolution < 8:
-            raise DimensionUnsupported(
-                f"a {system.n}-dimensional chart mesh gets {resolution} nodes per axis "
-                f"from the {HARMONIC_NODE_BUDGET}-node budget, below the 8-node minimum"
-            )
-        mesh = chart_mesh(system, resolution)
+        mesh = chart_mesh(system, 64)
         value = laplace_beltrami_defect(mesh, mesh.angle_values())
         return _entry(
             value, config.verify_tolerance("harmonic"), int(np.prod(mesh.shape))
@@ -374,13 +354,12 @@ def _cn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) ->
     _guard(section, "angle_harmonicity", harmonicity)
 
     def variation():
-        mesh = chart_mesh(system, 8)  # probe chart availability cheaply
-        dim = mesh.dim
-        resolution = _budget_resolution(32, VARIATION_NODE_BUDGET, dim)
+        # a cn chart has one axis per coordinate: n torus axes when k = 0,
+        # curve plus torus axis on a plane conic
         worst = 0.0
         for i in range(3):
-            f = random_trig_polynomial(dim, seed=config.seed + i)
-            worst = max(worst, hamiltonian_variation(system, f, resolution=resolution))
+            f = random_trig_polynomial(system.n, seed=config.seed + i)
+            worst = max(worst, hamiltonian_variation(system, f, resolution=32))
         return _entry(worst, config.verify_tolerance("variation"), 3)
 
     _guard(section, "hamiltonian_variation", variation)
@@ -416,12 +395,11 @@ def _cpn_section(config: InstanceConfig, system: QuadricSystem, minimal: bool) -
 
     _guard(section, "angle_fiber_invariance", fiber_angle)
 
-    if system.n == 3 and system.codim == 1:
-        def link_harmonic():
-            value = harmonicity_defect(system, 64, on_link=True)
-            return _entry(value, config.verify_tolerance("link_harmonic"), 64 * 64)
+    def link_harmonic():
+        value = harmonicity_defect(system, 64, on_link=True)
+        return _entry(value, config.verify_tolerance("link_harmonic"), 64 * 64)
 
-        _guard(section, "link_angle_harmonicity", link_harmonic)
+    _guard(section, "link_angle_harmonicity", link_harmonic)
     return section
 
 

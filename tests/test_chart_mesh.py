@@ -10,8 +10,8 @@ import pytest
 
 import qlag.immersion as immersion
 from qlag import QuadricSystem
-from qlag.catalog import ellipse, klein_bottle_cone, product_torus
-from qlag.errors import ChartFailure, DimensionUnsupported
+from qlag.catalog import ellipse, klein_bottle_cone, product_torus, weighted_cone
+from qlag.errors import ChartFailure, DimensionUnsupported, MeshTooCoarse
 from qlag.immersion import (
     ChartMesh,
     TrigPolynomial,
@@ -22,7 +22,7 @@ from qlag.immersion import (
     torus_metric,
 )
 from qlag.torus import torus_box
-from qlag.pipeline import InstanceConfig, _budget_resolution, report_passed, run_analyze
+from qlag.pipeline import InstanceConfig, report_passed, run_analyze
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,26 @@ def test_gradient_equals_the_per_axis_loop(dim):
         assert np.array_equal(got[axis], _per_axis_gradient(f, axis, *grids))
 
 
-# -- node budget of the pipeline's chart checks -------------------------------------
+# -- node budget of an int resolution r: r**3 nodes at most --------------------------
 
 
 def test_budget_resolution():
-    assert [_budget_resolution(64, 64 ** 3, d) for d in (1, 2, 3, 4)] == [64, 64, 64, 22]
-    assert [_budget_resolution(32, 32 ** 3, d) for d in (1, 2, 3, 4)] == [32, 32, 32, 13]
+    tori = [product_torus(list(range(1, d + 1))) for d in (1, 2, 3, 4)]
+    assert [chart_mesh(t, 64).shape for t in tori] == [(64,) * 1, (64,) * 2, (64,) * 3, (22,) * 4]
+    assert [chart_mesh(t, 32).shape for t in tori] == [(32,) * 1, (32,) * 2, (32,) * 3, (13,) * 4]
+    # 5 nodes per axis fit 32**3 in six dimensions: too few for the budget,
+    # where a resolution below 8 is too coarse whatever the dimension
+    with pytest.raises(DimensionUnsupported, match="a 6-dimensional chart mesh gets 5 nodes "
+                       "per axis from the 32768-node budget, below the 8-node minimum"):
+        chart_mesh(product_torus([1, 2, 3, 4, 5, 6]), 32)
+    with pytest.raises(MeshTooCoarse):
+        chart_mesh(tori[0], 7)
 
 
-def test_product_torus_4_reports_harmonicity_and_variation():
-    system = product_torus([1, 2, 3, 4])
+@pytest.mark.parametrize("weights, nodes", [([1, 2, 3, 4], 22 ** 4), ([1, 2, 3, 4, 5], 12 ** 5)],
+                         ids=["4", "5"])
+def test_product_torus_reports_harmonicity_and_variation(weights, nodes):
+    system = product_torus(weights)
     config = InstanceConfig.from_dict({
         "n": system.n,
         "k": system.k,
@@ -185,8 +195,9 @@ def test_product_torus_4_reports_harmonicity_and_variation():
     })
     cn = run_analyze(config)["cn"]
     assert cn["angle_harmonicity"]["pass"] is True
-    assert cn["angle_harmonicity"]["count"] == 22 ** 4
+    assert cn["angle_harmonicity"]["count"] == nodes
     assert cn["hamiltonian_variation"]["pass"] is True
+    assert cn["hamiltonian_variation"]["count"] == 3
 
 
 def test_seven_torus_skips_harmonicity_the_budget_cannot_mesh():
@@ -207,3 +218,20 @@ def test_seven_torus_skips_harmonicity_the_budget_cannot_mesh():
     assert "7-dimensional" in entry["skipped"] and str(64 ** 3) in entry["skipped"]
     assert "skipped" in report["cn"]["hamiltonian_variation"]
     assert report_passed(report)
+
+
+def test_seven_coordinate_cone_names_its_missing_chart():
+    # the chart is chosen before the budget is read, so a skip names what is missing
+    system = weighted_cone([1, 1, 1, 1, 1, 1, 6])
+    config = InstanceConfig.from_dict({
+        "n": system.n,
+        "k": system.k,
+        "rows": [list(r) for r in system.exponents.rows],
+        "constants": list(system.constants),
+        "samples": 20,
+        "curvature_samples": 4,
+        "sweeps": {"cn": True},
+    })
+    cn = run_analyze(config)["cn"]
+    skip = {"skipped": "no chart mesh for n=7, k=6 (need k=0, n=2, or a link)"}
+    assert cn["angle_harmonicity"] == cn["hamiltonian_variation"] == skip
