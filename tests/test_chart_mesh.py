@@ -171,8 +171,8 @@ def test_budget_resolution():
     tori = [product_torus(list(range(1, d + 1))) for d in (1, 2, 3, 4)]
     assert [chart_mesh(t, 64).shape for t in tori] == [(64,) * 1, (64,) * 2, (64,) * 3, (22,) * 4]
     assert [chart_mesh(t, 32).shape for t in tori] == [(32,) * 1, (32,) * 2, (32,) * 3, (13,) * 4]
-    # 5 nodes per axis fit 32**3 in six dimensions: too few for the budget,
-    # where a resolution below 8 is too coarse whatever the dimension
+    # six axes get 5 nodes each from 32**3 nodes: the chart is too big for
+    # the budget, while a resolution below 8 is too coarse in any dimension
     with pytest.raises(DimensionUnsupported, match="a 6-dimensional chart mesh gets 5 nodes "
                        "per axis from the 32768-node budget, below the 8-node minimum"):
         chart_mesh(product_torus([1, 2, 3, 4, 5, 6]), 32)
