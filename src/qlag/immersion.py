@@ -464,10 +464,19 @@ def chart_mesh(
     return ChartMesh(shape, spacings, periodic, metric, grad, float(np.prod(spacings)))
 
 
-def _central_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+LB_BLOCK = 1 << 16  # nodes of axis-0 rows per laplace_beltrami_defect block, bounding its buffers
+
+
+def _central_diff(arr, axis: int, h: float, periodic: bool, out=None) -> np.ndarray:
+    """(arr[i+1] - arr[i-1]) / (2h) along axis, into out if given, wrapped on
+    a periodic axis; on another axis out is required, and its two end layers
+    stay as they are."""
     if periodic:
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
-    return np.gradient(arr, h, axis=axis, edge_order=1)
+        return np.divide(np.roll(arr, -1, axis) - np.roll(arr, 1, axis), 2.0 * h, out=out)
+    lead = (slice(None),) * axis
+    mid = lead + (slice(1, -1),)
+    np.subtract(arr[lead + (slice(2, None),)], arr[lead + (slice(None, -2),)], out=out[mid])
+    return np.divide(out[mid], 2.0 * h, out=out[mid])
 
 
 def laplace_beltrami_defect(mesh: ChartMesh, values: np.ndarray) -> float:
@@ -476,32 +485,57 @@ def laplace_beltrami_defect(mesh: ChartMesh, values: np.ndarray) -> float:
     Divergence-form discretization (1/sqrt G) d_a(sqrt G G^{ab} d_b s) with
     nested central differences; for non-periodic axes the two boundary
     layers polluted by one-sided differences are excluded from the max.
+    Axis-0 rows go in blocks of about LB_BLOCK nodes, each with two halo
+    rows a side (wrapped on a periodic axis 0), through buffers allocated
+    once; entries of G^{ab} that vanish on the whole mesh are skipped.
+    Every node gets the operations of the whole-mesh formula, in its order.
     """
-    sqrtg = np.sqrt(np.linalg.det(mesh.metric))
-    ginv = np.linalg.inv(mesh.metric)
-    grads = [
-        _central_diff(values, a, mesh.spacings[a], mesh.periodic[a])
-        for a in range(mesh.dim)
-    ]
-    div = np.zeros(mesh.shape)
-    for a in range(mesh.dim):
-        flux = sqrtg * sum(ginv[..., a, b] * grads[b] for b in range(mesh.dim))
-        div += _central_diff(flux, a, mesh.spacings[a], mesh.periodic[a])
-    defect = np.abs(div / sqrtg)
-    interior = tuple(
-        slice(None) if per else slice(2, -2)
-        for per in mesh.periodic
-    )
-    region = defect[interior]
-    if region.size == 0:
+    dim, shape = mesh.dim, mesh.shape
+    metric = mesh.metric.reshape((1,) * (dim + 2 - mesh.metric.ndim) + mesh.metric.shape)
+    sqrtg, inverse = np.sqrt(np.linalg.det(metric)), np.linalg.inv(metric)
+    ginv = [[inverse[..., a, b] for b in range(dim)] for a in range(dim)]
+    terms = [[b for b in range(dim) if np.any(ginv[a][b] != 0)] or [a] for a in range(dim)]
+    keep = [slice(None) if per else slice(2, -2) for per in mesh.periodic]
+    if any(len(range(n)[part]) == 0 for n, part in zip(shape, keep)):
         raise MeshTooCoarse("no interior nodes left after boundary trimming")
-    return float(np.max(region))
+    rows = range(shape[0])[keep[0]]
+    step = max(1, LB_BLOCK // int(np.prod(shape[1:])))
+    buffers = np.zeros((dim + 3, min(step, len(rows)) + 4) + shape[1:])
+
+    def block(arr):
+        """arr's rows idx of the block at hand, or all of arr where it is
+        constant along axis 0."""
+        if arr.shape[0] == 1:
+            return arr
+        if mesh.periodic[0]:
+            return np.take(arr, idx, axis=0, mode="wrap")
+        return arr[idx[0]:idx[-1] + 1]
+
+    maxima = []
+    for lo in range(rows.start, rows.stop, step):
+        idx = np.arange(lo - 2, min(lo + step, rows.stop) + 2)  # two halo rows a side
+        *g, f, t, d = buffers[:, :len(idx)]
+        v, s = block(values), block(sqrtg)
+        for b in range(dim):
+            _central_diff(v, b, mesh.spacings[b], b > 0 and mesh.periodic[b], out=g[b])
+        for a in range(dim):
+            first, *rest = terms[a]
+            np.multiply(block(ginv[a][first]), g[first], out=f)
+            for b in rest:
+                np.add(f, np.multiply(block(ginv[a][b]), g[b], out=t), out=f)
+            np.multiply(f, s, out=f)
+            periodic = a > 0 and mesh.periodic[a]
+            _central_diff(f, a, mesh.spacings[a], periodic, out=d if a == 0 else t)
+            if a:
+                mid = (slice(None),) * a + (slice(None) if periodic else slice(1, -1),)
+                np.add(d[mid], t[mid], out=d[mid])
+        np.abs(np.divide(d, s, out=d), out=d)
+        maxima.append(np.max(d[(slice(2, -2),) + tuple(keep[1:])]))
+    return float(np.max(maxima))
 
 
 def harmonicity_defect(
-    system: QuadricSystem,
-    resolution: int | Sequence[int] = 64,
-    on_link: bool = False,
+    system: QuadricSystem, resolution: int | Sequence[int], *, on_link: bool
 ) -> float:
     """Discrete Laplace-Beltrami defect of the Lagrangian angle."""
     mesh = chart_mesh(system, resolution, on_link=on_link)
@@ -560,22 +594,29 @@ def hamiltonian_variation(
     For a Lagrangian immersion the integrand reduces to the metric pairing
     of grad(beta) with grad(f), so the quadrature vanishes exactly when the
     angle is harmonic.  chart_mesh picks the chart and its size from
-    resolution, and raises where it has none.
+    resolution, and raises where it has none.  The integrand is a weighted
+    sum of the terms' sines: the weights come from c_b = sqrt G G^{ab}
+    d_a(beta) on the metric's own broadcast shape, and each sine is the
+    imaginary part of a product of per-axis complex exponentials.
     """
     mesh = chart_mesh(system, resolution)
-    grids = mesh.node_grids()
-    # periodic trapezoid sum: sample on the half-open grid. Torus axes of
-    # the mesh are half-open already; nothing to trim.
     ginv = np.linalg.inv(mesh.metric)
     sqrtg = np.sqrt(np.linalg.det(mesh.metric))
-    df = f.gradient(*grids)
+    grad, dim = mesh.angle_gradient, mesh.dim
+    c = [sqrtg * sum(ginv[..., a, b] * grad[a] for a in range(dim) if grad[a] != 0.0)
+         for b in range(dim)]
+    xi = [np.arange(n).reshape((-1,) + (1,) * (dim - 1 - b)) * h
+          for b, (n, h) in enumerate(zip(mesh.shape, mesh.spacings))]
+    # periodic trapezoid sum: sample on the half-open grid. Torus axes of
+    # the mesh are half-open already; nothing to trim.
     integrand = np.zeros(mesh.shape)
-    for a in range(mesh.dim):
-        if mesh.angle_gradient[a] == 0.0:
-            continue
-        for b in range(mesh.dim):
-            integrand += ginv[..., a, b] * mesh.angle_gradient[a] * df[b]
-    return float(abs(np.sum(integrand * sqrtg) * mesh.volume))
+    for amp, freqs, phase in f.terms:
+        wave = -amp * TWO_PI * sum(q * c[b] for b, q in enumerate(freqs) if q) * np.exp(1j * phase)
+        for b, q in enumerate(freqs):
+            if q:
+                wave = wave * np.exp(1j * TWO_PI * q * xi[b])
+        integrand += wave.imag
+    return float(abs(np.sum(integrand) * mesh.volume))
 
 
 def gradient_graph_variation(

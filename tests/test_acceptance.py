@@ -156,8 +156,8 @@ def test_criterion_3_lagrangian_property():
 
 def test_criterion_4_h_minimality():
     sys1 = ellipse()
-    d64 = harmonicity_defect(sys1, 64)
-    d128 = harmonicity_defect(sys1, 128)
+    d64 = harmonicity_defect(sys1, 64, on_link=False)
+    d128 = harmonicity_defect(sys1, 128, on_link=False)
     refine_ok = d128 <= max(d64 / 4.0, 1e-12)  # 4x drop or double-precision floor
 
     # the scheme itself is second order: known-Laplacian reference on a
@@ -334,8 +334,8 @@ def test_criterion_10_product_torus():
     rows[0, 1] = rows[0, 1] + 0.1j * rows[0, 0]
     control = replace(fb, rows=rows).symplectic_defect()[0]
 
-    d24 = harmonicity_defect(torus, 24)
-    d48 = harmonicity_defect(torus, 48)
+    d24 = harmonicity_defect(torus, 24, on_link=False)
+    d48 = harmonicity_defect(torus, 48, on_link=False)
     refine_ok = d48 <= max(d24 / 4.0, 1e-12)
     variation_worst = 0.0
     for seed in range(5):

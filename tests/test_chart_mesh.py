@@ -3,14 +3,15 @@ axes it varies on and the node grids are sparse.  Every value computed on
 such a mesh equals the one computed on fully materialized per-node arrays,
 bit for bit."""
 
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 import qlag.immersion as immersion
 from qlag import QuadricSystem
-from qlag.catalog import ellipse, klein_bottle_cone, product_torus, weighted_cone
+from qlag.catalog import circle, ellipse, klein_bottle_cone, product_torus, weighted_cone
 from qlag.errors import ChartFailure, DimensionUnsupported, MeshTooCoarse
 from qlag.immersion import (
     ChartMesh,
@@ -86,7 +87,7 @@ def test_node_grids_are_sparse():
     assert shapes == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
 
 
-# -- regression guards: no dense per-node tensors, one gradient per axis ----------
+# -- regression guards: no dense per-node tensors, no full-grid transcendental ----
 
 
 def test_torus_chart_is_based_at_the_polytope_vertex(monkeypatch):
@@ -127,19 +128,24 @@ def test_curve_chart_metric_is_per_curve_node(system, on_link):
     assert mesh.metric.size <= mesh.shape[0] * mesh.dim ** 2
 
 
-def test_variation_takes_one_gradient_per_axis(monkeypatch):
-    # one sine per term serves the derivatives along every axis
-    calls = []
-    real_sin = np.sin
+def test_variation_transcendentals_see_one_axis_of_nodes(monkeypatch):
+    # each term's sine is a product of per-axis exponentials: no sin, cos or
+    # exp call sees more nodes than one axis has
+    sizes = []
 
-    def counted(x, *args, **kwargs):
-        calls.append(np.shape(x))
-        return real_sin(x, *args, **kwargs)
+    def counted(real):
+        def call(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+        return call
 
-    f = random_trig_polynomial(3, seed=0)
-    monkeypatch.setattr(np, "sin", counted)
-    hamiltonian_variation(product_torus([1, 2, 3]), f, 16)
-    assert len(calls) == len(f.terms) == 4
+    for name in ("sin", "cos", "exp"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    for system, resolution in ((product_torus([1, 2, 3]), 16), (ellipse(), 32)):
+        sizes.clear()
+        hamiltonian_variation(system, random_trig_polynomial(system.n, seed=0), resolution)
+        shape = chart_mesh(system, resolution).shape
+        assert sizes and max(sizes) <= max(shape)
 
 
 def _per_axis_gradient(f, axis, *grids):
@@ -162,6 +168,128 @@ def test_gradient_equals_the_per_axis_loop(dim):
     assert len(got) == dim
     for axis in range(dim):
         assert np.array_equal(got[axis], _per_axis_gradient(f, axis, *grids))
+
+
+def _per_node_variation(system, f, resolution):
+    """The per-node variation formula the weighted sines replaced, and the
+    integral of its absolute value, the scale its rounding is judged on."""
+    mesh = immersion.chart_mesh(system, resolution)
+    ginv = np.linalg.inv(mesh.metric)
+    sqrtg = np.sqrt(np.linalg.det(mesh.metric))
+    df = f.gradient(*mesh.node_grids())
+    integrand = np.zeros(mesh.shape)
+    for a in range(mesh.dim):
+        if mesh.angle_gradient[a] == 0.0:
+            continue
+        for b in range(mesh.dim):
+            integrand += ginv[..., a, b] * mesh.angle_gradient[a] * df[b]
+    integrand *= sqrtg
+    return abs(np.sum(integrand) * mesh.volume), np.sum(np.abs(integrand)) * mesh.volume
+
+
+@pytest.mark.parametrize("system", [circle(), ellipse(), ellipse(2, 3, 2.0), product_torus([1, 2, 3])],
+                         ids=["circle", "ellipse", "ellipse(2,3,2)", "product_torus([1,2,3])"])
+def test_variation_equals_the_per_node_formula(system):
+    for seed in range(3):
+        f = random_trig_polynomial(system.n, seed=seed)
+        old, scale = _per_node_variation(system, f, 32)
+        assert abs(hamiltonian_variation(system, f, 32) - old) <= 1e-12 * scale
+
+
+def test_variation_equals_the_per_node_formula_off_zero(monkeypatch):
+    # an angle gradient along the curve axis, and a metric that varies along
+    # it with an off-diagonal entry (on an ellipse sqrt(G) G^{00} is
+    # constant): the integral is far from zero and the formulas agree
+    real_chart_mesh = immersion.chart_mesh
+
+    def tilted(*args, **kwargs):
+        mesh = real_chart_mesh(*args, **kwargs)
+        t = mesh.node_grids()[0]
+        metric = mesh.metric.copy()
+        metric[..., 0, 0] *= 1.5 + np.cos(2 * np.pi * t)
+        metric[..., 0, 1] = metric[..., 1, 0] = 0.3 * np.sqrt(metric[..., 0, 0] * metric[..., 1, 1])
+        return replace(mesh, metric=metric, angle_gradient=mesh.angle_gradient + np.array([0.7, 0.0]))
+
+    monkeypatch.setattr(immersion, "chart_mesh", tilted)
+    f = TrigPolynomial(((1.0, (2, 0), 0.3), (0.5, (1, 1), 1.0), (-0.8, (2, -1), 2.0)))
+    old, _ = _per_node_variation(ellipse(), f, 32)
+    assert old > 1e-3
+    assert abs(hamiltonian_variation(ellipse(), f, 32) - old) <= 1e-12 * old
+
+
+# -- blocks of axis-0 rows in laplace_beltrami_defect ---------------------------------
+
+
+def _whole_mesh_defect(mesh, values):
+    """The whole-mesh Laplace-Beltrami formula the blocks replaced."""
+    def diff(arr, axis):
+        h = mesh.spacings[axis]
+        if mesh.periodic[axis]:
+            return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+        return np.gradient(arr, h, axis=axis, edge_order=1)
+
+    sqrtg = np.sqrt(np.linalg.det(mesh.metric))
+    ginv = np.linalg.inv(mesh.metric)
+    grads = [diff(values, a) for a in range(mesh.dim)]
+    div = np.zeros(mesh.shape)
+    for a in range(mesh.dim):
+        div += diff(sqrtg * sum(ginv[..., a, b] * grads[b] for b in range(mesh.dim)), a)
+    interior = tuple(slice(None) if per else slice(2, -2) for per in mesh.periodic)
+    return float(np.max(np.abs(div / sqrtg)[interior]))
+
+
+def _hand_built_mesh():
+    """A non-periodic mesh whose metric is one (D, D) matrix, off-diagonal."""
+    return ChartMesh((24, 20), (1 / 24, 1 / 20), (False, False),
+                     np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([1.0, 2.0]), 1 / 480)
+
+
+BLOCK_MESHES = {
+    "circle": lambda: chart_mesh(circle(), 64),
+    "ellipse": lambda: chart_mesh(ellipse(), 64),
+    "klein_bottle_cone link": lambda: chart_mesh(klein_bottle_cone(), 64, on_link=True),
+    "product_torus([1,2,3])": lambda: chart_mesh(product_torus([1, 2, 3]), 64),
+    "product_torus([1,2,3,4])": lambda: chart_mesh(product_torus([1, 2, 3, 4]), 64),
+    "off-diagonal torus": lambda: chart_mesh(QuadricSystem([[1, 0], [1, 1]], [2.0, 1.0]), 64),
+    "dense ellipse": lambda: _dense(chart_mesh(ellipse(), 64)),
+    "dense product_torus([1,2,3])": lambda: _dense(chart_mesh(product_torus([1, 2, 3]), 16)),
+    "(D, D) metric": _hand_built_mesh,
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_MESHES))
+def test_laplace_beltrami_does_not_depend_on_the_block_size(name, monkeypatch):
+    # one row per block, the default and one block give the whole-mesh
+    # formula's bits, and a NaN in a later block reaches the result
+    mesh = BLOCK_MESHES[name]()
+    fields = [mesh.angle_values(),
+              sum(np.cos(2 * np.pi * (a + 1) * g) for a, g in enumerate(mesh.node_grids()))]
+    fields = [np.broadcast_to(s, mesh.shape).copy() for s in fields]
+    planted = fields[1].copy()
+    planted[(mesh.shape[0] * 3 // 4,) + tuple(n // 2 for n in mesh.shape[1:])] = np.nan
+    got = {}
+    for block in (1, immersion.LB_BLOCK, 10 ** 9):
+        monkeypatch.setattr(immersion, "LB_BLOCK", block)
+        got[block] = [laplace_beltrami_defect(mesh, s) for s in fields]
+        # with one row per block the NaN is in a block that is not the first
+        assert np.isnan(laplace_beltrami_defect(mesh, planted))
+    assert got[1] == got[immersion.LB_BLOCK] == got[10 ** 9]
+    assert got[1] == [_whole_mesh_defect(mesh, s) for s in fields]
+    assert all(np.isfinite(got[1]))
+
+
+def test_laplace_beltrami_memory_on_the_torus_chart():
+    # blocks of 2**16 nodes: about 4.2 MB of buffers where the whole-mesh
+    # formula took 14.75 MB
+    mesh = chart_mesh(product_torus([1, 2, 3]), 64)
+    values = mesh.angle_values()
+    tracemalloc.start()
+    try:
+        laplace_beltrami_defect(mesh, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 # -- node budget of an int resolution r: r**3 nodes at most --------------------------

@@ -247,12 +247,12 @@ def test_immersion_chart_center_consistency():
 
 
 def test_harmonicity_small_on_surface_grid():
-    assert harmonicity_defect(ellipse(), 64) <= 1e-6
+    assert harmonicity_defect(ellipse(), 64, on_link=False) <= 1e-6
 
 
 def test_harmonicity_exactly_zero_for_constant_angle_metric():
     torus = product_torus([1.0, 0.7])
-    assert harmonicity_defect(torus, 32) <= 1e-13
+    assert harmonicity_defect(torus, 32, on_link=False) <= 1e-13
 
 
 def test_harmonicity_exactly_zero_for_constant_angle():
@@ -264,8 +264,8 @@ def test_harmonicity_exactly_zero_for_constant_angle():
 def test_harmonicity_refinement_with_floor():
     # second order: doubling the resolution cuts the defect by at least 4x
     # until it reaches the double-precision floor
-    coarse = harmonicity_defect(ellipse(), 64)
-    fine = harmonicity_defect(ellipse(), 128)
+    coarse = harmonicity_defect(ellipse(), 64, on_link=False)
+    fine = harmonicity_defect(ellipse(), 128, on_link=False)
     assert coarse <= 1e-6
     assert fine <= max(coarse / 4.0, 1e-12)
 
