@@ -28,9 +28,10 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -289,8 +290,9 @@ class ChartMesh:
     metric[node + (a,b)] is the pulled-back immersion metric in xi units;
     it only needs to broadcast against shape + (D, D), so chart_mesh keeps
     one copy on torus charts and one per curve node on conic and link
-    charts.  angle_gradient is d(beta)/d(xi) (constant; beta is linear);
-    periodic marks axes where the chart closes up.
+    charts.  angle_gradient is d(beta)/d(xi) (constant; beta is linear),
+    and angle_terms() gives beta as one sparse term per axis, so no full
+    shape array of it is built; periodic marks axes where the chart closes up.
     """
 
     shape: tuple[int, ...]
@@ -314,13 +316,11 @@ class ChartMesh:
             sparse=True,
         )
 
-    def angle_values(self) -> np.ndarray:
-        """beta on the nodes, linear in the torus axes (universal cover)."""
-        grids = self.node_grids()
-        out = np.zeros(self.shape)
-        for a in range(self.dim):
-            out += self.angle_gradient[a] * grids[a]
-        return out
+    def angle_terms(self) -> list[np.ndarray]:
+        """beta on the nodes (linear in the torus axes, on the universal
+        cover) as one sparse term per axis, angle_gradient[a] times axis a's
+        node grid; beta is 0.0 plus the terms in axis order."""
+        return [grad * grid for grad, grid in zip(self.angle_gradient, self.node_grids())]
 
 
 def _conic_parametrization(system: QuadricSystem):
@@ -464,73 +464,105 @@ def chart_mesh(
     return ChartMesh(shape, spacings, periodic, metric, grad, float(np.prod(spacings)))
 
 
-LB_BLOCK = 1 << 16  # nodes of axis-0 rows per laplace_beltrami_defect block, bounding its buffers
+LB_BLOCK = 1 << 15  # nodes of axis-0 rows per laplace_beltrami_defect block, bounding its buffers
 
 
 def _central_diff(arr, axis: int, h: float, periodic: bool, out=None) -> np.ndarray:
-    """(arr[i+1] - arr[i-1]) / (2h) along axis, into out if given, wrapped on
-    a periodic axis; on another axis out is required, and its two end layers
-    stay as they are."""
+    """(arr[i+1] - arr[i-1]) / (2h) along axis into out if given, wrapped on
+    a periodic axis.  On another axis out is required, C-contiguous and of
+    arr's shape, and the differences run over the flattened arrays at the
+    axis's stride, so out's two end layers along axis are left as they are
+    or get differences across layers.  Where 2h is a power of two the
+    scaling multiplies by its exact reciprocal, which rounds as division."""
     if periodic:
-        return np.divide(np.roll(arr, -1, axis) - np.roll(arr, 1, axis), 2.0 * h, out=out)
-    lead = (slice(None),) * axis
-    mid = lead + (slice(1, -1),)
-    np.subtract(arr[lead + (slice(2, None),)], arr[lead + (slice(None, -2),)], out=out[mid])
-    return np.divide(out[mid], 2.0 * h, out=out[mid])
+        out = part = np.subtract(np.roll(arr, -1, axis), np.roll(arr, 1, axis), out=out)
+    else:
+        stride = math.prod(arr.shape[axis + 1:])
+        flat, part = arr.reshape(-1), out.reshape(-1)[stride:-stride]
+        np.subtract(flat[2 * stride:], flat[:-2 * stride], out=part)
+    if math.frexp(2.0 * h)[0] == 0.5:
+        np.multiply(part, 1.0 / (2.0 * h), out=part)
+    else:
+        np.divide(part, 2.0 * h, out=part)
+    return out
 
 
-def laplace_beltrami_defect(mesh: ChartMesh, values: np.ndarray) -> float:
-    """Max |Laplace-Beltrami of values| over interior nodes.
+def laplace_beltrami_defect(mesh: ChartMesh, *terms: np.ndarray) -> float:
+    """Max |Laplace-Beltrami of s| over interior nodes, for the field
+    s = 0.0 + terms[0] + terms[1] + ... of arrays with one axis per mesh
+    axis that broadcast to mesh.shape (ChartMesh.angle_terms(), or one array).
 
     Divergence-form discretization (1/sqrt G) d_a(sqrt G G^{ab} d_b s) with
     nested central differences; for non-periodic axes the two boundary
     layers polluted by one-sided differences are excluded from the max.
-    Axis-0 rows go in blocks of about LB_BLOCK nodes, each with two halo
-    rows a side (wrapped on a periodic axis 0), through buffers allocated
-    once; entries of G^{ab} that vanish on the whole mesh are skipped.
-    Every node gets the operations of the whole-mesh formula, in its order.
+    Axis-0 rows go in blocks of about LB_BLOCK nodes through buffers
+    allocated once.  Each row of s, of the gradients and of the axis-0 flux
+    is computed once, and the last two carry over to the next block (a
+    periodic axis 0 wraps at the ends).  Entries of G^{ab} that vanish on
+    the whole mesh are skipped.  Every interior node gets the operations of
+    the whole-mesh formula, in its order; the end layers of a non-periodic
+    axis > 0 get differences across lines, which reach only excluded layers.
     """
     dim, shape = mesh.dim, mesh.shape
     metric = mesh.metric.reshape((1,) * (dim + 2 - mesh.metric.ndim) + mesh.metric.shape)
     sqrtg, inverse = np.sqrt(np.linalg.det(metric)), np.linalg.inv(metric)
     ginv = [[inverse[..., a, b] for b in range(dim)] for a in range(dim)]
-    terms = [[b for b in range(dim) if np.any(ginv[a][b] != 0)] or [a] for a in range(dim)]
+    pairs = [[b for b in range(dim) if np.any(ginv[a][b] != 0)] or [a] for a in range(dim)]
     keep = [slice(None) if per else slice(2, -2) for per in mesh.periodic]
     if any(len(range(n)[part]) == 0 for n, part in zip(shape, keep)):
         raise MeshTooCoarse("no interior nodes left after boundary trimming")
     rows = range(shape[0])[keep[0]]
-    step = max(1, LB_BLOCK // int(np.prod(shape[1:])))
+    step = max(1, LB_BLOCK // math.prod(shape[1:]))
     buffers = np.zeros((dim + 3, min(step, len(rows)) + 4) + shape[1:])
+    work = np.zeros((2, min(step, len(rows))) + shape[1:])
 
-    def block(arr):
-        """arr's rows idx of the block at hand, or all of arr where it is
-        constant along axis 0."""
+    def take(arr, first, stop):
+        """arr's rows first to stop - 1 (wrapped on a periodic axis 0), or
+        all of arr where it is constant along axis 0."""
         if arr.shape[0] == 1:
             return arr
-        if mesh.periodic[0]:
-            return np.take(arr, idx, axis=0, mode="wrap")
-        return arr[idx[0]:idx[-1] + 1]
+        if 0 <= first and stop <= shape[0]:
+            return arr[first:stop]
+        return np.take(arr, range(first, stop), axis=0, mode="wrap")
+
+    def flux(a, part, first, stop, out, temp):
+        """sqrt G G^{ab} d_b s into out on the buffer rows part, mesh rows
+        first to stop - 1, with the products in temp."""
+        head, *rest = pairs[a]
+        np.multiply(take(ginv[a][head], first, stop), g[head][part], out=out)
+        for b in rest:
+            np.multiply(take(ginv[a][b], first, stop), g[b][part], out=temp)
+            np.add(out, temp, out=out)
+        np.multiply(out, take(sqrtg, first, stop), out=out)
 
     maxima = []
     for lo in range(rows.start, rows.stop, step):
-        idx = np.arange(lo - 2, min(lo + step, rows.stop) + 2)  # two halo rows a side
-        *g, f, t, d = buffers[:, :len(idx)]
-        v, s = block(values), block(sqrtg)
-        for b in range(dim):
-            _central_diff(v, b, mesh.spacings[b], b > 0 and mesh.periodic[b], out=g[b])
-        for a in range(dim):
-            first, *rest = terms[a]
-            np.multiply(block(ginv[a][first]), g[first], out=f)
-            for b in rest:
-                np.add(f, np.multiply(block(ginv[a][b]), g[b], out=t), out=f)
-            np.multiply(f, s, out=f)
-            periodic = a > 0 and mesh.periodic[a]
-            _central_diff(f, a, mesh.spacings[a], periodic, out=d if a == 0 else t)
-            if a:
-                mid = (slice(None),) * a + (slice(None) if periodic else slice(1, -1),)
-                np.add(d[mid], t[mid], out=d[mid])
-        np.abs(np.divide(d, s, out=d), out=d)
-        maxima.append(np.max(d[(slice(2, -2),) + tuple(keep[1:])]))
+        hi = min(lo + step, rows.stop)
+        # buffer row i holds mesh row lo - 2 + i; s on every row, the
+        # gradients and the axis-0 flux f0 on rows 1 to -2, the output d on
+        # 2 to -2, and the other fluxes f and their differences t on its rows
+        s, *g, f0, d = buffers[:, :hi - lo + 4]
+        f, t = work[:, :hi - lo]
+        c = 0 if lo == rows.start else 2  # later blocks carry rows 2, 3 of s and 1, 2 of g, f0 over
+        s[2 * c:] = 0.0
+        for term in terms:
+            s[2 * c:] += take(term, lo - 2 + 2 * c, hi + 2)
+        new = slice(c + 1, -1)
+        _central_diff(s[c:], 0, mesh.spacings[0], False, g[0][c:])
+        for b in range(1, dim):
+            _central_diff(s[new], b, mesh.spacings[b], mesh.periodic[b], g[b][new])
+        flux(0, new, lo - 1 + c, hi + 1, f0[new], d[new])
+        _central_diff(f0[1:-1], 0, mesh.spacings[0], False, d[1:-1])
+        out = slice(2, -2)
+        for a in range(1, dim):
+            flux(a, out, lo, hi, f, t)
+            _central_diff(f, a, mesh.spacings[a], mesh.periodic[a], t)
+            np.add(d[out], t, out=d[out])
+        np.abs(np.divide(d[out], take(sqrtg, lo, hi), out=d[out]), out=d[out])
+        maxima.append(np.max(d[out][(slice(None),) + tuple(keep[1:])]))
+        s[2:4] = s[-2:]
+        for x in (*g, f0):  # one copy per buffer: one across buffers takes a temporary
+            x[1:3] = x[-3:-1]
     return float(np.max(maxima))
 
 
@@ -539,7 +571,7 @@ def harmonicity_defect(
 ) -> float:
     """Discrete Laplace-Beltrami defect of the Lagrangian angle."""
     mesh = chart_mesh(system, resolution, on_link=on_link)
-    return laplace_beltrami_defect(mesh, mesh.angle_values())
+    return laplace_beltrami_defect(mesh, *mesh.angle_terms())
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +618,12 @@ def random_trig_polynomial(dim: int, seed: int = 0) -> TrigPolynomial:
 
 def hamiltonian_variation(
     system: QuadricSystem,
-    f: TrigPolynomial,
+    polynomials: Iterable[TrigPolynomial],
     resolution: int = 48,
 ) -> float:
-    """|integral of <H, W_f> dvol| over a fundamental chart.
+    """The largest |integral of <H, W_f> dvol| over a fundamental chart among
+    the polynomials f, all on one mesh and read only once it is built; a
+    NaN among them is the result.
 
     For a Lagrangian immersion the integrand reduces to the metric pairing
     of grad(beta) with grad(f), so the quadrature vanishes exactly when the
@@ -609,14 +643,17 @@ def hamiltonian_variation(
           for b, (n, h) in enumerate(zip(mesh.shape, mesh.spacings))]
     # periodic trapezoid sum: sample on the half-open grid. Torus axes of
     # the mesh are half-open already; nothing to trim.
-    integrand = np.zeros(mesh.shape)
-    for amp, freqs, phase in f.terms:
-        wave = -amp * TWO_PI * sum(q * c[b] for b, q in enumerate(freqs) if q) * np.exp(1j * phase)
-        for b, q in enumerate(freqs):
-            if q:
-                wave = wave * np.exp(1j * TWO_PI * q * xi[b])
-        integrand += wave.imag
-    return float(abs(np.sum(integrand) * mesh.volume))
+    values = []
+    for f in polynomials:
+        integrand = np.zeros(mesh.shape)
+        for amp, freqs, phase in f.terms:
+            wave = -amp * TWO_PI * sum(q * c[b] for b, q in enumerate(freqs) if q) * np.exp(1j * phase)
+            for b, q in enumerate(freqs):
+                if q:
+                    wave = wave * np.exp(1j * TWO_PI * q * xi[b])
+            integrand += wave.imag
+        values.append(abs(np.sum(integrand) * mesh.volume))
+    return float(np.max(values))
 
 
 def gradient_graph_variation(

@@ -187,7 +187,7 @@ def test_criterion_4_h_minimality():
     variation_worst = 0.0
     for seed in range(5):
         f = random_trig_polynomial(2, seed=100 + seed)
-        variation_worst = max(variation_worst, hamiltonian_variation(sys1, f, 48))
+        variation_worst = max(variation_worst, hamiltonian_variation(sys1, [f], 48))
     control = gradient_graph_variation(
         0.05, TrigPolynomial(((1.0, (1, 1), 0.0), (0.7, (1, -1), 0.0))), 64
     )
@@ -340,7 +340,7 @@ def test_criterion_10_product_torus():
     variation_worst = 0.0
     for seed in range(5):
         f = random_trig_polynomial(3, seed=200 + seed)
-        variation_worst = max(variation_worst, hamiltonian_variation(torus, f, 24))
+        variation_worst = max(variation_worst, hamiltonian_variation(torus, [f], 24))
     ok = (
         worst_defect <= 1e-10
         and worst_cross <= 1e-10

@@ -42,6 +42,11 @@ def _dense(mesh: ChartMesh) -> ChartMesh:
                           mesh.angle_gradient, mesh.volume)
 
 
+def _angle(mesh: ChartMesh) -> np.ndarray:
+    """The angle on every node: 0.0 plus the per-axis terms, in axis order."""
+    return sum(mesh.angle_terms(), np.zeros(mesh.shape))
+
+
 CHARTS = {
     "ellipse": (ellipse, False),
     "product_torus([1,2,3])": (lambda: product_torus([1, 2, 3]), False),
@@ -56,10 +61,12 @@ def test_laplace_beltrami_equals_dense_mesh(name):
     resolution = 32 if system.n == 3 and not on_link else 64
     mesh = chart_mesh(system, resolution, on_link=on_link)
     dense = _dense(mesh)
-    values = mesh.angle_values()
+    values = _angle(mesh)
     assert values.shape == mesh.shape
-    assert np.array_equal(values, dense.angle_values())
-    assert laplace_beltrami_defect(mesh, values) == laplace_beltrami_defect(dense, values)
+    assert np.array_equal(values, _angle(dense))
+    defect = laplace_beltrami_defect(mesh, *mesh.angle_terms())
+    assert defect == laplace_beltrami_defect(dense, *dense.angle_terms())
+    assert defect == laplace_beltrami_defect(dense, values)
     # a non-harmonic field exercises every metric entry, not only the angle
     s = sum(np.cos(2 * np.pi * (a + 1) * g) for a, g in enumerate(mesh.node_grids()))
     assert laplace_beltrami_defect(mesh, s) == laplace_beltrami_defect(dense, s)
@@ -69,7 +76,7 @@ def test_laplace_beltrami_equals_dense_mesh(name):
 def test_variation_equals_dense_mesh(name, monkeypatch):
     system = CHARTS[name][0]()
     polys = [random_trig_polynomial(system.n, seed=s) for s in range(3)]
-    broadcast = [hamiltonian_variation(system, f, resolution=16) for f in polys]
+    broadcast = [hamiltonian_variation(system, [f], resolution=16) for f in polys]
 
     real_chart_mesh = immersion.chart_mesh
 
@@ -77,8 +84,24 @@ def test_variation_equals_dense_mesh(name, monkeypatch):
         return _dense(real_chart_mesh(*args, **kwargs))
 
     monkeypatch.setattr(immersion, "chart_mesh", dense_chart_mesh)
-    dense = [hamiltonian_variation(system, f, resolution=16) for f in polys]
+    dense = [hamiltonian_variation(system, [f], resolution=16) for f in polys]
     assert broadcast == dense
+
+
+def test_variation_of_several_polynomials_builds_one_mesh(monkeypatch):
+    system = product_torus([1, 2, 3])
+    polys = [random_trig_polynomial(system.n, seed=s) for s in range(3)]
+    alone = [hamiltonian_variation(system, [f], resolution=16) for f in polys]
+    built = []
+    real_chart_mesh = immersion.chart_mesh
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real_chart_mesh(*args, **kwargs)
+
+    monkeypatch.setattr(immersion, "chart_mesh", counted)
+    assert hamiltonian_variation(system, iter(polys), resolution=16) == max(alone)
+    assert len(built) == 1
 
 
 def test_node_grids_are_sparse():
@@ -143,7 +166,7 @@ def test_variation_transcendentals_see_one_axis_of_nodes(monkeypatch):
         monkeypatch.setattr(np, name, counted(getattr(np, name)))
     for system, resolution in ((product_torus([1, 2, 3]), 16), (ellipse(), 32)):
         sizes.clear()
-        hamiltonian_variation(system, random_trig_polynomial(system.n, seed=0), resolution)
+        hamiltonian_variation(system, [random_trig_polynomial(system.n, seed=0)], resolution)
         shape = chart_mesh(system, resolution).shape
         assert sizes and max(sizes) <= max(shape)
 
@@ -193,7 +216,7 @@ def test_variation_equals_the_per_node_formula(system):
     for seed in range(3):
         f = random_trig_polynomial(system.n, seed=seed)
         old, scale = _per_node_variation(system, f, 32)
-        assert abs(hamiltonian_variation(system, f, 32) - old) <= 1e-12 * scale
+        assert abs(hamiltonian_variation(system, [f], 32) - old) <= 1e-12 * scale
 
 
 def test_variation_equals_the_per_node_formula_off_zero(monkeypatch):
@@ -214,7 +237,7 @@ def test_variation_equals_the_per_node_formula_off_zero(monkeypatch):
     f = TrigPolynomial(((1.0, (2, 0), 0.3), (0.5, (1, 1), 1.0), (-0.8, (2, -1), 2.0)))
     old, _ = _per_node_variation(ellipse(), f, 32)
     assert old > 1e-3
-    assert abs(hamiltonian_variation(ellipse(), f, 32) - old) <= 1e-12 * old
+    assert abs(hamiltonian_variation(ellipse(), [f], 32) - old) <= 1e-12 * old
 
 
 # -- blocks of axis-0 rows in laplace_beltrami_defect ---------------------------------
@@ -238,10 +261,13 @@ def _whole_mesh_defect(mesh, values):
     return float(np.max(np.abs(div / sqrtg)[interior]))
 
 
-def _hand_built_mesh():
-    """A non-periodic mesh whose metric is one (D, D) matrix, off-diagonal."""
-    return ChartMesh((24, 20), (1 / 24, 1 / 20), (False, False),
-                     np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([1.0, 2.0]), 1 / 480)
+def _hand_built_mesh(periodic, shape):
+    """A mesh whose metric is one (D, D) matrix, off-diagonal, with the
+    periodic flags given, axes past 0 included."""
+    dim = len(shape)
+    metric = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])[:dim, :dim]
+    spacings = tuple(1 / n for n in shape)
+    return ChartMesh(shape, spacings, periodic, metric, np.arange(1.0, dim + 1), float(np.prod(spacings)))
 
 
 BLOCK_MESHES = {
@@ -253,43 +279,50 @@ BLOCK_MESHES = {
     "off-diagonal torus": lambda: chart_mesh(QuadricSystem([[1, 0], [1, 1]], [2.0, 1.0]), 64),
     "dense ellipse": lambda: _dense(chart_mesh(ellipse(), 64)),
     "dense product_torus([1,2,3])": lambda: _dense(chart_mesh(product_torus([1, 2, 3]), 16)),
-    "(D, D) metric": _hand_built_mesh,
+    "(D, D) metric": lambda: _hand_built_mesh((False, False), (24, 20)),
+    "(D, D) metric, periodic axis 1": lambda: _hand_built_mesh((False, True), (24, 20)),
+    "(D, D) metric, periodic axes 0, 1": lambda: _hand_built_mesh((True, True), (24, 20)),
+    "(D, D) metric, periodic axes 0, 2": lambda: _hand_built_mesh((True, False, True), (24, 20, 16)),
 }
 
 
 @pytest.mark.parametrize("name", list(BLOCK_MESHES))
 def test_laplace_beltrami_does_not_depend_on_the_block_size(name, monkeypatch):
     # one row per block, the default and one block give the whole-mesh
-    # formula's bits, and a NaN in a later block reaches the result
+    # formula's bits, from the angle's per-axis terms and from one full
+    # array, and a NaN in a later block reaches the result
     mesh = BLOCK_MESHES[name]()
-    fields = [mesh.angle_values(),
-              sum(np.cos(2 * np.pi * (a + 1) * g) for a, g in enumerate(mesh.node_grids()))]
-    fields = [np.broadcast_to(s, mesh.shape).copy() for s in fields]
-    planted = fields[1].copy()
+    wave = sum(np.cos(2 * np.pi * (a + 1) * g) for a, g in enumerate(mesh.node_grids()))
+    fields = [mesh.angle_terms(), [np.broadcast_to(wave, mesh.shape).copy()]]
+    planted = fields[1][0].copy()
     planted[(mesh.shape[0] * 3 // 4,) + tuple(n // 2 for n in mesh.shape[1:])] = np.nan
     got = {}
     for block in (1, immersion.LB_BLOCK, 10 ** 9):
         monkeypatch.setattr(immersion, "LB_BLOCK", block)
-        got[block] = [laplace_beltrami_defect(mesh, s) for s in fields]
+        got[block] = [laplace_beltrami_defect(mesh, *terms) for terms in fields]
         # with one row per block the NaN is in a block that is not the first
         assert np.isnan(laplace_beltrami_defect(mesh, planted))
     assert got[1] == got[immersion.LB_BLOCK] == got[10 ** 9]
-    assert got[1] == [_whole_mesh_defect(mesh, s) for s in fields]
+    assert got[1] == [_whole_mesh_defect(mesh, sum(terms, np.zeros(mesh.shape))) for terms in fields]
     assert all(np.isfinite(got[1]))
 
 
 def test_laplace_beltrami_memory_on_the_torus_chart():
-    # blocks of 2**16 nodes: about 4.2 MB of buffers where the whole-mesh
-    # formula took 14.75 MB
-    mesh = chart_mesh(product_torus([1, 2, 3]), 64)
-    values = mesh.angle_values()
+    # the harmonicity path on the 64^3 torus chart: chart_mesh, the angle's
+    # sparse per-axis terms, and blocks of LB_BLOCK nodes, whose field,
+    # gradient, axis-0 flux and output buffers hold the block's rows and
+    # four more, and two more buffers its rows alone: about 2.96 MB.  Halo
+    # rows recomputed in 2**16-node blocks and a full angle array took
+    # 6.23 MB, and the whole-mesh formula 14.75 MB
+    system = product_torus([1, 2, 3])
     tracemalloc.start()
     try:
-        laplace_beltrami_defect(mesh, values)
+        mesh = chart_mesh(system, 64)
+        laplace_beltrami_defect(mesh, *mesh.angle_terms())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 3.5e6
 
 
 # -- node budget of an int resolution r: r**3 nodes at most --------------------------

@@ -541,13 +541,16 @@ def test_moment_polytope_beyond_float64_is_an_error_line(tmp_path, capsys):
 def test_non_finite_check_value_is_a_recorded_error(constant, tmp_path, capsys):
     # the chart metric's determinant overflows or underflows, so the
     # harmonicity defect is NaN: the entry records an error and the report
-    # is still written
+    # is still written.  Where it overflows every variation quadrature is
+    # NaN too, an error and not a pass at 0.0
     config = {"n": 2, "k": 1, "rows": [[1], [2]], "constants": [constant],
               "sweeps": {"cn": True}}
     with pytest.warns(RuntimeWarning, match="encountered in"):
         assert main(["analyze", _write(tmp_path, config)]) == 1
-    entry = json.loads(capsys.readouterr().out)["cn"]["angle_harmonicity"]
-    assert entry == {"error": "QlagError: the check gave a non-finite value", "pass": False}
+    cn = json.loads(capsys.readouterr().out)["cn"]
+    error = {"error": "QlagError: the check gave a non-finite value", "pass": False}
+    assert cn["angle_harmonicity"] == error
+    assert (cn["hamiltonian_variation"] == error) == (constant > 1.0)
 
 
 def test_thin_ellipse_curvature_subsample_follows_the_variety(tmp_path, capsys):

@@ -345,18 +345,18 @@ def test_variation_small_for_harmonic_angle():
     sys1 = ellipse()
     for seed in range(5):
         f = random_trig_polynomial(2, seed=seed)
-        assert hamiltonian_variation(sys1, f, resolution=32) <= 1e-4
+        assert hamiltonian_variation(sys1, [f], resolution=32) <= 1e-4
 
 
 def test_variation_exactly_zero_for_constant_f():
-    assert hamiltonian_variation(ellipse(), TrigPolynomial(((3.0, (0, 0), 0.0),))) == 0.0
+    assert hamiltonian_variation(ellipse(), [TrigPolynomial(((3.0, (0, 0), 0.0),))]) == 0.0
 
 
 def test_variation_mixed_harmonic_function():
     # cos(2 pi t) sin(2 pi y_raw): y_raw has period 2, so frequency 2 in
     # normalized chart coordinates
     f = TrigPolynomial(((1.0, (1, 2), np.pi / 2),))
-    assert hamiltonian_variation(ellipse(), f, resolution=48) <= 1e-4
+    assert hamiltonian_variation(ellipse(), [f], resolution=48) <= 1e-4
 
 
 def test_variation_negative_control_graph():
@@ -366,7 +366,7 @@ def test_variation_negative_control_graph():
 
 def test_variation_dimension_guard():
     with pytest.raises(DimensionUnsupported):
-        hamiltonian_variation(sphere_cone(4), random_trig_polynomial(3, seed=0))
+        hamiltonian_variation(sphere_cone(4), [random_trig_polynomial(3, seed=0)])
 
 
 # -- products -------------------------------------------------------------------
