@@ -12,14 +12,18 @@ Parity statements must never pass through floating point.  Linear algebra
 over Q is one Gauss-Jordan inverse per LatticeBasis, which rejects a
 singular basis and gives both the dual basis and coordinates, and one per
 candidate square column basis of a polyhedron {v >= 0 : A v = b}, cached
-across calls; one float solve of every basis picks the candidates and
-decides nothing else.  polyhedron itself keeps nothing: each QuadricSystem
-keeps the vertices and rays of its moment polytope and of each cut of it.
+across calls.  A basis_table solves every basis in floats once, for b and
+for A 1, so each cut v >= f^2 picks its candidates off that one pass and
+decides them in integers; the floats decide nothing else.  Neither
+basis_table nor polyhedron (its cut at floor 0, with the rays) keeps
+anything across calls: each QuadricSystem keeps the table of its moment
+polytope, each cut read off it and its rays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -240,52 +244,111 @@ def pairing_parity(gamma: Sequence, e_row: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _basis_inverse(rows: tuple[IntVector, ...], basis: IntVector) -> tuple[FracVector, ...] | None:
     """The exact inverse of the square column basis ``basis`` of the integer
-    ``rows``, or None where it is singular; cached, since the samplers ask
-    for the same bases at every floor."""
+    ``rows``, or None where it is singular; cached, since every system with
+    these rows asks for the same bases."""
     try:
         return _inverse([[Fraction(row[c]) for c in basis] for row in rows])
     except SingularBasis:
         return None
 
 
+def _scaled(values: Sequence) -> tuple[list[float], int | None]:
+    """The rationals values / 2^e as floats, each rounded once and of
+    magnitude below 1, and e; e is None when every value is 0."""
+    top = max(map(abs, values))
+    if not top:
+        return [0.0] * len(values), None
+    e = top.numerator.bit_length() - top.denominator.bit_length() + 1
+    return [(x.numerator << max(-e, 0)) / (x.denominator << max(e, 0)) for x in values], e
+
+
+def basis_table(rows: Sequence[Sequence[int]], rhs: Sequence):
+    """The cuts of {v >= 0 : A v = b}, A's integer rows ``rows`` and b
+    ``rhs``: a function of a floor f that gives the vertices, less f^2, of
+    {v >= f^2 : A v = b}, exact, that is of {w >= 0 : A w = b - f^2 A 1}.
+
+    Each floor moves only the right-hand side, so the float pass over the
+    square column bases B of A runs once, here: a regular B (|det B|, an
+    integer, exceeds 1/2) gets p_B = B^-1 b and q_B = B^-1 A 1, b and A 1
+    each scaled by an exact power of two so that no entry overflows.  A cut
+    keeps the bases with p_B - f^2 q_B >= -1e-6 max(1, |p_B|, f^2 |q_B|),
+    all over the larger of the two scales, which f^2 beyond float64 leaves
+    finite; the tolerance is relative to the terms, since their difference
+    may cancel.  Each of those candidates is decided exactly, in integers:
+    B^-1 b and B^-1 A 1 over one denominator, built once per basis from
+    _basis_inverse (once per (A, B) in a process), a singular one skipped.
+    The vertices are the points B^-1 (b - f^2 A 1) >= 0, in
+    itertools.combinations order without repeats.  The float pass holds
+    C(n, m) blocks of m x m floats, m = len(rows): 7 MB at n = 16, m = 9.
+    """
+    n, m = len(rows[0]), len(rows)
+    key = tuple(map(tuple, rows))
+    rhs = [Fraction(x) for x in rhs]
+    sums = [sum(row) for row in key]
+    bases = np.array([*itertools.combinations(range(n), m)], dtype=int).reshape(-1, m)
+    blocks = np.array(key, dtype=float)[:, bases].transpose(1, 0, 2)
+    regular = np.abs(np.linalg.det(blocks)) > 0.5
+    bases = bases[regular]
+    (b, b_exp), (s, s_exp) = _scaled(rhs), _scaled(sums)
+    solved = np.linalg.solve(blocks[regular], np.broadcast_to(
+        np.array([b, s]).T, (len(bases), m, 2)))
+    p, q = solved[..., 0], solved[..., 1]
+    p_top, q_top = np.abs(p).max(axis=1), np.abs(q).max(axis=1)
+    # b = b_num / b_den in integers
+    b_den = math.lcm(*(x.denominator for x in rhs))
+    b_num = [x.numerator * (b_den // x.denominator) for x in rhs]
+    exact = {}  # basis index -> exact_solutions
+
+    def exact_solutions(i):
+        """B's columns, and the numerators of B^-1 b and B^-1 A 1 over one
+        denominator, and it, from B^-1 = N / d in integers; None where B is
+        singular."""
+        basis = tuple(bases[i].tolist())
+        inverse = _basis_inverse(key, basis)
+        if inverse is None:
+            return None
+        d = math.lcm(*(a.denominator for row in inverse for a in row))
+        N = [[a.numerator * (d // a.denominator) for a in row] for row in inverse]
+        return (basis, [sum(a * x for a, x in zip(row, b_num)) for row in N],
+                [sum(a * x for a, x in zip(row, sums)) * b_den for row in N], d * b_den)
+
+    def cut(floor) -> tuple[FracVector, ...]:
+        mantissa, f_exp = math.frexp(floor)
+        f_exp = s_exp + 2 * f_exp if s_exp is not None and floor else None
+        top = max((e for e in (b_exp, f_exp) if e is not None), default=0)
+        alpha = 0.0 if b_exp is None else math.ldexp(1.0, b_exp - top)
+        beta = 0.0 if f_exp is None else math.ldexp(mantissa * mantissa, f_exp - top)
+        slack = 1e-6 * np.maximum(1.0, np.maximum(alpha * p_top, beta * q_top))
+        near = (alpha * p - beta * q).min(axis=1) >= -slack
+        # f^2 = f_num / f_den in integers
+        f_num, f_den = (x * x for x in Fraction(floor).as_integer_ratio())
+        found = {}
+        for i in np.flatnonzero(near).tolist():
+            if i not in exact:
+                exact[i] = exact_solutions(i)
+            if exact[i] is None:
+                continue
+            basis, p_num, q_num, den = exact[i]
+            x = [a * f_den - f_num * c for a, c in zip(p_num, q_num)]
+            if min(x) >= 0:
+                v = [Fraction(0)] * n
+                for c, value in zip(basis, x):
+                    v[c] = Fraction(value, den * f_den)
+                found[tuple(v)] = None
+        return tuple(found)
+
+    return cut
+
+
 def polyhedron(
     rows: Sequence[Sequence[int]], rhs: Sequence, rays: bool = True
 ) -> tuple[tuple[FracVector, ...], tuple[FracVector, ...]]:
     """The vertices and the extreme rays (none, without ``rays``) of
-    {v >= 0 : A v = b}, A's integer rows ``rows`` and b ``rhs``, exact.
-
-    The vertices are the points B^-1 b >= 0 of the square column bases B
-    of A, in itertools.combinations order without repeats.  One float solve
-    of every basis, for b scaled exactly by its largest |entry| so that no
-    entry overflows, picks the candidates: |det B|, an integer, exceeds
-    1/2, and B^-1 b >= -1e-6 max(1, |B^-1 b|).  Each candidate is inverted
-    exactly by _basis_inverse, once per (A, B) in a process, and a singular
-    one is skipped.  The rays, scaled to sum 1, are the vertices of
-    {r >= 0 : A r = 0, sum r = 1}, whatever b is.  The float pass holds
-    C(n, m) blocks of m x m floats, m = len(rows) (+ 1 for the rays): 7 MB
-    at n = 16, m = 9.
-    """
+    {v >= 0 : A v = b}, A's integer rows ``rows`` and b ``rhs``, exact: the
+    cut of its basis_table at floor 0.  The rays, scaled to sum 1, are the
+    vertices of {r >= 0 : A r = 0, sum r = 1}, whatever b is."""
     n, m = len(rows[0]), len(rows)
-    bases = np.array([*itertools.combinations(range(n), m)], dtype=int).reshape(-1, m)
-    blocks = np.array(rows, dtype=float)[:, bases].transpose(1, 0, 2)
-    regular = np.abs(np.linalg.det(blocks)) > 0.5
-    top = max(map(abs, rhs)) or 1
-    scaled = np.array([Fraction(x) / top for x in rhs], dtype=float)
-    guess = np.linalg.solve(blocks[regular], scaled[:, None])[..., 0]
-    near = guess.min(axis=1) >= -1e-6 * np.abs(guess).max(axis=1, initial=1.0)
-    key = tuple(map(tuple, rows))
-    found = {}
-    for basis in bases[regular][near].tolist():
-        inverse = _basis_inverse(key, tuple(basis))
-        if inverse is None:
-            continue
-        x = [sum((p * q for p, q in zip(row, rhs)), Fraction(0)) for row in inverse]
-        if min(x) >= 0:
-            v = [Fraction(0)] * n
-            for c, value in zip(basis, x):
-                v[c] = value
-            found[tuple(v)] = None
-    return tuple(found), polyhedron([*rows, (1,) * n], [0] * m + [1], False)[0] if rays else ()
+    return basis_table(rows, rhs)(0.0), polyhedron([*rows, (1,) * n], [0] * m + [1], False)[0] if rays else ()
 
 
 def sum_vector(exponents: ExponentMatrix) -> IntVector:

@@ -10,9 +10,11 @@ draw reads another: each is at u_floor, or at _capped_draw's floor from P.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -511,6 +513,20 @@ def report_passed(report: dict) -> bool | None:
 
 
 def _format_scalar(value) -> str:
+    """One report scalar as JSON text: a str, float, int or bool of exactly
+    that type in one check each, a str as json.dumps writes it; then numpy
+    scalars, None and Fraction."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError("non-finite value in report")
+        return "%.17g" % value
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:
@@ -529,31 +545,42 @@ def _format_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _render(node, pad: str, put) -> None:
+    """Append the JSON text of node, whose first line starts at pad, to put:
+    a dict one key per line, a list of scalars on one line, any other list
+    one item per line."""
+    containers = (dict, list, tuple, np.ndarray)
+    inner = pad + "  "
+    if isinstance(node, dict):
+        if not node:
+            put("{}")
+            return
+        sep = "{\n"
+        for key, value in node.items():
+            put(sep + inner + encode_basestring_ascii(str(key)) + ": ")
+            _render(value, inner, put)
+            sep = ",\n"
+        put("\n" + pad + "}")
+    elif not isinstance(node, containers):
+        put(_format_scalar(node))
+    elif not len(node):
+        put("[]")
+    elif any(isinstance(value, containers) for value in node):
+        sep = "[\n"
+        for value in node:
+            put(sep + inner)
+            _render(value, inner, put)
+            sep = ",\n"
+        put("\n" + pad + "]")
+    else:
+        put("[" + ", ".join(map(_format_scalar, node)) + "]")
+
+
 def serialize_report(report: dict) -> str:
     """JSON text indented by two spaces, with stable key order and
-    17-significant-digit floats."""
-
-    def render(node, level: int) -> str:
-        pad = "  " * level
-        inner = "  " * (level + 1)
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            parts = [
-                f'{inner}{_format_scalar(str(k))}: {render(v, level + 1)}'
-                for k, v in node.items()
-            ]
-            return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-        if isinstance(node, (list, tuple, np.ndarray)):
-            items = list(node)
-            if not items:
-                return "[]"
-            rendered = [render(v, level + 1) for v in items]
-            if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-                return "[" + ", ".join(rendered) + "]"
-            return (
-                "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
-            )
-        return _format_scalar(node)
-
-    return render(report, 0) + "\n"
+    17-significant-digit floats, written in one pass into one list of
+    pieces."""
+    out = []
+    _render(report, "", out.append)
+    out.append("\n")
+    return "".join(out)

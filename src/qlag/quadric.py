@@ -3,8 +3,8 @@
 Validation, residuals, normals, the one orthonormalization (householder),
 tangent spaces, Gauss-Newton projection onto M and seeded sampling.
 Everything is a pure function of immutable inputs; a QuadricSystem keeps the
-facts it decides (the cuts of its moment polytope P, smoothness per support,
-its link system) for its life.  M is the set of u with u^2 in P, so the
+facts it decides (one basis table of its moment polytope P, each cut read
+off it, P's rays, smoothness per support, its link system) for its life.  M is the set of u with u^2 in P, so the
 samplers return u = eps sqrt(v) for v drawn from P, with no projection.
 
 One equation's sign pattern is read by definite (a compact ellipsoid) and
@@ -29,7 +29,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .lattice import ExponentMatrix, hermite_normal_form, polyhedron
+from .lattice import ExponentMatrix, basis_table, hermite_normal_form, polyhedron
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,12 @@ class QuadricSystem:
         object.__setattr__(self, "_memo", {})  # not a field: eq, hash and repr skip it
 
     def _fact(self, key, build):
-        """build(), run once per key in the system's life (see once)."""
-        return self._memo.setdefault(key, once(build))()
+        """build(), run once per key in the system's life (see once): a
+        kept fact is one lookup."""
+        fact = self._memo.get(key)
+        if fact is None:
+            fact = self._memo[key] = once(build)
+        return fact()
 
     @property
     def n(self) -> int:
@@ -278,15 +282,18 @@ def _solve(JJt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def moment_polytope(system: QuadricSystem, floor=0.0) -> list[np.ndarray]:
     """Read-only float (V, n) vertices, less floor^2, and (R, n) rays of the
-    exact lattice.polyhedron of P = {v >= 0 : E^T v = d} (a cone's link
-    P ∩ {sum v = 1}) cut to v >= floor^2, from the system's facts, each
-    enumerated once: P with its rays, which every cut shares, and each other
-    cut's vertices.  A cut beyond float64 raises SamplingExhausted."""
-    rows, rhs = [*zip(*system.exponents.rows)], [Fraction(c) for c in system.constants]
-    if system.is_cone():
-        rows, rhs = [*rows, (1,) * system.n], [*rhs, Fraction(1)]
-    exact = system._fact("P", lambda: polyhedron(rows, rhs))
-    cut = [b - Fraction(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
+    exact polyhedron P = {v >= 0 : E^T v = d} (a cone's link P ∩ {sum v = 1})
+    cut to v >= floor^2, from the system's facts: one lattice.basis_table of
+    P, whose float pass over P's bases every cut shares, each cut read off it
+    once, keyed on the float floor (no Fraction is built for a kept cut),
+    and P's rays from one ray pass.  A cut beyond float64 raises
+    SamplingExhausted."""
+
+    def constraints():
+        rows, rhs = [*zip(*system.exponents.rows)], [Fraction(c) for c in system.constants]
+        if system.is_cone():
+            rows, rhs = [*rows, (1,) * system.n], [*rhs, Fraction(1)]
+        return rows, rhs
 
     def floats(part):
         try:  # an exact vertex may be beyond float64
@@ -294,9 +301,13 @@ def moment_polytope(system: QuadricSystem, floor=0.0) -> list[np.ndarray]:
         except OverflowError:
             raise SamplingExhausted(f"the moment polytope cut at {floor}^2 is beyond float64") from None
 
+    def rays():  # P's, whatever d is: lattice.polyhedron's own ray pass
+        rows = constraints()[0]
+        return floats(polyhedron([*rows, (1,) * system.n], [0] * len(rows) + [1], False)[0])
+
     return [system._fact(("cut", floor), lambda: floats(
-        exact[0] if cut == rhs else polyhedron(rows, cut, False)[0])),
-        system._fact("rays", lambda: floats(exact[1]))]
+        system._fact("P", lambda: basis_table(*constraints()))(floor))),
+        system._fact("rays", rays)]
 
 
 def _draw(

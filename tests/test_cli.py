@@ -476,12 +476,17 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
         draws.append((args[1], kwargs.get("u_floor")))
         return original(*args, **kwargs)
 
-    def enumerated(rows, rhs, rays=True, original=quadric.polyhedron):
-        cuts.append(tuple(rhs))
-        return original(rows, rhs, rays)
+    def tabled(rows, rhs, original=quadric.basis_table):
+        cut = original(rows, rhs)
+
+        def counted_cut(floor):
+            cuts.append((len(rows), floor))
+            return cut(floor)
+
+        return counted_cut
 
     monkeypatch.setattr(pipeline, "sample_immersion", counted)
-    monkeypatch.setattr(quadric, "polyhedron", enumerated)
+    monkeypatch.setattr(quadric, "basis_table", tabled)
     assert main(["analyze", _write(tmp_path, config)]) == 1
     report = json.loads(capsys.readouterr().out)
     for key, entry in report["cn"].items():
@@ -492,7 +497,7 @@ def test_failed_draw_is_a_recorded_failure(config, failed, tmp_path, capsys, mon
             assert "error" not in entry
     # each draw runs once, however many entries read it: the main draw at
     # the system's floor and the curvature subsample, drawn on its own, at
-    # that floor too, which reads the one enumeration of its cut
+    # that floor too, which reads the one cut of P's table at that floor
     floor = config["tolerances"]["u_floor"]
     assert draws == [(config["samples"], None), (config["samples"], floor)]
     assert len(cuts) == len(set(cuts))

@@ -457,3 +457,119 @@ def test_polytope_bases_are_inverted_once_across_floors(monkeypatch):
     assert inverted
     assert len(warm) == len(cold) == 2
     assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+
+
+# -- the basis table of a moment polytope against the enumerator -----------
+
+CATALOG_SYSTEMS = {
+    "ellipse": ("ellipse", ()),
+    "ellipse_2_3_2": ("ellipse", (2, 3, 2)),
+    "ellipsoid_1_1_1": ("ellipsoid", ([1, 1, 1],)),
+    "ellipsoid_1_2_3": ("ellipsoid", ([1, 2, 3],)),
+    "sphere_cone_3": ("sphere_cone", (3,)),
+    "sphere_cone_5": ("sphere_cone", (5,)),
+    "ellipsoid_cone": ("ellipsoid_cone", ()),
+    "klein_bottle_cone": ("klein_bottle_cone", ()),
+    "weighted_cone_1_1_3": ("weighted_cone", ([1, 1, 3],)),
+    "weighted_cone_1_1_1_3": ("weighted_cone", ([1, 1, 1, 3],)),
+    "clifford_cone_3": ("clifford_cone", (3,)),
+    "clifford_cone_5": ("clifford_cone", (5,)),
+    "circle": ("circle", ()),
+    "product_torus_1_2_3": ("product_torus", ([1, 2, 3],)),
+}
+FLOORS = (0.0, 1e-3, 0.05, 0.1, 1e154, 1e155, 1e300)
+
+
+def _constraints(system):
+    """The rows and right-hand side of P, a cone's with sum v = 1 added."""
+    rows, rhs = [*zip(*system.exponents.rows)], [F(c) for c in system.constants]
+    if system.is_cone():
+        rows, rhs = [*rows, (1,) * system.n], [*rhs, F(1)]
+    return rows, rhs
+
+
+def _capped_floors(system, monkeypatch):
+    """The floors of the report's capped draws, at caps 0.1 and 0.05."""
+    floors = []
+    monkeypatch.setattr(qlag.pipeline, "sample_immersion",
+                        lambda system, count, seed, u_floor: floors.append(u_floor))
+    for cap in (0.1, 0.05):
+        qlag.pipeline._capped_draw(None, system, 0, cap, 1)
+    monkeypatch.undo()
+    return floors
+
+
+def _check_table_against_enumerator(system, floors):
+    """Each cut of one basis table of P equals the enumerator's vertices of
+    {w >= 0 : A w = b - f^2 A 1}, exactly and in order, and moment_polytope
+    gives them as floats or fails where they are beyond float64."""
+    from qlag.lattice import basis_table, polyhedron
+    from qlag.quadric import moment_polytope
+    from qlag.errors import SamplingExhausted
+
+    rows, rhs = _constraints(system)
+    table = basis_table(rows, rhs)
+    for floor in floors:
+        shifted = [b - F(floor) ** 2 * sum(row) for row, b in zip(rows, rhs)]
+        expected = polyhedron(rows, shifted, False)[0]
+        assert table(floor) == expected, floor
+        try:
+            floats = np.array(expected, dtype=float).reshape(-1, system.n)
+        except OverflowError:
+            with pytest.raises(SamplingExhausted, match=r"\^2 is beyond float64$"):
+                moment_polytope(system, floor)
+        else:
+            assert np.array_equal(moment_polytope(system, floor)[0], floats)
+
+
+@pytest.mark.parametrize("name", CATALOG_SYSTEMS)
+def test_basis_table_cuts_equal_the_enumerator_on_the_catalog(name, monkeypatch):
+    from qlag import catalog
+
+    make, args = CATALOG_SYSTEMS[name]
+    system = getattr(catalog, make)(*args)
+    _check_table_against_enumerator(system, FLOORS + tuple(_capped_floors(system, monkeypatch)))
+
+
+@pytest.mark.parametrize("rows, constants, floors, count", [
+    # the hyperbola v1 - 2 v2 = 1: a vertex beyond float64 from 1e155 up
+    ([[1], [-2]], [1.0], FLOORS, None),
+    # v1 + 3 v2 = 1 at the floor 1/2, where the cut is the single point
+    # w = 0, the vertex of both bases
+    ([[1], [3]], [1.0], [0.5], 1),
+    # v1 + 2 v2 = 3/4, whose b is not an integer, with its tie at 1/2
+    ([[1], [2]], [0.75], (*FLOORS, 0.5), None),
+    # 3 v1 - 3 v2 = 3, 2 v1 - 3 v2 = 2: the one vertex (1, 0), whose v2
+    # solves to a tiny negative float, kept by the slack
+    ([[3, 2], [-3, -3]], [3.0, 2.0], [0.0], 1),
+    # the product of five circles: C(10, 5) = 252 bases, 32 vertices
+    ([*np.eye(5, dtype=int).tolist()] * 2, [1.0, 2.0, 3.0, 4.0, 5.0], [0.0], 32),
+    ([*np.eye(5, dtype=int).tolist()] * 2, [1.0, 2.0, 3.0, 4.0, 5.0], FLOORS, None),
+], ids=["hyperbola", "tie", "quarter", "float-negative", "five-circles-count", "five-circles"])
+def test_basis_table_cuts_equal_the_enumerator(rows, constants, floors, count, monkeypatch):
+    system = QuadricSystem(rows, constants)
+    floors = (*floors, *_capped_floors(system, monkeypatch))
+    _check_table_against_enumerator(system, floors)
+    if count is not None:
+        from qlag.quadric import moment_polytope
+
+        assert len(moment_polytope(system, floors[0])[0]) == count
+
+
+@st.composite
+def _small_systems(draw):
+    """Integer E with n <= 6 rows and entries in [-3, 3], and d in quarters
+    of [-3, 3]."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    return rows, draw(st.lists(st.integers(-12, 12).map(lambda q: q / 4), min_size=m, max_size=m))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(_small_systems())
+def test_basis_table_cuts_equal_the_enumerator_on_random_systems(drawn):
+    rows, constants = drawn
+    assume(np.linalg.matrix_rank(np.array(rows)) == len(constants))
+    _check_table_against_enumerator(QuadricSystem(rows, constants), FLOORS)

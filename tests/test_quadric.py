@@ -425,17 +425,27 @@ def test_exhaustion_needs_every_coordinate_off_zero():
     assert [len(pts) for pts in sample_stratum_points(flat, 4, seed=0)] == [0, 0, 0]
 
 
-def _count_enumerations(monkeypatch):
-    """The (b, rays) of each lattice.polyhedron call of the samplers."""
+def _count_passes(monkeypatch):
+    """The samplers' float passes over column bases, each as ("table", m) for
+    a lattice.basis_table of m rows (P's, or the ray pass's m + 1), and each
+    cut read off them as ("cut", m, floor)."""
+    import qlag.lattice as lattice
     import qlag.quadric as quadric
 
     calls = []
 
-    def counted(rows, rhs, rays=True, enumerate=quadric.polyhedron):
-        calls.append((tuple(rhs), rays))
-        return enumerate(rows, rhs, rays)
+    def counted(rows, rhs, table=lattice.basis_table):
+        calls.append(("table", len(rows)))
+        cut = table(rows, rhs)
 
-    monkeypatch.setattr(quadric, "polyhedron", counted)
+        def counted_cut(floor):
+            calls.append(("cut", len(rows), floor))
+            return cut(floor)
+
+        return counted_cut
+
+    monkeypatch.setattr(quadric, "basis_table", counted)
+    monkeypatch.setattr(lattice, "basis_table", counted)
     return calls
 
 
@@ -449,7 +459,8 @@ def _config_file(tmp_path, system, sweeps):
 
 # the enumerations of one analyze, each cut with its own ray pass, were
 # 6, 8, 8 and 8 before the system kept them, and 4, 5, 5 and 3 while the
-# collision scan drew its generic points at a cut of its own
+# collision scan drew its generic points at a cut of its own; each cut then
+# enumerated P's bases again, where now they share one float pass
 @pytest.mark.parametrize("instance, cuts", [
     ("ellipse.json", 3),
     ("klein_cone.json", 4),
@@ -458,18 +469,23 @@ def _config_file(tmp_path, system, sweeps):
 ], ids=["ellipse.json", "klein_cone.json", "clifford_cone(5)", "product_torus([1,2,3])"])
 def test_analyze_enumerates_each_cut_once_and_the_rays_once(instance, cuts, tmp_path,
                                                            monkeypatch, capsys):
+    # one float pass over P's bases and one ray pass per analyze, whatever
+    # the number of cuts, and each cut (P's own at floor 0 among them) read
+    # off P's table once
     from qlag.cli import main
 
     if isinstance(instance, str):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", instance)
     else:
         path = _config_file(tmp_path, instance[0](), instance[1])
-    calls = _count_enumerations(monkeypatch)
+    calls = _count_passes(monkeypatch)
     assert main(["analyze", path]) == 0
     capsys.readouterr()
-    assert len(calls) == cuts
-    assert len({rhs for rhs, _ in calls}) == cuts
-    assert [rays for _, rays in calls].count(True) == 1
+    m = calls[0][1]
+    assert [call for call in calls if call[0] == "table"] == [("table", m), ("table", m + 1)]
+    floors = [call[2] for call in calls if call[:2] == ("cut", m)]
+    assert len(floors) == len(set(floors)) == cuts
+    assert [call for call in calls if call[:2] == ("cut", m + 1)] == [("cut", m + 1, 0.0)]
 
 
 def test_polytope_arrays_are_read_only_and_kept():
@@ -525,12 +541,16 @@ def test_a_system_with_facts_is_freed_without_the_cycle_collector():
 ], ids=["ellipse-0.8", "ellipse-1e300", "hyperbola-1e155"])
 def test_a_failed_cut_fails_alike_at_every_read(make, floor, message, monkeypatch):
     system = make()
-    calls = _count_enumerations(monkeypatch)
+    calls = _count_passes(monkeypatch)
     for _ in range(3):
         with pytest.raises(SamplingExhausted) as info:
             sample_points(system, 2, seed=0, u_floor=floor)
         assert str(info.value) == message
-    assert [rays for _, rays in calls] == [True, False]  # P and its rays, then the cut
+    # P's one float pass and its cut, then the ray pass, which a cut
+    # beyond float64 does not reach
+    m = system.codim
+    rays = [] if message.endswith("beyond float64") else [("table", m + 1), ("cut", m + 1, 0.0)]
+    assert calls == [("table", m), ("cut", m, floor), *rays]
 
 
 @pytest.mark.parametrize("make", [lambda: sphere_cone(5), lambda: weighted_cone([1, 1, 1, 3])],
